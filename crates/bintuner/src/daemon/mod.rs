@@ -32,8 +32,10 @@
 pub mod metrics;
 pub mod wire;
 
-use crate::service::{FarmTelemetry, ServiceExecutor, ServiceHandle, SharedEvaldError};
-use crate::store::{ArtifactStore, AstArtifactKey, LowerArtifactKey};
+use crate::service::{
+    fold_artifacts, FarmTelemetry, ServiceExecutor, ServiceHandle, SharedEvaldError,
+};
+use crate::store::ArtifactStore;
 use crate::tuner::{Backend, TuneError, TuneResult, Tuner, TunerConfig};
 use crate::{MissExecutor, MissResult};
 use evald::transport::{
@@ -48,7 +50,7 @@ use minicc::ast::Module;
 use minicc::codec::decode_module;
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
@@ -186,7 +188,8 @@ struct SharedFarm {
     /// `DaemonConfig::quarantine_strikes` (0 = disabled).
     quarantine_strikes: u32,
     /// Stage artifacts drained from farms torn down mid-daemon (module
-    /// switches, failures), awaiting the next persist.
+    /// switches, failures), awaiting the next finishing job's
+    /// [`ServiceExecutor::take_artifacts`] or the shutdown flush.
     pending: Mutex<(Vec<WireAstArtifact>, Vec<WireLowerArtifact>)>,
 }
 
@@ -213,10 +216,10 @@ impl SharedFarm {
     }
 
     /// Tear the live farm down, parking its merged artifacts for the
-    /// next persist. Returns whether a farm was live.
-    fn teardown_slot(&self, state: &mut FarmState) -> bool {
+    /// next finishing job (or the shutdown flush).
+    fn teardown_slot(&self, state: &mut FarmState) {
         let Some(slot) = state.slot.take() else {
-            return false;
+            return;
         };
         let (ast, lower) = slot.handle.take_artifacts();
         let mut pending = self.pending.lock().unwrap();
@@ -224,7 +227,6 @@ impl SharedFarm {
         pending.1.extend(lower);
         drop(pending);
         let _ = slot.handle.finish();
-        true
     }
 
     /// Record one farm failure against `module_hash`; returns the new
@@ -347,49 +349,36 @@ impl SharedFarm {
         result
     }
 
-    /// Fold every farm-produced stage artifact (live farm + parked
-    /// pending) into the persistent [`ArtifactStore`] — the daemon-side
-    /// analog of the tuner's own service-artifact fold: farm workers
-    /// compile in their own address spaces, so without this fold a
-    /// process-worker daemon would persist no artifacts.
-    fn persist_artifacts(&self, store_path: &Option<PathBuf>) {
-        let Some(path) = store_path else { return };
+    /// Drain the stage artifacts a finishing job's tuner folds into the
+    /// store it already indexed: everything parked from torn-down
+    /// farms, plus the live farm's merged artifacts when that farm
+    /// serves `module_hash` (another module's live farm is left to its
+    /// own job). Farm workers compile in their own address spaces, so
+    /// without this hand-off a process-worker daemon would persist no
+    /// artifacts.
+    fn take_artifacts(&self, module_hash: u64) -> (Vec<WireAstArtifact>, Vec<WireLowerArtifact>) {
         let state = self.state.lock().unwrap();
         let (mut ast, mut lower) = std::mem::take(&mut *self.pending.lock().unwrap());
-        if let Some(slot) = &state.slot {
+        if let Some(slot) = state.slot.as_ref().filter(|s| s.module_hash == module_hash) {
             let (a, l) = slot.handle.take_artifacts();
             ast.extend(a);
             lower.extend(l);
         }
-        drop(state);
-        if ast.is_empty() && lower.is_empty() {
+        (ast, lower)
+    }
+
+    /// Tear the live farm down and persist the artifacts no job took
+    /// (parked by a failed job's farm, or merged after the last job
+    /// finished) — the daemon's only artifact write of its own.
+    fn shutdown(&self, store_path: Option<&Path>) {
+        self.teardown_slot(&mut self.state.lock().unwrap());
+        let parked = std::mem::take(&mut *self.pending.lock().unwrap());
+        let Some(path) = store_path else { return };
+        if parked.0.is_empty() && parked.1.is_empty() {
             return;
         }
         let mut store = ArtifactStore::load(path);
-        for a in ast {
-            store.insert_ast(
-                AstArtifactKey {
-                    body_hash: a.body_hash,
-                    compiler: a.compiler,
-                    ast_digest: a.ast_digest,
-                },
-                f64::from_bits(a.cost_bits),
-                a.blob,
-            );
-        }
-        for a in lower {
-            store.insert_lower(
-                LowerArtifactKey {
-                    body_hash: a.body_hash,
-                    compiler: a.compiler,
-                    arch: a.arch,
-                    ast_digest: a.ast_digest,
-                    lower_digest: a.lower_digest,
-                },
-                f64::from_bits(a.cost_bits),
-                a.blob,
-            );
-        }
+        fold_artifacts(&mut store, parked);
         // A skipped save (lock contended) only costs future warm
         // starts, never correctness — same contract as the tuner's.
         let _ = store.save();
@@ -473,6 +462,10 @@ impl MissExecutor for FarmExecutor {
 impl ServiceExecutor for FarmExecutor {
     fn take_failure(&self) -> Option<Arc<EvaldError>> {
         self.failure.lock().unwrap().take()
+    }
+
+    fn take_artifacts(&self) -> (Vec<WireAstArtifact>, Vec<WireLowerArtifact>) {
+        self.farm.take_artifacts(self.module.content_hash())
     }
 }
 
@@ -652,7 +645,6 @@ fn run_job(
     shared.farm.attach(job);
     let result = Tuner::new(config).tune_with_executor(&spec.module, &executor);
     shared.farm.detach(job);
-    shared.farm.persist_artifacts(&shared.config.store_path);
     result
 }
 
@@ -1144,9 +1136,7 @@ impl DaemonHandle {
         }
         self.shared
             .farm
-            .persist_artifacts(&self.shared.config.store_path);
-        let mut state = self.shared.farm.state.lock().unwrap();
-        self.shared.farm.teardown_slot(&mut state);
+            .shutdown(self.shared.config.store_path.as_deref());
     }
 }
 

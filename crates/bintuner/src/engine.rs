@@ -1050,11 +1050,14 @@ impl Evaluator for FitnessEngine<'_> {
                     *lower_mult.entry(*k).or_default() += 1;
                 }
                 // Persistent-artifact membership is part of the
-                // deterministic classification input: the store's index
-                // is fixed at load (pending inserts are not queryable),
-                // so a warm artifact log upgrades the same misses on
-                // every backend and at every worker count.
-                let astore = self.artifact_store.as_ref().map(|s| s.lock().unwrap());
+                // deterministic classification input: the store indexes
+                // its log on the first query below — before the run's
+                // first miss is classified — and the index stays fixed
+                // (pending inserts are not queryable), so a warm
+                // artifact log upgrades the same misses on every backend
+                // and at every worker count. A batch without misses
+                // never asks, so a fully warm run never reads the log.
+                let mut astore = self.artifact_store.as_ref().map(|s| s.lock().unwrap());
                 let art = &mut cache.artifacts;
                 let mut new_ast: HashSet<u128> = HashSet::new();
                 let mut new_lower: HashSet<(u128, u128)> = HashSet::new();
@@ -1065,7 +1068,7 @@ impl Evaluator for FitnessEngine<'_> {
                     let reuse = if art.lower.contains(&k) || new_lower.contains(&k) {
                         StageReuse::Lower
                     } else if astore
-                        .as_ref()
+                        .as_mut()
                         .is_some_and(|s| s.has_lower(&self.lower_key(ad, ld)))
                     {
                         store_lower = true;
@@ -1073,7 +1076,7 @@ impl Evaluator for FitnessEngine<'_> {
                     } else if art.ast.contains(&ad) || new_ast.contains(&ad) {
                         StageReuse::Ast
                     } else if astore
-                        .as_ref()
+                        .as_mut()
                         .is_some_and(|s| s.has_ast(&self.ast_key(ad)))
                     {
                         store_ast = true;

@@ -41,7 +41,7 @@ use crate::engine::{
 use crate::farm::{
     resolve_worker_binary, BackoffSchedule, Endpoint, Supervisor, SupervisorVerdict, WorkerSpec,
 };
-use crate::store::{ArtifactStore, FitnessStore};
+use crate::store::{ArtifactStore, AstArtifactKey, FitnessStore, LowerArtifactKey};
 use crate::FitnessEngine;
 use binrep::Arch;
 use evald::transport::{tcp_accept, unix_accept};
@@ -1057,22 +1057,60 @@ impl MissExecutor for ServiceHandle {
 }
 
 /// A [`MissExecutor`] that can also report the typed service failure
-/// behind its most recent batch abort.
+/// behind its most recent batch abort, and hand back the stage
+/// artifacts its workers produced.
 ///
 /// [`Tuner::tune_with_executor`](crate::Tuner::tune_with_executor)
 /// accepts any implementor, so an embedder that multiplexes several
 /// tuning runs onto shared evaluation substrate — the `bintuner daemon`
 /// — plugs its farm proxy into the unchanged tuning pipeline and still
 /// gets a fully chained [`crate::TuneError::Service`] when the
-/// substrate dies.
+/// substrate dies, and its workers' artifacts persisted by the run.
 pub trait ServiceExecutor: MissExecutor {
     /// Take the failure recorded by the most recent aborted
     /// [`MissExecutor::execute`] call, if any.
     fn take_failure(&self) -> Option<Arc<EvaldError>>;
+
+    /// Drain the stage artifacts the executor's workers shipped back
+    /// since the last call. The tuner folds them into its persistent
+    /// [`ArtifactStore`] before saving it.
+    fn take_artifacts(&self) -> (Vec<WireAstArtifact>, Vec<WireLowerArtifact>);
 }
 
 impl ServiceExecutor for ServiceHandle {
     fn take_failure(&self) -> Option<Arc<EvaldError>> {
         ServiceHandle::take_failure(self)
+    }
+
+    fn take_artifacts(&self) -> (Vec<WireAstArtifact>, Vec<WireLowerArtifact>) {
+        ServiceHandle::take_artifacts(self)
+    }
+}
+
+/// Queue wire-shipped stage artifacts into a persistent store — the
+/// inverse of a worker's merge-barrier drain. Inserts dedup against the
+/// store's live and pending entries, so folding artifacts the store
+/// already holds is a no-op.
+pub(crate) fn fold_artifacts(
+    store: &mut ArtifactStore,
+    (ast, lower): (Vec<WireAstArtifact>, Vec<WireLowerArtifact>),
+) {
+    for a in ast {
+        let key = AstArtifactKey {
+            body_hash: a.body_hash,
+            compiler: a.compiler,
+            ast_digest: a.ast_digest,
+        };
+        store.insert_ast(key, f64::from_bits(a.cost_bits), a.blob);
+    }
+    for a in lower {
+        let key = LowerArtifactKey {
+            body_hash: a.body_hash,
+            compiler: a.compiler,
+            arch: a.arch,
+            ast_digest: a.ast_digest,
+            lower_digest: a.lower_digest,
+        };
+        store.insert_lower(key, f64::from_bits(a.cost_bits), a.blob);
     }
 }

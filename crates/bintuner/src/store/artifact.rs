@@ -17,11 +17,19 @@
 //! [`ArtifactRetention::max_bytes`] the cheapest artifacts are evicted
 //! first (they cost the least to recompute).
 //!
+//! The log is read lazily and at most once per store value: loading
+//! records the path, and the offset index is built on the first query,
+//! fetch, insert or report. The engine only asks while it classifies a
+//! batch with misses, so a re-tune served wholly from the fitness store
+//! never opens the log, and a tune with misses indexes it before its
+//! first miss is classified — the same index an eager load would build.
+//!
 //! Same corruption discipline as the fitness shards: length-prefixed
-//! FNV-checksummed records, loading never fails (valid prefix kept,
+//! FNV-checksummed records, indexing never fails (valid prefix kept,
 //! damaged tail dropped, foreign file is a cold start), one
 //! [`StoreLock`] on the log across saves, atomic tmp+rename when
-//! eviction forces a rewrite.
+//! eviction forces a rewrite — after re-reading the log under that
+//! lock, so another writer's appends are merged, never lost.
 
 use super::{LoadReport, SaveOutcome, StoreLock};
 use bytes::BufMut;
@@ -30,6 +38,8 @@ use std::collections::HashMap;
 use std::fs;
 use std::io::{self, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
+use std::time::Instant;
 
 /// Artifact log magic: `BTAS` (BinTuner Artifact Store) + version.
 pub const ARTIFACT_MAGIC: [u8; 4] = *b"BTAS";
@@ -141,83 +151,35 @@ impl PendingArtifacts {
     }
 }
 
-/// Disk-backed map from stage-digest keys to compiled artifact bytes.
-///
-/// Blobs stay on disk: loading builds only the compact offset index,
-/// [`ArtifactStore::fetch_ast`]/[`ArtifactStore::fetch_lower`] read and
-/// re-verify a record on demand. Pending inserts become queryable only
-/// after [`ArtifactStore::save`] — membership must look the same to
-/// every backend within a run, and only the saved log is shared state.
+/// The offset index of one verified read of the log.
 #[derive(Debug, Default)]
-pub struct ArtifactStore {
-    path: Option<PathBuf>,
+struct LogIndex {
     ast: HashMap<AstArtifactKey, DiskArtifact>,
     lower: HashMap<LowerArtifactKey, DiskArtifact>,
-    pending_ast: Vec<PendingArtifact<AstArtifactKey>>,
-    pending_lower: Vec<PendingArtifact<LowerArtifactKey>>,
     /// Total bytes of live records on disk (dead bytes excluded).
     live_bytes: u64,
     /// Bytes in the file, live or dead — the compaction trigger.
     file_bytes: u64,
     needs_rewrite: bool,
-    retention: ArtifactRetention,
     report: LoadReport,
-    /// Save-timing histogram (`bintuner_store_artifact_save_seconds`);
-    /// `None` (the default) takes no telemetry path at all.
-    tel: Option<std::sync::Arc<btel::Histogram>>,
 }
 
-impl ArtifactStore {
-    /// A store with no backing file; saves are no-ops.
-    pub fn in_memory() -> ArtifactStore {
-        ArtifactStore::default()
-    }
-
-    /// Load the artifact log living inside store directory `dir`
-    /// (`<dir>/artifacts.log`). Never fails: missing file or missing
-    /// directory is a clean cold start, foreign/damaged content degrades
-    /// per the usual store contract.
-    pub fn load(dir: &Path) -> ArtifactStore {
-        let path = dir.join("artifacts.log");
-        let mut store = ArtifactStore {
-            path: Some(path.clone()),
-            ..ArtifactStore::default()
+impl LogIndex {
+    /// Index a log image, checksumming every payload: the clean prefix
+    /// is kept, a damaged tail or a foreign header sets `needs_rewrite`.
+    fn parse(bytes: &[u8]) -> LogIndex {
+        let mut index = LogIndex {
+            file_bytes: bytes.len() as u64,
+            ..LogIndex::default()
         };
-        match fs::read(&path) {
-            Ok(bytes) => store.parse(&bytes),
-            Err(_) => store.report.missing = true,
-        }
-        store
-    }
-
-    /// Override the retention policy (builder style).
-    pub fn with_retention(mut self, retention: ArtifactRetention) -> ArtifactStore {
-        self.retention = retention;
-        self
-    }
-
-    /// The active retention policy.
-    pub fn retention(&self) -> ArtifactRetention {
-        self.retention
-    }
-
-    /// Install a save-timing histogram, conventionally declared in the
-    /// run's registry as `bintuner_store_artifact_save_seconds`. Without
-    /// this call saves take no telemetry path at all.
-    pub fn set_telemetry(&mut self, save_seconds: std::sync::Arc<btel::Histogram>) {
-        self.tel = Some(save_seconds);
-    }
-
-    fn parse(&mut self, bytes: &[u8]) {
         if bytes.len() < ARTIFACT_HEADER_LEN
             || bytes[..4] != ARTIFACT_MAGIC
             || u32::from_le_bytes(bytes[4..8].try_into().unwrap()) != ARTIFACT_VERSION
         {
-            self.report.malformed_header = true;
-            self.report.dropped_bytes = bytes.len();
-            self.needs_rewrite = true;
-            self.file_bytes = bytes.len() as u64;
-            return;
+            index.report.malformed_header = true;
+            index.report.dropped_bytes = bytes.len();
+            index.needs_rewrite = true;
+            return index;
         }
         let mut off = ARTIFACT_HEADER_LEN;
         while off + 4 <= bytes.len() {
@@ -228,23 +190,23 @@ impl ArtifactStore {
             }
             let payload = &bytes[off + 4..off + 4 + p_len];
             let stored = u32::from_le_bytes(bytes[end - 4..end].try_into().unwrap());
-            if checksum(payload) != stored || !self.index_record(off as u64, payload) {
+            if checksum(payload) != stored || !index.index_record(off as u64, payload) {
                 break;
             }
-            self.report.valid_records += 1;
+            index.report.valid_records += 1;
             off = end;
         }
-        self.file_bytes = bytes.len() as u64;
-        self.live_bytes = self
+        index.live_bytes = index
             .ast
             .values()
-            .chain(self.lower.values())
+            .chain(index.lower.values())
             .map(|a| u64::from(a.record_len))
             .sum();
         if off != bytes.len() {
-            self.report.dropped_bytes = bytes.len() - off;
-            self.needs_rewrite = true;
+            index.report.dropped_bytes = bytes.len() - off;
+            index.needs_rewrite = true;
         }
+        index
     }
 
     /// Index one checksum-verified payload. Returns false on an unknown
@@ -297,20 +259,132 @@ impl ArtifactStore {
             _ => false,
         }
     }
+}
 
-    /// What loading found on disk.
-    pub fn report(&self) -> LoadReport {
-        self.report
+/// Telemetry handles of an [`ArtifactStore`].
+#[derive(Debug)]
+struct ArtifactTelemetry {
+    save_seconds: Arc<btel::Histogram>,
+    load_seconds: Arc<btel::Histogram>,
+}
+
+/// Disk-backed map from stage-digest keys to compiled artifact bytes.
+///
+/// [`ArtifactStore::load`] records the path only. The compact offset
+/// index is built from one read of the log the first time anything
+/// needs it — a membership query, a fetch, an insert, or
+/// [`ArtifactStore::len`]/[`ArtifactStore::report`] — so a run whose
+/// evaluations are all fitness-cache hits never opens the log; lookups
+/// take `&mut self` for that reason, as [`super::FitnessStore`]'s do.
+/// Blobs stay on disk: [`ArtifactStore::fetch_ast`]/
+/// [`ArtifactStore::fetch_lower`] read and re-verify a record on demand.
+/// Pending inserts become queryable only after [`ArtifactStore::save`] —
+/// membership must look the same to every backend within a run, and
+/// only the saved log is shared state.
+#[derive(Debug, Default)]
+pub struct ArtifactStore {
+    path: Option<PathBuf>,
+    /// The log's offset index; `None` until first needed.
+    index: Option<LogIndex>,
+    pending_ast: Vec<PendingArtifact<AstArtifactKey>>,
+    pending_lower: Vec<PendingArtifact<LowerArtifactKey>>,
+    retention: ArtifactRetention,
+    /// Index-build and save timing; `None` (the default) takes no
+    /// telemetry path at all.
+    tel: Option<ArtifactTelemetry>,
+}
+
+impl ArtifactStore {
+    /// A store with no backing file; saves are no-ops.
+    pub fn in_memory() -> ArtifactStore {
+        ArtifactStore::default()
     }
 
-    /// Live persisted artifact count (pending inserts excluded).
-    pub fn len(&self) -> usize {
-        self.ast.len() + self.lower.len()
+    /// Open the artifact log living inside store directory `dir`
+    /// (`<dir>/artifacts.log`). Reads nothing: the log is indexed on
+    /// first need. Never fails: a missing file or directory is a clean
+    /// cold start, foreign/damaged content degrades per the usual store
+    /// contract.
+    pub fn load(dir: &Path) -> ArtifactStore {
+        ArtifactStore {
+            path: Some(dir.join("artifacts.log")),
+            ..ArtifactStore::default()
+        }
     }
 
-    /// Whether no artifacts are persisted.
-    pub fn is_empty(&self) -> bool {
-        self.ast.is_empty() && self.lower.is_empty()
+    /// Override the retention policy (builder style).
+    pub fn with_retention(mut self, retention: ArtifactRetention) -> ArtifactStore {
+        self.retention = retention;
+        self
+    }
+
+    /// The active retention policy.
+    pub fn retention(&self) -> ArtifactRetention {
+        self.retention
+    }
+
+    /// Install timing histograms, conventionally declared in the run's
+    /// registry as `bintuner_store_artifact_save_seconds` (each save)
+    /// and `bintuner_store_artifact_load_seconds` (each index build).
+    /// Without this call the store takes no telemetry path at all.
+    pub fn set_telemetry(
+        &mut self,
+        save_seconds: Arc<btel::Histogram>,
+        load_seconds: Arc<btel::Histogram>,
+    ) {
+        self.tel = Some(ArtifactTelemetry {
+            save_seconds,
+            load_seconds,
+        });
+    }
+
+    /// Whether the log has been indexed yet — observability for the
+    /// lazy-index tests, like [`super::FitnessStore::shards_loaded`].
+    pub fn is_indexed(&self) -> bool {
+        self.index.is_some()
+    }
+
+    /// The offset index, built from the log on first call (an
+    /// in-memory store's is empty).
+    fn index(&mut self) -> &mut LogIndex {
+        let (path, tel) = (&self.path, &self.tel);
+        self.index.get_or_insert_with(|| {
+            let Some(path) = path else {
+                return LogIndex::default();
+            };
+            let t = tel.as_ref().map(|_| Instant::now());
+            let index = match fs::read(path) {
+                Ok(bytes) => LogIndex::parse(&bytes),
+                Err(_) => LogIndex {
+                    report: LoadReport {
+                        missing: true,
+                        ..LoadReport::default()
+                    },
+                    ..LogIndex::default()
+                },
+            };
+            if let (Some(tel), Some(t)) = (tel, t) {
+                tel.load_seconds.observe_seconds(t.elapsed().as_secs_f64());
+            }
+            index
+        })
+    }
+
+    /// What reading the log found (indexes it).
+    pub fn report(&mut self) -> LoadReport {
+        self.index().report
+    }
+
+    /// Live persisted artifact count, pending inserts excluded (indexes
+    /// the log).
+    pub fn len(&mut self) -> usize {
+        let index = self.index();
+        index.ast.len() + index.lower.len()
+    }
+
+    /// Whether no artifacts are persisted (indexes the log).
+    pub fn is_empty(&mut self) -> bool {
+        self.len() == 0
     }
 
     /// Artifacts queued since the last save.
@@ -320,26 +394,28 @@ impl ArtifactStore {
 
     /// Whether a persisted optimized AST exists for this key. Membership
     /// only — the deterministic input to miss classification.
-    pub fn has_ast(&self, key: &AstArtifactKey) -> bool {
-        self.ast.contains_key(key)
+    pub fn has_ast(&mut self, key: &AstArtifactKey) -> bool {
+        self.index().ast.contains_key(key)
     }
 
     /// Whether a persisted lowered binary exists for this key.
-    pub fn has_lower(&self, key: &LowerArtifactKey) -> bool {
-        self.lower.contains_key(key)
+    pub fn has_lower(&mut self, key: &LowerArtifactKey) -> bool {
+        self.index().lower.contains_key(key)
     }
 
     /// Read an AST artifact's blob back, re-verifying its checksum.
     /// `None` if absent or if the record fails verification (e.g. the
     /// log was compacted underneath us) — callers recompute.
-    pub fn fetch_ast(&self, key: &AstArtifactKey) -> Option<Vec<u8>> {
-        self.fetch(*self.ast.get(key)?, &ast_sort_key(key))
+    pub fn fetch_ast(&mut self, key: &AstArtifactKey) -> Option<Vec<u8>> {
+        let at = *self.index().ast.get(key)?;
+        self.fetch(at, &ast_sort_key(key))
     }
 
     /// Read a lowered-binary artifact's blob back ([`ArtifactStore::fetch_ast`]
     /// contract).
-    pub fn fetch_lower(&self, key: &LowerArtifactKey) -> Option<Vec<u8>> {
-        self.fetch(*self.lower.get(key)?, &lower_sort_key(key))
+    pub fn fetch_lower(&mut self, key: &LowerArtifactKey) -> Option<Vec<u8>> {
+        let at = *self.index().lower.get(key)?;
+        self.fetch(at, &lower_sort_key(key))
     }
 
     /// Read a record back from disk, verifying both its checksum and
@@ -368,12 +444,12 @@ impl ArtifactStore {
     }
 
     /// Queue an optimized-AST artifact (`blob` is the `minicc::codec`
-    /// encoding; `cost` the measured stage seconds). No-op if the key is
-    /// already live or pending, or the cost is below the retention
-    /// floor.
+    /// encoding; `cost` the measured stage seconds). No-op if the cost
+    /// is below the retention floor or the key is already live or
+    /// pending (indexes the log).
     pub fn insert_ast(&mut self, key: AstArtifactKey, cost: f64, blob: Vec<u8>) {
         if cost < self.retention.min_stage_seconds
-            || self.ast.contains_key(&key)
+            || self.index().ast.contains_key(&key)
             || self.pending_ast.iter().any(|p| p.key == key)
         {
             return;
@@ -385,7 +461,7 @@ impl ArtifactStore {
     /// encoding; [`ArtifactStore::insert_ast`] contract).
     pub fn insert_lower(&mut self, key: LowerArtifactKey, cost: f64, blob: Vec<u8>) {
         if cost < self.retention.min_stage_seconds
-            || self.lower.contains_key(&key)
+            || self.index().lower.contains_key(&key)
             || self.pending_lower.iter().any(|p| p.key == key)
         {
             return;
@@ -419,7 +495,8 @@ impl ArtifactStore {
     /// Fast path appends; the log is rewritten (tmp + atomic rename)
     /// when it was corrupt, when dead records dominate, or when the
     /// retention budget is exceeded — eviction drops the cheapest
-    /// artifacts first, deterministically. A missing parent directory
+    /// artifacts first, deterministically. A store never indexed has
+    /// nothing pending and saves nothing. A missing parent directory
     /// (the fitness store has not been saved as v4 yet) or a contended
     /// lock degrades to [`SaveOutcome::SkippedLocked`] with pending
     /// kept.
@@ -429,7 +506,15 @@ impl ArtifactStore {
             self.pending_lower.clear();
             return Ok(SaveOutcome::Written);
         };
-        if self.pending_len() == 0 && !self.needs_rewrite && !self.over_budget() {
+        // An insert indexes the log before it queues anything, so an
+        // unindexed store has nothing pending.
+        let Some(index) = &self.index else {
+            return Ok(SaveOutcome::Written);
+        };
+        if self.pending_len() == 0
+            && !index.needs_rewrite
+            && index.file_bytes <= self.retention.max_bytes
+        {
             return Ok(SaveOutcome::Written);
         }
         match path.parent() {
@@ -449,34 +534,20 @@ impl ArtifactStore {
                     .map(|p| (4 + LOWER_FIXED + p.blob.len() + 4) as u64),
             )
             .sum();
-        let compact = self.needs_rewrite
+        let compact = index.needs_rewrite
             || !path.exists()
-            || self.file_bytes + pending_bytes > self.retention.max_bytes
-            || self.live_bytes * 2 < self.file_bytes;
-        let tel = self.tel.clone();
-        match &tel {
-            None => {
-                if compact {
-                    self.rewrite(&path)?;
-                } else {
-                    self.append(&path)?;
-                }
-            }
-            Some(save_seconds) => {
-                let t = std::time::Instant::now();
-                if compact {
-                    self.rewrite(&path)?;
-                } else {
-                    self.append(&path)?;
-                }
-                save_seconds.observe_seconds(t.elapsed().as_secs_f64());
-            }
+            || index.file_bytes + pending_bytes > self.retention.max_bytes
+            || index.live_bytes * 2 < index.file_bytes;
+        let t = self.tel.as_ref().map(|_| Instant::now());
+        if compact {
+            self.rewrite(&path)?;
+        } else {
+            self.append(&path)?;
+        }
+        if let (Some(tel), Some(t)) = (&self.tel, t) {
+            tel.save_seconds.observe_seconds(t.elapsed().as_secs_f64());
         }
         Ok(SaveOutcome::Written)
-    }
-
-    fn over_budget(&self) -> bool {
-        self.file_bytes > self.retention.max_bytes
     }
 
     fn append(&mut self, path: &Path) -> io::Result<()> {
@@ -498,97 +569,91 @@ impl ArtifactStore {
         }
         let mut file = fs::OpenOptions::new().append(true).open(path)?;
         io::Write::write_all(&mut file, &buf)?;
+        let index = self.index();
         for (k, a) in new_ast {
-            self.live_bytes += u64::from(a.record_len);
-            self.ast.insert(k, a);
+            index.live_bytes += u64::from(a.record_len);
+            index.ast.insert(k, a);
         }
         for (k, a) in new_lower {
-            self.live_bytes += u64::from(a.record_len);
-            self.lower.insert(k, a);
+            index.live_bytes += u64::from(a.record_len);
+            index.lower.insert(k, a);
         }
-        self.file_bytes += buf.len() as u64;
+        index.file_bytes = base + buf.len() as u64;
         self.pending_ast.clear();
         self.pending_lower.clear();
         Ok(())
     }
 
-    /// Rewrite the whole log applying retention. Survivor order (and
-    /// therefore eviction) is deterministic: most expensive first,
-    /// ties broken by key.
+    /// Rewrite the whole log applying retention. The caller holds the
+    /// [`StoreLock`], and the log is re-read under it: this store's
+    /// index may predate artifacts another writer appended since, and
+    /// those must survive (the fitness shards' merge rule). Candidates
+    /// are that fresh read's verified records — copied out of the one
+    /// buffer — plus pending. Survivor order (and therefore eviction)
+    /// is deterministic: most expensive first, ties broken by key.
     fn rewrite(&mut self, path: &Path) -> io::Result<()> {
-        enum Rec {
-            Ast(AstArtifactKey),
-            Lower(LowerArtifactKey),
-        }
-        // Materialize every candidate: live disk records (blobs read
-        // back and re-verified — unreadable ones drop out) + pending.
-        let mut candidates: Vec<(f64, Vec<u8>, Rec, Vec<u8>)> = Vec::new(); // (cost, sort key, kind, blob)
-        for (key, at) in &self.ast {
-            if at.cost < self.retention.min_stage_seconds {
-                continue;
-            }
-            if let Some(blob) = self.fetch(*at, &ast_sort_key(key)) {
-                candidates.push((at.cost, ast_sort_key(key), Rec::Ast(*key), blob));
-            }
-        }
-        for (key, at) in &self.lower {
-            if at.cost < self.retention.min_stage_seconds {
-                continue;
-            }
-            if let Some(blob) = self.fetch(*at, &lower_sort_key(key)) {
-                candidates.push((at.cost, lower_sort_key(key), Rec::Lower(*key), blob));
-            }
-        }
-        for p in self.pending_ast.drain(..) {
-            candidates.push((p.cost, ast_sort_key(&p.key), Rec::Ast(p.key), p.blob));
-        }
-        for p in self.pending_lower.drain(..) {
-            candidates.push((p.cost, lower_sort_key(&p.key), Rec::Lower(p.key), p.blob));
-        }
+        let disk_bytes = fs::read(path).unwrap_or_default();
+        let mut disk = LogIndex::parse(&disk_bytes);
+        // Records below the retention floor are evicted outright.
+        let min_cost = self.retention.min_stage_seconds;
+        disk.ast.retain(|_, at| at.cost >= min_cost);
+        disk.lower.retain(|_, at| at.cost >= min_cost);
+        // Pending artifacts another writer already persisted are dropped:
+        // the disk copy is the same artifact.
+        let pending: Vec<(f64, Vec<u8>)> = self
+            .pending_ast
+            .iter()
+            .filter(|p| !disk.ast.contains_key(&p.key))
+            .map(|p| (p.cost, encode_ast(&p.key, p.cost, &p.blob)))
+            .chain(
+                self.pending_lower
+                    .iter()
+                    .filter(|p| !disk.lower.contains_key(&p.key))
+                    .map(|p| (p.cost, encode_lower(&p.key, p.cost, &p.blob))),
+            )
+            .collect();
+        // (cost, encoded record): records are position-free, so disk
+        // survivors are copied verbatim out of the one read.
+        let mut candidates: Vec<(f64, &[u8])> = disk
+            .ast
+            .values()
+            .chain(disk.lower.values())
+            .map(|at| {
+                let start = at.record_off as usize;
+                (at.cost, &disk_bytes[start..start + at.record_len as usize])
+            })
+            .chain(pending.iter().map(|(cost, rec)| (*cost, rec.as_slice())))
+            .collect();
         // Most expensive first; eviction truncates the cheap tail.
-        candidates.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
+        candidates.sort_by(|a, b| {
+            b.0.total_cmp(&a.0)
+                .then_with(|| record_key(a.1).cmp(record_key(b.1)))
+        });
 
         let mut buf = Vec::with_capacity(ARTIFACT_HEADER_LEN);
         buf.extend_from_slice(&ARTIFACT_MAGIC);
         buf.put_u32_le(ARTIFACT_VERSION);
-        let mut ast = HashMap::new();
-        let mut lower = HashMap::new();
-        for (cost, _, kind, blob) in candidates {
-            let (rec, fixed) = match &kind {
-                Rec::Ast(k) => (encode_ast(k, cost, &blob), AST_FIXED),
-                Rec::Lower(k) => (encode_lower(k, cost, &blob), LOWER_FIXED),
-            };
-            if buf.len() as u64 + rec.len() as u64 > self.retention.max_bytes
-                && !(ast.is_empty() && lower.is_empty())
+        let mut fresh = LogIndex::default();
+        for (_, rec) in candidates {
+            if (buf.len() + rec.len()) as u64 > self.retention.max_bytes
+                && buf.len() > ARTIFACT_HEADER_LEN
             {
                 break; // budget reached: everything cheaper is evicted
             }
-            let at = disk_at(buf.len() as u64, &rec, fixed, cost);
-            match kind {
-                Rec::Ast(k) => {
-                    ast.insert(k, at);
-                }
-                Rec::Lower(k) => {
-                    lower.insert(k, at);
-                }
-            }
-            buf.extend_from_slice(&rec);
+            fresh.index_record(buf.len() as u64, &rec[4..rec.len() - 4]);
+            buf.extend_from_slice(rec);
         }
         let mut tmp = path.as_os_str().to_owned();
         tmp.push(".tmp");
         let tmp = PathBuf::from(tmp);
         fs::write(&tmp, &buf)?;
         fs::rename(&tmp, path)?;
-        self.ast = ast;
-        self.lower = lower;
-        self.file_bytes = buf.len() as u64;
-        self.live_bytes = self
-            .ast
-            .values()
-            .chain(self.lower.values())
-            .map(|a| u64::from(a.record_len))
-            .sum();
-        self.needs_rewrite = false;
+        fresh.file_bytes = buf.len() as u64;
+        fresh.live_bytes = (buf.len() - ARTIFACT_HEADER_LEN) as u64;
+        fresh.report = self.index().report;
+        self.index = Some(fresh);
+        self.pending_ast.clear();
+        self.pending_lower.clear();
         Ok(())
     }
 }
@@ -601,6 +666,17 @@ fn disk_at(record_off: u64, rec: &[u8], fixed: usize, cost: f64) -> DiskArtifact
         blob_len: (rec.len() - 4 - fixed - 4) as u32,
         cost,
     }
+}
+
+/// The tag + key prefix of an encoded record's payload, read in place:
+/// [`ast_sort_key`] or [`lower_sort_key`] of the record's key.
+fn record_key(rec: &[u8]) -> &[u8] {
+    let fixed = if rec[4] == TAG_AST {
+        AST_FIXED
+    } else {
+        LOWER_FIXED
+    };
+    &rec[4..4 + fixed - 8]
 }
 
 /// The exact tag + key prefix of an AST record's payload — both the
@@ -712,7 +788,7 @@ mod tests {
         assert!(store.has_ast(&akey(1)));
         assert_eq!(store.fetch_ast(&akey(1)).unwrap(), blob(1, 100));
 
-        let reloaded = ArtifactStore::load(&dir);
+        let mut reloaded = ArtifactStore::load(&dir);
         assert_eq!(reloaded.len(), 2);
         assert_eq!(reloaded.report().valid_records, 2);
         assert_eq!(reloaded.fetch_ast(&akey(1)).unwrap(), blob(1, 100));
@@ -734,7 +810,7 @@ mod tests {
         // Every truncation point loads a clean valid prefix.
         for cut in 0..bytes.len() {
             fs::write(&path, &bytes[..cut]).unwrap();
-            let s = ArtifactStore::load(&dir);
+            let mut s = ArtifactStore::load(&dir);
             assert!(s.len() <= 4);
             for i in 0..4 {
                 if let Some(b) = s.fetch_ast(&akey(i)) {
@@ -745,8 +821,11 @@ mod tests {
         fs::write(&path, &bytes).unwrap();
 
         // A fetch against a stale index (file rewritten underneath)
-        // either returns verified bytes or None — never garbage.
-        let stale = ArtifactStore::load(&dir);
+        // either returns verified bytes or None — never garbage. The
+        // stale store indexes the log *before* the rewrite; indexed
+        // lazily after it, it would see the new file and test nothing.
+        let mut stale = ArtifactStore::load(&dir);
+        assert_eq!(stale.len(), 4);
         let mut fresh = ArtifactStore::load(&dir).with_retention(ArtifactRetention {
             max_bytes: 200, // forces eviction + rewrite
             min_stage_seconds: 0.0,
@@ -774,7 +853,7 @@ mod tests {
         store.insert_ast(akey(4), 1.0, blob(4, 200));
         store.save().unwrap();
 
-        let got = ArtifactStore::load(&dir);
+        let mut got = ArtifactStore::load(&dir);
         assert!(!got.has_ast(&akey(1)), "sub-floor artifact persisted");
         assert!(got.has_ast(&akey(2)), "most expensive artifact evicted");
         assert!(
@@ -794,10 +873,109 @@ mod tests {
         assert!(store.report().malformed_header);
         store.insert_ast(akey(1), 1.0, blob(1, 10));
         store.save().unwrap();
-        let healed = ArtifactStore::load(&dir);
+        let mut healed = ArtifactStore::load(&dir);
         assert!(!healed.report().malformed_header);
         assert_eq!(healed.len(), 1);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn load_reads_nothing_until_the_first_query() {
+        let dir = scratch_dir("lazy_load");
+        let mut filler = ArtifactStore::load(&dir);
+        filler.insert_ast(akey(1), 1.0, blob(1, 64));
+        filler.save().unwrap();
+
+        let load_seconds = Arc::new(btel::Histogram::new());
+        let mut store = ArtifactStore::load(&dir);
+        store.set_telemetry(Arc::new(btel::Histogram::new()), load_seconds.clone());
+        assert!(!store.is_indexed());
+        assert_eq!(load_seconds.count(), 0);
+        // Written after the load, before the first query: a store that
+        // read at load time could not see it.
+        let mut other = ArtifactStore::load(&dir);
+        other.insert_lower(lkey(2), 1.0, blob(2, 64));
+        other.save().unwrap();
+        assert!(!store.is_indexed());
+
+        assert!(store.has_lower(&lkey(2)));
+        assert!(store.is_indexed());
+        assert_eq!(store.fetch_ast(&akey(1)).unwrap(), blob(1, 64));
+        assert_eq!(store.len(), 2);
+        assert_eq!(store.report().valid_records, 2);
+        assert_eq!(load_seconds.count(), 1, "the log is read once per store");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn save_with_nothing_pending_never_builds_the_index() {
+        let dir = scratch_dir("lazy_save");
+        let mut filler = ArtifactStore::load(&dir);
+        for i in 0..3 {
+            filler.insert_ast(akey(i), 1.0, blob(i, 64));
+        }
+        filler.save().unwrap();
+        // A torn tail would make an indexed store rewrite on save.
+        let path = dir.join("artifacts.log");
+        let mut bytes = fs::read(&path).unwrap();
+        bytes.truncate(bytes.len() - 5);
+        fs::write(&path, &bytes).unwrap();
+
+        let mut store = ArtifactStore::load(&dir).with_retention(ArtifactRetention {
+            max_bytes: 64, // over budget too
+            min_stage_seconds: 0.0,
+        });
+        assert_eq!(store.save().unwrap(), SaveOutcome::Written);
+        assert!(!store.is_indexed());
+        assert_eq!(
+            fs::read(&path).unwrap(),
+            bytes,
+            "an untouched store writes nothing"
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn rewrite_keeps_artifacts_another_writer_appended() {
+        // Record sizes: AST = 42 + blob, lower = 59 + blob; header 8.
+        // Survivors go most expensive first: s1 (4.0) and s2 (3.0) end
+        // at byte 220, X (2.0) at 343, and the big cheap Y (1.0) never
+        // fits below 585.
+        for budget in [200, 342, 343, 400, 461, 1000] {
+            let dir = scratch_dir(&format!("two_writers_{budget}"));
+            let mut seed = ArtifactStore::load(&dir);
+            seed.insert_ast(akey(1), 4.0, blob(1, 64));
+            seed.insert_ast(akey(2), 3.0, blob(2, 64));
+            seed.save().unwrap();
+
+            let retention = ArtifactRetention {
+                max_bytes: budget,
+                min_stage_seconds: 0.0,
+            };
+            let mut a = ArtifactStore::load(&dir).with_retention(retention);
+            assert_eq!(a.len(), 2, "A indexes before B writes");
+            let mut b = ArtifactStore::load(&dir);
+            b.insert_lower(lkey(3), 2.0, blob(3, 64)); // X
+            b.save().unwrap();
+            // In A's stale view the log is 220 bytes; Y pushes it past
+            // every budget below 462, forcing an evicting rewrite.
+            a.insert_ast(akey(4), 1.0, blob(4, 200));
+            a.save().unwrap();
+
+            let mut got = ArtifactStore::load(&dir);
+            assert_eq!(
+                got.has_lower(&lkey(3)),
+                budget >= 343,
+                "budget {budget}: X must survive exactly when it fits"
+            );
+            if budget >= 343 {
+                assert_eq!(got.fetch_lower(&lkey(3)).unwrap(), blob(3, 64));
+            }
+            assert!(got.has_ast(&akey(1)), "budget {budget}");
+            assert_eq!(got.has_ast(&akey(4)), budget >= 462, "budget {budget}");
+            assert!(!got.report().malformed_header && got.report().dropped_bytes == 0);
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

@@ -6,11 +6,10 @@
 use crate::db::{Database, IterationRow};
 use crate::engine::{EngineConfig, EngineStats, FitnessEngine, FAILED_COMPILE_PENALTY};
 use crate::priors::{mine_prior, PriorConfig, PriorMode};
-use crate::service::{ServiceConfig, ServiceHandle, ServiceSummary};
-use crate::store::{
-    ArtifactStore, AstArtifactKey, FitnessStore, FlagBits, LowerArtifactKey, SaveOutcome, StoreKey,
-    StoredFitness,
+use crate::service::{
+    fold_artifacts, ServiceConfig, ServiceExecutor, ServiceHandle, ServiceSummary,
 };
+use crate::store::{ArtifactStore, FitnessStore, FlagBits, SaveOutcome, StoreKey, StoredFitness};
 use binrep::{Arch, Binary};
 use genetic::{Ga, GaParams, GaRun, StopReason, Termination};
 use lzc::NcdBaseline;
@@ -383,11 +382,13 @@ impl Tuner {
     ///
     /// As [`Tuner::tune`]; an executor abort surfaces as
     /// [`TuneError::Service`] with the failure taken from
-    /// [`crate::service::ServiceExecutor::take_failure`].
+    /// [`ServiceExecutor::take_failure`]. After a successful run the
+    /// executor's stage artifacts ([`ServiceExecutor::take_artifacts`])
+    /// are folded into the run's artifact store before it saves.
     pub fn tune_with_executor(
         &self,
         module: &Module,
-        executor: &dyn crate::service::ServiceExecutor,
+        executor: &dyn ServiceExecutor,
     ) -> Result<TuneResult, TuneError> {
         self.tune_impl(module, Some(executor))
     }
@@ -395,7 +396,7 @@ impl Tuner {
     fn tune_impl(
         &self,
         module: &Module,
-        external: Option<&dyn crate::service::ServiceExecutor>,
+        external: Option<&dyn ServiceExecutor>,
     ) -> Result<TuneResult, TuneError> {
         let engine_config = EngineConfig {
             workers: self.config.workers,
@@ -485,10 +486,16 @@ impl Tuner {
             if let Some(path) = &self.config.cache_path {
                 let mut artifacts = ArtifactStore::load(path);
                 if let Some(t) = &telemetry {
-                    artifacts.set_telemetry(t.registry.histogram(
-                        "bintuner_store_artifact_save_seconds",
-                        "Wall time of each artifact-log save (append or rewrite).",
-                    ));
+                    artifacts.set_telemetry(
+                        t.registry.histogram(
+                            "bintuner_store_artifact_save_seconds",
+                            "Wall time of each artifact-log save (append or rewrite).",
+                        ),
+                        t.registry.histogram(
+                            "bintuner_store_artifact_load_seconds",
+                            "Wall time of each artifact-log read and index build (at most one per run).",
+                        ),
+                    );
                 }
                 engine.set_artifact_store(artifacts);
             }
@@ -541,7 +548,7 @@ impl Tuner {
                 let cause = service
                     .as_ref()
                     .and_then(ServiceHandle::take_failure)
-                    .or_else(|| external.and_then(crate::service::ServiceExecutor::take_failure))
+                    .or_else(|| external.and_then(ServiceExecutor::take_failure))
                     .unwrap_or_else(|| {
                         std::sync::Arc::new(evald::EvaldError::Protocol(
                             "evaluation aborted without a recorded service failure",
@@ -563,8 +570,14 @@ impl Tuner {
         // redundant, though: farm workers compile in their own address
         // spaces, so their stage artifacts exist nowhere else — without
         // this fold a process-worker run would persist no artifacts and
-        // the next warm start would silently rerun full pipelines.
-        let service_artifacts = service.as_ref().map(ServiceHandle::take_artifacts);
+        // the next warm start would silently rerun full pipelines. The
+        // artifacts come from whichever executor ran the misses: this
+        // run's own farm, or an external one (the daemon's shared farm).
+        let service_artifacts = service
+            .as_ref()
+            .map(|s| s as &dyn ServiceExecutor)
+            .or(external)
+            .map(ServiceExecutor::take_artifacts);
         let service_outcome = service.map(ServiceHandle::finish);
         let persistence = store_after.map(|mut store| {
             if let Some((_, merged)) = &service_outcome {
@@ -605,36 +618,14 @@ impl Tuner {
         // appends into. A skip (directory still missing, lock
         // contended) only costs future warm-starts, never correctness.
         if let Some(mut artifacts) = artifacts_after {
-            if let Some((ast, lower)) = service_artifacts {
+            if let Some(wire) = service_artifacts {
                 // Client-produced stage artifacts, folded through the
-                // same single writer (insert dedups against live and
-                // pending entries, so thread-mode runs — where the
-                // server engine may have produced the same artifacts —
-                // stay idempotent).
-                for a in ast {
-                    artifacts.insert_ast(
-                        AstArtifactKey {
-                            body_hash: a.body_hash,
-                            compiler: a.compiler,
-                            ast_digest: a.ast_digest,
-                        },
-                        f64::from_bits(a.cost_bits),
-                        a.blob,
-                    );
-                }
-                for a in lower {
-                    artifacts.insert_lower(
-                        LowerArtifactKey {
-                            body_hash: a.body_hash,
-                            compiler: a.compiler,
-                            arch: a.arch,
-                            ast_digest: a.ast_digest,
-                            lower_digest: a.lower_digest,
-                        },
-                        f64::from_bits(a.cost_bits),
-                        a.blob,
-                    );
-                }
+                // same single writer into the store this run already
+                // indexed (insert dedups against live and pending
+                // entries, so thread-mode runs — where the server engine
+                // may have produced the same artifacts — stay
+                // idempotent).
+                fold_artifacts(&mut artifacts, wire);
             }
             let _ = artifacts.save();
         }

@@ -9,9 +9,10 @@
 use bintuner::daemon::metrics::MetricsSnapshot;
 use bintuner::daemon::wire::{JobState, RejectCode, WireTuneOutcome};
 use bintuner::daemon::{Daemon, DaemonClient, DaemonConfig, DaemonHandle};
-use bintuner::{TuneResult, Tuner, TunerConfig};
+use bintuner::{ArtifactStore, ProcessFarm, TuneResult, Tuner, TunerConfig, WorkerMode};
 use evald::{FaultPlan, ServiceConfig, TransportKind};
 use minicc::ast::Module;
+use std::path::PathBuf;
 use testutil::{small_tuner, tiny_loop_module, ScratchStore};
 
 const EVALS: u64 = 60;
@@ -171,6 +172,51 @@ fn concurrent_distinct_jobs_each_match_their_solo_runs() {
     let snapshot = daemon.metrics_snapshot();
     assert_eq!(snapshot.completed, 2);
     assert!(snapshot.farm_launches >= 2, "the farm swapped modules");
+    daemon.shutdown();
+}
+
+#[test]
+fn process_farm_artifacts_reach_the_store_and_warm_a_renamed_module() {
+    // Farm workers compile in their own processes, so their stage
+    // artifacts reach the shared store only through the finishing job's
+    // hand-off. A renamed module misses every fitness key (keys hash
+    // the module content, name included) while the body-hash-keyed
+    // artifacts transfer: the second job's store hits are served
+    // exclusively by what the first job's farm persisted.
+    let store = ScratchStore::new("daemon_farm_artifacts");
+    let first = tiny_loop_module("daemon_farm_artifacts_a", 6);
+    let renamed = tiny_loop_module("daemon_farm_artifacts_b", 6);
+    let reference = solo(&renamed, 0xFA12);
+
+    let daemon = Daemon::launch(DaemonConfig {
+        farm: ServiceConfig {
+            clients: 2,
+            transport: TransportKind::Tcp,
+            workers: WorkerMode::Processes(ProcessFarm {
+                worker_binary: Some(PathBuf::from(env!("CARGO_BIN_EXE_bintuner"))),
+                ..ProcessFarm::default()
+            }),
+            ..ServiceConfig::default()
+        },
+        ..daemon_config(TransportKind::Unix, &store)
+    })
+    .unwrap();
+    let mut client = DaemonClient::connect(daemon.addr()).unwrap();
+
+    let cold = submit_and_fetch(&mut client, "alice", &first, 0xFA12).expect("cold job");
+    assert!(cold.compiles > 0, "the cold job really compiled");
+    assert!(
+        !ArtifactStore::load(store.path()).is_empty(),
+        "the farm's stage artifacts never reached the artifact log"
+    );
+
+    let warm = submit_and_fetch(&mut client, "bob", &renamed, 0xFA12).expect("renamed job");
+    assert_eq!(warm.persistent_hits, 0, "no fitness key may overlap");
+    assert!(
+        warm.store_ast_hits > 0,
+        "persisted farm artifacts must serve stage-1 hits"
+    );
+    assert_outcome_matches_solo(&warm, &reference, "renamed daemon job vs solo");
     daemon.shutdown();
 }
 

@@ -180,7 +180,7 @@ fn torn_artifact_log_loads_the_clean_prefix() {
     let mut seen_partial = false;
     for cut in (0..full_len).step_by(7) {
         let torn = fs_view.torn_at("torture_art_cut", "artifacts.log", cut);
-        let store = ArtifactStore::load(torn.path());
+        let mut store = ArtifactStore::load(torn.path());
         assert!(store.len() <= full, "cut {cut}");
         seen_partial |= !store.is_empty() && store.len() < full;
     }

@@ -10,8 +10,8 @@ use bintuner::daemon::{Daemon, DaemonClient, DaemonConfig};
 use bintuner::{
     Backend, ProcessFarm, ServiceConfig, TransportKind, TuneResult, Tuner, TunerConfig, WorkerMode,
 };
-use std::path::PathBuf;
-use testutil::{small_tuner, tiny_loop_module, ScratchStore};
+use std::path::{Path, PathBuf};
+use testutil::{cached_tuner, small_tuner, tiny_loop_module, ScratchStore};
 
 /// The worker binary process-farm tests re-exec.
 fn worker_binary() -> PathBuf {
@@ -145,6 +145,53 @@ fn telemetry_on_is_bit_identical_to_off_on_every_backend() {
         assert!(text.contains("bintuner_engine_stage_seconds_bucket"));
         assert!(run.spans.iter().any(|s| s.name == "batch"), "{what}: spans");
     }
+}
+
+/// Every file in a store directory with its bytes, sorted by name.
+fn store_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            let name = e.file_name().to_string_lossy().into_owned();
+            (name, std::fs::read(e.path()).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn artifact_log_is_indexed_at_most_once_and_only_by_tunes_with_misses() {
+    let store = ScratchStore::new("telemetry_artifact_load");
+    let module = tiny_loop_module("telemetry_artifact_load_a", 6);
+    let renamed = tiny_loop_module("telemetry_artifact_load_b", 6);
+    let config = || with_telemetry(cached_tuner(60, Some(&store)));
+    let index_builds = |run: &TuneResult| {
+        let registry = run.registry.as_ref().expect("telemetry registry");
+        registry
+            .histogram("bintuner_store_artifact_load_seconds", "")
+            .count()
+    };
+
+    let cold = Tuner::new(config()).tune(&module).unwrap();
+    assert!(cold.engine_stats.compiles > 0);
+    assert_eq!(index_builds(&cold), 1, "cold tune");
+
+    // A replay served wholly from the fitness store never opens the
+    // artifact log, and writes nothing anywhere in the store.
+    let before = store_files(store.path());
+    let warm = Tuner::new(config()).tune(&module).unwrap();
+    assert_eq!(warm.engine_stats.compiles, 0, "the replay is zero-compile");
+    assert_eq!(index_builds(&warm), 0, "zero-compile warm tune");
+    assert_eq!(store_files(store.path()), before, "store bytes changed");
+
+    // A renamed module misses every fitness key: the log is indexed
+    // once, before the first miss, and serves artifact hits.
+    let misses = Tuner::new(config()).tune(&renamed).unwrap();
+    assert!(misses.engine_stats.compiles > 0);
+    assert!(misses.engine_stats.store_ast_hits > 0);
+    assert_eq!(index_builds(&misses), 1, "tune with misses");
 }
 
 #[test]
