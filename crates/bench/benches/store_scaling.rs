@@ -2,8 +2,8 @@
 //!
 //! One row per shard count (1 / 4 / 16), same record population:
 //!
-//! - `migrate_ms` / `load_ms` — building the directory and a forced
-//!   full load of every shard.
+//! - `build_ms` / `load_ms` — building a fresh store and a forced full
+//!   load of every shard.
 //! - `lazy_shards` — shards touched by a single cold `get` (the lazy
 //!   index: 1, never the whole store).
 //! - `get_us` — in-memory get latency once loaded.
@@ -55,7 +55,7 @@ fn main() {
             }
             store.save().unwrap();
         }
-        let migrate_ms = t.elapsed().as_secs_f64() * 1e3;
+        let build_ms = t.elapsed().as_secs_f64() * 1e3;
         drop(store);
 
         // Forced full load.
@@ -128,7 +128,7 @@ fn main() {
         rows.push(vec![
             shards.to_string(),
             records.to_string(),
-            format!("{migrate_ms:.1}"),
+            format!("{build_ms:.1}"),
             format!("{load_ms:.1}"),
             lazy_shards.to_string(),
             format!("{get_us:.2}"),
@@ -148,7 +148,7 @@ fn main() {
         &[
             "shards",
             "records",
-            "migrate_ms",
+            "build_ms",
             "load_ms",
             "lazy_shards",
             "get_us",

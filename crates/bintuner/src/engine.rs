@@ -644,8 +644,8 @@ impl<'a> FitnessEngine<'a> {
     }
 
     /// Recover both persistent stores — fitness and artifacts — for the
-    /// end-of-run save. Save the fitness store *first*: a v3→v4
-    /// migration creates the directory the artifact log lives in.
+    /// end-of-run save. Save the fitness store *first*: its first save
+    /// creates the directory the artifact log lives in.
     pub fn into_stores(self) -> (Option<FitnessStore>, Option<ArtifactStore>) {
         (
             self.store.map(|s| s.into_inner().unwrap()),

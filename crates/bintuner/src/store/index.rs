@@ -59,16 +59,4 @@ impl ShardIndex {
             .filter(|(_, r)| matches!(r, PendingRecord::Fitness(..)))
             .count()
     }
-
-    /// Fold another just-parsed index into this one (migration path:
-    /// records parsed from a v3 single file get distributed into the
-    /// shard their key routes to).
-    pub fn absorb_entry(&mut self, key: StoreKey, value: StoredFitness) {
-        self.entries.insert(key, value);
-    }
-
-    /// Features half of [`ShardIndex::absorb_entry`].
-    pub fn absorb_features(&mut self, module_hash: u64, feats: ModuleFeatures) {
-        self.features.insert(module_hash, feats);
-    }
 }

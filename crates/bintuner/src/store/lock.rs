@@ -2,9 +2,9 @@
 //!
 //! One [`StoreLock`] guards one file: the v4 store takes one per shard
 //! log (so compacting shard 3 never blocks a writer appending to shard
-//! 7), the artifact log takes its own, and the v3→v4 migration takes a
-//! single whole-store lock on the store path itself while the
-//! file-to-directory flip happens.
+//! 7), the artifact log takes its own, and creating the store directory
+//! or rewriting its manifest takes a whole-store lock on the store path
+//! itself.
 
 use std::fs;
 use std::io::{self, Write};

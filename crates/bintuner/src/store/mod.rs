@@ -37,28 +37,25 @@
 //!   exactly the damaged suffix, and a damaged manifest is rebuilt from
 //!   the shard files themselves. A torn append therefore loses at most
 //!   the interrupted run's new entries in one shard.
-//! * **v3 migration** — a single-file v3 store at the path is parsed
-//!   losslessly on load (every valid record kept, count preserved in
-//!   [`LoadReport`]) and restructured into the sharded directory on the
-//!   next save, under a whole-store lock; the flip is staged in a
-//!   sibling directory and `rename`d so a crash mid-migration leaves
-//!   either the old file or the complete new directory.
+//! * **Creation** — a missing path, or foreign content at it (any plain
+//!   file, including a store written before format 4), is a cold start.
+//!   The first save with records to write creates the directory and its
+//!   manifest under a whole-store lock, replacing the foreign content,
+//!   then saves shard by shard like any other save.
 //! * **Generations** — every fitness record carries the store's
 //!   monotonic generation at insertion time; the manifest records the
 //!   generation the *next* load should stamp with. One load→save cycle
 //!   is one generation, so `store.generation() − record.generation` is a
 //!   record's age in runs — the input to the prior miner's age decay
-//!   (`PriorConfig::decay_half_life`).
+//!   (`PriorConfig::decay_half_life`). The manifest never moves
+//!   backwards, even when two store values save into one directory.
 //!
 //! The on-disk encoding is hand-rolled little-endian via the vendored
 //! [`bytes::BufMut`] surface (the vendored `serde` is derive-markers
 //! only — it has no serialization runtime), and is versioned: bump
 //! [`FORMAT_VERSION`] whenever the record layout *or* any canonical hash
-//! encoding changes, so stale files degrade to a cold start instead of
-//! being misread. Version 2 added the flag bitmap and module-features
-//! records; version 3 added the per-record generation counter; version 4
-//! sharded the single file into the manifest + shard-log directory
-//! (v3 files still load, one version back, via the migration path).
+//! encoding changes, so stale stores degrade to a cold start instead of
+//! being misread.
 //!
 //! Concurrency: one store value is owned by one tuning run at a time
 //! (the engine wraps it in a `Mutex`), and *within* a service run the
@@ -78,13 +75,12 @@ pub use artifact::{
     ArtifactRetention, ArtifactStore, AstArtifactKey, LowerArtifactKey, PendingArtifacts,
 };
 pub use lock::StoreLock;
-pub use shard::{shard_for, shard_for_module, write_v3_file};
+pub use shard::{shard_for, shard_for_module};
 
 use binrep::Arch;
 use index::ShardIndex;
 use minicc::fnv1a32 as checksum;
 use minicc::{CompilerKind, ModuleFeatures};
-use std::collections::HashSet;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -96,8 +92,7 @@ pub const MAGIC: [u8; 4] = *b"BTFS";
 /// canonical encodings behind [`minicc::ast::Module::content_hash`],
 /// [`minicc::EffectConfig::stable_digest`], and the
 /// [`minicc::ModuleFeatures`] component meanings — a mismatch is a clean
-/// cold start, never a misread. The sole exception is one version back:
-/// a version-3 single file is migrated losslessly.
+/// cold start, never a misread.
 pub const FORMAT_VERSION: u32 = 4;
 
 /// Widest flag vector a stored bitmap can represent. Both modelled
@@ -273,10 +268,10 @@ pub struct LoadReport {
     /// Trailing bytes dropped (truncation or checksum corruption).
     pub dropped_bytes: usize,
     /// A file carried a different [`FORMAT_VERSION`] — cold start for
-    /// its contents (except version 3, which migrates).
+    /// its contents.
     pub version_mismatch: bool,
-    /// A header (store manifest, shard log, or legacy file) was not ours
-    /// — cold start for its contents.
+    /// A header (store manifest, shard log, or a plain file at the store
+    /// path) was not ours — cold start for its contents.
     pub malformed_header: bool,
     /// Nothing existed at the path — clean first run.
     pub missing: bool,
@@ -296,7 +291,7 @@ pub enum SaveOutcome {
     /// pending, or the store has no backing file).
     Written,
     /// Another live process held an advisory lock for at least one shard
-    /// (or the whole store, during migration): that part of the save was
+    /// (or the whole store, during creation): that part of the save was
     /// skipped and its pending entries remain queued for a retry. Only
     /// the warm start for future runs is deferred — never an error, per
     /// the degrade-don't-panic contract.
@@ -309,15 +304,11 @@ pub enum SaveOutcome {
 enum Layout {
     /// No backing path: saves are no-ops.
     Memory,
-    /// Path did not exist: the directory is created on first save.
-    Missing,
+    /// No store directory yet: the path was missing or held foreign
+    /// content (cold start). The first save with records creates it.
+    Uncreated,
     /// A v4 store directory: the steady state. Shards load lazily.
     Sharded,
-    /// A v3 single file, parsed losslessly: restructured on save.
-    LegacyFile,
-    /// Unreadable/foreign content at the path: cold start, replaced on
-    /// save.
-    Foreign,
 }
 
 /// Telemetry handles for the persistent store. Installed via
@@ -412,25 +403,26 @@ impl FitnessStore {
     }
 
     /// Load a store from `path` with the default shard geometry. Never
-    /// fails: a missing path is a clean first run, a foreign or
-    /// version-mismatched file is a cold start (replaced on the next
-    /// save), a v3 single file migrates losslessly, and a damaged shard
-    /// tail is dropped while the valid prefix is kept. Inspect
-    /// [`FitnessStore::report`] for what happened.
+    /// fails: a missing path is a clean first run, a plain file (foreign
+    /// bytes, or a store from before format 4) is a cold start replaced
+    /// on the next save, and a damaged shard tail is dropped while the
+    /// valid prefix is kept. Inspect [`FitnessStore::report`] for what
+    /// happened.
     pub fn load(path: impl Into<PathBuf>) -> FitnessStore {
         FitnessStore::load_with_shard_count(path, DEFAULT_SHARD_COUNT)
     }
 
     /// [`FitnessStore::load`] with an explicit shard count for stores
     /// created by this call. An existing directory keeps its manifest's
-    /// geometry; the count only shapes new stores and v3 migrations.
+    /// geometry; the count only shapes new stores.
     pub fn load_with_shard_count(path: impl Into<PathBuf>, shard_count: usize) -> FitnessStore {
         let path = path.into();
+        let shard_count = shard_count.clamp(1, u16::MAX as usize);
         let mut store = FitnessStore {
             path: Some(path.clone()),
-            layout: Layout::Missing,
-            shard_count: shard_count.clamp(1, u16::MAX as usize),
-            shards: Vec::new(),
+            layout: Layout::Uncreated,
+            shard_count,
+            shards: full_slots(shard_count),
             generation: 0,
             manifest_gen: 0,
             manifest_dirty: false,
@@ -438,13 +430,23 @@ impl FitnessStore {
             report: LoadReport::default(),
             tel: None,
         };
-        match fs::metadata(&path) {
-            Err(_) => {
-                store.report.missing = true;
-                store.shards = full_slots(store.shard_count);
+        if path.is_dir() {
+            store.load_dir(&path);
+            return store;
+        }
+        match fs::read(&path) {
+            Err(_) => store.report.missing = true,
+            Ok(bytes) => {
+                // A v4 store is a directory, so any plain file here is a
+                // cold start; the report only says whether it looks like
+                // a store of another format version.
+                let other_version = bytes.len() >= 8
+                    && bytes[..4] == MAGIC
+                    && bytes[4..8] != FORMAT_VERSION.to_le_bytes();
+                store.report.version_mismatch = other_version;
+                store.report.malformed_header = !other_version;
+                store.report.dropped_bytes = bytes.len();
             }
-            Ok(m) if m.is_dir() => store.load_dir(&path),
-            Ok(_) => store.load_file(&path),
         }
         store
     }
@@ -453,10 +455,7 @@ impl FitnessStore {
     /// shard until first touch.
     fn load_dir(&mut self, dir: &Path) {
         self.layout = Layout::Sharded;
-        match fs::read(dir.join("manifest"))
-            .ok()
-            .and_then(|b| decode_manifest(&b))
-        {
+        match read_manifest(dir) {
             Some((count, generation)) => {
                 self.shard_count = count;
                 self.generation = generation;
@@ -470,7 +469,7 @@ impl FitnessStore {
     /// A directory without a readable manifest: rebuild the geometry
     /// from the shard files themselves, eagerly, and queue a manifest
     /// rewrite. Loses nothing but the generation counter's exact value
-    /// (recomputed as `max(stored) + 1`, the v3 rule).
+    /// (recomputed as `max(stored) + 1`).
     fn recover_dir(&mut self, dir: &Path) {
         self.report.malformed_header = true;
         self.manifest_dirty = true;
@@ -518,46 +517,6 @@ impl FitnessStore {
             .max()
             .map_or(0, |g| g.saturating_add(1));
         self.manifest_gen = self.generation;
-    }
-
-    /// A plain file at the path: a v3 store (migrated losslessly) or
-    /// foreign bytes (cold start).
-    fn load_file(&mut self, path: &Path) {
-        let flat = match fs::read(path) {
-            Ok(bytes) => shard::parse_v3(&bytes),
-            Err(_) => {
-                // Races between metadata and read degrade to missing.
-                self.report.missing = true;
-                self.shards = full_slots(self.shard_count);
-                return;
-            }
-        };
-        self.report = flat.report;
-        self.shards = full_slots(self.shard_count);
-        if flat.report.malformed_header || flat.report.version_mismatch {
-            self.layout = Layout::Foreign;
-            return;
-        }
-        self.layout = Layout::LegacyFile;
-        for (key, value) in flat.entries {
-            let idx = shard_for(&key, self.shard_count);
-            self.shards[idx].as_mut().unwrap().absorb_entry(key, value);
-        }
-        for (hash, feats) in flat.features {
-            let idx = shard_for_module(hash, self.shard_count);
-            self.shards[idx]
-                .as_mut()
-                .unwrap()
-                .absorb_features(hash, feats);
-        }
-        self.generation = self
-            .shards
-            .iter()
-            .flatten()
-            .flat_map(|s| s.entries.values())
-            .map(|v| v.generation)
-            .max()
-            .map_or(0, |g| g.saturating_add(1));
     }
 
     /// Materialize shard `idx`, folding its load telemetry into the
@@ -611,7 +570,7 @@ impl FitnessStore {
     }
 
     /// Live fitness entries per shard (forces a full load) — diagnostics
-    /// for the shard-assignment and migration tests.
+    /// for the shard-assignment tests.
     pub fn shard_entry_counts(&mut self) -> Vec<usize> {
         self.ensure_all();
         self.shards
@@ -767,11 +726,9 @@ impl FitnessStore {
     /// *skipped* — [`SaveOutcome::SkippedLocked`], pending kept for a
     /// retry — rather than blocked on or corrupted.
     ///
-    /// A legacy v3 file (or a missing/foreign path) is migrated to the
-    /// sharded directory here, under a whole-store lock: the new
-    /// directory is fully staged at `<path>.migrate` and `rename`d into
-    /// place, so a crash leaves either the old store or the complete new
-    /// one.
+    /// A store with no directory yet (missing path, or foreign content
+    /// there) creates it on the first save that has records to write,
+    /// under a whole-store lock.
     ///
     /// # Errors
     ///
@@ -787,154 +744,74 @@ impl FitnessStore {
         if self.layout == Layout::Sharded {
             self.save_sharded(&path)
         } else {
-            self.migrate(&path)
+            self.create(&path)
         }
     }
 
-    /// First save of a non-sharded layout: stage the v4 directory and
-    /// flip the path over to it.
-    fn migrate(&mut self, path: &Path) -> io::Result<SaveOutcome> {
-        let has_state = self
-            .shards
-            .iter()
-            .flatten()
-            .any(|s| s.live() > 0 || !s.pending.is_empty());
-        if !has_state && self.layout == Layout::Missing {
+    /// First save of a store with no directory yet: create the directory
+    /// and its manifest under the whole-store lock, then save shard by
+    /// shard like any other save.
+    ///
+    /// A crash before the manifest lands leaves an empty directory or one
+    /// holding only `manifest.tmp`; both load as a cold start (via
+    /// `recover_dir`) and the next save completes them.
+    fn create(&mut self, path: &Path) -> io::Result<SaveOutcome> {
+        if self.shards.iter().flatten().all(|s| s.pending.is_empty()) {
             return Ok(SaveOutcome::Written); // nothing to create yet
         }
-        let Some(_lock) = StoreLock::acquire(path)? else {
+        let Some(lock) = StoreLock::acquire(path)? else {
             return Ok(SaveOutcome::SkippedLocked);
         };
-        // Re-check under the lock: a concurrent process may have already
-        // migrated this path. Adopt its geometry and fall through to the
-        // ordinary per-shard save (which merges, losing nothing).
-        if fs::metadata(path).map(|m| m.is_dir()).unwrap_or(false) {
-            let manifest = fs::read(path.join("manifest"))
-                .ok()
-                .and_then(|b| decode_manifest(&b));
-            if let Some((count, generation)) = manifest {
-                if count != self.shard_count {
-                    self.reshard(count);
-                }
-                self.manifest_gen = generation;
-            } else {
-                self.manifest_dirty = true;
-            }
-            self.layout = Layout::Sharded;
-            drop(_lock);
-            return self.save_sharded(path);
-        }
-        // Merge any records a concurrent v3-era writer appended between
-        // our load and this lock: disk wins except for keys we have
-        // pending ourselves.
-        if self.layout == Layout::LegacyFile {
-            if let Ok(bytes) = fs::read(path) {
-                let fresh = shard::parse_v3(&bytes);
-                if !fresh.report.malformed_header && !fresh.report.version_mismatch {
-                    let pending_keys: HashSet<StoreKey> = self
-                        .shards
-                        .iter()
-                        .flatten()
-                        .flat_map(|s| s.pending.iter())
-                        .filter_map(|(_, r)| match r {
-                            PendingRecord::Fitness(k, _) => Some(*k),
-                            PendingRecord::Features(..) => None,
-                        })
-                        .collect();
-                    let pending_mods: HashSet<u64> = self
-                        .shards
-                        .iter()
-                        .flatten()
-                        .flat_map(|s| s.pending.iter())
-                        .filter_map(|(_, r)| match r {
-                            PendingRecord::Features(h, _) => Some(*h),
-                            PendingRecord::Fitness(..) => None,
-                        })
-                        .collect();
-                    for (key, value) in fresh.entries {
-                        if !pending_keys.contains(&key) {
-                            let idx = shard_for(&key, self.shard_count);
-                            self.shards[idx].as_mut().unwrap().absorb_entry(key, value);
-                        }
+        if path.is_dir() {
+            // Another process created the store since this one loaded:
+            // adopt its geometry (it may have been loaded with another
+            // shard count) and save into it; per-shard saves merge.
+            match read_manifest(path) {
+                Some((count, generation)) => {
+                    if count != self.shard_count {
+                        self.reshard(count);
                     }
-                    for (hash, feats) in fresh.features {
-                        if !pending_mods.contains(&hash) {
-                            let idx = shard_for_module(hash, self.shard_count);
-                            self.shards[idx]
-                                .as_mut()
-                                .unwrap()
-                                .absorb_features(hash, feats);
-                        }
-                    }
+                    self.manifest_gen = generation;
                 }
+                None => self.manifest_dirty = true,
             }
-        }
-        let fitness_written = self.pending_len() > 0;
-        let manifest_gen = if fitness_written {
-            self.generation.saturating_add(1)
         } else {
-            self.generation
-        };
-        // Stage the complete directory, then flip. The gap between
-        // removing the old file and the rename is the only non-atomic
-        // instant, and a loader landing in it sees a clean cold start.
-        let mut stage_name = path.as_os_str().to_owned();
-        stage_name.push(".migrate");
-        let stage = PathBuf::from(stage_name);
-        if stage.exists() {
-            fs::remove_dir_all(&stage)?;
-        }
-        fs::create_dir_all(&stage)?;
-        write_manifest(&stage, self.shard_count, manifest_gen)?;
-        for idx in 0..self.shard_count {
-            let count = self.shard_count;
-            let shard = self.shards[idx].as_mut().unwrap();
-            if shard.live() > 0 || !shard.pending.is_empty() {
-                shard::save_shard(&stage, idx, count, shard, true)?;
+            if path.is_file() {
+                fs::remove_file(path)?; // foreign content: replaced
             }
+            fs::create_dir_all(path)?;
+            write_manifest(path, self.shard_count, self.generation)?;
+            self.manifest_gen = self.generation;
         }
-        if fs::metadata(path).map(|m| m.is_file()).unwrap_or(false) {
-            fs::remove_file(path)?;
-        }
-        fs::rename(&stage, path)?;
         self.layout = Layout::Sharded;
-        self.manifest_gen = manifest_gen;
-        self.manifest_dirty = false;
-        self.report.version_mismatch = false;
-        self.report.malformed_header = false;
-        Ok(SaveOutcome::Written)
+        drop(lock); // `save_sharded` takes it again for the manifest
+        self.save_sharded(path)
     }
 
     /// Re-route every in-memory record into a different shard geometry
-    /// (only reached when adopting a concurrently-migrated directory).
+    /// (only reached when adopting a directory another process created
+    /// with a different shard count).
     fn reshard(&mut self, new_count: usize) {
-        let old: Vec<ShardIndex> = self
-            .shards
-            .drain(..)
-            .map(Option::unwrap_or_default)
-            .collect();
-        self.shard_count = new_count;
-        self.shards = full_slots(new_count);
-        for shard in old {
+        let mut fresh: Vec<ShardIndex> = (0..new_count).map(|_| ShardIndex::default()).collect();
+        for shard in self.shards.drain(..).flatten() {
             for (key, value) in shard.entries {
-                let idx = shard_for(&key, new_count);
-                self.shards[idx].as_mut().unwrap().absorb_entry(key, value);
+                fresh[shard_for(&key, new_count)].entries.insert(key, value);
             }
             for (hash, feats) in shard.features {
-                let idx = shard_for_module(hash, new_count);
-                self.shards[idx]
-                    .as_mut()
-                    .unwrap()
-                    .absorb_features(hash, feats);
+                fresh[shard_for_module(hash, new_count)]
+                    .features
+                    .insert(hash, feats);
             }
             for (seq, rec) in shard.pending {
                 let idx = match &rec {
                     PendingRecord::Fitness(k, _) => shard_for(k, new_count),
                     PendingRecord::Features(h, _) => shard_for_module(*h, new_count),
                 };
-                self.shards[idx].as_mut().unwrap().pending.push((seq, rec));
+                fresh[idx].pending.push((seq, rec));
             }
         }
+        self.shard_count = new_count;
+        self.shards = fresh.into_iter().map(Some).collect();
     }
 
     /// Steady-state save: write each touched shard under its own lock.
@@ -977,6 +854,11 @@ impl FitnessStore {
             // loss here only defers the generation bump, never records.
             match StoreLock::acquire(dir)? {
                 Some(_lock) => {
+                    // Another store value may have advanced the manifest
+                    // since this one loaded. Never move it backwards: the
+                    // next load would stamp a generation records carry.
+                    let manifest_gen = read_manifest(dir)
+                        .map_or(manifest_gen, |(_, on_disk)| on_disk.max(manifest_gen));
                     write_manifest(dir, self.shard_count, manifest_gen)?;
                     self.manifest_gen = manifest_gen;
                     self.manifest_dirty = false;
@@ -995,14 +877,15 @@ impl FitnessStore {
     }
 
     /// Compact every shard (each under its own lock; contended shards
-    /// are skipped). A non-sharded layout is saved (migrated) first.
+    /// are skipped). A store with no directory yet is saved (created)
+    /// first.
     pub fn compact(&mut self) -> io::Result<SaveOutcome> {
         if self.layout != Layout::Sharded {
             if self.save()? == SaveOutcome::SkippedLocked {
                 return Ok(SaveOutcome::SkippedLocked);
             }
             if self.layout != Layout::Sharded {
-                return Ok(SaveOutcome::Written); // in-memory store
+                return Ok(SaveOutcome::Written); // in memory, or nothing to create
             }
         }
         let mut skipped = false;
@@ -1082,6 +965,12 @@ fn decode_manifest(bytes: &[u8]) -> Option<(usize, u32)> {
     }
     let generation = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
     Some((count, generation))
+}
+
+/// The `(shard count, generation)` recorded in `dir`'s manifest, if it
+/// is readable and ours.
+fn read_manifest(dir: &Path) -> Option<(usize, u32)> {
+    decode_manifest(&fs::read(dir.join("manifest")).ok()?)
 }
 
 /// Write the manifest atomically (tmp + rename).

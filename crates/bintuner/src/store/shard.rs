@@ -1,17 +1,16 @@
 //! Shard routing and the on-disk log format.
 //!
 //! One v4 store directory holds `shard-NN.log` files, each an
-//! append-only log of the same fixed-size checksummed records the v3
-//! single-file format used — only the 8-byte file header grew into a
-//! 12-byte shard header that also names the shard's index and the
-//! store's shard count, so a file moved between stores of different
-//! geometry is detected instead of misread.
+//! append-only log of fixed-size checksummed records behind a 12-byte
+//! shard header that names the shard's index and the store's shard
+//! count, so a file moved between stores of different geometry is
+//! detected instead of misread.
 //!
 //! Routing is a pure function of the key over [`minicc::StableHasher`]
 //! (FNV-1a with an explicit canonical encoding) — **not** a std hasher,
 //! which is process-seeded: the same key must land in the same shard
-//! across runs, platforms, and the v3→v4 migration, or a warm store
-//! would silently cold-start.
+//! across runs and platforms, or a warm store would silently
+//! cold-start.
 
 use super::index::ShardIndex;
 use super::{
@@ -25,8 +24,6 @@ use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// v3 single-file header: magic + format version.
-pub(super) const V3_HEADER_LEN: usize = 8;
 /// v4 shard file header: magic + format version + shard index (u16) +
 /// shard count (u16).
 pub(super) const SHARD_HEADER_LEN: usize = 12;
@@ -34,7 +31,7 @@ pub(super) const SHARD_HEADER_LEN: usize = 12;
 /// module_hash(8) + compiler(1) + arch(1) + digest(16) + fitness(8) +
 /// failed(1) + n_flags(2) + flag bitmap(24) + generation(4); the
 /// features body is shorter and zero-padded to the same width), plus a
-/// 4-byte FNV-1a checksum. Unchanged from v3.
+/// 4-byte FNV-1a checksum.
 pub(super) const RECORD_BODY_LEN: usize = 65;
 pub(super) const RECORD_PAYLOAD_LEN: usize = 1 + RECORD_BODY_LEN;
 pub(super) const RECORD_LEN: usize = RECORD_PAYLOAD_LEN + 4;
@@ -54,7 +51,7 @@ const _: () = assert!(8 + 4 * ModuleFeatures::N <= RECORD_BODY_LEN);
 const SHARD_SEED: u64 = 0x0053_4841_5244; // "SHARD"
 
 /// The shard a fitness key routes to — a pure function of the key and
-/// the shard count, stable across runs, platforms, and migration.
+/// the shard count, stable across runs and platforms.
 pub fn shard_for(key: &StoreKey, shard_count: usize) -> usize {
     let mut h = StableHasher::with_seed(SHARD_SEED);
     h.write_u64(key.module_hash);
@@ -176,8 +173,7 @@ pub(super) fn load_shard(dir: &Path, idx: usize, shard_count: usize) -> ShardInd
 /// Fast path: one appended `write_all`. The file is rewritten wholesale
 /// — to a temp file, then atomically `rename`d into place — when it was
 /// corrupt/missing or when dead records make compaction worthwhile.
-/// `force_rewrite` is the public compaction hook and the migration
-/// path.
+/// `force_rewrite` is the public compaction hook.
 ///
 /// The rewrite **re-reads the file under the lock and merges** before
 /// writing: a record appended by another process since our load is
@@ -272,61 +268,7 @@ fn append_shard(path: &Path, shard: &mut ShardIndex) -> std::io::Result<()> {
 }
 
 // ---------------------------------------------------------------------
-// v3 single-file compatibility: the migration parser, and a writer kept
-// for the differential fixtures that pin sharded ≡ single-file
-// semantics.
-// ---------------------------------------------------------------------
-
-/// Parse a v3 single-file store. Same never-fail contract as the shard
-/// parser; records land in one flat index for the caller to distribute
-/// by [`shard_for`].
-pub(super) fn parse_v3(bytes: &[u8]) -> ShardIndex {
-    let mut flat = ShardIndex {
-        needs_rewrite: true, // a v3 file is always restructured on save
-        ..ShardIndex::default()
-    };
-    if bytes.len() < V3_HEADER_LEN || bytes[..4] != MAGIC {
-        flat.report.malformed_header = true;
-        flat.report.dropped_bytes = bytes.len();
-        return flat;
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if version != 3 {
-        flat.report.version_mismatch = true;
-        flat.report.dropped_bytes = bytes.len();
-        return flat;
-    }
-    let consumed = parse_records(&bytes[V3_HEADER_LEN..], &mut flat);
-    flat.report.valid_records = flat.disk_records;
-    if V3_HEADER_LEN + consumed != bytes.len() {
-        flat.report.dropped_bytes = bytes.len() - V3_HEADER_LEN - consumed;
-    }
-    flat
-}
-
-/// Write a v3-format single-file store. A test/differential fixture
-/// seam (the live format is v4): it lets the suite construct legacy
-/// stores byte-for-byte like a v3 writer would and pin that migration
-/// is lossless and shard assignment is stable.
-pub fn write_v3_file(
-    path: &Path,
-    entries: &[(StoreKey, StoredFitness)],
-    features: &[(u64, ModuleFeatures)],
-) -> std::io::Result<()> {
-    let mut buf: Vec<u8> = Vec::new();
-    buf.put_slice(&MAGIC);
-    buf.put_u32_le(3);
-    for (hash, feats) in features {
-        encode_features_record(*hash, feats, &mut buf);
-    }
-    for (key, value) in entries {
-        encode_fitness_record(key, value, &mut buf);
-    }
-    fs::write(path, &buf)
-}
-
-// ---------------------------------------------------------------------
-// Record encoding (shared by v3 and v4 — byte-identical).
+// Record encoding.
 // ---------------------------------------------------------------------
 
 /// Append the checksum over the record payload written since `start`,

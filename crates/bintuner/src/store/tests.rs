@@ -311,84 +311,34 @@ fn foreign_shard_header_is_a_cold_shard() {
 }
 
 #[test]
-fn v3_single_file_migrates_losslessly() {
-    let path = scratch("v3_migrate");
-    let entries: Vec<_> = (0..24).map(|i| (key(i), value(i))).collect();
-    let features = vec![(0xFEA7u64, feats(3)), (0xFEA8, feats(4))];
-    write_v3_file(&path, &entries, &features).unwrap();
-
-    // Load: every record is kept and counted; the path is still a file.
-    let mut store = FitnessStore::load(&path);
-    assert_eq!(store.report().valid_records, 26);
-    assert_eq!(store.report().dropped_bytes, 0);
-    assert!(!store.report().version_mismatch);
-    assert_eq!(store.len(), 24);
-    assert!(path.is_file());
-    for (k, v) in &entries {
-        assert_eq!(store.get(k).unwrap().fitness.to_bits(), v.fitness.to_bits());
-    }
-    assert_eq!(store.module_features(0xFEA7), Some(feats(3)));
-
-    // Save: the file becomes the sharded directory, transparently.
-    store.insert(key(100), value(100));
-    store.save().unwrap();
-    assert!(path.is_dir());
-    let mut migrated = FitnessStore::load(&path);
-    assert_eq!(migrated.len(), 25);
-    for (k, v) in &entries {
-        assert_eq!(
-            migrated.get(k).unwrap().fitness.to_bits(),
-            v.fitness.to_bits()
-        );
-    }
-    assert_eq!(migrated.module_features(0xFEA8), Some(feats(4)));
-    // No migration droppings.
-    let mut stage = path.as_os_str().to_owned();
-    stage.push(".migrate");
-    assert!(!PathBuf::from(stage).exists());
-    cleanup(&path);
-}
-
-#[test]
-fn v3_migration_preserves_record_ages() {
-    let path = scratch("v3_ages");
-    let mut old = value(1);
-    old.generation = 2;
-    write_v3_file(&path, &[(key(1), old)], &[]).unwrap();
-
-    let mut store = FitnessStore::load(&path);
-    assert_eq!(store.generation(), 3, "v3 rule: max(stored) + 1");
-    store.insert(key(2), value(2));
-    store.save().unwrap();
-
-    let mut migrated = FitnessStore::load(&path);
-    assert_eq!(migrated.get(&key(1)).unwrap().generation, 2);
-    assert_eq!(migrated.get(&key(2)).unwrap().generation, 3);
-    assert_eq!(migrated.generation(), 4);
-    cleanup(&path);
-}
-
-#[test]
 fn version_mismatch_is_a_cold_start() {
     let path = scratch("version");
-    // A hypothetical v5 single file: not migratable, cold start.
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(&MAGIC);
-    bytes.extend_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-    bytes.extend_from_slice(&[0xAB; 70]);
-    fs::write(&path, &bytes).unwrap();
+    // An older (v3 single-file) and a hypothetical newer store: both are
+    // cold starts.
+    for version in [3u32, FORMAT_VERSION + 1] {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&MAGIC);
+        bytes.extend_from_slice(&version.to_le_bytes());
+        bytes.extend_from_slice(&[0xAB; 70]);
+        fs::write(&path, &bytes).unwrap();
 
-    let mut store = FitnessStore::load(&path);
-    assert!(store.is_empty());
-    assert!(store.report().version_mismatch);
-    // Saving replaces the stale file with a current-version directory.
-    store.insert(key(3), value(3));
-    store.save().unwrap();
-    assert!(path.is_dir());
-    let mut reloaded = FitnessStore::load(&path);
-    assert!(!reloaded.report().version_mismatch);
-    assert_eq!(reloaded.len(), 1);
-    cleanup(&path);
+        let mut store = FitnessStore::load(&path);
+        assert!(store.is_empty(), "v{version}");
+        assert!(store.report().version_mismatch, "v{version}");
+        // Saving replaces the stale file with a current-version directory
+        // holding exactly this save's records.
+        store.insert(key(3), value(3));
+        store.save().unwrap();
+        assert!(path.is_dir());
+        let mut reloaded = FitnessStore::load(&path);
+        assert!(!reloaded.report().version_mismatch);
+        assert_eq!(reloaded.len(), 1);
+        assert_eq!(
+            reloaded.get(&key(3)).unwrap().fitness.to_bits(),
+            value(3).fitness.to_bits()
+        );
+        cleanup(&path);
+    }
 }
 
 #[test]
@@ -528,8 +478,70 @@ fn generation_advances_one_per_load_save_cycle() {
     cleanup(&path);
 }
 
+/// The generation the store at `path` records for its next load.
+fn manifest_generation(path: &Path) -> u32 {
+    read_manifest(path).expect("readable manifest").1
+}
+
 #[test]
-fn contended_whole_store_lock_degrades_migration_to_a_skip() {
+fn manifest_generation_never_goes_backwards() {
+    // Two store values on one directory: `late` loads, other short
+    // load→save cycles advance the manifest, then `late` saves. Once
+    // with `late` loaded from an existing directory (generation 1), once
+    // with it loaded from a missing path that the other cycles create,
+    // so its save adopts their directory — and their shard count.
+    for (name, cycles_before, cycles_between, late_shards) in [
+        ("gen_steady", 1, 2, DEFAULT_SHARD_COUNT),
+        ("gen_adopt", 0, 3, 4),
+    ] {
+        let path = scratch(name);
+        let mut next_key = 0u64;
+        let mut cycle = || {
+            let mut s = FitnessStore::load(&path);
+            s.insert(key(next_key), value(next_key));
+            next_key += 1;
+            s.save().unwrap();
+        };
+        for _ in 0..cycles_before {
+            cycle();
+        }
+        let mut late = FitnessStore::load_with_shard_count(&path, late_shards);
+        let mut high = 0;
+        for _ in 0..cycles_between {
+            cycle();
+            assert!(manifest_generation(&path) >= high, "{name}");
+            high = manifest_generation(&path);
+        }
+        assert_eq!(high, 3, "{name}: test premise");
+        late.insert(key(99), value(99));
+        assert_eq!(late.save().unwrap(), SaveOutcome::Written);
+        assert!(
+            manifest_generation(&path) >= high,
+            "{name}: manifest went from {high} to {}",
+            manifest_generation(&path)
+        );
+
+        let mut next = FitnessStore::load(&path);
+        let generation = next.generation();
+        assert_eq!(next.shard_count(), DEFAULT_SHARD_COUNT, "{name}");
+        assert_eq!(next.len(), cycles_before + cycles_between + 1);
+        assert!(
+            next.get(&key(99)).is_some(),
+            "{name}: late record misrouted"
+        );
+        for (k, v) in next.entries() {
+            assert!(
+                v.generation < generation,
+                "{name}: {k:?} stamped {} but the next load stamps {generation}",
+                v.generation
+            );
+        }
+        cleanup(&path);
+    }
+}
+
+#[test]
+fn contended_whole_store_lock_degrades_creation_to_a_skip() {
     let path = scratch("locked");
     let mut store = FitnessStore::load(&path);
     store.insert(key(1), value(1));

@@ -477,11 +477,11 @@ impl Tuner {
             engine.set_executor(external);
         }
         // The artifact store lives inside the (v4) store directory.
-        // Loading against a v3 file or a missing path is a clean cold
-        // start whose save degrades to a skip until the fitness store's
-        // own save creates the directory — so the very first run under
-        // a fresh path warms fitness only, and every later run warms
-        // both.
+        // Loading against a path with no store directory yet is a clean
+        // cold start whose save degrades to a skip until the fitness
+        // store's own save creates the directory — so the very first run
+        // under a fresh path warms fitness only, and every later run
+        // warms both.
         if self.config.artifact_cache {
             if let Some(path) = &self.config.cache_path {
                 let mut artifacts = ArtifactStore::load(path);
@@ -613,8 +613,8 @@ impl Tuner {
                 lock_skipped,
             }
         });
-        // The artifact save runs after the fitness save on purpose: a
-        // v3→v4 migration above creates the directory the artifact log
+        // The artifact save runs after the fitness save on purpose: the
+        // first fitness save creates the directory the artifact log
         // appends into. A skip (directory still missing, lock
         // contended) only costs future warm-starts, never correctness.
         if let Some(mut artifacts) = artifacts_after {

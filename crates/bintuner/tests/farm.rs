@@ -347,7 +347,7 @@ fn process_workers_refuse_the_channel_transport() {
 /// Child half of `warm_start_survives_sigkill_during_save`: tune with a
 /// persistent store in a tight loop until killed. Rotating module names
 /// keeps every save writing fresh records, so a SIGKILL at an arbitrary
-/// instant regularly lands inside a store save or migration.
+/// instant regularly lands inside a store save or creation.
 #[test]
 #[ignore = "child process of warm_start_survives_sigkill_during_save"]
 fn churn_child_tunes_forever() {
@@ -365,7 +365,7 @@ fn churn_child_tunes_forever() {
 }
 
 /// Warm start under churn: a tune killed by SIGKILL at an arbitrary
-/// point — including mid-save and mid-migration — must leave a store
+/// point — including mid-save and mid-creation — must leave a store
 /// the next run can use, cold-start-or-better, never an error.
 #[test]
 fn warm_start_survives_sigkill_during_save() {

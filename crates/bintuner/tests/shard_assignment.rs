@@ -11,12 +11,11 @@
 //!    degenerate `0`/`1` counts.
 //! 3. Corpus-shaped key populations spread usefully over the default
 //!    16 shards — no shard starves, none dominates.
-//! 4. A v3 record's assigned shard is exactly where migration
-//!    physically lands it, record-for-record.
+//! 4. A record's assigned shard is exactly where the store's first
+//!    save physically lands it, record-for-record.
 
 use bintuner::{
-    shard_for, shard_for_module, write_v3_file, FitnessStore, StoreKey, StoredFitness,
-    DEFAULT_SHARD_COUNT,
+    shard_for, shard_for_module, FitnessStore, StoreKey, StoredFitness, DEFAULT_SHARD_COUNT,
 };
 use proptest::prelude::*;
 use std::fs;
@@ -171,7 +170,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn v3_records_land_in_their_assigned_shard_after_migration(
+    fn records_land_in_their_assigned_shard_on_the_first_save(
         seed in any::<u64>(),
         n in 1usize..24,
     ) {
@@ -186,10 +185,9 @@ proptest! {
             .collect();
         let feats_module = seed.rotate_left(17) | 1;
         let feats = testutil::tiny_loop_module("shard_prop", 2).features();
-        let scratch = ScratchStore::new("shard_assignment_migration");
-        write_v3_file(scratch.path(), &entries, &[(feats_module, feats)]).unwrap();
+        let scratch = ScratchStore::new("shard_assignment_first_save");
 
-        // The assignment of every v3 record, computed *before* any v4
+        // The assignment of every record, computed *before* any shard
         // file exists...
         let mut histogram = [0u64; DEFAULT_SHARD_COUNT];
         for (k, _) in &entries {
@@ -198,10 +196,14 @@ proptest! {
         histogram[shard_for_module(feats_module, DEFAULT_SHARD_COUNT)] += 1;
 
         let mut store = FitnessStore::load(scratch.path());
-        prop_assert_eq!(store.report().valid_records, entries.len() + 1);
-        store.save().unwrap(); // migrates the v3 file into a v4 directory
+        prop_assert!(store.report().missing);
+        for (k, v) in &entries {
+            store.insert(*k, *v);
+        }
+        store.record_module_features(feats_module, feats);
+        store.save().unwrap(); // creates the v4 directory
 
-        // ...must match the physical placement after migration, file by
+        // ...must match the physical placement after the save, file by
         // file (absent shard file == zero records).
         for (idx, &want) in histogram.iter().enumerate() {
             let path = scratch.path().join(format!("shard-{idx:02}.log"));

@@ -6,23 +6,24 @@
 //!    shard log. Loading any byte-boundary truncation of any shard must
 //!    keep exactly the clean prefix of that shard and every record of
 //!    every other shard. Never a panic, never an error.
-//! 2. **Compaction crashes** — a stale `shard-NN.log.tmp` (death before
-//!    the rename) and a lost or corrupt `manifest` must both load to
-//!    the full record set, and the next save/compact must heal the
-//!    directory.
+//! 2. **Compaction and creation crashes** — a stale `shard-NN.log.tmp`
+//!    (death before the rename) and a lost or corrupt `manifest` must
+//!    both load to the full record set, and the next save/compact must
+//!    heal the directory. A half-created store (an empty directory, or
+//!    one holding only `manifest.tmp`) loads as a cold start that the
+//!    next save completes.
 //! 3. **Concurrent stress** — readers, an appending writer, and a
 //!    compactor race over one directory. No reader may ever observe a
 //!    lost seed record or a phantom record.
-//! 4. **Differential vs v3** — the sharded layout is a physical
-//!    re-arrangement, not a semantics change: same gets, lossless
-//!    migration, and bit-identical tuning trajectories whether the warm
-//!    start comes from a v3 single file, a v4 directory, or a v4
-//!    directory behind the service backend.
+//! 4. **Backend independence** — a warm start from one v4 directory
+//!    replays a bit-identical tuning trajectory in-process and behind
+//!    the service backend.
 
 use bintuner::{
-    write_v3_file, ArtifactStore, Backend, FitnessStore, SaveOutcome, ServiceConfig, StoreKey,
-    StoredFitness, TuneResult, Tuner,
+    ArtifactStore, Backend, FitnessStore, SaveOutcome, ServiceConfig, StoreKey, StoredFitness,
+    TuneResult, Tuner,
 };
+use std::fs;
 use std::path::Path;
 use std::thread;
 use testutil::{cached_tuner, tiny_loop_module, CrashFs, ScratchStore};
@@ -64,7 +65,7 @@ fn build_store(scratch: &ScratchStore, entries: &[(StoreKey, StoredFitness)]) {
     store.record_module_features(0x0DD5_EED1, feats);
     store.record_module_features(0x0DD5_EED2, feats);
     assert_eq!(store.save().unwrap(), SaveOutcome::Written);
-    assert!(scratch.path().is_dir(), "save must migrate to a directory");
+    assert!(scratch.path().is_dir(), "save must create a directory");
 }
 
 /// Full (forced) load: total kept records and the report that goes with
@@ -234,6 +235,43 @@ fn compaction_crash_states_heal_on_the_next_save() {
         assert!(!healed.report().malformed_header);
         assert_eq!(healed.report().valid_records, total);
     }
+
+    // Death while creating a store: right after `create_dir` (an empty
+    // directory), or mid-write of the first manifest (only a torn
+    // `manifest.tmp`). Either is a cold start, and the next save leaves
+    // a clean directory holding every record it wrote.
+    let manifest = fs::read(scratch.path().join("manifest")).unwrap();
+    for (name, tmp) in [
+        ("torture_created_empty", None),
+        ("torture_created_tmp", Some(&manifest[..10])),
+    ] {
+        let partial = ScratchStore::new(name);
+        fs::create_dir(partial.path()).unwrap();
+        if let Some(bytes) = tmp {
+            fs::write(partial.path().join("manifest.tmp"), bytes).unwrap();
+        }
+        let mut store = FitnessStore::load(partial.path());
+        assert!(store.is_empty(), "{name}: not a cold start");
+        for (k, v) in &entries {
+            store.insert(*k, *v);
+        }
+        assert_eq!(store.save().unwrap(), SaveOutcome::Written, "{name}");
+        drop(store);
+        let mut healed = FitnessStore::load(partial.path());
+        healed.len();
+        let report = healed.report();
+        assert!(
+            !report.malformed_header && !report.version_mismatch && report.dropped_bytes == 0,
+            "{name}: {report:?}"
+        );
+        assert_eq!(report.valid_records, entries.len(), "{name}");
+        for (k, v) in &entries {
+            assert_eq!(
+                healed.get(k).unwrap().fitness.to_bits(),
+                v.fitness.to_bits()
+            );
+        }
+    }
 }
 
 #[test]
@@ -305,43 +343,6 @@ fn concurrent_readers_writer_and_compactor_lose_nothing() {
     }
 }
 
-#[test]
-fn sharded_gets_are_identical_to_v3_gets() {
-    let entries = seed_entries(48);
-    let feats = tiny_loop_module("torture_diff", 2).features();
-
-    let v3 = ScratchStore::new("torture_diff_v3");
-    write_v3_file(v3.path(), &entries, &[(0xFEA7, feats)]).unwrap();
-    let v4 = ScratchStore::snapshot_of("torture_diff_v4", v3.path());
-    let mut migrated = FitnessStore::load(v4.path());
-    assert_eq!(migrated.save().unwrap(), SaveOutcome::Written);
-    assert!(v4.path().is_dir());
-    drop(migrated);
-
-    let mut legacy = FitnessStore::load(v3.path());
-    let mut sharded = FitnessStore::load(v4.path());
-    for (k, _) in &entries {
-        let a = legacy.get(k).map(|v| (v.fitness.to_bits(), v.failed));
-        let b = sharded.get(k).map(|v| (v.fitness.to_bits(), v.failed));
-        assert_eq!(a, b, "{k:?}");
-        assert!(a.is_some());
-    }
-    for miss in [key(0xDEAD, 0), key(1, 99), key(u64::MAX, u128::MAX)] {
-        assert_eq!(legacy.get(&miss), None);
-        assert_eq!(sharded.get(&miss), None);
-    }
-    assert_eq!(legacy.len(), sharded.len());
-    assert_eq!(
-        legacy.module_features(0xFEA7).is_some(),
-        sharded.module_features(0xFEA7).is_some()
-    );
-    // Migration is lossless to the record.
-    assert_eq!(
-        legacy.report().valid_records,
-        sharded.report().valid_records
-    );
-}
-
 /// Trajectory-and-telemetry equality: the strongest form of "the store
 /// layout changed nothing about the search".
 fn assert_same_run(a: &TuneResult, b: &TuneResult, what: &str) {
@@ -403,7 +404,7 @@ fn assert_same_run(a: &TuneResult, b: &TuneResult, what: &str) {
 }
 
 #[test]
-fn warm_tune_is_bit_identical_from_v3_file_v4_dir_and_service_backend() {
+fn warm_tune_is_bit_identical_from_v4_dir_and_service_backend() {
     let module = tiny_loop_module("torture_warm", 6);
 
     // Fill a v4 store with one cold run.
@@ -413,30 +414,19 @@ fn warm_tune_is_bit_identical_from_v3_file_v4_dir_and_service_backend() {
         .unwrap();
     assert!(filled.path().is_dir());
 
-    // Rebuild the identical record set as a legacy v3 single file, and
-    // strip the artifact sibling from the v4 copies so all three warm
-    // runs see the same bytes of warm-start state.
+    // Two copies without the artifact sibling, so both warm runs start
+    // from the same fitness records alone.
     let fs_view = CrashFs::new(filled.path());
     let v4_a = fs_view.without_file("torture_warm_v4a", "artifacts.log");
     let v4_b = fs_view.without_file("torture_warm_v4b", "artifacts.log");
-    let mut filled_store = FitnessStore::load(filled.path());
-    let entries = filled_store.entries();
-    let features = filled_store.modules_with_features();
-    assert!(!entries.is_empty());
-    let v3 = ScratchStore::new("torture_warm_v3");
-    write_v3_file(v3.path(), &entries, &features).unwrap();
 
     let from_v4 = Tuner::new(cached_tuner(60, Some(&v4_a)))
         .tune(&module)
         .unwrap();
-    let from_v3 = Tuner::new(cached_tuner(60, Some(&v3)))
-        .tune(&module)
-        .unwrap();
     assert!(from_v4.engine_stats.persistent_hits > 0);
-    assert_same_run(&from_v4, &from_v3, "v4 dir vs v3 file");
 
-    // And the deployment shape changes nothing either: the same sharded
-    // store behind the service backend replays the same run.
+    // The deployment shape changes nothing: the same sharded store
+    // behind the service backend replays the same run.
     let service = Tuner::new(bintuner::TunerConfig {
         backend: Backend::Service(ServiceConfig::default()),
         ..cached_tuner(60, Some(&v4_b))

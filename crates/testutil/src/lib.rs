@@ -14,7 +14,7 @@
 
 #![warn(missing_docs)]
 
-use bintuner::{FaultKind, FaultPlan, TunerConfig};
+use bintuner::{FaultKind, FaultPlan, StoreLock, TunerConfig};
 use genetic::{GaParams, Termination};
 use minicc::ast::{BinOp, Expr, FuncDef, LValue, Module, Stmt};
 use std::fs;
@@ -25,58 +25,39 @@ use std::path::{Path, PathBuf};
 /// state into this one). No `tempfile` crate exists in the container;
 /// this is the shared stand-in.
 ///
-/// Understands both store layouts: the path may materialize as a v3
-/// single file or a v4 shard *directory*, and either way cleanup also
-/// sweeps the `.lock` and `.migrate` side paths a crashed run can leave
-/// behind.
+/// Cleanup removes the shard *directory* the path materializes as, any
+/// plain file a test planted there, and the `.lock` sibling a crashed
+/// run can leave behind.
 #[derive(Debug)]
 pub struct ScratchStore {
     path: PathBuf,
 }
 
-/// Remove every on-disk trace of a store at `path`: the single-file
-/// form, the shard-directory form, and the `.lock` / `.migrate` side
-/// paths. Missing pieces are fine.
+/// Remove every on-disk trace of a store at `path`: the shard
+/// directory, a plain file planted there, and the `.lock` sibling.
+/// Missing pieces are fine.
 pub fn remove_store(path: &Path) {
     let _ = fs::remove_file(path);
     let _ = fs::remove_dir_all(path);
-    for ext in ["lock", "migrate"] {
-        let side = side_path(path, ext);
-        let _ = fs::remove_file(&side);
-        let _ = fs::remove_dir_all(&side);
-    }
+    let _ = fs::remove_file(StoreLock::lock_path(path));
 }
 
-fn side_path(path: &Path, ext: &str) -> PathBuf {
-    let mut os = path.as_os_str().to_os_string();
-    os.push(".");
-    os.push(ext);
-    PathBuf::from(os)
-}
-
-/// Copy a store from `src` to `dst`, whichever layout it is on disk: a
-/// v3 single file copies as one file, a v4 shard directory copies as a
-/// directory (manifest, shard logs, artifact log — every regular file
-/// inside). Lock files are skipped: a snapshot must never inherit a
-/// live lock.
+/// Copy the store directory at `src` to `dst`: manifest, shard logs,
+/// artifact log — every regular file inside. Lock files are skipped: a
+/// snapshot must never inherit a live lock.
 pub fn copy_store(src: &Path, dst: &Path) {
     remove_store(dst);
-    if src.is_dir() {
-        fs::create_dir_all(dst).expect("create snapshot dir");
-        for entry in fs::read_dir(src).expect("read store dir") {
-            let entry = entry.expect("store dir entry");
-            let name = entry.file_name();
-            if name.to_string_lossy().ends_with(".lock") {
-                continue;
-            }
-            if entry.path().is_file() {
-                fs::copy(entry.path(), dst.join(&name)).expect("copy shard file");
-            }
+    assert!(src.is_dir(), "no store directory at {}", src.display());
+    fs::create_dir_all(dst).expect("create snapshot dir");
+    for entry in fs::read_dir(src).expect("read store dir") {
+        let entry = entry.expect("store dir entry");
+        let name = entry.file_name();
+        if name.to_string_lossy().ends_with(".lock") {
+            continue;
         }
-    } else if src.is_file() {
-        fs::copy(src, dst).expect("copy store file");
-    } else {
-        panic!("no store at {}", src.display());
+        if entry.path().is_file() {
+            fs::copy(entry.path(), dst.join(&name)).expect("copy shard file");
+        }
     }
 }
 
@@ -93,8 +74,8 @@ impl ScratchStore {
     }
 
     /// A scratch store initialized as a byte-for-byte snapshot of the
-    /// store at `src` (either layout). Replaces whatever was at this
-    /// scratch path.
+    /// store directory at `src`. Replaces whatever was at this scratch
+    /// path.
     pub fn snapshot_of(name: &str, src: &Path) -> ScratchStore {
         let s = ScratchStore::new(name);
         copy_store(src, &s.path);
@@ -374,15 +355,15 @@ mod tests {
             let s = ScratchStore::new("selftest_dir");
             fs::create_dir_all(s.path()).unwrap();
             fs::write(s.path().join("manifest"), b"m").unwrap();
-            fs::write(side_path(s.path(), "lock"), b"0").unwrap();
+            fs::write(StoreLock::lock_path(s.path()), b"0").unwrap();
             s.path_buf()
         };
         assert!(!path.exists(), "drop removed the scratch dir");
-        assert!(!side_path(&path, "lock").exists(), "drop swept the lock");
+        assert!(!StoreLock::lock_path(&path).exists(), "drop swept the lock");
     }
 
     #[test]
-    fn copy_store_handles_both_layouts_and_skips_locks() {
+    fn copy_store_copies_the_directory_and_skips_locks() {
         let dir = ScratchStore::new("copy_src");
         fs::create_dir_all(dir.path()).unwrap();
         fs::write(dir.path().join("manifest"), b"m").unwrap();
@@ -391,11 +372,6 @@ mod tests {
         let snap = ScratchStore::snapshot_of("copy_dst", dir.path());
         assert_eq!(fs::read(snap.path().join("shard-00.log")).unwrap(), b"s0");
         assert!(!snap.path().join("shard-00.log.lock").exists());
-
-        let file = ScratchStore::new("copy_src_file");
-        fs::write(file.path(), b"v3").unwrap();
-        let snap2 = ScratchStore::snapshot_of("copy_dst_file", file.path());
-        assert_eq!(fs::read(snap2.path()).unwrap(), b"v3");
     }
 
     #[test]
