@@ -1,6 +1,6 @@
 //! The `bintuner` binary.
 //!
-//! Two entry points:
+//! Three entry points:
 //!
 //! - `bintuner --evald-worker <args>` — the re-exec target of the
 //!   process farm: runs one evaluation-service worker process (see

@@ -1,254 +1,208 @@
-//! The daemon's metrics plane: per-daemon and per-tenant counters plus
-//! EWMA rate estimators, exported as one consistent snapshot frame.
+//! The daemon's metrics plane: one always-on btel registry.
 //!
-//! Everything on the job hot path is a relaxed atomic increment; the
-//! only locks are taken at job *completion* (rate estimators, tenant
-//! map) and at snapshot time — the metrics plane never serializes two
-//! running jobs against each other.
+//! Every daemon event — submit, reject, claim, finish, cancel, shutdown
+//! drain, farm launch and farm failure — is counted once, in a
+//! `bintuner_daemon_*` family of the daemon's registry
+//! ([`DaemonHandle::registry`](super::DaemonHandle::registry)).
+//! [`MetricsSnapshot`] is a read-only view summed from those families;
+//! the MetricsText frame and `bintuner metrics` render the registry
+//! itself.
+//!
+//! Unlike the per-run tuner telemetry (opt-in, bound by the Off-mode
+//! purity contract), a long-lived multi-tenant service wants its
+//! registry live from boot. Updates happen once per job event
+//! (admission, claim, cancel, completion), never inside a batch; a
+//! per-tenant child is looked up under the registry lock at that point,
+//! every other update is a relaxed atomic add on a handle resolved at
+//! launch.
 
-use btel::Ewma;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use crate::service::FarmTelemetry;
+use std::sync::Arc;
 
-/// Per-tenant accounting (a tenant is the free-form string on Submit).
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct TenantCounters {
-    /// Jobs this tenant submitted (accepted or rejected).
-    pub submitted: u64,
-    /// Jobs rejected at admission (queue full).
-    pub rejected: u64,
-    /// Jobs that completed successfully.
-    pub completed: u64,
-    /// Jobs that failed (service loss, invalid module).
-    pub failed: u64,
-    /// Real compiles this tenant's completed jobs performed.
-    pub compiles: u64,
+/// A per-tenant counter family: its name and help text.
+pub(super) type TenantFamily = (&'static str, &'static str);
+
+pub(super) const JOBS: TenantFamily = (
+    "bintuner_daemon_jobs_total",
+    "Jobs submitted, by tenant (accepted or rejected).",
+);
+pub(super) const REJECTS: TenantFamily = (
+    "bintuner_daemon_rejects_total",
+    "Jobs refused at admission, by tenant.",
+);
+pub(super) const COMPLETED: TenantFamily = (
+    "bintuner_daemon_completed_total",
+    "Jobs that finished with a result, by tenant.",
+);
+pub(super) const FAILED: TenantFamily = (
+    "bintuner_daemon_failed_total",
+    "Jobs that finished with an error (cancelled and expired running jobs included), by tenant.",
+);
+pub(super) const COMPILES: TenantFamily = (
+    "bintuner_daemon_compiles_total",
+    "Real compiles performed by completed jobs, by tenant.",
+);
+
+/// The daemon's telemetry: its registry, job-span tracer, and the
+/// handles of its unlabeled families (see their help texts in
+/// [`DaemonTelemetry::new`]), resolved once at launch.
+pub(super) struct DaemonTelemetry {
+    pub(super) registry: Arc<btel::Registry>,
+    /// Job-level spans (one per finished job), served by TraceDump.
+    pub(super) tracer: btel::Tracer,
+    pub(super) queue_depth: Arc<btel::Gauge>,
+    pub(super) running: Arc<btel::Gauge>,
+    pub(super) job_seconds: Arc<btel::Histogram>,
+    pub(super) cancelled: Arc<btel::Counter>,
+    pub(super) persistent_hits: Arc<btel::Counter>,
+    pub(super) farm_launches: Arc<btel::Counter>,
+    pub(super) farm_failures: Arc<btel::Counter>,
+    pub(super) deadline_exceeded: Arc<btel::Counter>,
+    pub(super) quarantined: Arc<btel::Counter>,
 }
 
-/// The daemon-wide counters. Hot-path increments are relaxed atomics;
-/// see the module docs for the locking discipline.
-#[derive(Debug)]
-pub struct DaemonMetrics {
-    /// Submit frames received.
-    pub submitted: AtomicU64,
-    /// Jobs admitted to the queue.
-    pub accepted: AtomicU64,
-    /// Jobs refused at admission (bounded queue full, or shutdown).
-    pub rejected: AtomicU64,
-    /// Jobs that finished with a result.
-    pub completed: AtomicU64,
-    /// Jobs that finished with an error.
-    pub failed: AtomicU64,
-    /// Jobs cancelled — dequeued while queued, or aborted at a batch
-    /// checkpoint while running.
-    pub cancelled: AtomicU64,
-    /// Jobs currently waiting in the admission queue.
-    pub queue_depth: AtomicU64,
-    /// Jobs currently executing on a runner.
-    pub running: AtomicU64,
-    /// Real compiles across all completed jobs.
-    pub compiles_total: AtomicU64,
-    /// Persistent fitness-store hits across all completed jobs — the
-    /// multi-tenant payoff counter: a duplicate submission is all hits,
-    /// zero compiles.
-    pub persistent_hits_total: AtomicU64,
-    /// Shared-farm launches (first job, module switches, relaunches
-    /// after a farm loss).
-    pub farm_launches: AtomicU64,
-    /// Shared-farm failures (a batch aborted because every worker was
-    /// lost, or a relaunch failed).
-    pub farm_failures: AtomicU64,
-    rates: Mutex<Rates>,
-    tenants: Mutex<HashMap<String, TenantCounters>>,
-}
-
-#[derive(Debug)]
-struct Rates {
-    job_seconds: Ewma,
-    compiles_per_second: Ewma,
-}
-
-impl Default for DaemonMetrics {
-    fn default() -> DaemonMetrics {
-        DaemonMetrics {
-            submitted: AtomicU64::new(0),
-            accepted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            cancelled: AtomicU64::new(0),
-            queue_depth: AtomicU64::new(0),
-            running: AtomicU64::new(0),
-            compiles_total: AtomicU64::new(0),
-            persistent_hits_total: AtomicU64::new(0),
-            farm_launches: AtomicU64::new(0),
-            farm_failures: AtomicU64::new(0),
-            rates: Mutex::new(Rates {
-                job_seconds: Ewma::new(0.3),
-                compiles_per_second: Ewma::new(0.3),
-            }),
-            tenants: Mutex::new(HashMap::new()),
+impl DaemonTelemetry {
+    pub(super) fn new() -> DaemonTelemetry {
+        let registry = Arc::new(btel::Registry::new());
+        let counter = |name, help| registry.counter(name, help);
+        DaemonTelemetry {
+            tracer: btel::Tracer::enabled(1024),
+            queue_depth: registry.gauge(
+                "bintuner_daemon_queue_depth",
+                "Jobs waiting in the admission queue.",
+            ),
+            running: registry.gauge(
+                "bintuner_daemon_running",
+                "Jobs currently executing on a runner.",
+            ),
+            job_seconds: registry.histogram(
+                "bintuner_daemon_job_seconds",
+                "Wall time of each job from claim to terminal state.",
+            ),
+            cancelled: counter(
+                "bintuner_daemon_cancelled_total",
+                "Jobs cancelled while queued, at shutdown, or while running.",
+            ),
+            persistent_hits: counter(
+                "bintuner_daemon_persistent_hits_total",
+                "Persistent fitness-store hits of completed jobs.",
+            ),
+            farm_launches: counter(
+                "bintuner_daemon_farm_launches_total",
+                "Shared-farm launches (first job, module switches, relaunches after a loss).",
+            ),
+            farm_failures: counter(
+                "bintuner_daemon_farm_failures_total",
+                "Shared-farm launch failures and farm losses mid-batch.",
+            ),
+            deadline_exceeded: counter(
+                "bintuner_daemon_deadline_exceeded_total",
+                "Jobs aborted because their submit-time deadline passed.",
+            ),
+            quarantined: counter(
+                "bintuner_daemon_quarantined_total",
+                "Jobs failed fast under poison-module quarantine.",
+            ),
+            registry,
         }
     }
-}
 
-impl DaemonMetrics {
-    /// Record a submission attempt for `tenant` (before admission).
-    pub fn on_submit(&self, tenant: &str) {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        self.tenant_mut(tenant, |t| t.submitted += 1);
-    }
-
-    /// Record an admission rejection for `tenant`.
-    pub fn on_reject(&self, tenant: &str) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
-        self.tenant_mut(tenant, |t| t.rejected += 1);
-    }
-
-    /// Record a job completing. Runs off the hot path (once per job):
-    /// updates the EWMA rate estimators and the tenant map.
-    pub fn on_job_done(
-        &self,
-        tenant: &str,
-        succeeded: bool,
-        compiles: u64,
-        persistent_hits: u64,
-        wall_seconds: f64,
-    ) {
-        if succeeded {
-            self.completed.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.failed.fetch_add(1, Ordering::Relaxed);
+    /// Farm-side telemetry wiring that shares the daemon's registry, so
+    /// `bintuner_farm_*` counters (evictions, heartbeat misses,
+    /// respawns, backoff) land in the same exposition the MetricsText
+    /// frame serves. The farm's span tracer stays disabled — the daemon
+    /// records job-level spans itself.
+    pub(super) fn farm_telemetry(&self) -> FarmTelemetry {
+        FarmTelemetry {
+            registry: self.registry.clone(),
+            tracer: btel::Tracer::disabled(),
         }
-        self.compiles_total.fetch_add(compiles, Ordering::Relaxed);
-        self.persistent_hits_total
-            .fetch_add(persistent_hits, Ordering::Relaxed);
-        {
-            // btel::Ewma rejects non-finite and negative samples itself
-            // (`observe` returns false) — the edge cases the former
-            // private copy here ignored — so a clock hiccup can no
-            // longer poison the rate estimate.
-            let mut rates = self.rates.lock().unwrap();
-            rates.job_seconds.observe(wall_seconds);
-            if wall_seconds > 0.0 {
-                rates
-                    .compiles_per_second
-                    .observe(compiles as f64 / wall_seconds);
-            }
-        }
-        self.tenant_mut(tenant, |t| {
-            if succeeded {
-                t.completed += 1;
-            } else {
-                t.failed += 1;
-            }
-            t.compiles += compiles;
-        });
     }
 
-    fn tenant_mut(&self, tenant: &str, f: impl FnOnce(&mut TenantCounters)) {
-        let mut tenants = self.tenants.lock().unwrap();
-        f(tenants.entry(tenant.to_string()).or_default());
+    /// `tenant`'s child of a per-tenant family.
+    pub(super) fn tenant(&self, (name, help): TenantFamily, tenant: &str) -> Arc<btel::Counter> {
+        self.registry.counter_with(name, help, "tenant", tenant)
     }
 
-    /// One consistent snapshot (the payload of the Metrics frame).
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let rates = self.rates.lock().unwrap();
-        let mut tenants: Vec<(String, TenantCounters)> = self
-            .tenants
-            .lock()
-            .unwrap()
+    /// A per-tenant family summed over every tenant.
+    fn total(&self, (name, _): TenantFamily) -> u64 {
+        let registry = &self.registry;
+        registry
+            .label_values(name)
             .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        tenants.sort_by(|a, b| a.0.cmp(&b.0));
+            .filter_map(|tenant| registry.counter_value(name, Some(tenant)))
+            .sum()
+    }
+
+    /// The registry read as a [`MetricsSnapshot`].
+    pub(super) fn snapshot(&self) -> MetricsSnapshot {
+        // Rejects first: a job is counted in `submitted` before it can
+        // be rejected, so this order keeps `accepted` from going
+        // negative while Submits race the read.
+        let rejected = self.total(REJECTS);
+        let submitted = self.total(JOBS);
         MetricsSnapshot {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            accepted: self.accepted.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            cancelled: self.cancelled.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            running: self.running.load(Ordering::Relaxed),
-            compiles_total: self.compiles_total.load(Ordering::Relaxed),
-            persistent_hits_total: self.persistent_hits_total.load(Ordering::Relaxed),
-            farm_launches: self.farm_launches.load(Ordering::Relaxed),
-            farm_failures: self.farm_failures.load(Ordering::Relaxed),
-            ewma_job_seconds: rates.job_seconds.value(),
-            ewma_compiles_per_second: rates.compiles_per_second.value(),
-            tenants,
+            submitted,
+            accepted: submitted.saturating_sub(rejected),
+            rejected,
+            completed: self.total(COMPLETED),
+            failed: self.total(FAILED),
+            cancelled: self.cancelled.get(),
+            queue_depth: gauge_u64(&self.queue_depth),
+            running: gauge_u64(&self.running),
+            compiles_total: self.total(COMPILES),
+            persistent_hits_total: self.persistent_hits.get(),
+            farm_launches: self.farm_launches.get(),
+            farm_failures: self.farm_failures.get(),
         }
     }
 }
 
-/// A point-in-time copy of every daemon counter — what the Metrics wire
-/// frame carries and what the CI artifact records.
-#[derive(Debug, Clone, PartialEq)]
+/// A gauge that counts jobs, read as the `u64` the wire carries.
+pub(super) fn gauge_u64(gauge: &btel::Gauge) -> u64 {
+    u64::try_from(gauge.get()).unwrap_or(0)
+}
+
+/// A read-only view of the daemon's registry: per-tenant families are
+/// summed over every tenant, and each field is read once, so fields
+/// read while jobs run may be a few events apart.
+///
+/// Counting rules:
+/// - Every Submit counts in `submitted`, then in exactly one of
+///   `rejected` or `accepted`.
+/// - A job a runner finishes counts in exactly one of `completed` or
+///   `failed`. A running job that is cancelled, or passes its deadline,
+///   is a failure and also counts in its own counter: `cancelled`, or
+///   `bintuner_daemon_deadline_exceeded_total`.
+/// - A job cancelled while queued, or drained at shutdown, never ran:
+///   it counts only in `cancelled`.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsSnapshot {
-    /// See [`DaemonMetrics::submitted`].
+    /// Submit frames received (`bintuner_daemon_jobs_total`).
     pub submitted: u64,
-    /// See [`DaemonMetrics::accepted`].
+    /// Jobs admitted to the queue: `submitted − rejected`.
     pub accepted: u64,
-    /// See [`DaemonMetrics::rejected`].
+    /// Jobs refused at admission (`bintuner_daemon_rejects_total`).
     pub rejected: u64,
-    /// See [`DaemonMetrics::completed`].
+    /// Jobs that finished with a result (`bintuner_daemon_completed_total`).
     pub completed: u64,
-    /// See [`DaemonMetrics::failed`].
+    /// Jobs that finished with an error (`bintuner_daemon_failed_total`).
     pub failed: u64,
-    /// See [`DaemonMetrics::cancelled`].
+    /// Jobs cancelled (`bintuner_daemon_cancelled_total`).
     pub cancelled: u64,
-    /// See [`DaemonMetrics::queue_depth`].
+    /// Jobs waiting in the admission queue (`bintuner_daemon_queue_depth`).
     pub queue_depth: u64,
-    /// See [`DaemonMetrics::running`].
+    /// Jobs executing on a runner (`bintuner_daemon_running`).
     pub running: u64,
-    /// See [`DaemonMetrics::compiles_total`].
+    /// Real compiles of completed jobs (`bintuner_daemon_compiles_total`).
     pub compiles_total: u64,
-    /// See [`DaemonMetrics::persistent_hits_total`].
+    /// Persistent fitness-store hits of completed jobs
+    /// (`bintuner_daemon_persistent_hits_total`).
     pub persistent_hits_total: u64,
-    /// See [`DaemonMetrics::farm_launches`].
+    /// Shared-farm launches (`bintuner_daemon_farm_launches_total`).
     pub farm_launches: u64,
-    /// See [`DaemonMetrics::farm_failures`].
+    /// Shared-farm failures (`bintuner_daemon_farm_failures_total`).
     pub farm_failures: u64,
-    /// EWMA of per-job wall seconds (`None` before the first job).
-    pub ewma_job_seconds: Option<f64>,
-    /// EWMA of compile throughput (`None` until a job with nonzero
-    /// wall time completes).
-    pub ewma_compiles_per_second: Option<f64>,
-    /// Per-tenant counters, sorted by tenant name.
-    pub tenants: Vec<(String, TenantCounters)>,
-}
-
-impl std::fmt::Display for MetricsSnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "jobs.submitted {}", self.submitted)?;
-        writeln!(f, "jobs.accepted {}", self.accepted)?;
-        writeln!(f, "jobs.rejected {}", self.rejected)?;
-        writeln!(f, "jobs.completed {}", self.completed)?;
-        writeln!(f, "jobs.failed {}", self.failed)?;
-        writeln!(f, "jobs.cancelled {}", self.cancelled)?;
-        writeln!(f, "queue.depth {}", self.queue_depth)?;
-        writeln!(f, "jobs.running {}", self.running)?;
-        writeln!(f, "compiles.total {}", self.compiles_total)?;
-        writeln!(f, "store.persistent_hits {}", self.persistent_hits_total)?;
-        writeln!(f, "farm.launches {}", self.farm_launches)?;
-        writeln!(f, "farm.failures {}", self.farm_failures)?;
-        if let Some(s) = self.ewma_job_seconds {
-            writeln!(f, "ewma.job_seconds {s:.6}")?;
-        }
-        if let Some(c) = self.ewma_compiles_per_second {
-            writeln!(f, "ewma.compiles_per_second {c:.6}")?;
-        }
-        for (tenant, t) in &self.tenants {
-            writeln!(
-                f,
-                "tenant.{tenant} submitted={} rejected={} completed={} failed={} compiles={}",
-                t.submitted, t.rejected, t.completed, t.failed, t.compiles
-            )?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -256,55 +210,72 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ewma_seeds_then_smooths() {
-        // The pinned α=0.5 trajectory of the former private estimator,
-        // now required of the shared btel::Ewma it migrated to.
-        let mut e = Ewma::new(0.5);
-        assert_eq!(e.value(), None);
-        assert!(e.observe(10.0));
-        assert_eq!(e.value(), Some(10.0));
-        assert!(e.observe(20.0));
-        assert_eq!(e.value(), Some(15.0));
-        assert!(e.observe(15.0));
-        assert_eq!(e.value(), Some(15.0));
-    }
+    fn snapshot_is_a_view_summed_over_tenants() {
+        // The daemon's own updates, event by event. alice submits three
+        // jobs: one completes, one is cancelled while queued, one is
+        // still queued. bob submits three: one is rejected, one fails,
+        // one is running.
+        let tel = DaemonTelemetry::new();
+        for tenant in ["alice", "alice", "alice", "bob", "bob", "bob"] {
+            tel.tenant(JOBS, tenant).inc();
+        }
+        tel.tenant(REJECTS, "bob").inc();
+        tel.queue_depth.add(5);
+        tel.farm_launches.inc();
+        // Claim alice's first and bob's second, then finish both.
+        tel.queue_depth.add(-2);
+        tel.running.add(2);
+        tel.running.add(-1);
+        tel.tenant(COMPLETED, "alice").inc();
+        tel.tenant(COMPILES, "alice").add(40);
+        tel.persistent_hits.add(3);
+        tel.running.add(-1);
+        tel.tenant(FAILED, "bob").inc();
+        tel.tenant(COMPILES, "bob").add(0);
+        tel.farm_failures.inc();
+        // Cancel alice's second while queued; claim bob's third.
+        tel.queue_depth.add(-1);
+        tel.cancelled.inc();
+        tel.queue_depth.add(-1);
+        tel.running.add(1);
+        tel.farm_launches.inc();
 
-    #[test]
-    fn ewma_rejects_poison_samples() {
-        // The edge cases the private copy ignored: NaN, ±inf, and
-        // negative wall clocks are dropped instead of folded in.
-        let mut e = Ewma::new(0.5);
-        assert!(!e.observe(f64::NAN));
-        assert!(!e.observe(f64::INFINITY));
-        assert!(!e.observe(-1.0));
-        assert_eq!(e.value(), None);
-        assert!(e.observe(4.0));
-        assert!(!e.observe(f64::NAN));
-        assert_eq!(e.value(), Some(4.0));
-    }
-
-    #[test]
-    fn snapshot_aggregates_tenants_sorted_and_display_is_parseable() {
-        let m = DaemonMetrics::default();
-        m.on_submit("zeta");
-        m.on_submit("alpha");
-        m.on_reject("zeta");
-        m.accepted.fetch_add(1, Ordering::Relaxed);
-        m.on_job_done("alpha", true, 40, 3, 2.0);
-        m.on_job_done("alpha", false, 0, 0, 0.0);
-        let snap = m.snapshot();
-        assert_eq!(snap.submitted, 2);
-        assert_eq!(snap.rejected, 1);
-        assert_eq!(snap.completed, 1);
-        assert_eq!(snap.failed, 1);
-        assert_eq!(snap.compiles_total, 40);
-        assert_eq!(snap.ewma_compiles_per_second, Some(20.0));
-        let names: Vec<&str> = snap.tenants.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, ["alpha", "zeta"], "sorted by tenant");
-        let text = snap.to_string();
-        assert!(text.contains("compiles.total 40"));
-        assert!(
-            text.contains("tenant.alpha submitted=1 rejected=0 completed=1 failed=1 compiles=40")
+        let snap = tel.snapshot();
+        assert_eq!(
+            snap,
+            MetricsSnapshot {
+                submitted: 6,
+                accepted: 5,
+                rejected: 1,
+                completed: 1,
+                failed: 1,
+                cancelled: 1,
+                queue_depth: 1,
+                running: 1,
+                compiles_total: 40,
+                persistent_hits_total: 3,
+                farm_launches: 2,
+                farm_failures: 1,
+            }
         );
+        assert_eq!(snap.accepted, snap.submitted - snap.rejected);
+        let child = |(name, _): TenantFamily, tenant| {
+            tel.registry.counter_value(name, Some(tenant)).unwrap_or(0)
+        };
+        for (family, alice, bob, total) in [
+            (JOBS, 3, 3, snap.submitted),
+            (REJECTS, 0, 1, snap.rejected),
+            (COMPLETED, 1, 0, snap.completed),
+            (FAILED, 0, 1, snap.failed),
+            (COMPILES, 40, 0, snap.compiles_total),
+        ] {
+            let name = family.0;
+            assert_eq!(
+                (child(family, "alice"), child(family, "bob")),
+                (alice, bob),
+                "{name}"
+            );
+            assert_eq!(alice + bob, total, "{name}: sum of its tenants");
+        }
     }
 }

@@ -8,8 +8,8 @@
 //! farm itself uses); the daemon multiplexes every job onto the shared
 //! farm with fair-share batch interleaving, serves duplicate work from
 //! the shared stores (a resubmitted module is a pure cache hit: zero
-//! compiles, bit-identical result), and exports a metrics plane
-//! ([`metrics`]) off the hot path.
+//! compiles, bit-identical result), and counts every job event once, in
+//! one always-on btel registry ([`metrics`]).
 //!
 //! ## Fault containment — the contract this module exists to prove
 //!
@@ -45,7 +45,9 @@ use evald::{
     EvaldError, FaultPlan, ServiceConfig, TransportKind, WireAstArtifact, WireLowerArtifact,
 };
 use genetic::{EvalAbort, Termination};
-use metrics::{DaemonMetrics, MetricsSnapshot};
+use metrics::{
+    gauge_u64, DaemonTelemetry, MetricsSnapshot, COMPILES, COMPLETED, FAILED, JOBS, REJECTS,
+};
 use minicc::ast::Module;
 use minicc::codec::decode_module;
 use std::collections::{HashMap, VecDeque};
@@ -174,7 +176,9 @@ struct SharedFarm {
     /// Remaining chaos-injected launches: the plan plus how many more
     /// launches it poisons.
     fault: Mutex<(Option<FaultPlan>, u32)>,
-    metrics: Arc<DaemonMetrics>,
+    /// The daemon's `bintuner_daemon_farm_{launches,failures}_total`.
+    launches: Arc<btel::Counter>,
+    failures: Arc<btel::Counter>,
     /// Farm-side btel families (`bintuner_farm_*`) resolved into the
     /// daemon's always-on registry, so evictions, heartbeat misses and
     /// respawns under *any* tenant's job show up in `bintuner metrics`.
@@ -301,14 +305,14 @@ impl SharedFarm {
                 Some(self.tel.clone()),
             ) {
                 Ok(handle) => {
-                    self.metrics.farm_launches.fetch_add(1, Ordering::Relaxed);
+                    self.launches.inc();
                     state.slot = Some(FarmSlot {
                         module_hash,
                         handle,
                     });
                 }
                 Err(e) => {
-                    self.metrics.farm_failures.fetch_add(1, Ordering::Relaxed);
+                    self.failures.inc();
                     self.note_strike(module_hash);
                     let cause = Arc::new(e);
                     *failure.lock().unwrap() = Some(cause.clone());
@@ -341,7 +345,7 @@ impl SharedFarm {
                     *failure.lock().unwrap() = slot.handle.take_failure();
                 }
                 self.teardown_slot(&mut state);
-                self.metrics.farm_failures.fetch_add(1, Ordering::Relaxed);
+                self.failures.inc();
                 self.note_strike(module_hash);
             }
         }
@@ -469,100 +473,6 @@ impl ServiceExecutor for FarmExecutor {
     }
 }
 
-// ------------------------------------------------------------ telemetry
-
-/// The daemon's always-on btel plane. Unlike the per-run tuner
-/// telemetry (opt-in, bound by the Off-mode purity contract), a
-/// long-lived multi-tenant service wants its registry live from boot;
-/// every update below runs off the job hot path — admission, cancel,
-/// and completion, once per job.
-struct DaemonTelemetry {
-    registry: Arc<btel::Registry>,
-    /// Job-level spans (one per completed job), served by TraceDump.
-    tracer: btel::Tracer,
-    queue_depth: Arc<btel::Gauge>,
-    running: Arc<btel::Gauge>,
-    job_seconds: Arc<btel::Histogram>,
-    /// Jobs aborted past their submit-time deadline.
-    deadline_exceeded: Arc<btel::Counter>,
-    /// Jobs refused (or aborted) under poison-module quarantine.
-    quarantined: Arc<btel::Counter>,
-}
-
-impl DaemonTelemetry {
-    fn new() -> DaemonTelemetry {
-        let registry = Arc::new(btel::Registry::new());
-        let queue_depth = registry.gauge(
-            "bintuner_daemon_queue_depth",
-            "Jobs waiting in the admission queue.",
-        );
-        let running = registry.gauge(
-            "bintuner_daemon_running",
-            "Jobs currently executing on a runner.",
-        );
-        let job_seconds = registry.histogram(
-            "bintuner_daemon_job_seconds",
-            "Wall time of each job from claim to terminal state.",
-        );
-        let deadline_exceeded = registry.counter(
-            "bintuner_daemon_deadline_exceeded_total",
-            "Jobs aborted because their submit-time deadline passed.",
-        );
-        let quarantined = registry.counter(
-            "bintuner_daemon_quarantined_total",
-            "Jobs failed fast under poison-module quarantine.",
-        );
-        DaemonTelemetry {
-            registry,
-            tracer: btel::Tracer::enabled(1024),
-            queue_depth,
-            running,
-            job_seconds,
-            deadline_exceeded,
-            quarantined,
-        }
-    }
-
-    /// Farm-side telemetry wiring that shares the daemon's registry, so
-    /// `bintuner_farm_*` counters (evictions, heartbeat misses,
-    /// respawns, backoff) land in the same exposition the MetricsText
-    /// frame serves. The farm's span tracer stays disabled — the daemon
-    /// records job-level spans itself.
-    fn farm_telemetry(&self) -> FarmTelemetry {
-        FarmTelemetry {
-            registry: self.registry.clone(),
-            tracer: btel::Tracer::disabled(),
-        }
-    }
-
-    fn tenant_jobs(&self, tenant: &str) -> Arc<btel::Counter> {
-        self.registry.counter_with(
-            "bintuner_daemon_jobs_total",
-            "Jobs submitted, by tenant (accepted or rejected).",
-            "tenant",
-            tenant,
-        )
-    }
-
-    fn tenant_rejects(&self, tenant: &str) -> Arc<btel::Counter> {
-        self.registry.counter_with(
-            "bintuner_daemon_rejects_total",
-            "Jobs refused at admission, by tenant.",
-            "tenant",
-            tenant,
-        )
-    }
-
-    fn tenant_compiles(&self, tenant: &str) -> Arc<btel::Counter> {
-        self.registry.counter_with(
-            "bintuner_daemon_compiles_total",
-            "Real compiles performed by completed jobs, by tenant.",
-            "tenant",
-            tenant,
-        )
-    }
-}
-
 // ---------------------------------------------------------------- jobs
 
 struct JobSpec {
@@ -584,7 +494,6 @@ struct JobEntry {
 
 struct DaemonShared {
     config: DaemonConfig,
-    metrics: Arc<DaemonMetrics>,
     tel: DaemonTelemetry,
     farm: Arc<SharedFarm>,
     /// Job table. Lock order where both are needed: `queue` before
@@ -662,7 +571,6 @@ fn runner_loop(shared: Arc<DaemonShared>) {
                 queue = shared.queue_cv.wait_timeout(queue, WAIT_TICK).unwrap().0;
             }
         };
-        shared.metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
         shared.tel.queue_depth.add(-1);
         let Some((tenant, spec, control)) = ({
             let mut jobs = shared.jobs.lock().unwrap();
@@ -676,12 +584,10 @@ fn runner_loop(shared: Arc<DaemonShared>) {
         }) else {
             continue;
         };
-        shared.metrics.running.fetch_add(1, Ordering::Relaxed);
         shared.tel.running.add(1);
         let start = Instant::now();
         let result = run_job(&shared, job, &spec, &control);
         let wall = start.elapsed().as_secs_f64();
-        shared.metrics.running.fetch_sub(1, Ordering::Relaxed);
         shared.tel.running.add(-1);
         // An abort latched at a batch checkpoint overrides the generic
         // service error with the typed terminal state the client asked
@@ -702,20 +608,19 @@ fn runner_loop(shared: Arc<DaemonShared>) {
             Ok(o) => (true, o.compiles, o.persistent_hits),
             Err(_) => (false, 0, 0),
         };
-        shared
-            .metrics
-            .on_job_done(&tenant, succeeded, compiles, hits, wall);
+        let tel = &shared.tel;
+        let finished = if succeeded { COMPLETED } else { FAILED };
+        tel.tenant(finished, &tenant).inc();
+        tel.tenant(COMPILES, &tenant).add(compiles);
+        tel.persistent_hits.add(hits);
         match abort {
-            Some(AbortKind::Cancelled) => {
-                shared.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(AbortKind::DeadlineExceeded) => shared.tel.deadline_exceeded.inc(),
-            Some(AbortKind::Quarantined { .. }) => shared.tel.quarantined.inc(),
+            Some(AbortKind::Cancelled) => tel.cancelled.inc(),
+            Some(AbortKind::DeadlineExceeded) => tel.deadline_exceeded.inc(),
+            Some(AbortKind::Quarantined { .. }) => tel.quarantined.inc(),
             None => {}
         }
-        shared.tel.tenant_compiles(&tenant).add(compiles);
-        shared.tel.job_seconds.observe_seconds(wall);
-        shared.tel.tracer.record("job", 0, start);
+        tel.job_seconds.observe_seconds(wall);
+        tel.tracer.record("job", 0, start);
         let mut jobs = shared.jobs.lock().unwrap();
         if let Some(entry) = jobs.get_mut(&job) {
             entry.state = match abort {
@@ -741,11 +646,11 @@ fn handle_submit(
     dedup: bool,
     deadline_ms: u64,
 ) -> DaemonFrame {
-    shared.metrics.on_submit(&tenant);
-    shared.tel.tenant_jobs(&tenant).inc();
+    // Every Submit counts here, then either is rejected or queued, so
+    // `accepted` needs no family of its own.
+    shared.tel.tenant(JOBS, &tenant).inc();
     let reject = |code, detail: String| {
-        shared.metrics.on_reject(&tenant);
-        shared.tel.tenant_rejects(&tenant).inc();
+        shared.tel.tenant(REJECTS, &tenant).inc();
         DaemonFrame::Rejected { code, detail }
     };
     if shared.stop.load(Ordering::Relaxed) {
@@ -789,9 +694,7 @@ fn handle_submit(
         },
     );
     queue.push_back(job);
-    shared.metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
     shared.tel.queue_depth.add(1);
-    shared.metrics.accepted.fetch_add(1, Ordering::Relaxed);
     drop(queue);
     shared.queue_cv.notify_one();
     DaemonFrame::Accepted { job }
@@ -802,9 +705,8 @@ fn handle_cancel(shared: &DaemonShared, job: u64) -> DaemonFrame {
     if let Some(pos) = queue.iter().position(|&j| j == job) {
         // Still queued: dequeue and settle it right here.
         queue.remove(pos);
-        shared.metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
         shared.tel.queue_depth.add(-1);
-        shared.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
+        shared.tel.cancelled.inc();
         let mut jobs = shared.jobs.lock().unwrap();
         if let Some(entry) = jobs.get_mut(&job) {
             entry.state = JobState::Cancelled;
@@ -893,15 +795,12 @@ fn handle_frame(shared: &DaemonShared, frame: DaemonFrame) -> Option<DaemonFrame
             DaemonFrame::StatusReply {
                 job,
                 state,
-                queue_depth: shared.metrics.queue_depth.load(Ordering::Relaxed),
-                running: shared.metrics.running.load(Ordering::Relaxed),
+                queue_depth: gauge_u64(&shared.tel.queue_depth),
+                running: gauge_u64(&shared.tel.running),
             }
         }
         DaemonFrame::Cancel { job } => handle_cancel(shared, job),
         DaemonFrame::FetchResult { job } => handle_fetch(shared, job),
-        DaemonFrame::Metrics => DaemonFrame::MetricsReply {
-            snapshot: shared.metrics.snapshot(),
-        },
         DaemonFrame::MetricsText => DaemonFrame::MetricsTextReply {
             text: shared.tel.registry.render_text(),
         },
@@ -1002,7 +901,6 @@ impl Daemon {
                 (Listener::Tcp(listener), addr.into())
             }
         };
-        let metrics = Arc::new(DaemonMetrics::default());
         let tel = DaemonTelemetry::new();
         let mut farm_cfg = config.farm.clone();
         farm_cfg.fault = None;
@@ -1015,7 +913,8 @@ impl Daemon {
             cfg: farm_cfg,
             base: config.base.clone(),
             fault: Mutex::new((config.farm_fault_once, fault_launches)),
-            metrics: metrics.clone(),
+            launches: tel.farm_launches.clone(),
+            failures: tel.farm_failures.clone(),
             tel: tel.farm_telemetry(),
             state: Mutex::new(FarmState::default()),
             turn: Condvar::new(),
@@ -1026,7 +925,6 @@ impl Daemon {
         let runners = config.runners.max(1);
         let shared = Arc::new(DaemonShared {
             config,
-            metrics,
             tel,
             farm,
             jobs: Mutex::new(HashMap::new()),
@@ -1075,14 +973,15 @@ impl DaemonHandle {
         &self.addr
     }
 
-    /// A local (wire-free) metrics snapshot.
+    /// A local (wire-free) metrics snapshot: a read-only view of
+    /// [`DaemonHandle::registry`].
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.shared.metrics.snapshot()
+        self.shared.tel.snapshot()
     }
 
-    /// The daemon's always-on btel registry (queue-depth gauge,
-    /// admission rejects, per-tenant compile throughput) — what the
-    /// MetricsText frame and `bintuner metrics` render.
+    /// The daemon's always-on btel registry — every daemon counter
+    /// lives here, and nowhere else. It is what the MetricsText frame
+    /// and `bintuner metrics` render.
     pub fn registry(&self) -> Arc<btel::Registry> {
         self.shared.tel.registry.clone()
     }
@@ -1116,15 +1015,8 @@ impl DaemonHandle {
         if !drained.is_empty() {
             let mut jobs = self.shared.jobs.lock().unwrap();
             for job in drained {
-                self.shared
-                    .metrics
-                    .queue_depth
-                    .fetch_sub(1, Ordering::Relaxed);
                 self.shared.tel.queue_depth.add(-1);
-                self.shared
-                    .metrics
-                    .cancelled
-                    .fetch_add(1, Ordering::Relaxed);
+                self.shared.tel.cancelled.inc();
                 if let Some(entry) = jobs.get_mut(&job) {
                     entry.state = JobState::Cancelled;
                     entry.spec = None;
@@ -1255,18 +1147,6 @@ impl DaemonClient {
         match self.call(&DaemonFrame::FetchResult { job })? {
             DaemonFrame::ResultReply { outcome, .. } => Ok(outcome),
             _ => Err(EvaldError::Protocol("unexpected reply to FetchResult")),
-        }
-    }
-
-    /// Fetch a metrics snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Transport/protocol failures.
-    pub fn metrics(&mut self) -> Result<MetricsSnapshot, EvaldError> {
-        match self.call(&DaemonFrame::Metrics)? {
-            DaemonFrame::MetricsReply { snapshot } => Ok(snapshot),
-            _ => Err(EvaldError::Protocol("unexpected reply to Metrics")),
         }
     }
 

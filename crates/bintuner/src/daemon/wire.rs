@@ -22,18 +22,17 @@ use evald::EvaldError;
 use genetic::StopReason;
 use minicc::fnv1a32 as checksum;
 
-use super::metrics::{MetricsSnapshot, TenantCounters};
-
 /// Frame magic: `TUND`.
 pub const DAEMON_MAGIC: [u8; 4] = *b"TUND";
 
 /// Daemon wire-format version; bump on any layout change.
 ///
-/// History: v1 job control + MetricsSnapshot; v2 added the btel
-/// exposition frames (`MetricsText`/`TraceDump`); v3 added
+/// History: v1 job control + a metrics-snapshot frame; v2 added the
+/// btel exposition frames (`MetricsText`/`TraceDump`); v3 added
 /// `Submit::deadline_ms`, [`JobState::DeadlineExceeded`] and
-/// [`RejectCode::BadDeadline`].
-pub const DAEMON_WIRE_VERSION: u32 = 3;
+/// [`RejectCode::BadDeadline`]; v4 dropped the snapshot frame pair
+/// (tags 9 and 10), leaving `MetricsText` the one metrics reply.
+pub const DAEMON_WIRE_VERSION: u32 = 4;
 
 /// Frame length cap, shared with the farm wire (one transport stack).
 pub const MAX_FRAME_LEN: usize = evald::wire::MAX_FRAME_LEN;
@@ -47,8 +46,6 @@ const TAG_CANCEL: u8 = 5;
 const TAG_CANCEL_REPLY: u8 = 6;
 const TAG_FETCH_RESULT: u8 = 7;
 const TAG_RESULT_REPLY: u8 = 8;
-const TAG_METRICS: u8 = 9;
-const TAG_METRICS_REPLY: u8 = 10;
 const TAG_METRICS_TEXT: u8 = 11;
 const TAG_METRICS_TEXT_REPLY: u8 = 12;
 const TAG_TRACE_DUMP: u8 = 13;
@@ -256,13 +253,6 @@ pub enum DaemonFrame {
         /// `Ok` for Done, `Err(message)` for Failed/Cancelled/Unknown.
         outcome: Result<WireTuneOutcome, String>,
     },
-    /// Client → daemon: request a metrics snapshot.
-    Metrics,
-    /// Daemon → client: the snapshot.
-    MetricsReply {
-        /// Every counter, consistently read.
-        snapshot: MetricsSnapshot,
-    },
     /// Client → daemon: request the Prometheus-style text exposition of
     /// the daemon's btel registry (what `bintuner metrics` renders).
     MetricsText,
@@ -287,24 +277,6 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
 
 fn read_str(r: &mut Reader<'_>) -> Result<String, EvaldError> {
     String::from_utf8(r.bytes()?).map_err(|_| EvaldError::Corrupt("string is not UTF-8"))
-}
-
-fn put_opt_f64(out: &mut Vec<u8>, v: Option<f64>) {
-    match v {
-        None => out.put_u8(0),
-        Some(v) => {
-            out.put_u8(1);
-            out.put_u64_le(v.to_bits());
-        }
-    }
-}
-
-fn read_opt_f64(r: &mut Reader<'_>) -> Result<Option<f64>, EvaldError> {
-    Ok(match r.u8()? {
-        0 => None,
-        1 => Some(f64::from_bits(r.u64()?)),
-        _ => return Err(EvaldError::Corrupt("option tag out of range")),
-    })
 }
 
 /// Encode one daemon frame, length prefix included — ready for any
@@ -388,35 +360,6 @@ pub fn encode_daemon_frame(frame: &DaemonFrame) -> Vec<u8> {
                     body.put_u8(0);
                     put_str(&mut body, message);
                 }
-            }
-        }
-        DaemonFrame::Metrics => {
-            body.put_u8(TAG_METRICS);
-        }
-        DaemonFrame::MetricsReply { snapshot } => {
-            body.put_u8(TAG_METRICS_REPLY);
-            body.put_u64_le(snapshot.submitted);
-            body.put_u64_le(snapshot.accepted);
-            body.put_u64_le(snapshot.rejected);
-            body.put_u64_le(snapshot.completed);
-            body.put_u64_le(snapshot.failed);
-            body.put_u64_le(snapshot.cancelled);
-            body.put_u64_le(snapshot.queue_depth);
-            body.put_u64_le(snapshot.running);
-            body.put_u64_le(snapshot.compiles_total);
-            body.put_u64_le(snapshot.persistent_hits_total);
-            body.put_u64_le(snapshot.farm_launches);
-            body.put_u64_le(snapshot.farm_failures);
-            put_opt_f64(&mut body, snapshot.ewma_job_seconds);
-            put_opt_f64(&mut body, snapshot.ewma_compiles_per_second);
-            body.put_u32_le(snapshot.tenants.len() as u32);
-            for (tenant, t) in &snapshot.tenants {
-                put_str(&mut body, tenant);
-                body.put_u64_le(t.submitted);
-                body.put_u64_le(t.rejected);
-                body.put_u64_le(t.completed);
-                body.put_u64_le(t.failed);
-                body.put_u64_le(t.compiles);
             }
         }
         DaemonFrame::MetricsText => {
@@ -537,50 +480,6 @@ pub fn decode_daemon_frame(buf: &[u8]) -> Result<(DaemonFrame, usize), EvaldErro
             };
             DaemonFrame::ResultReply { job, outcome }
         }
-        TAG_METRICS => DaemonFrame::Metrics,
-        TAG_METRICS_REPLY => {
-            let (submitted, accepted, rejected) = (r.u64()?, r.u64()?, r.u64()?);
-            let (completed, failed, cancelled) = (r.u64()?, r.u64()?, r.u64()?);
-            let (queue_depth, running) = (r.u64()?, r.u64()?);
-            let (compiles_total, persistent_hits_total) = (r.u64()?, r.u64()?);
-            let (farm_launches, farm_failures) = (r.u64()?, r.u64()?);
-            let ewma_job_seconds = read_opt_f64(&mut r)?;
-            let ewma_compiles_per_second = read_opt_f64(&mut r)?;
-            let n = r.u32()? as usize;
-            let mut tenants = Vec::with_capacity(n.min(1 << 12));
-            for _ in 0..n {
-                let tenant = read_str(&mut r)?;
-                tenants.push((
-                    tenant,
-                    TenantCounters {
-                        submitted: r.u64()?,
-                        rejected: r.u64()?,
-                        completed: r.u64()?,
-                        failed: r.u64()?,
-                        compiles: r.u64()?,
-                    },
-                ));
-            }
-            DaemonFrame::MetricsReply {
-                snapshot: MetricsSnapshot {
-                    submitted,
-                    accepted,
-                    rejected,
-                    completed,
-                    failed,
-                    cancelled,
-                    queue_depth,
-                    running,
-                    compiles_total,
-                    persistent_hits_total,
-                    farm_launches,
-                    farm_failures,
-                    ewma_job_seconds,
-                    ewma_compiles_per_second,
-                    tenants,
-                },
-            }
-        }
         TAG_METRICS_TEXT => DaemonFrame::MetricsText,
         TAG_METRICS_TEXT_REPLY => DaemonFrame::MetricsTextReply {
             text: read_str(&mut r)?,
@@ -662,35 +561,6 @@ mod tests {
                 job: 8,
                 outcome: Err("evaluation service failed: no live clients".into()),
             },
-            DaemonFrame::Metrics,
-            DaemonFrame::MetricsReply {
-                snapshot: MetricsSnapshot {
-                    submitted: 5,
-                    accepted: 4,
-                    rejected: 1,
-                    completed: 3,
-                    failed: 1,
-                    cancelled: 0,
-                    queue_depth: 0,
-                    running: 0,
-                    compiles_total: 120,
-                    persistent_hits_total: 60,
-                    farm_launches: 2,
-                    farm_failures: 1,
-                    ewma_job_seconds: Some(1.25),
-                    ewma_compiles_per_second: None,
-                    tenants: vec![(
-                        "ci".into(),
-                        TenantCounters {
-                            submitted: 5,
-                            rejected: 1,
-                            completed: 3,
-                            failed: 1,
-                            compiles: 120,
-                        },
-                    )],
-                },
-            },
             DaemonFrame::MetricsText,
             DaemonFrame::MetricsTextReply {
                 text: "# TYPE bintuner_daemon_jobs_total counter\n\
@@ -732,15 +602,15 @@ mod tests {
         wrong_version[8..12].copy_from_slice(&99u32.to_le_bytes());
         assert!(matches!(
             decode_daemon_frame(&wrong_version),
-            Err(EvaldError::VersionMismatch { got: 99, want: 3 })
+            Err(EvaldError::VersionMismatch { got: 99, want: 4 })
         ));
-        // A v2 peer (no deadline field on Submit) is told exactly what
-        // the daemon speaks now, not misparsed.
-        let mut v2 = bytes.clone();
-        v2[8..12].copy_from_slice(&2u32.to_le_bytes());
+        // A v3 peer (which still speaks the snapshot frames) is told
+        // exactly what the daemon speaks now, not misparsed.
+        let mut v3 = bytes.clone();
+        v3[8..12].copy_from_slice(&3u32.to_le_bytes());
         assert!(matches!(
-            decode_daemon_frame(&v2),
-            Err(EvaldError::VersionMismatch { got: 2, want: 3 })
+            decode_daemon_frame(&v3),
+            Err(EvaldError::VersionMismatch { got: 3, want: 4 })
         ));
         // A farm frame sent to the daemon port: rejected by magic, not
         // misparsed (and symmetrically, TUND magic fails EVLD decode).

@@ -355,7 +355,7 @@ fn cancel_reaches_a_running_job(transport: TransportKind, name: &str) {
     assert!(message.contains("cancelled"), "{message}");
     let (state, _, _) = client.status(job).unwrap();
     assert_eq!(state, JobState::Cancelled);
-    let snapshot = client.metrics().unwrap();
+    let snapshot = daemon.metrics_snapshot();
     assert_eq!(snapshot.cancelled, 1);
     daemon.shutdown();
 }

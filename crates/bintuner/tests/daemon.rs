@@ -6,7 +6,6 @@
 //! the PR's reason to exist — losing every farm worker mid-batch must
 //! fail *the job*, never the daemon.
 
-use bintuner::daemon::metrics::MetricsSnapshot;
 use bintuner::daemon::wire::{JobState, RejectCode, WireTuneOutcome};
 use bintuner::daemon::{Daemon, DaemonClient, DaemonConfig, DaemonHandle};
 use bintuner::{ArtifactStore, ProcessFarm, TuneResult, Tuner, TunerConfig, WorkerMode};
@@ -76,11 +75,11 @@ fn submit_and_fetch(
     client.fetch_result(job).expect("fetch over the wire")
 }
 
-/// Honor the CI hook: persist a metrics snapshot where the workflow can
-/// pick it up as a build artifact.
-fn export_metrics(snapshot: &MetricsSnapshot) {
+/// Honor the CI hook: persist the daemon's exposition page where the
+/// workflow can pick it up as a build artifact.
+fn export_metrics(daemon: &DaemonHandle) {
     if let Ok(path) = std::env::var("DAEMON_METRICS_OUT") {
-        std::fs::write(path, snapshot.to_string()).expect("write metrics artifact");
+        std::fs::write(path, daemon.registry().render_text()).expect("write metrics artifact");
     }
 }
 
@@ -107,22 +106,26 @@ fn duplicate_submission_is_a_pure_cache_hit_bit_identical_across_tenants() {
     assert!(second.persistent_hits > 0, "served from the shared store");
     assert_outcome_matches_solo(&second, &reference, "duplicate daemon job vs solo");
 
-    let snapshot = client.metrics().expect("metrics over the wire");
+    let snapshot = daemon.metrics_snapshot();
     assert_eq!(snapshot.submitted, 2);
     assert_eq!(snapshot.accepted, 2);
     assert_eq!(snapshot.completed, 2);
     assert_eq!(snapshot.failed, 0);
     assert_eq!(snapshot.compiles_total, first.compiles);
     assert!(snapshot.persistent_hits_total >= second.persistent_hits);
-    assert!(snapshot.ewma_job_seconds.is_some(), "rate estimator seeded");
-    let by_tenant: Vec<&str> = snapshot.tenants.iter().map(|(n, _)| n.as_str()).collect();
-    assert_eq!(by_tenant, ["alice", "bob"]);
-    assert_eq!(snapshot.tenants[0].1.compiles, first.compiles);
+    let registry = daemon.registry();
+    let compiles = "bintuner_daemon_compiles_total";
+    assert_eq!(registry.label_values(compiles), ["alice", "bob"]);
     assert_eq!(
-        snapshot.tenants[1].1.compiles, 0,
+        registry.counter_value(compiles, Some("alice")),
+        Some(first.compiles)
+    );
+    assert_eq!(
+        registry.counter_value(compiles, Some("bob")),
+        Some(0),
         "bob rode alice's compiles"
     );
-    export_metrics(&snapshot);
+    export_metrics(&daemon);
     daemon.shutdown();
 }
 
@@ -264,7 +267,7 @@ fn farm_loss_fails_the_job_not_the_daemon(transport: TransportKind) {
     let retry = submit_and_fetch(&mut client, "alice", &module, 0x10E).expect("retry succeeds");
     assert_outcome_matches_solo(&retry, &reference, "post-crash retry vs solo");
 
-    let snapshot = client.metrics().unwrap();
+    let snapshot = daemon.metrics_snapshot();
     assert_eq!(snapshot.failed, 1);
     assert_eq!(snapshot.completed, 1);
     assert!(snapshot.farm_failures >= 1, "the loss was counted");
@@ -308,13 +311,19 @@ fn admission_control_rejects_with_types_not_blocking() {
     assert_eq!(state, JobState::Unknown);
     assert!(!client.cancel(999).unwrap(), "nothing queued to cancel");
 
-    let snapshot = client.metrics().unwrap();
+    let snapshot = daemon.metrics_snapshot();
     assert_eq!(snapshot.submitted, 1);
     assert_eq!(snapshot.rejected, 1);
     assert_eq!(snapshot.accepted, 0);
-    let carol = &snapshot.tenants[0];
-    assert_eq!(carol.0, "carol");
-    assert_eq!(carol.1.rejected, 1);
+    let registry = daemon.registry();
+    assert_eq!(
+        registry.label_values("bintuner_daemon_rejects_total"),
+        ["carol"]
+    );
+    assert_eq!(
+        registry.counter_value("bintuner_daemon_rejects_total", Some("carol")),
+        Some(1)
+    );
     daemon.shutdown();
 }
 

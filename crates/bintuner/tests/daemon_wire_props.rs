@@ -1,9 +1,9 @@
-//! Property tests for the daemon wire (v3): the deadline-bearing
+//! Property tests for the daemon wire (v4): the deadline-bearing
 //! `Submit` and the full job-lifecycle reply set must round-trip
 //! bit-exactly; every truncation of a valid frame must be rejected as
 //! truncated or corrupt — never misread; and a version field that is
 //! not exactly `DAEMON_WIRE_VERSION` must be refused with the typed
-//! mismatch carrying both sides, so a v2 peer gets a diagnosis instead
+//! mismatch carrying both sides, so a v3 peer gets a diagnosis instead
 //! of garbage.
 
 use bintuner::daemon::wire::{

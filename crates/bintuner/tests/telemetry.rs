@@ -307,6 +307,10 @@ fn daemon_serves_metrics_and_traces_over_the_v2_wire() {
         "bintuner_daemon_compiles_total{{tenant=\"alice\"}} {compiles}"
     )));
     assert!(text.contains("bintuner_daemon_job_seconds_count 1"));
+    // Job outcomes and farm launches are registry families too — the
+    // snapshot is only a view of them.
+    assert!(text.contains("bintuner_daemon_completed_total{tenant=\"alice\"} 1"));
+    assert!(text.contains("bintuner_daemon_farm_launches_total 1"));
 
     // And the span ring has the job's root span, served as JSONL.
     let jsonl = client.trace_dump().expect("trace dump over the wire");

@@ -1,11 +1,9 @@
 //! # btel — BinTuner's unified telemetry plane.
 //!
-//! Before this crate, the reproduction's telemetry was three islands
-//! that could only be inspected after a run ended: `EngineStats`
-//! counters, `ServiceStats` farm aggregates, and `DaemonMetrics`
-//! atomics — each with its own hand-rolled rate math (two separate EWMA
-//! implementations, three copies of hit-rate arithmetic). This crate is
-//! the single substrate they all share:
+//! The engine, the evaluation farm and the daemon all instrument
+//! through this crate instead of rolling their own rate math (one EWMA,
+//! one hit-rate ratio), and the daemon keeps its counters here and
+//! nowhere else. The substrate:
 //!
 //! * **Metrics core** — [`Counter`] and [`Gauge`] are single relaxed
 //!   atomics; [`Histogram`] is a fixed array of log2 buckets over
@@ -205,9 +203,8 @@ impl Histogram {
     }
 }
 
-/// The exponentially-weighted moving average — the single estimator
-/// behind both the evaluation scheduler's per-client cost model and
-/// the daemon's job-throughput rates.
+/// The exponentially-weighted moving average — the estimator behind
+/// the evaluation scheduler's per-client cost model.
 ///
 /// The update is the *convex-combination* form
 /// `v' = (1 − α)·v + α·x` (not the algebraically equal
@@ -215,9 +212,8 @@ impl Histogram {
 /// floating-point trajectories, so the unified estimator keeps the
 /// form those bits were produced by.
 ///
-/// Guards are shared by all users: non-finite or negative samples are
-/// rejected (`observe` returns `false`) instead of poisoning the
-/// average — the edge cases the daemon's former private copy ignored.
+/// Non-finite or negative samples are rejected (`observe` returns
+/// `false`) instead of poisoning the average.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ewma {
     alpha: f64,
@@ -414,7 +410,10 @@ impl Registry {
     /// `# HELP` / `# TYPE` headers per family, one sample line per
     /// child, `_bucket`/`_sum`/`_count` expansion for histograms.
     /// Families and children render in sorted order, so the page is
-    /// deterministic given the metric values.
+    /// deterministic given the metric values. Label values are escaped
+    /// as the Prometheus text format requires (`\\`, `\"`, `\n`), so a
+    /// value taken from a client — a daemon tenant name — cannot end
+    /// its sample line or forge another.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         let families = self.families.lock().unwrap();
@@ -430,7 +429,7 @@ impl Registry {
                 let labels = |extra: Option<(&str, String)>| -> String {
                     let mut parts = Vec::new();
                     if let (Some(key), false) = (family.label, value.is_empty()) {
-                        parts.push(format!("{key}=\"{value}\""));
+                        parts.push(format!("{key}=\"{}\"", escape_label(value)));
                     }
                     if let Some((k, v)) = extra {
                         parts.push(format!("{k}=\"{v}\""));
@@ -476,6 +475,15 @@ impl Registry {
         }
         out
     }
+}
+
+/// A label value escaped for the text page: backslash, double quote
+/// and newline become `\\`, `\"` and `\n`.
+fn escape_label(value: &str) -> String {
+    value
+        .replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
 }
 
 /// One recorded trace span. Offsets and durations are microseconds on
@@ -752,6 +760,15 @@ mod tests {
         assert_eq!(reg.counter_value("bt_tier_hits", Some("1")), Some(2));
         assert_eq!(reg.counter_value("bt_tier_hits", Some("9")), None);
         assert_eq!(reg.label_values("bt_tier_hits"), vec!["0", "1"]);
+        // A label value from a client that tries to close its sample
+        // line and forge another must render escaped, on one line.
+        reg.counter_with(
+            "bt_tier_hits",
+            "per-tier",
+            "tier",
+            "evil\"} 1\nbintuner_daemon_compiles_total{tenant=\"victim",
+        )
+        .inc();
 
         // Pinned golden exposition (counters + gauge; histogram page
         // pinned separately below).
@@ -766,6 +783,7 @@ bt_depth 5
 # TYPE bt_tier_hits counter
 bt_tier_hits{tier=\"0\"} 1
 bt_tier_hits{tier=\"1\"} 2
+bt_tier_hits{tier=\"evil\\\"} 1\\nbintuner_daemon_compiles_total{tenant=\\\"victim\"} 1
 ";
         assert_eq!(reg.render_text(), expected);
     }
