@@ -1,6 +1,7 @@
 //! The daemon's client-facing wire format.
 //!
-//! Same discipline as `evald::wire`, same physical framing — so the
+//! Same discipline as `evald::wire`, same physical framing (written
+//! and checked by `evald::wire::{seal_frame, open_frame}`) — so the
 //! daemon reuses the evald stream transports unchanged — but its own
 //! magic and version: the job-control plane and the farm data plane
 //! evolve independently, and a worker accidentally pointed at a daemon
@@ -17,10 +18,9 @@
 //! be *bit-identical* to the solo-run `TuneResult`, checksum included.
 
 use bytes::BufMut;
-use evald::wire::{put_genome, Reader};
+use evald::wire::{open_frame, put_genome, seal_frame, Reader};
 use evald::EvaldError;
 use genetic::StopReason;
-use minicc::fnv1a32 as checksum;
 
 /// Frame magic: `TUND`.
 pub const DAEMON_MAGIC: [u8; 4] = *b"TUND";
@@ -33,9 +33,6 @@ pub const DAEMON_MAGIC: [u8; 4] = *b"TUND";
 /// [`RejectCode::BadDeadline`]; v4 dropped the snapshot frame pair
 /// (tags 9 and 10), leaving `MetricsText` the one metrics reply.
 pub const DAEMON_WIRE_VERSION: u32 = 4;
-
-/// Frame length cap, shared with the farm wire (one transport stack).
-pub const MAX_FRAME_LEN: usize = evald::wire::MAX_FRAME_LEN;
 
 const TAG_SUBMIT: u8 = 0;
 const TAG_ACCEPTED: u8 = 1;
@@ -377,12 +374,7 @@ pub fn encode_daemon_frame(frame: &DaemonFrame) -> Vec<u8> {
             put_str(&mut body, jsonl);
         }
     }
-    let ck = checksum(&body);
-    let mut out = Vec::with_capacity(4 + body.len() + 4);
-    out.put_u32_le((body.len() + 4) as u32);
-    out.put_slice(&body);
-    out.put_u32_le(ck);
-    out
+    seal_frame(&body)
 }
 
 /// Decode one daemon frame from the head of `buf`, returning it with
@@ -390,48 +382,12 @@ pub fn encode_daemon_frame(frame: &DaemonFrame) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// As `evald::wire::decode_frame`: `Truncated` for a partial frame,
-/// `BadMagic` / `VersionMismatch` / `Corrupt` for frames that cannot be
-/// trusted.
+/// As [`open_frame`]: `Truncated` for a partial frame, `BadMagic` /
+/// `VersionMismatch` / `Corrupt` for frames that cannot be trusted;
+/// `Corrupt` also for a payload that does not parse.
 pub fn decode_daemon_frame(buf: &[u8]) -> Result<(DaemonFrame, usize), EvaldError> {
-    if buf.len() < 4 {
-        return Err(EvaldError::Truncated {
-            needed: 4,
-            got: buf.len(),
-        });
-    }
-    let len = u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(EvaldError::Corrupt("frame length exceeds the cap"));
-    }
-    if len < 4 + 4 + 1 + 4 {
-        return Err(EvaldError::Corrupt("frame shorter than its fixed header"));
-    }
-    let total = 4 + len;
-    if buf.len() < total {
-        return Err(EvaldError::Truncated {
-            needed: total,
-            got: buf.len(),
-        });
-    }
-    let body = &buf[4..total];
-    if body[..4] != DAEMON_MAGIC {
-        return Err(EvaldError::BadMagic);
-    }
-    let version = u32::from_le_bytes(body[4..8].try_into().unwrap());
-    if version != DAEMON_WIRE_VERSION {
-        return Err(EvaldError::VersionMismatch {
-            got: version,
-            want: DAEMON_WIRE_VERSION,
-        });
-    }
-    let (payload, ck_bytes) = body.split_at(body.len() - 4);
-    let stored = u32::from_le_bytes(ck_bytes.try_into().unwrap());
-    if checksum(payload) != stored {
-        return Err(EvaldError::Corrupt("checksum mismatch"));
-    }
-    let mut r = Reader::new(&payload[9..]); // past magic+version+tag
-    let frame = match payload[8] {
+    let (tag, mut r, total) = open_frame(buf, DAEMON_MAGIC, DAEMON_WIRE_VERSION)?;
+    let frame = match tag {
         TAG_SUBMIT => {
             let tenant = read_str(&mut r)?;
             let module = r.bytes()?;
@@ -584,6 +540,23 @@ mod tests {
             assert_eq!(decoded, frame);
             assert_eq!(used, bytes.len());
         }
+    }
+
+    #[test]
+    fn envelope_bytes_are_pinned() {
+        // Round trips cannot see an encoder and a decoder that change
+        // together; the exact bytes of one small frame can.
+        let golden = [
+            0x15, 0x00, 0x00, 0x00, // length of the rest
+            0x54, 0x55, 0x4e, 0x44, // "TUND"
+            0x04, 0x00, 0x00, 0x00, // DAEMON_WIRE_VERSION
+            0x03, // TAG_STATUS
+            0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // job
+            0xc2, 0x48, 0x00, 0x87, // FNV-1a over magic..payload
+        ];
+        let frame = DaemonFrame::Status { job: 7 };
+        assert_eq!(encode_daemon_frame(&frame), golden);
+        assert_eq!(decode_daemon_frame(&golden).unwrap(), (frame, golden.len()));
     }
 
     #[test]

@@ -168,9 +168,8 @@ impl EngineConfig {
     }
 }
 
-/// Cumulative engine telemetry (drives the engine-scaling and
-/// staged-compile benches and the cache-hit columns of the iteration
-/// database).
+/// Cumulative engine telemetry (drives perfbench's engine metrics and
+/// the cache-hit columns of the iteration database).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EngineStats {
     /// Total genome evaluations requested (including cache hits).

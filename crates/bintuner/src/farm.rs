@@ -7,22 +7,19 @@
 //! over the configured stream transport (Unix socket or TCP loopback),
 //! sends its [`evald::wire::Frame::Hello`], receives the module under
 //! test as a [`evald::wire::Frame::Job`] (encoded with
-//! [`minicc::codec`]), builds its own [`FitnessEngine`], and serves
-//! shards exactly like a thread client would.
+//! [`minicc::codec`]), builds its own [`crate::FitnessEngine`], and
+//! serves shards exactly like a thread client would.
 //!
 //! This module holds both halves of that protocol: [`worker_main`] (the
 //! child side, invoked from the `bintuner` binary) and the crate-private
 //! `WorkerSpec` (the parent side: binary resolution and process
 //! spawning, used by the service launcher).
 
-use crate::engine::EngineConfig;
-use crate::service::EngineWorker;
-use crate::store::FitnessStore;
-use crate::FitnessEngine;
+use crate::service::serve_client_engine;
 use binrep::Arch;
 use evald::wire::{decode_frame, encode_frame, Frame};
 use evald::{tcp_connect, unix_connect, ClientOptions, EvaldError, FaultKind};
-use minicc::{Compiler, CompilerKind, CompilerProfile};
+use minicc::{CompilerKind, CompilerProfile};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -376,38 +373,18 @@ fn run_worker(args: &WorkerArgs) -> Result<(), EvaldError> {
     };
     let module = minicc::codec::decode_module(&payload)
         .map_err(|_| EvaldError::Corrupt("job payload is not an encoded module"))?;
-    let compiler = Compiler::new(args.kind);
-    let mut engine = FitnessEngine::with_store(
-        &compiler,
+    let serve = |w: &mut dyn evald::ShardWorker| evald::serve(w, &mut duplex, &opts);
+    let failed = EvaldError::Protocol("worker engine failed its baseline compile");
+    serve_client_engine(
+        args.kind,
         &module,
         args.arch,
-        EngineConfig {
-            workers: 1,
-            artifact_cache: args.artifact_cache,
-            ..EngineConfig::default()
-        },
-        FitnessStore::in_memory(),
+        args.artifact_cache,
+        args.trace,
+        args.client_id,
+        serve,
     )
-    .map_err(|_| EvaldError::Protocol("worker engine failed its baseline compile"))?;
-    if args.artifact_cache {
-        // Producer-only seam, same as a thread client: never saved and
-        // never queried, it only captures fresh stage artifacts for the
-        // merge barrier (see `client_thread` in `crate::service`).
-        engine.set_artifact_store(crate::store::ArtifactStore::in_memory());
-    }
-    if args.trace {
-        // The worker keeps a private registry (only spans travel back;
-        // the handles hold their metrics alive without it) and an id
-        // base partitioning span ids per client so stitched traces
-        // never collide with the server's — or each other's — ids.
-        let registry = btel::Registry::new();
-        let tracer = btel::Tracer::with_id_base(4096, (u64::from(args.client_id) + 1) << 48);
-        engine.set_telemetry(crate::engine::EngineTelemetry::from_registry(
-            &registry, tracer,
-        ));
-    }
-    let mut worker = EngineWorker::new(&engine);
-    evald::serve(&mut worker, &mut duplex, &opts)
+    .ok_or(failed)?
 }
 
 /// Everything the parent needs to (re)spawn one worker process.

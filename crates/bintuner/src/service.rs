@@ -190,10 +190,6 @@ pub struct ServiceSummary {
     pub workers_killed: usize,
     /// Shard wall-time measurements folded into the adaptive cost model.
     pub cost_observations: u64,
-    /// The adaptive cost model's converged farm-wide estimate
-    /// (seconds per genome), once it has seen enough shards; `None`
-    /// while the static [`minicc::ModuleFeatures`] prior still rules.
-    pub observed_secs_per_genome: Option<f64>,
     /// Shard size chosen for each batch, in batch order — the trace
     /// showing shard sizes converging to observed farm throughput.
     pub shard_sizes: Vec<usize>,
@@ -297,23 +293,25 @@ impl std::fmt::Debug for ServiceHandle {
     }
 }
 
-/// One client thread: build a compiler + engine of our own and serve
-/// shards until the server shuts us down. An engine that cannot even
-/// compile the baseline exits immediately — the server sees the
-/// disconnect and carries on with the remaining clients.
-fn client_thread(
+/// Build a farm client's engine and hand it to `serve` as its
+/// [`ShardWorker`]; `None` when the engine cannot compile the baseline.
+/// Thread clients (`run_client`) and worker processes (`evald::serve`,
+/// from [`crate::farm`]) build it the same way: one worker, its own
+/// [`Compiler`], an in-memory [`FitnessStore`] that accumulates the
+/// shard results it computes.
+pub(crate) fn serve_client_engine<R>(
     kind: CompilerKind,
-    module: Module,
+    module: &Module,
     arch: Arch,
     artifact_cache: bool,
     trace: bool,
-    duplex: Duplex,
-    opts: ClientOptions,
-) {
+    client_id: u32,
+    serve: impl FnOnce(&mut dyn ShardWorker) -> R,
+) -> Option<R> {
     let compiler = Compiler::new(kind);
-    let Ok(mut engine) = FitnessEngine::with_store(
+    let mut engine = FitnessEngine::with_store(
         &compiler,
-        &module,
+        module,
         arch,
         EngineConfig {
             workers: 1,
@@ -321,9 +319,8 @@ fn client_thread(
             ..EngineConfig::default()
         },
         FitnessStore::in_memory(),
-    ) else {
-        return;
-    };
+    )
+    .ok()?;
     if artifact_cache {
         // An in-memory artifact store is a pure *producer* seam: it is
         // never saved, so it never answers membership queries — the
@@ -334,21 +331,20 @@ fn client_thread(
         engine.set_artifact_store(ArtifactStore::in_memory());
     }
     if trace {
-        // Thread clients trace exactly like worker processes do: a
-        // private registry (only spans travel back over the wire) and a
-        // per-client span-id range for collision-free stitching.
+        // A private registry (only spans travel back over the wire; the
+        // handles hold their metrics alive without it) and a per-client
+        // span-id range, so stitched traces never collide with the
+        // server's — or each other's — ids.
         let registry = btel::Registry::new();
-        let tracer = btel::Tracer::with_id_base(4096, (u64::from(opts.client_id) + 1) << 48);
+        let tracer = btel::Tracer::with_id_base(4096, (u64::from(client_id) + 1) << 48);
         engine.set_telemetry(EngineTelemetry::from_registry(&registry, tracer));
     }
-    let mut worker = EngineWorker::new(&engine);
-    // A disconnect here is the server going away — normal end of service.
-    let _ = run_client(&mut worker, duplex, &opts);
+    Some(serve(&mut EngineWorker::new(&engine)))
 }
 
-/// [`ShardWorker`] over a client-local [`FitnessEngine`] — shared by
-/// thread clients (here) and worker processes ([`crate::farm`]).
-pub(crate) struct EngineWorker<'e, 'a> {
+/// [`ShardWorker`] over a farm client's [`FitnessEngine`] (see
+/// [`serve_client_engine`]).
+struct EngineWorker<'e, 'a> {
     engine: &'e FitnessEngine<'a>,
     /// Stats snapshot at the last shard (per-shard deltas go on the
     /// wire).
@@ -356,7 +352,7 @@ pub(crate) struct EngineWorker<'e, 'a> {
 }
 
 impl<'e, 'a> EngineWorker<'e, 'a> {
-    pub(crate) fn new(engine: &'e FitnessEngine<'a>) -> EngineWorker<'e, 'a> {
+    fn new(engine: &'e FitnessEngine<'a>) -> EngineWorker<'e, 'a> {
         EngineWorker {
             engine,
             last: EngineStats::default(),
@@ -563,6 +559,33 @@ impl ServiceHandle {
             );
         }
 
+        // One client thread serves shards from an engine of its own until
+        // the server shuts it down. A client whose engine cannot compile
+        // the baseline exits at once; the server sees the disconnect and
+        // carries on with the rest.
+        let spawn_client = |i: usize, duplex: Duplex| {
+            let fault = fault_for(i);
+            let opts = ClientOptions {
+                client_id: i as u32,
+                n_flags,
+                fail_after_shards: fault.map(|(after, _)| after),
+                fault_kind: fault.map(|(_, kind)| kind).unwrap_or_default(),
+            };
+            let module = module.clone();
+            std::thread::spawn(move || {
+                let serve = |w: &mut dyn ShardWorker| run_client(w, duplex, &opts);
+                // A disconnect is the server going away — normal end of service.
+                let _ = serve_client_engine(
+                    kind,
+                    &module,
+                    arch,
+                    artifact_cache,
+                    trace,
+                    opts.client_id,
+                    serve,
+                );
+            })
+        };
         let mut server_side: Vec<Duplex> = Vec::with_capacity(n_clients);
         let mut handles = Vec::with_capacity(n_clients);
         match cfg.transport {
@@ -570,17 +593,7 @@ impl ServiceHandle {
                 for i in 0..n_clients {
                     let (server_end, client_end) = channel_duplex();
                     server_side.push(server_end);
-                    let module = module.clone();
-                    let fault = fault_for(i);
-                    let opts = ClientOptions {
-                        client_id: i as u32,
-                        n_flags,
-                        fail_after_shards: fault.map(|(after, _)| after),
-                        fault_kind: fault.map(|(_, kind)| kind).unwrap_or_default(),
-                    };
-                    handles.push(std::thread::spawn(move || {
-                        client_thread(kind, module, arch, artifact_cache, trace, client_end, opts);
-                    }));
+                    handles.push(spawn_client(i, client_end));
                 }
             }
             TransportKind::Unix => {
@@ -588,14 +601,6 @@ impl ServiceHandle {
                 // this arm ends — every client has connected by then.
                 let listener = unix_listener(&farm_socket_path())?;
                 for i in 0..n_clients {
-                    let module = module.clone();
-                    let fault = fault_for(i);
-                    let opts = ClientOptions {
-                        client_id: i as u32,
-                        n_flags,
-                        fail_after_shards: fault.map(|(after, _)| after),
-                        fault_kind: fault.map(|(_, kind)| kind).unwrap_or_default(),
-                    };
                     // Connect on *this* thread, then accept the pending
                     // connection: both steps fail fast through `?`. A
                     // client thread that connected for itself could die
@@ -604,28 +609,16 @@ impl ServiceHandle {
                     // (any client may serve any shard).
                     let client_end = unix_connect(listener.path())?;
                     server_side.push(unix_accept(&listener)?);
-                    handles.push(std::thread::spawn(move || {
-                        client_thread(kind, module, arch, artifact_cache, trace, client_end, opts);
-                    }));
+                    handles.push(spawn_client(i, client_end));
                 }
             }
             TransportKind::Tcp => {
                 let (listener, addr) = tcp_listener()?;
                 for i in 0..n_clients {
-                    let module = module.clone();
-                    let fault = fault_for(i);
-                    let opts = ClientOptions {
-                        client_id: i as u32,
-                        n_flags,
-                        fail_after_shards: fault.map(|(after, _)| after),
-                        fault_kind: fault.map(|(_, kind)| kind).unwrap_or_default(),
-                    };
                     // Same connect-then-accept discipline as Unix.
                     let client_end = evald::tcp_connect(addr)?;
                     server_side.push(tcp_accept(&listener)?);
-                    handles.push(std::thread::spawn(move || {
-                        client_thread(kind, module, arch, artifact_cache, trace, client_end, opts);
-                    }));
+                    handles.push(spawn_client(i, client_end));
                 }
             }
         }
@@ -939,22 +932,9 @@ impl ServiceHandle {
     pub fn finish(mut self) -> (ServiceSummary, Vec<MergeRecord>) {
         // Cost-model telemetry must be read before shutdown consumes the
         // server.
-        let (merged, observed_secs_per_genome, shard_sizes) = {
-            let mut guard = self.server.lock().unwrap();
-            let merged = guard
-                .as_mut()
-                .map(EvalServer::take_merged)
-                .unwrap_or_default();
-            let (observed, sizes) = guard
-                .as_ref()
-                .map(|s| {
-                    (
-                        s.cost_model().observed_secs_per_genome(),
-                        s.shard_sizes().to_vec(),
-                    )
-                })
-                .unwrap_or((None, Vec::new()));
-            (merged, observed, sizes)
+        let (merged, shard_sizes) = match self.server.lock().unwrap().as_mut() {
+            Some(server) => (server.take_merged(), server.shard_sizes().to_vec()),
+            None => Default::default(),
         };
         let stats = self.teardown().expect("finish tears down once");
         (
@@ -977,7 +957,6 @@ impl ServiceHandle {
                 heartbeat_misses: stats.heartbeat_misses,
                 workers_killed: self.workers_killed.load(Ordering::Relaxed),
                 cost_observations: stats.cost_observations,
-                observed_secs_per_genome,
                 shard_sizes,
             },
             merged,

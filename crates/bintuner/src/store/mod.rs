@@ -564,7 +564,7 @@ impl FitnessStore {
     }
 
     /// How many shard indices are currently materialized in memory —
-    /// observability for the lazy-loading tests and the scaling bench.
+    /// observability for the lazy-loading tests.
     pub fn shards_loaded(&self) -> usize {
         self.shards.iter().filter(|s| s.is_some()).count()
     }
@@ -905,7 +905,7 @@ impl FitnessStore {
     /// the live set to a temp file, atomically rename. Readers and
     /// writers of every *other* shard are untouched — that independence
     /// is the point of the sharded layout (and what the torture harness
-    /// and the scaling bench pin down).
+    /// pins down).
     pub fn compact_shard(&mut self, idx: usize) -> io::Result<SaveOutcome> {
         let Some(dir) = self.path.clone() else {
             return Ok(SaveOutcome::Written);

@@ -885,29 +885,35 @@ mod tests {
 
     #[test]
     fn parallel_engine_matches_sequential_path() {
-        // Same seed: the 4-worker cached engine and the closure-based
-        // sequential path must agree on the entire run — best flags,
-        // fitness, iteration count, and every recorded NCD.
+        // Same seed: the cached engine at every worker count and the
+        // closure-based sequential path must agree on the entire run —
+        // best flags, fitness, iteration count, and every recorded NCD.
         let bench = corpus::by_name("462.libquantum").unwrap();
-        let mut config = small_config(70);
-        config.workers = 4;
-        let par = Tuner::new(config).tune(&bench.module).unwrap();
         let seq = Tuner::new(small_config(70))
             .tune_sequential(&bench.module)
             .unwrap();
-        assert_eq!(par.best_flags, seq.best_flags);
-        assert_eq!(par.best_ncd, seq.best_ncd);
-        assert_eq!(par.iterations, seq.iterations);
-        assert_eq!(par.stopped_by, seq.stopped_by);
-        assert_eq!(par.db.rows().len(), seq.db.rows().len());
-        for (a, b) in par.db.rows().iter().zip(seq.db.rows()) {
-            assert_eq!(a.ncd, b.ncd, "iteration {}", a.iteration);
-            assert_eq!(a.flags, b.flags, "iteration {}", a.iteration);
-            assert_eq!(a.elapsed_seconds, b.elapsed_seconds);
-        }
-        // The engine path must actually have deduplicated something.
-        assert!(par.engine_stats.cache_hits > 0);
         assert_eq!(seq.engine_stats.cache_hits, 0);
+        for workers in [1, 2, 4, 8] {
+            let mut config = small_config(70);
+            config.workers = workers;
+            let par = Tuner::new(config).tune(&bench.module).unwrap();
+            assert_eq!(par.best_flags, seq.best_flags, "{workers} workers");
+            assert_eq!(par.best_ncd, seq.best_ncd);
+            assert_eq!(par.iterations, seq.iterations);
+            assert_eq!(par.stopped_by, seq.stopped_by);
+            assert_eq!(par.db.rows().len(), seq.db.rows().len());
+            for (a, b) in par.db.rows().iter().zip(seq.db.rows()) {
+                assert_eq!(a.ncd, b.ncd, "{workers} workers, iteration {}", a.iteration);
+                assert_eq!(
+                    a.flags, b.flags,
+                    "{workers} workers, iteration {}",
+                    a.iteration
+                );
+                assert_eq!(a.elapsed_seconds, b.elapsed_seconds);
+            }
+            // The engine path must actually have deduplicated something.
+            assert!(par.engine_stats.cache_hits > 0);
+        }
     }
 
     #[test]

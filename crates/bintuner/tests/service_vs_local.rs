@@ -116,17 +116,24 @@ fn service_backend_is_bit_identical_on_both_transports() {
     let local = Tuner::new(small_tuner(70)).tune(&bench.module).unwrap();
     assert!(local.service.is_none());
 
-    let channel = Tuner::new(service_config(
-        70,
-        ServiceConfig {
-            clients: 3,
-            transport: TransportKind::Channel,
-            ..ServiceConfig::default()
-        },
-    ))
-    .tune(&bench.module)
-    .unwrap();
-    assert_identical_runs(&local, &channel, "channel transport");
+    let channel = [1, 3, 4].map(|clients| {
+        let run = Tuner::new(service_config(
+            70,
+            ServiceConfig {
+                clients,
+                transport: TransportKind::Channel,
+                ..ServiceConfig::default()
+            },
+        ))
+        .tune(&bench.module)
+        .unwrap();
+        assert_identical_runs(
+            &local,
+            &run,
+            &format!("channel transport, {clients} clients"),
+        );
+        (run, clients)
+    });
 
     let unix = Tuner::new(service_config(
         70,
@@ -154,10 +161,11 @@ fn service_backend_is_bit_identical_on_both_transports() {
 
     // The service actually ran: shards were dispatched to a live farm
     // and the farm did the compiles the engine accounted for.
-    for (result, clients) in [(&channel, 3), (&unix, 2), (&tcp, 2)] {
+    let streams = [(unix, 2), (tcp, 2)];
+    for (result, clients) in channel.iter().chain(&streams) {
         let summary = result.service.as_ref().expect("service telemetry");
         assert!(!summary.process_workers, "these farms are thread clients");
-        assert_eq!(summary.clients, clients);
+        assert_eq!(summary.clients, *clients);
         assert_eq!(summary.clients_lost, 0);
         assert!(summary.shards > 0);
         assert!(

@@ -4,8 +4,9 @@
 //! reruns the whole pipeline or reuses a cached optimized-AST /
 //! lowered-binary artifact must never change a single bit of the tuning
 //! trajectory — on either evaluation backend. These tests pin that, plus
-//! the accounting identities the `staged_compile` bench and the CSV
-//! columns rely on, plus the eviction bound.
+//! the accounting identities the engine stats and the CSV columns rely
+//! on (cache off: every compile is full; cache on: strictly fewer full
+//! compiles, with reuse), plus the eviction bound.
 
 use bintuner::{
     Backend, EngineConfig, FitnessEngine, ServiceConfig, TransportKind, TuneResult, Tuner,

@@ -925,12 +925,6 @@ impl EvalServer {
         self.stats
     }
 
-    /// The (adaptive) cost model, including its observed per-client
-    /// rates — convergence telemetry.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// Shard size chosen for each batch, in batch order: the trace that
     /// shows the adaptive model converging away from the static prior.
     pub fn shard_sizes(&self) -> &[usize] {

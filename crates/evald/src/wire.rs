@@ -9,6 +9,10 @@
 //! [checksum: u32]                   FNV-1a over magic..payload
 //! ```
 //!
+//! [`seal_frame`] writes and [`open_frame`] checks that envelope for any
+//! magic and version, so protocols layered over the same transports
+//! (the BinTuner daemon's job frames) share it.
+//!
 //! The encodings follow the same canonical-bytes discipline as
 //! `minicc::hash` and the fitness store's on-disk records: explicit
 //! little-endian integers, length-prefixed sequences, packed bitmaps for
@@ -446,11 +450,16 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             body.put_u64_le(*nonce);
         }
     }
-    let ck = checksum(&body);
-    body.put_u32_le(ck);
-    let mut out = Vec::with_capacity(4 + body.len());
-    out.put_u32_le(body.len() as u32);
-    out.extend_from_slice(&body);
+    seal_frame(&body)
+}
+
+/// Seal a frame body (`magic..payload`) into the envelope: the length
+/// prefix in front, the FNV-1a checksum behind.
+pub fn seal_frame(body: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(4 + body.len() + 4);
+    out.put_u32_le((body.len() + 4) as u32);
+    out.put_slice(body);
+    out.put_u32_le(checksum(body));
     out
 }
 
@@ -549,16 +558,20 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Decode one frame from the head of `buf`, returning it together with
-/// the number of bytes consumed (so stream transports can decode from an
-/// accumulation buffer).
+/// Open the envelope of the frame at the head of `buf`: check its
+/// length, `magic`, `version` and checksum, and return the frame tag, a
+/// [`Reader`] over the payload, and the number of bytes the frame takes.
 ///
 /// # Errors
 ///
 /// [`EvaldError::Truncated`] when `buf` holds less than one whole frame;
 /// [`EvaldError::BadMagic`] / [`EvaldError::VersionMismatch`] /
 /// [`EvaldError::Corrupt`] when the frame cannot be trusted.
-pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), EvaldError> {
+pub fn open_frame(
+    buf: &[u8],
+    magic: [u8; 4],
+    version: u32,
+) -> Result<(u8, Reader<'_>, usize), EvaldError> {
     if buf.len() < 4 {
         return Err(EvaldError::Truncated {
             needed: 4,
@@ -581,23 +594,33 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), EvaldError> {
         });
     }
     let body = &buf[4..total];
-    if body[..4] != WIRE_MAGIC {
+    if body[..4] != magic {
         return Err(EvaldError::BadMagic);
     }
-    let version = u32::from_le_bytes(body[4..8].try_into().unwrap());
-    if version != WIRE_VERSION {
-        return Err(EvaldError::VersionMismatch {
-            got: version,
-            want: WIRE_VERSION,
-        });
+    let got = u32::from_le_bytes(body[4..8].try_into().unwrap());
+    if got != version {
+        return Err(EvaldError::VersionMismatch { got, want: version });
     }
     let (payload, ck_bytes) = body.split_at(body.len() - 4);
     let stored = u32::from_le_bytes(ck_bytes.try_into().unwrap());
     if checksum(payload) != stored {
         return Err(EvaldError::Corrupt("checksum mismatch"));
     }
-    let mut r = Reader::new(&payload[9..]); // past magic+version+tag
-    let frame = match payload[8] {
+    // The payload starts past magic + version + tag.
+    Ok((payload[8], Reader::new(&payload[9..]), total))
+}
+
+/// Decode one frame from the head of `buf`, returning it together with
+/// the number of bytes consumed (so stream transports can decode from an
+/// accumulation buffer).
+///
+/// # Errors
+///
+/// As [`open_frame`], plus [`EvaldError::Corrupt`] for a payload that
+/// does not parse as its tag's frame.
+pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), EvaldError> {
+    let (tag, mut r, total) = open_frame(buf, WIRE_MAGIC, WIRE_VERSION)?;
+    let frame = match tag {
         TAG_HELLO => Frame::Hello {
             client: r.u32()?,
             n_flags: r.u16()?,
@@ -835,6 +858,23 @@ mod tests {
             assert_eq!(decoded, frame);
             assert_eq!(consumed, bytes.len());
         }
+    }
+
+    #[test]
+    fn envelope_bytes_are_pinned() {
+        // Round trips cannot see an encoder and a decoder that change
+        // together; the exact bytes of one small frame can.
+        let golden = [
+            0x15, 0x00, 0x00, 0x00, // length of the rest
+            0x45, 0x56, 0x4c, 0x44, // "EVLD"
+            0x06, 0x00, 0x00, 0x00, // WIRE_VERSION
+            0x07, // TAG_PING
+            0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // nonce
+            0xf6, 0x52, 0x39, 0xb4, // FNV-1a over magic..payload
+        ];
+        let frame = Frame::Ping { nonce: 7 };
+        assert_eq!(encode_frame(&frame), golden);
+        assert_eq!(decode_frame(&golden).unwrap(), (frame, golden.len()));
     }
 
     #[test]
