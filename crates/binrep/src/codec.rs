@@ -57,7 +57,7 @@ pub fn encode_binary(b: &Binary) -> Vec<u8> {
     let mut out = Vec::with_capacity(256);
     out.extend_from_slice(&MAGIC);
     put_str(&mut out, &b.name);
-    out.push(arch_tag(b.arch));
+    out.push(b.arch.tag());
     out.extend_from_slice(&b.entry.0.to_le_bytes());
     put_len(&mut out, b.functions.len());
     for f in &b.functions {
@@ -82,7 +82,8 @@ pub fn decode_binary(bytes: &[u8]) -> Result<Binary, CodecError> {
         return Err(CodecError::BadMagic);
     }
     let name = r.string()?;
-    let arch = arch_from_tag(r.u8()?)?;
+    let tag = r.u8()?;
+    let arch = Arch::from_tag(tag).ok_or(CodecError::BadTag("arch", tag))?;
     let entry = FuncId(r.u32()?);
     let mut functions = Vec::new();
     for _ in 0..r.len()? {
@@ -111,19 +112,6 @@ pub fn decode_binary(bytes: &[u8]) -> Result<Binary, CodecError> {
         data,
         imports,
     })
-}
-
-/// Stable one-byte arch tag — declaration order of [`Arch::ALL`], which
-/// is also the tag `bintuner::store` keys fitness records by.
-fn arch_tag(a: Arch) -> u8 {
-    Arch::ALL.iter().position(|&x| x == a).unwrap() as u8
-}
-
-fn arch_from_tag(t: u8) -> Result<Arch, CodecError> {
-    Arch::ALL
-        .get(t as usize)
-        .copied()
-        .ok_or(CodecError::BadTag("arch", t))
 }
 
 /// Stable one-byte opcode tag. Exhaustive match: adding an `Opcode`

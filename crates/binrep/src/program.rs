@@ -31,6 +31,25 @@ impl Arch {
     /// All supported architectures.
     pub const ALL: [Arch; 4] = [Arch::X86, Arch::X8664, Arch::Arm, Arch::Mips];
 
+    /// Stable one-byte tag. Every persisted byte that names an
+    /// architecture carries it (this crate's binary codec, and the
+    /// tuner's store and artifact keys), so the assignments must never
+    /// be reordered or reused.
+    #[inline]
+    pub fn tag(self) -> u8 {
+        match self {
+            Arch::X86 => 0,
+            Arch::X8664 => 1,
+            Arch::Arm => 2,
+            Arch::Mips => 3,
+        }
+    }
+
+    /// Inverse of [`Arch::tag`]; `None` for an unassigned tag.
+    pub fn from_tag(tag: u8) -> Option<Arch> {
+        Arch::ALL.into_iter().find(|a| a.tag() == tag)
+    }
+
     /// Display name as used in the paper's tables.
     pub fn name(self) -> &'static str {
         match self {
@@ -286,6 +305,18 @@ impl Binary {
 mod tests {
     use super::*;
     use crate::insn::Insn;
+
+    #[test]
+    fn arch_tags_are_pinned_and_invert() {
+        // Persisted bytes: the codec and the tuner's store keys carry
+        // these tags.
+        assert_eq!(Arch::ALL.map(Arch::tag), [0, 1, 2, 3]);
+        for arch in Arch::ALL {
+            assert_eq!(Arch::from_tag(arch.tag()), Some(arch));
+        }
+        assert_eq!(Arch::from_tag(4), None);
+        assert_eq!(Arch::from_tag(9), None);
+    }
 
     #[test]
     fn data_interning_dedups_when_asked() {

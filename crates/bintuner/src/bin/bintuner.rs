@@ -7,7 +7,10 @@
 //!   [`bintuner::farm`]).
 //! - `bintuner daemon [flags]` — the multi-tenant tuning daemon `tuned`
 //!   (see [`bintuner::daemon`]): a long-lived server multiplexing tenant
-//!   jobs onto one shared farm and one shared persistent store.
+//!   jobs onto one shared farm and one shared persistent store. The farm
+//!   is thread workers over channels, or with `--process-workers`,
+//!   worker processes over the socket `--farm-transport` names (Unix by
+//!   default).
 //! - `bintuner metrics (--unix <path> | --tcp <addr>) [--trace]` —
 //!   render a live daemon's btel registry as Prometheus-style text (or,
 //!   with `--trace`, its recent job spans as JSONL).
@@ -16,15 +19,14 @@
 //! bench harnesses.
 
 use bintuner::daemon::{Daemon, DaemonAddr, DaemonClient, DaemonConfig};
-use evald::{ProcessFarm, ServiceConfig, TransportKind, WorkerMode};
+use evald::{ProcessFarm, TransportKind, WorkerMode};
 use std::path::PathBuf;
 
 fn usage() -> ! {
     eprintln!(
         "usage:\n  bintuner daemon [--unix <path> | --tcp] [--store <dir>]\n\
-         \x20                [--clients N] [--farm-transport unix|tcp]\n\
-         \x20                [--process-workers] [--queue N] [--runners N]\n\
-         \x20                [--max-evals N]\n  \
+         \x20                [--clients N] [--process-workers [--farm-transport unix|tcp]]\n\
+         \x20                [--queue N] [--runners N] [--max-evals N]\n  \
          bintuner metrics (--unix <path> | --tcp <addr>) [--trace]\n  \
          bintuner --evald-worker <args>   (spawned by ServiceHandle::launch)"
     );
@@ -41,7 +43,7 @@ fn parse_transport(s: &str) -> TransportKind {
 
 fn daemon_main(args: &[String]) -> i32 {
     let mut config = DaemonConfig::default();
-    let mut farm_transport = TransportKind::Unix;
+    let mut farm_transport = None;
     let mut process_workers = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -54,7 +56,7 @@ fn daemon_main(args: &[String]) -> i32 {
             "--tcp" => config.transport = TransportKind::Tcp,
             "--store" => config.store_path = Some(PathBuf::from(value())),
             "--clients" => config.farm.clients = value().parse().unwrap_or_else(|_| usage()),
-            "--farm-transport" => farm_transport = parse_transport(value()),
+            "--farm-transport" => farm_transport = Some(parse_transport(value())),
             "--process-workers" => process_workers = true,
             "--queue" => config.queue_limit = value().parse().unwrap_or_else(|_| usage()),
             "--runners" => config.runners = value().parse().unwrap_or_else(|_| usage()),
@@ -65,19 +67,18 @@ fn daemon_main(args: &[String]) -> i32 {
             _ => usage(),
         }
     }
-    config.farm = ServiceConfig {
-        transport: farm_transport,
-        workers: if process_workers {
-            // Re-exec this very binary as the farm's worker processes.
-            WorkerMode::Processes(ProcessFarm {
-                worker_binary: std::env::current_exe().ok(),
-                ..ProcessFarm::default()
-            })
-        } else {
-            WorkerMode::Threads
-        },
-        ..config.farm
-    };
+    // The default farm is thread workers over channels; a socket only
+    // carries frames to worker processes.
+    if process_workers {
+        config.farm.transport = farm_transport.unwrap_or(TransportKind::Unix);
+        // Re-exec this very binary as the farm's worker processes.
+        config.farm.workers = WorkerMode::Processes(ProcessFarm {
+            worker_binary: std::env::current_exe().ok(),
+            ..ProcessFarm::default()
+        });
+    } else if farm_transport.is_some() {
+        usage();
+    }
     let handle = match Daemon::launch(config) {
         Ok(handle) => handle,
         Err(e) => {

@@ -4,8 +4,9 @@
 //! One process owns one client farm ([`ServiceHandle`]), one persistent
 //! [`FitnessStore`](crate::FitnessStore)/[`ArtifactStore`] pair, and a
 //! versioned job-control wire ([`wire`]). Tenants submit tuning jobs over
-//! Unix or TCP stream transports (the same `evald::transport` stack the
-//! farm itself uses); the daemon multiplexes every job onto the shared
+//! a Unix or TCP socket (bound and reached through the same
+//! [`evald::Listener`] and [`evald::Endpoint`] the process farm uses);
+//! the daemon multiplexes every job onto the shared
 //! farm with fair-share batch interleaving, serves duplicate work from
 //! the shared stores (a resubmitted module is a pure cache hit: zero
 //! compiles, bit-identical result), and counts every job event once, in
@@ -33,16 +34,14 @@ pub mod metrics;
 pub mod wire;
 
 use crate::service::{
-    fold_artifacts, FarmTelemetry, ServiceExecutor, ServiceHandle, SharedEvaldError,
+    check_topology, fold_artifacts, FarmTelemetry, ServiceExecutor, ServiceHandle, SharedEvaldError,
 };
 use crate::store::ArtifactStore;
 use crate::tuner::{Backend, TuneError, TuneResult, Tuner, TunerConfig};
 use crate::{MissExecutor, MissResult};
-use evald::transport::{
-    tcp_connect, tcp_listener, unix_connect, unix_listener, BoundUnixListener, Duplex,
-};
 use evald::{
-    EvaldError, FaultPlan, ServiceConfig, TransportKind, WireAstArtifact, WireLowerArtifact,
+    Duplex, EvaldError, FaultPlan, Listener, ServiceConfig, TransportKind, WireAstArtifact,
+    WireLowerArtifact,
 };
 use genetic::{EvalAbort, Termination};
 use metrics::{
@@ -51,7 +50,6 @@ use metrics::{
 use minicc::ast::Module;
 use minicc::codec::decode_module;
 use std::collections::{HashMap, VecDeque};
-use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -91,8 +89,10 @@ pub struct DaemonConfig {
     /// multi-tenant payoff: one tenant's compiles warm-start every
     /// other tenant's. `None` disables cross-job caching.
     pub store_path: Option<PathBuf>,
-    /// The shared farm's shape (client count, farm-side transport,
-    /// thread vs process workers). Its `fault` field is ignored — use
+    /// The shared farm's shape: its client count, and either thread
+    /// workers over the channel transport or worker processes over a
+    /// Unix or TCP socket. [`Daemon::launch`] refuses any other pairing.
+    /// Its `fault` field is ignored — use
     /// [`DaemonConfig::farm_fault_once`].
     pub farm: ServiceConfig,
     /// Admission-control bound: jobs waiting in the queue beyond this
@@ -135,23 +135,9 @@ impl Default for DaemonConfig {
     }
 }
 
-/// Where a running daemon listens.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DaemonAddr {
-    /// A Unix-domain socket path.
-    Unix(PathBuf),
-    /// A TCP loopback address.
-    Tcp(SocketAddr),
-}
-
-impl std::fmt::Display for DaemonAddr {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DaemonAddr::Unix(p) => write!(f, "unix:{}", p.display()),
-            DaemonAddr::Tcp(a) => write!(f, "tcp:{a}"),
-        }
-    }
-}
+/// Where a running daemon listens: a Unix socket path or a TCP
+/// loopback address, displayed as `unix:<path>` or `tcp:<addr>`.
+pub use evald::Endpoint as DaemonAddr;
 
 // ---------------------------------------------------------------- farm
 
@@ -828,20 +814,6 @@ fn connection_loop(shared: Arc<DaemonShared>, mut duplex: Duplex) {
     }
 }
 
-enum Listener {
-    Unix(BoundUnixListener),
-    Tcp(TcpListener),
-}
-
-impl Listener {
-    fn accept(&self) -> Result<Duplex, EvaldError> {
-        match self {
-            Listener::Unix(l) => evald::transport::unix_accept(l),
-            Listener::Tcp(l) => evald::transport::tcp_accept(l),
-        }
-    }
-}
-
 fn acceptor_loop(shared: Arc<DaemonShared>, listener: Listener) {
     loop {
         let Ok(duplex) = listener.accept() else {
@@ -867,40 +839,23 @@ fn acceptor_loop(shared: Arc<DaemonShared>, listener: Listener) {
 /// The daemon entry point.
 pub struct Daemon;
 
-static SOCKET_SEQ: AtomicU64 = AtomicU64::new(0);
-
 impl Daemon {
-    /// Bind the client-facing listener and start the acceptor and
-    /// runner threads.
+    /// Check the farm's topology, bind the client-facing listener and
+    /// start the acceptor and runner threads.
     ///
     /// # Errors
     ///
-    /// [`EvaldError::Protocol`] for [`TransportKind::Channel`] (no
-    /// stream to listen on), otherwise transport bind failures.
+    /// [`EvaldError::Protocol`] for a client-facing
+    /// [`TransportKind::Channel`] (no socket to listen on) or a farm
+    /// whose worker mode and transport do not pair (see
+    /// [`DaemonConfig::farm`]); otherwise transport bind failures. A bad
+    /// farm is refused here rather than at its first, lazy launch, where
+    /// each failure would count as a quarantine strike against the
+    /// module being tuned.
     pub fn launch(config: DaemonConfig) -> Result<DaemonHandle, EvaldError> {
-        let (listener, addr) = match config.transport {
-            TransportKind::Channel => {
-                return Err(EvaldError::Protocol(
-                    "the daemon requires a stream transport (unix or tcp)",
-                ))
-            }
-            TransportKind::Unix => {
-                let path = config.unix_path.clone().unwrap_or_else(|| {
-                    std::env::temp_dir().join(format!(
-                        "bintuner-daemon-{}-{}.sock",
-                        std::process::id(),
-                        SOCKET_SEQ.fetch_add(1, Ordering::Relaxed)
-                    ))
-                });
-                let bound = unix_listener(&path)?;
-                let addr = DaemonAddr::Unix(bound.path().to_path_buf());
-                (Listener::Unix(bound), addr)
-            }
-            TransportKind::Tcp => {
-                let (listener, addr) = tcp_listener()?;
-                (Listener::Tcp(listener), addr.into())
-            }
-        };
+        check_topology(&config.farm)?;
+        let listener = Listener::bind(config.transport, config.unix_path.as_deref())?;
+        let addr = listener.endpoint().clone();
         let tel = DaemonTelemetry::new();
         let mut farm_cfg = config.farm.clone();
         farm_cfg.fault = None;
@@ -953,12 +908,6 @@ impl Daemon {
     }
 }
 
-impl From<SocketAddr> for DaemonAddr {
-    fn from(addr: SocketAddr) -> DaemonAddr {
-        DaemonAddr::Tcp(addr)
-    }
-}
-
 /// A running daemon. Dropping it shuts it down.
 pub struct DaemonHandle {
     addr: DaemonAddr,
@@ -1000,10 +949,7 @@ impl DaemonHandle {
         self.shared.queue_cv.notify_all();
         self.shared.done.notify_all();
         // Unblock the acceptor with a throwaway connection.
-        match &self.addr {
-            DaemonAddr::Unix(path) => drop(unix_connect(path)),
-            DaemonAddr::Tcp(addr) => drop(tcp_connect(*addr)),
-        }
+        drop(self.addr.connect());
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
@@ -1056,11 +1002,9 @@ impl DaemonClient {
     ///
     /// Transport connect failures.
     pub fn connect(addr: &DaemonAddr) -> Result<DaemonClient, EvaldError> {
-        let duplex = match addr {
-            DaemonAddr::Unix(path) => unix_connect(path)?,
-            DaemonAddr::Tcp(addr) => tcp_connect(*addr)?,
-        };
-        Ok(DaemonClient { duplex })
+        Ok(DaemonClient {
+            duplex: addr.connect()?,
+        })
     }
 
     fn call(&mut self, frame: &DaemonFrame) -> Result<DaemonFrame, EvaldError> {

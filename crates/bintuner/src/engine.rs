@@ -65,7 +65,7 @@
 //! depends on where the compiles physically ran.
 
 use crate::store::{
-    arch_tag, ArtifactStore, AstArtifactKey, FitnessStore, FlagBits, LowerArtifactKey, StoreKey,
+    ArtifactStore, AstArtifactKey, FitnessStore, FlagBits, LowerArtifactKey, StoreKey,
     StoredFitness,
 };
 use binrep::{Arch, Binary};
@@ -668,7 +668,7 @@ impl<'a> FitnessEngine<'a> {
         LowerArtifactKey {
             body_hash: self.body_hash,
             compiler: self.compiler.profile().kind().stable_id(),
-            arch: arch_tag(self.arch),
+            arch: self.arch.tag(),
             ast_digest,
             lower_digest,
         }

@@ -18,20 +18,11 @@
 use crate::service::serve_client_engine;
 use binrep::Arch;
 use evald::wire::{decode_frame, encode_frame, Frame};
-use evald::{tcp_connect, unix_connect, ClientOptions, EvaldError, FaultKind};
+use evald::{ClientOptions, Endpoint, EvaldError, FaultKind};
 use minicc::{CompilerKind, CompilerProfile};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-
-/// Where a worker process connects back to its server.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Endpoint {
-    /// TCP loopback address (`127.0.0.1:port`).
-    Tcp(SocketAddr),
-    /// Unix-domain socket path.
-    Unix(PathBuf),
-}
 
 /// Parsed `--evald-worker` command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,27 +75,6 @@ fn fault_kind_to_arg(kind: FaultKind) -> String {
     }
 }
 
-/// Stable one-byte tag → [`CompilerKind`] (inverse of
-/// [`CompilerKind::stable_id`]).
-fn compiler_from_tag(tag: u8) -> Option<CompilerKind> {
-    match tag {
-        0 => Some(CompilerKind::Gcc),
-        1 => Some(CompilerKind::Llvm),
-        _ => None,
-    }
-}
-
-/// Stable one-byte tag → [`Arch`] (inverse of [`crate::store::arch_tag`]).
-fn arch_from_tag(tag: u8) -> Option<Arch> {
-    match tag {
-        0 => Some(Arch::X86),
-        1 => Some(Arch::X8664),
-        2 => Some(Arch::Arm),
-        3 => Some(Arch::Mips),
-        _ => None,
-    }
-}
-
 impl WorkerArgs {
     /// Parse the arguments following `--evald-worker`.
     ///
@@ -142,7 +112,7 @@ impl WorkerArgs {
                         .parse::<u8>()
                         .map_err(|e| format!("--compiler-tag: {e}"))?;
                     kind = Some(
-                        compiler_from_tag(tag)
+                        CompilerKind::from_stable_id(tag)
                             .ok_or_else(|| format!("unknown compiler tag {tag}"))?,
                     );
                 }
@@ -151,7 +121,7 @@ impl WorkerArgs {
                         .parse::<u8>()
                         .map_err(|e| format!("--arch-tag: {e}"))?;
                     arch =
-                        Some(arch_from_tag(tag).ok_or_else(|| format!("unknown arch tag {tag}"))?);
+                        Some(Arch::from_tag(tag).ok_or_else(|| format!("unknown arch tag {tag}"))?);
                 }
                 "--artifact-cache" => {
                     artifact_cache = Some(match value()?.as_str() {
@@ -320,10 +290,7 @@ pub fn worker_main(args: &[String]) -> i32 {
 /// Connect, handshake, build the engine from the job description, and
 /// serve shards until shutdown.
 fn run_worker(args: &WorkerArgs) -> Result<(), EvaldError> {
-    let mut duplex = match &args.endpoint {
-        Endpoint::Tcp(addr) => tcp_connect(*addr)?,
-        Endpoint::Unix(path) => unix_connect(path)?,
-    };
+    let mut duplex = args.endpoint.connect()?;
     let n_flags = CompilerProfile::new(args.kind).n_flags() as u16;
     let opts = ClientOptions {
         client_id: args.client_id,
@@ -417,7 +384,7 @@ impl WorkerSpec {
             .arg("--compiler-tag")
             .arg(self.kind.stable_id().to_string())
             .arg("--arch-tag")
-            .arg(crate::store::arch_tag(self.arch).to_string())
+            .arg(self.arch.tag().to_string())
             .arg("--artifact-cache")
             .arg(if self.artifact_cache { "1" } else { "0" });
         match &self.endpoint {
@@ -546,18 +513,6 @@ mod tests {
         // Missing required pieces are named.
         let err = WorkerArgs::parse(&[]).unwrap_err();
         assert!(err.contains("--client-id"));
-    }
-
-    #[test]
-    fn tag_inverses_match_the_stable_ids() {
-        for kind in [CompilerKind::Gcc, CompilerKind::Llvm] {
-            assert_eq!(compiler_from_tag(kind.stable_id()), Some(kind));
-        }
-        for arch in [Arch::X86, Arch::X8664, Arch::Arm, Arch::Mips] {
-            assert_eq!(arch_from_tag(crate::store::arch_tag(arch)), Some(arch));
-        }
-        assert_eq!(compiler_from_tag(7), None);
-        assert_eq!(arch_from_tag(9), None);
     }
 
     #[test]

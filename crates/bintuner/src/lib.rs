@@ -69,8 +69,8 @@ pub use service::{
     ServiceSummary, TransportKind, WorkerMode,
 };
 pub use store::{
-    arch_tag, shard_for, shard_for_module, ArtifactRetention, ArtifactStore, AstArtifactKey,
-    FitnessStore, FlagBits, LoadReport, LowerArtifactKey, PendingArtifacts, SaveOutcome, StoreKey,
-    StoreLock, StoreTelemetry, StoredFitness, DEFAULT_SHARD_COUNT,
+    shard_for, shard_for_module, ArtifactRetention, ArtifactStore, AstArtifactKey, FitnessStore,
+    FlagBits, LoadReport, LowerArtifactKey, PendingArtifacts, SaveOutcome, StoreKey, StoreLock,
+    StoreTelemetry, StoredFitness, DEFAULT_SHARD_COUNT,
 };
 pub use tuner::{Backend, PersistSummary, PriorSummary, TuneError, TuneResult, Tuner, TunerConfig};

@@ -30,7 +30,7 @@
 //! [`PriorMode::Off`]'s bit-identity to the historical tuner).
 
 use crate::potency::{marginal_potency_weighted, FlagMarginal};
-use crate::store::{arch_tag, FitnessStore};
+use crate::store::FitnessStore;
 use binrep::Arch;
 use genetic::MutationBias;
 use minicc::ast::Module;
@@ -182,7 +182,7 @@ pub fn mine_prior(
 ) -> PotencyPrior {
     let n_flags = profile.n_flags();
     let compiler = profile.kind().stable_id();
-    let arch = arch_tag(arch);
+    let arch = arch.tag();
 
     // Usable samples: (module hash, flag vector, fitness, age weight),
     // deterministic order (the store's map iteration order is not).

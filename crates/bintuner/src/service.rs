@@ -5,9 +5,12 @@
 //! deployment shape (§5 "Implementation": the GA on a server, compile +
 //! diff on a farm of clients), runnable entirely offline:
 //!
-//! * [`ServiceHandle::launch`] spawns N client threads. **Each client is
-//!   a full [`FitnessEngine`]** with its own [`Compiler`] instance, its
-//!   own `-O0` baseline, its own in-run caches, and an *in-memory*
+//! * [`ServiceHandle::launch`] spawns N client threads fed over
+//!   in-process channels, or N worker processes
+//!   ([`WorkerMode::Processes`], see [`crate::farm`]) that connect back
+//!   over a Unix or TCP socket. **Each client is a full
+//!   [`FitnessEngine`]** with its own [`Compiler`] instance, its own
+//!   `-O0` baseline, its own in-run caches, and an *in-memory*
 //!   [`FitnessStore`] that accumulates the shard results it computes.
 //! * The server side is the tuner's own engine: partition, the three
 //!   cache tiers, the single writable store and the stats all stay where
@@ -33,28 +36,28 @@
 //! Every fitness an engine computes is a pure function of the genome, so
 //! client count, transport, scheduling and even mid-run client death
 //! change *nothing* about the run's trajectory — `tests/service_vs_local.rs`
-//! pins bit-identity against the in-process engine.
+//! (thread clients) and `tests/farm.rs` (worker processes) pin
+//! bit-identity against the in-process engine.
 
 use crate::engine::{
     EngineConfig, EngineStats, EngineTelemetry, MissExecutor, MissResult, FAILED_COMPILE_PENALTY,
 };
 use crate::farm::{
-    resolve_worker_binary, BackoffSchedule, Endpoint, Supervisor, SupervisorVerdict, WorkerSpec,
+    resolve_worker_binary, BackoffSchedule, Supervisor, SupervisorVerdict, WorkerSpec,
 };
 use crate::store::{ArtifactStore, AstArtifactKey, FitnessStore, LowerArtifactKey};
 use crate::FitnessEngine;
 use binrep::Arch;
-use evald::transport::{tcp_accept, unix_accept};
 use evald::wire::ShardStats;
 use evald::{
-    channel_duplex, run_client, tcp_listener, unix_connect, unix_listener, BoundUnixListener,
-    ClientOptions, CostModel, Duplex, EvalServer, EvaldError, MergeRecord, ServerTelemetry,
-    ShardWorker, WireAstArtifact, WireEval, WireLowerArtifact, WireSpan,
+    channel_duplex, run_client, ClientOptions, CostModel, Duplex, EvalServer, EvaldError, Listener,
+    MergeRecord, ServerTelemetry, ShardWorker, WireAstArtifact, WireEval, WireLowerArtifact,
+    WireSpan,
 };
 use genetic::EvalAbort;
 use minicc::ast::Module;
 use minicc::{Compiler, CompilerKind, CompilerProfile};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -139,10 +142,9 @@ struct SupervisionCounters {
 /// service).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceSummary {
-    /// Transport the run used.
+    /// Transport the run used: [`TransportKind::Channel`] for thread
+    /// clients, a socket kind for worker processes.
     pub transport: TransportKind,
-    /// Whether clients were pre-forked worker processes (vs threads).
-    pub process_workers: bool,
     /// Clients launched.
     pub clients: usize,
     /// Clients lost mid-run (all work re-dispatched; the result is
@@ -195,17 +197,23 @@ pub struct ServiceSummary {
     pub shard_sizes: Vec<usize>,
 }
 
-/// Monotonic suffix for unix socket paths, so parallel tests (or
-/// parallel tuners in one process) never collide.
-static SOCKET_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// A fresh per-process, per-launch unix socket path in the temp dir.
-fn farm_socket_path() -> std::path::PathBuf {
-    std::env::temp_dir().join(format!(
-        "evald_{}_{}.sock",
-        std::process::id(),
-        SOCKET_SEQ.fetch_add(1, Ordering::Relaxed)
-    ))
+/// The one topology check: thread workers use the in-process channel,
+/// and worker processes use a Unix or TCP socket. Every other pairing
+/// is refused with [`EvaldError::Protocol`], by
+/// [`ServiceHandle::launch_with`] and, before anything launches, by
+/// [`crate::Daemon::launch`].
+pub(crate) fn check_topology(cfg: &ServiceConfig) -> Result<(), EvaldError> {
+    match (&cfg.workers, cfg.transport) {
+        (WorkerMode::Threads, TransportKind::Channel)
+        | (WorkerMode::Processes(_), TransportKind::Unix | TransportKind::Tcp) => Ok(()),
+        (WorkerMode::Threads, _) => Err(EvaldError::Protocol(
+            "thread workers use the channel transport; sockets are for worker processes",
+        )),
+        (WorkerMode::Processes(_), _) => Err(EvaldError::Protocol(
+            "process workers require a stream transport (unix or tcp) \
+             — there is no channel across an exec",
+        )),
+    }
 }
 
 /// A launched evaluation service: the dispatch server plus its client
@@ -242,46 +250,15 @@ pub struct ServiceHandle {
     /// thread mode — threads are never respawned).
     supervision: Option<SupervisionCounters>,
     transport: TransportKind,
-    process_workers: bool,
     launched: usize,
 }
 
 /// The acceptor thread and its stop flag. The thread owns the farm's
-/// listener, so stopping it also closes the listening socket (and, for
-/// unix transports, unlinks the socket file via [`BoundUnixListener`]'s
-/// `Drop`).
+/// [`Listener`], so stopping it also closes the listening socket (and,
+/// for a Unix socket, removes the socket file).
 struct Acceptor {
     stop: Arc<AtomicBool>,
     thread: JoinHandle<()>,
-}
-
-/// The farm's listening socket, either flavor, in nonblocking mode (the
-/// launch deadline loop and the acceptor's stop flag both need accept to
-/// return instead of parking).
-enum FarmListener {
-    Unix(BoundUnixListener),
-    Tcp(std::net::TcpListener),
-}
-
-impl FarmListener {
-    fn set_nonblocking(&self) -> std::io::Result<()> {
-        match self {
-            FarmListener::Unix(l) => l.listener().set_nonblocking(true),
-            FarmListener::Tcp(l) => l.set_nonblocking(true),
-        }
-    }
-
-    fn accept(&self) -> Result<Duplex, EvaldError> {
-        match self {
-            FarmListener::Unix(l) => unix_accept(l),
-            FarmListener::Tcp(l) => tcp_accept(l),
-        }
-    }
-
-    /// Whether an accept error is just "nothing pending yet".
-    fn would_block(err: &EvaldError) -> bool {
-        matches!(err, EvaldError::Io(e) if e.kind() == std::io::ErrorKind::WouldBlock)
-    }
 }
 
 impl std::fmt::Debug for ServiceHandle {
@@ -498,6 +475,49 @@ fn spawn_with_retry(
     }
 }
 
+/// Accept worker connections until all `n` have arrived or
+/// `deadline_ms` has passed. A worker that died before connecting is
+/// never coming, so once every worker is dead, stragglers already in
+/// the backlog get a short grace; the handshake then decides with what
+/// arrived (`0` ms means "no patience at all").
+fn accept_workers(
+    listener: &Listener,
+    children: &mut [Option<std::process::Child>],
+    n: usize,
+    deadline_ms: u64,
+) -> Result<Vec<Duplex>, EvaldError> {
+    let mut accepted = Vec::with_capacity(n);
+    let deadline = Instant::now() + Duration::from_millis(deadline_ms);
+    let mut all_dead_since: Option<Instant> = None;
+    while accepted.len() < n {
+        match listener.accept() {
+            Ok(duplex) => accepted.push(duplex),
+            Err(EvaldError::Io(e)) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                let alive = children
+                    .iter_mut()
+                    .flatten()
+                    .map(|child| child.try_wait())
+                    .filter(|status| matches!(status, Ok(None)))
+                    .count();
+                if alive == 0 {
+                    let t = *all_dead_since.get_or_insert_with(Instant::now);
+                    if t.elapsed() > Duration::from_millis(250) {
+                        break;
+                    }
+                } else {
+                    all_dead_since = None;
+                }
+                if Instant::now() > deadline {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(accepted)
+}
+
 impl ServiceHandle {
     /// Launch the service for one tuning run: spawn the client farm,
     /// connect it over the configured transport, and complete the
@@ -505,8 +525,10 @@ impl ServiceHandle {
     ///
     /// # Errors
     ///
-    /// Transport setup failures, or [`EvaldError::NoClients`] when no
-    /// client survives the handshake.
+    /// [`EvaldError::Protocol`] for a worker mode and transport that do
+    /// not pair (thread workers use the channel; worker processes use a
+    /// socket), transport setup failures, or [`EvaldError::NoClients`]
+    /// when no client survives the handshake.
     pub fn launch(
         cfg: &ServiceConfig,
         kind: CompilerKind,
@@ -534,266 +556,141 @@ impl ServiceHandle {
         artifact_cache: bool,
         tel: Option<FarmTelemetry>,
     ) -> Result<ServiceHandle, EvaldError> {
+        check_topology(cfg)?;
         let n_clients = cfg.clients.max(1);
         let n_flags = CompilerProfile::new(kind).n_flags() as u16;
-        let cost = CostModel::from_features(&module.features());
         let trace = tel.as_ref().is_some_and(|t| t.tracer.is_enabled());
         let fault_for = |i: usize| {
             cfg.fault
                 .and_then(|f| (f.client == i).then_some((f.after_shards, f.kind)))
         };
-
-        if let WorkerMode::Processes(farm) = &cfg.workers {
-            return ServiceHandle::launch_processes(
-                cfg,
-                farm,
-                kind,
-                module,
-                arch,
-                artifact_cache,
-                n_clients,
-                n_flags,
-                cost,
-                &fault_for,
-                tel,
-            );
-        }
-
-        // One client thread serves shards from an engine of its own until
-        // the server shuts it down. A client whose engine cannot compile
-        // the baseline exits at once; the server sees the disconnect and
-        // carries on with the rest.
-        let spawn_client = |i: usize, duplex: Duplex| {
-            let fault = fault_for(i);
-            let opts = ClientOptions {
-                client_id: i as u32,
-                n_flags,
-                fail_after_shards: fault.map(|(after, _)| after),
-                fault_kind: fault.map(|(_, kind)| kind).unwrap_or_default(),
-            };
-            let module = module.clone();
-            std::thread::spawn(move || {
-                let serve = |w: &mut dyn ShardWorker| run_client(w, duplex, &opts);
-                // A disconnect is the server going away — normal end of service.
-                let _ = serve_client_engine(
-                    kind,
-                    &module,
-                    arch,
-                    artifact_cache,
-                    trace,
-                    opts.client_id,
-                    serve,
-                );
-            })
+        let process_farm = match &cfg.workers {
+            WorkerMode::Threads => None,
+            WorkerMode::Processes(farm) => Some(farm),
         };
-        let mut server_side: Vec<Duplex> = Vec::with_capacity(n_clients);
-        let mut handles = Vec::with_capacity(n_clients);
-        match cfg.transport {
-            TransportKind::Channel => {
-                for i in 0..n_clients {
-                    let (server_end, client_end) = channel_duplex();
-                    server_side.push(server_end);
-                    handles.push(spawn_client(i, client_end));
-                }
-            }
-            TransportKind::Unix => {
-                // The listener drops (and unlinks its socket file) when
-                // this arm ends — every client has connected by then.
-                let listener = unix_listener(&farm_socket_path())?;
-                for i in 0..n_clients {
-                    // Connect on *this* thread, then accept the pending
-                    // connection: both steps fail fast through `?`. A
-                    // client thread that connected for itself could die
-                    // before connecting and leave the matching accept
-                    // blocked forever. Connection order is irrelevant
-                    // (any client may serve any shard).
-                    let client_end = unix_connect(listener.path())?;
-                    server_side.push(unix_accept(&listener)?);
-                    handles.push(spawn_client(i, client_end));
-                }
-            }
-            TransportKind::Tcp => {
-                let (listener, addr) = tcp_listener()?;
-                for i in 0..n_clients {
-                    // Same connect-then-accept discipline as Unix.
-                    let client_end = evald::tcp_connect(addr)?;
-                    server_side.push(tcp_accept(&listener)?);
-                    handles.push(spawn_client(i, client_end));
-                }
-            }
-        }
-
-        let mut server = EvalServer::new(server_side, cost, n_flags)?;
-        server.set_liveness(cfg.liveness);
-        if let Some(t) = &tel {
-            server.set_telemetry(t.server_telemetry());
-        }
-        Ok(ServiceHandle {
-            server: Mutex::new(Some(server)),
+        // From here on an error drops `handle`, whose teardown joins every
+        // client thread and kills every worker process (the drain grace
+        // stays 0 until launch succeeds): a failed launch leaks nothing.
+        let mut handle = ServiceHandle {
+            server: Mutex::new(None),
             failure: Mutex::new(None),
-            clients: handles,
+            clients: Vec::new(),
             children: Mutex::new(Vec::new()),
             spec: None,
             next_worker_id: AtomicU32::new(n_clients as u32),
             acceptor: None,
             drain_grace_ms: 0,
             workers_killed: AtomicUsize::new(0),
-            supervision: None,
+            supervision: tel
+                .as_ref()
+                .filter(|_| process_farm.is_some())
+                .map(FarmTelemetry::supervision_counters),
             transport: cfg.transport,
-            process_workers: false,
             launched: n_clients,
-        })
-    }
-
-    /// Process-mode launch: bind the listener, pre-fork the worker
-    /// processes, accept their connections (with a deadline, so a worker
-    /// that dies before connecting cannot wedge the launch), handshake,
-    /// ship the job description, and start the reconnect acceptor.
-    #[allow(clippy::too_many_arguments)] // internal launch seam
-    fn launch_processes(
-        cfg: &ServiceConfig,
-        farm: &ProcessFarm,
-        kind: CompilerKind,
-        module: &Module,
-        arch: Arch,
-        artifact_cache: bool,
-        n_clients: usize,
-        n_flags: u16,
-        cost: CostModel,
-        fault_for: &dyn Fn(usize) -> Option<(usize, FaultKind)>,
-        tel: Option<FarmTelemetry>,
-    ) -> Result<ServiceHandle, EvaldError> {
-        let supervision = tel.as_ref().map(FarmTelemetry::supervision_counters);
-        let binary = resolve_worker_binary(farm.worker_binary.as_ref())?;
-        let (listener, endpoint) = match cfg.transport {
-            TransportKind::Channel => {
-                return Err(EvaldError::Protocol(
-                    "process workers require a stream transport (unix or tcp) \
-                     — there is no channel across an exec",
-                ))
-            }
-            TransportKind::Unix => {
-                let l = unix_listener(&farm_socket_path())?;
-                let path = l.path().to_path_buf();
-                (FarmListener::Unix(l), Endpoint::Unix(path))
-            }
-            TransportKind::Tcp => {
-                let (l, addr) = tcp_listener()?;
-                (FarmListener::Tcp(l), Endpoint::Tcp(addr))
-            }
-        };
-        listener.set_nonblocking()?;
-        let spec = WorkerSpec {
-            binary,
-            kind,
-            arch,
-            artifact_cache,
-            endpoint,
-            trace: tel.as_ref().is_some_and(|t| t.tracer.is_enabled()),
         };
 
-        let mut children: Vec<Option<std::process::Child>> = Vec::with_capacity(n_clients);
-        // Everything after the first spawn must reap the children on
-        // failure — a launch error must not leak worker processes.
-        let launch_result = (|| {
-            for i in 0..n_clients {
-                children.push(Some(spawn_with_retry(
-                    &spec,
-                    i as u32,
-                    fault_for(i),
-                    farm.spawn_attempts,
-                    supervision.as_ref(),
-                )?));
-            }
-            let mut server_side: Vec<Duplex> = Vec::with_capacity(n_clients);
-            // The accept deadline comes from the farm config (it used to
-            // be hard-coded at 30 s); `0` means "no patience at all".
-            let deadline = Instant::now() + Duration::from_millis(farm.accept_deadline_ms);
-            let mut all_dead_since: Option<Instant> = None;
-            while server_side.len() < n_clients {
-                match listener.accept() {
-                    Ok(duplex) => server_side.push(duplex),
-                    Err(e) if FarmListener::would_block(&e) => {
-                        // A worker that died before connecting is never
-                        // coming; give stragglers a short grace for
-                        // connections already in the backlog, then let
-                        // the handshake decide with what arrived.
-                        let mut alive = 0;
-                        for child in children.iter_mut().flatten() {
-                            if matches!(child.try_wait(), Ok(None)) {
-                                alive += 1;
-                            }
-                        }
-                        if alive == 0 {
-                            let t = *all_dead_since.get_or_insert_with(Instant::now);
-                            if t.elapsed() > Duration::from_millis(250) {
-                                break;
-                            }
-                        } else {
-                            all_dead_since = None;
-                        }
-                        if Instant::now() > deadline {
-                            break;
-                        }
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(e) => return Err(e),
+        let (server_side, acceptor) = match process_farm {
+            // One client thread per channel serves shards from an engine
+            // of its own until the server shuts it down. A client whose
+            // engine cannot compile the baseline exits at once; the
+            // server sees the disconnect and carries on with the rest.
+            None => {
+                let mut server_side = Vec::with_capacity(n_clients);
+                for i in 0..n_clients {
+                    let (server_end, client_end) = channel_duplex();
+                    let fault = fault_for(i);
+                    let opts = ClientOptions {
+                        client_id: i as u32,
+                        n_flags,
+                        fail_after_shards: fault.map(|(after, _)| after),
+                        fault_kind: fault.map(|(_, kind)| kind).unwrap_or_default(),
+                    };
+                    let module = module.clone();
+                    handle.clients.push(std::thread::spawn(move || {
+                        let serve = |w: &mut dyn ShardWorker| run_client(w, client_end, &opts);
+                        // A disconnect is the server going away — normal end of service.
+                        let _ = serve_client_engine(
+                            kind,
+                            &module,
+                            arch,
+                            artifact_cache,
+                            trace,
+                            opts.client_id,
+                            serve,
+                        );
+                    }));
+                    server_side.push(server_end);
                 }
+                (server_side, None)
             }
-            let mut server = EvalServer::new(server_side, cost, n_flags)?;
-            server.set_liveness(cfg.liveness);
-            if let Some(t) = &tel {
-                server.set_telemetry(t.server_telemetry());
+            // Pre-fork the worker processes and accept their connections
+            // (with a deadline, so a worker that dies before connecting
+            // cannot wedge the launch).
+            Some(farm) => {
+                let binary = resolve_worker_binary(farm.worker_binary.as_ref())?;
+                let listener = Listener::bind(cfg.transport, None)?;
+                // The accept deadline loop and the acceptor's stop flag
+                // both need accept to return instead of parking.
+                listener.set_nonblocking()?;
+                let spec = handle.spec.insert(WorkerSpec {
+                    binary,
+                    kind,
+                    arch,
+                    artifact_cache,
+                    endpoint: listener.endpoint().clone(),
+                    trace,
+                });
+                let children = handle
+                    .children
+                    .get_mut()
+                    .expect("no thread has seen this mutex yet");
+                for i in 0..n_clients {
+                    children.push(Some(spawn_with_retry(
+                        spec,
+                        i as u32,
+                        fault_for(i),
+                        farm.spawn_attempts,
+                        handle.supervision.as_ref(),
+                    )?));
+                }
+                let server_side =
+                    accept_workers(&listener, children, n_clients, farm.accept_deadline_ms)?;
+                (server_side, Some((listener, farm)))
             }
+        };
+
+        let cost = CostModel::from_features(&module.features());
+        let mut server = EvalServer::new(server_side, cost, n_flags)?;
+        server.set_liveness(cfg.liveness);
+        if let Some(t) = &tel {
+            server.set_telemetry(t.server_telemetry());
+        }
+        if let Some((listener, farm)) = acceptor {
             // Workers build their engines from the job description; ship
             // it before any Work frame can be dispatched.
             server.set_job(minicc::codec::encode_module(module));
-            Ok(server)
-        })();
-        let server = match launch_result {
-            Ok(server) => server,
-            Err(e) => {
-                for child in children.iter_mut().flatten() {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                }
-                return Err(e);
-            }
-        };
-
-        // The reconnect path: a worker that dies is absorbed on return
-        // (or replacement via spawn_worker) by injecting the accepted
-        // connection into the running server.
-        let injector = server.injector();
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let thread = std::thread::spawn(move || {
-            while !stop_flag.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok(duplex) => {
-                        injector.inject(duplex);
+            // The reconnect path: a worker that dies is absorbed on
+            // return (or replacement via spawn_worker) by injecting the
+            // accepted connection into the running server.
+            let injector = server.injector();
+            let stop = Arc::new(AtomicBool::new(false));
+            let stop_flag = Arc::clone(&stop);
+            let thread = std::thread::spawn(move || {
+                while !stop_flag.load(Ordering::Relaxed) {
+                    match listener.accept() {
+                        Ok(duplex) => {
+                            injector.inject(duplex);
+                        }
+                        Err(_) => std::thread::sleep(Duration::from_millis(15)),
                     }
-                    Err(_) => std::thread::sleep(Duration::from_millis(15)),
                 }
-            }
-            // `listener` drops here: socket closed, unix file unlinked.
-        });
-
-        Ok(ServiceHandle {
-            server: Mutex::new(Some(server)),
-            failure: Mutex::new(None),
-            clients: Vec::new(),
-            children: Mutex::new(children),
-            spec: Some(spec),
-            next_worker_id: AtomicU32::new(n_clients as u32),
-            acceptor: Some(Acceptor { stop, thread }),
-            drain_grace_ms: farm.drain_grace_ms,
-            workers_killed: AtomicUsize::new(0),
-            supervision,
-            transport: cfg.transport,
-            process_workers: true,
-            launched: n_clients,
-        })
+                // `listener` drops here: socket closed, Unix file removed.
+            });
+            handle.acceptor = Some(Acceptor { stop, thread });
+            handle.drain_grace_ms = farm.drain_grace_ms;
+        }
+        handle.server = Mutex::new(Some(server));
+        Ok(handle)
     }
 
     /// Chaos hook: SIGKILL worker process `idx` (zero-based launch
@@ -940,7 +837,6 @@ impl ServiceHandle {
         (
             ServiceSummary {
                 transport: self.transport,
-                process_workers: self.process_workers,
                 clients: self.launched,
                 clients_lost: stats.clients_lost,
                 shards: stats.shards,

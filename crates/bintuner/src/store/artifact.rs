@@ -77,7 +77,7 @@ pub struct LowerArtifactKey {
     pub body_hash: u64,
     /// [`minicc::CompilerKind::stable_id`] tag.
     pub compiler: u8,
-    /// Stable architecture tag (see [`super::arch_tag`]).
+    /// [`binrep::Arch::tag`] of the target.
     pub arch: u8,
     /// AST-stage digest the lowering consumed.
     pub ast_digest: u128,

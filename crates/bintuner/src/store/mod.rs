@@ -123,7 +123,7 @@ pub struct StoreKey {
     pub module_hash: u64,
     /// [`CompilerKind::stable_id`] tag.
     pub compiler: u8,
-    /// Stable architecture tag (see [`arch_tag`]).
+    /// [`Arch::tag`] of the target.
     pub arch: u8,
     /// [`minicc::EffectConfig::stable_digest`] of the resolved config.
     pub effect_digest: u128,
@@ -135,20 +135,9 @@ impl StoreKey {
         StoreKey {
             module_hash,
             compiler: compiler.stable_id(),
-            arch: arch_tag(arch),
+            arch: arch.tag(),
             effect_digest,
         }
-    }
-}
-
-/// Stable one-byte tag for an architecture — part of the on-disk format;
-/// assignments must never be reordered or reused.
-pub fn arch_tag(arch: Arch) -> u8 {
-    match arch {
-        Arch::X86 => 0,
-        Arch::X8664 => 1,
-        Arch::Arm => 2,
-        Arch::Mips => 3,
     }
 }
 

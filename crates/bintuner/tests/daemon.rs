@@ -337,3 +337,82 @@ fn shutdown_is_clean_with_idle_connections_open() {
     // returning from this test is the assertion.
     daemon.shutdown();
 }
+
+/// The `bintuner` binary's daemon surface. A socket carries frames to
+/// worker processes only, so `--farm-transport` without
+/// `--process-workers` is a usage error before anything launches; a
+/// process-farm daemon prints where it listens, and `bintuner metrics`
+/// renders its registry from there.
+#[test]
+fn the_daemon_cli_refuses_a_socket_thread_farm_and_serves_metrics() {
+    use std::io::{BufRead, BufReader};
+    use std::process::{Child, Command, Stdio};
+    use std::time::{Duration, Instant};
+
+    /// Kills the daemon however the test ends: it serves until killed.
+    struct Running(Child);
+    impl Drop for Running {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+    let bin = env!("CARGO_BIN_EXE_bintuner");
+
+    let mut refused = Running(
+        Command::new(bin)
+            .args(["daemon", "--tcp", "--farm-transport", "tcp"])
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("run the bintuner binary"),
+    );
+    // Bounded: a daemon that accepts these flags never exits.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = refused.0.try_wait().unwrap() {
+            break status;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "`--farm-transport` without `--process-workers` launched a daemon"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert_eq!(status.code(), Some(2), "a usage error");
+
+    let mut daemon = Running(
+        Command::new(bin)
+            .args(["daemon", "--tcp", "--clients", "1", "--process-workers"])
+            .args(["--farm-transport", "unix"])
+            .stdin(Stdio::null())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("run the bintuner binary"),
+    );
+    let mut banner = String::new();
+    BufReader::new(daemon.0.stdout.take().unwrap())
+        .read_line(&mut banner)
+        .expect("read the daemon's banner");
+    let addr = banner
+        .trim_end()
+        .strip_prefix("tuned listening on tcp:")
+        .unwrap_or_else(|| panic!("unexpected banner {banner:?}"));
+    let out = Command::new(bin)
+        .args(["metrics", "--tcp", addr])
+        .output()
+        .expect("run bintuner metrics");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        text.contains("# TYPE bintuner_daemon_queue_depth gauge"),
+        "{text}"
+    );
+}

@@ -9,8 +9,8 @@
 
 use bintuner::service::ServiceHandle;
 use bintuner::{
-    Backend, FaultPlan, MissExecutor, ProcessFarm, ServiceConfig, TransportKind, TuneResult, Tuner,
-    TunerConfig, WorkerMode,
+    Backend, Daemon, DaemonConfig, FaultPlan, MissExecutor, ProcessFarm, ServiceConfig,
+    TransportKind, TuneResult, Tuner, TunerConfig, WorkerMode,
 };
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
@@ -84,7 +84,6 @@ fn process_farm_is_bit_identical_on_both_stream_transports() {
         .unwrap();
         assert_identical_runs(&local, &run, &format!("process workers over {transport}"));
         let summary = run.service.as_ref().expect("service telemetry");
-        assert!(summary.process_workers);
         assert_eq!(summary.transport, transport);
         assert_eq!(summary.clients, clients);
         assert_eq!(summary.clients_lost, 0, "no worker died");
@@ -117,7 +116,7 @@ fn killing_a_worker_process_mid_run_changes_nothing() {
     .unwrap();
     assert_identical_runs(&local, &killed, "kill-one-worker-process");
     let summary = killed.service.as_ref().expect("service telemetry");
-    assert!(summary.process_workers);
+    assert_eq!(summary.transport, TransportKind::Tcp);
     assert_eq!(summary.clients_lost, 1, "exactly the planned death");
 }
 
@@ -152,7 +151,7 @@ fn process_farm_persists_stage_artifacts_for_warm_starts() {
         .tune(&first)
         .unwrap();
     let summary = cold_farm.service.as_ref().expect("service telemetry");
-    assert!(summary.process_workers);
+    assert_eq!(summary.transport, TransportKind::Unix);
     assert!(
         summary.merged_artifacts > 0,
         "the farm never shipped a stage artifact through the merge barrier"
@@ -269,7 +268,7 @@ fn sigkill_and_respawn_are_absorbed_without_changing_results() {
     }
 
     let (summary, _) = handle.finish();
-    assert!(summary.process_workers);
+    assert_eq!(summary.transport, TransportKind::Tcp);
     assert_eq!(summary.clients_joined, 1, "the respawn was absorbed");
     assert!(summary.clients_lost >= 1, "the SIGKILL was observed");
     assert!(summary.workers_killed >= 1, "the kill hook counted");
@@ -322,26 +321,105 @@ fn killing_every_worker_fails_the_batch_not_the_process() {
 }
 
 #[test]
+fn invalid_module_fails_promptly_and_tears_the_service_down() {
+    // The error path where the baseline cannot compile, on a Unix
+    // process farm: the workers connect and greet, but neither they nor
+    // the server engine can build the module, so the tune fails with a
+    // typed error and the dropped ServiceHandle tears the farm down —
+    // acceptor and socket file, reader threads, worker processes. The
+    // test completing, three times in a row, is the teardown assertion:
+    // a leak would leave blocked threads and unreaped workers behind.
+    use minicc::ast::{Expr, FuncDef, Module, Stmt};
+    let mut bad = Module::new("invalid");
+    // Two functions with the same name fail validation → every baseline
+    // compile (server's and each worker's) fails.
+    bad.funcs.push(FuncDef::new(
+        "main",
+        vec![],
+        vec![Stmt::Return(Expr::Const(1))],
+    ));
+    bad.funcs.push(FuncDef::new(
+        "main",
+        vec![],
+        vec![Stmt::Return(Expr::Const(2))],
+    ));
+    for _ in 0..3 {
+        let err = Tuner::new(process_config(
+            40,
+            ServiceConfig {
+                clients: 2,
+                transport: TransportKind::Unix,
+                workers: process_farm(),
+                fault: None,
+                liveness: Default::default(),
+            },
+        ))
+        .tune(&bad)
+        .unwrap_err();
+        // Either shape is a prompt, clean failure: Baseline when the
+        // server engine fails first (the farm launched), Service when
+        // the farm itself fails to come up.
+        assert!(
+            matches!(
+                err,
+                bintuner::TuneError::Service(_) | bintuner::TuneError::Baseline(_)
+            ),
+            "{err}"
+        );
+    }
+}
+
+/// The one topology check: thread workers use the channel and worker
+/// processes use a socket. Both the service and the daemon refuse every
+/// other pairing before anything launches — the daemon at its own
+/// launch, not at the first job's lazy farm launch, where each refusal
+/// would count as a quarantine strike against an innocent module.
+#[test]
 fn process_workers_refuse_the_channel_transport() {
     let bench = corpus::by_name("429.mcf").unwrap();
-    let err = ServiceHandle::launch(
-        &ServiceConfig {
+    for (workers, transport, what) in [
+        (
+            process_farm(),
+            TransportKind::Channel,
+            "processes over a channel",
+        ),
+        (
+            WorkerMode::Threads,
+            TransportKind::Unix,
+            "threads over unix",
+        ),
+        (WorkerMode::Threads, TransportKind::Tcp, "threads over tcp"),
+    ] {
+        let cfg = ServiceConfig {
             clients: 1,
-            transport: TransportKind::Channel,
-            workers: process_farm(),
+            transport,
+            workers,
             fault: None,
             liveness: Default::default(),
-        },
-        minicc::CompilerKind::Gcc,
-        &bench.module,
-        binrep::Arch::X86,
-        true,
-    )
-    .unwrap_err();
-    assert!(
-        matches!(err, evald::EvaldError::Protocol(_)),
-        "channel across an exec must be a config error, got {err}"
-    );
+        };
+        let err = ServiceHandle::launch(
+            &cfg,
+            minicc::CompilerKind::Gcc,
+            &bench.module,
+            binrep::Arch::X86,
+            true,
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, evald::EvaldError::Protocol(_)),
+            "service, {what}: must be a config error, got {err}"
+        );
+        let err = Daemon::launch(DaemonConfig {
+            farm: cfg,
+            ..DaemonConfig::default()
+        })
+        .err()
+        .unwrap_or_else(|| panic!("daemon, {what}: launched"));
+        assert!(
+            matches!(err, evald::EvaldError::Protocol(_)),
+            "daemon, {what}: must be a config error, got {err}"
+        );
+    }
 }
 
 /// Child half of `warm_start_survives_sigkill_during_save`: tune with a

@@ -90,18 +90,18 @@ fn telemetry_on_is_bit_identical_to_off_on_every_backend() {
         .unwrap();
     assert_identical_runs(&off, &local, "in-process, telemetry on");
 
-    // Thread-client farm over unix sockets.
-    let unix = Tuner::new(with_telemetry(service(
+    // Thread-client farm over channels.
+    let threads = Tuner::new(with_telemetry(service(
         60,
         ServiceConfig {
             clients: 2,
-            transport: TransportKind::Unix,
+            transport: TransportKind::Channel,
             ..ServiceConfig::default()
         },
     )))
     .tune(&bench.module)
     .unwrap();
-    assert_identical_runs(&off, &unix, "unix service, telemetry on");
+    assert_identical_runs(&off, &threads, "thread service, telemetry on");
 
     // Process farm over TCP: real address spaces, spans over the wire.
     let tcp = Tuner::new(with_telemetry(service(
@@ -122,7 +122,7 @@ fn telemetry_on_is_bit_identical_to_off_on_every_backend() {
 
     // The registry saw the run it watched: per-tier cache counters agree
     // with the engine's own logical stats, batch spans were recorded.
-    for (run, what) in [(&local, "local"), (&unix, "unix"), (&tcp, "tcp")] {
+    for (run, what) in [(&local, "local"), (&threads, "threads"), (&tcp, "tcp")] {
         let registry = run.registry.as_ref().expect("telemetry registry");
         assert_eq!(
             registry.counter_value("bintuner_engine_evaluations_total", None),

@@ -50,15 +50,6 @@ pub trait ShardWorker {
     fn drain_artifacts(&mut self) -> (Vec<WireAstArtifact>, Vec<WireLowerArtifact>) {
         (Vec::new(), Vec::new())
     }
-
-    /// React to the server's job description ([`Frame::Job`]) — opaque
-    /// embedder bytes. Thread workers, which receive the job at spawn
-    /// time, ignore it (the default); worker *processes* usually consume
-    /// it before entering [`serve`] instead, so this hook only fires for
-    /// a job re-sent mid-connection.
-    fn on_job(&mut self, payload: &[u8]) {
-        let _ = payload;
-    }
 }
 
 /// Per-client launch options.
@@ -164,16 +155,18 @@ pub fn serve(
                     lower_artifacts,
                 }))?;
             }
-            Frame::Job { payload } => worker.on_job(&payload),
             Frame::Ping { nonce } => {
                 duplex
                     .tx
                     .send_frame(&encode_frame(&Frame::Pong { nonce }))?;
             }
             Frame::Shutdown => return Ok(()),
-            // Server-bound frames are never addressed to a client;
-            // ignore rather than die (forward compatibility).
-            Frame::Hello { .. }
+            // Server-bound frames are never addressed to a client, and
+            // the job description was consumed before this loop (worker
+            // processes) or never needed (thread workers, which get the
+            // module at spawn time): ignore rather than die.
+            Frame::Job { .. }
+            | Frame::Hello { .. }
             | Frame::Result { .. }
             | Frame::Merge { .. }
             | Frame::Pong { .. } => {}

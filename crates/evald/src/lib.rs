@@ -4,11 +4,12 @@
 //! client–server: the server runs the genetic algorithm while a farm of
 //! clients compiles candidate configurations and scores binary
 //! difference. This crate is that deployment's machinery, kept fully
-//! runnable offline: a "remote" client is a thread in the same process
-//! or a pre-forked worker *process* connecting back over a Unix or TCP
-//! loopback socket, but all traffic flows through the same versioned
-//! wire format and transport abstraction either way, so changing the
-//! deployment topology changes nothing above the transport layer.
+//! runnable offline: a "remote" client is either a thread of the same
+//! process, fed over an in-process channel, or a pre-forked worker
+//! *process* connecting back over a Unix or TCP loopback socket. All
+//! traffic flows through the same versioned wire format and transport
+//! abstraction either way, so changing the deployment topology changes
+//! nothing above the transport layer.
 //!
 //! The crate is deliberately *generic*: it moves genome batches out and
 //! evaluation results back, but knows nothing about compilers or NCD.
@@ -26,7 +27,9 @@
 //!   misread).
 //! * [`transport`] — [`FrameSender`]/[`FrameReceiver`] halves with
 //!   three implementations: an in-process duplex channel, a Unix-domain
-//!   socket, and TCP loopback (`TCP_NODELAY` on both ends).
+//!   socket, and TCP loopback (`TCP_NODELAY` on both ends). Both socket
+//!   kinds bind through one [`Listener`] and connect through one
+//!   [`Endpoint`].
 //! * [`scheduler`] — the work-stealing shard queue: a batch's genomes
 //!   are chunked by a [`CostModel`] seeded from the module's shape
 //!   features and refined online from the wall times clients measure
@@ -53,10 +56,7 @@ pub mod wire;
 pub use client::{run_client, serve, ClientOptions, ShardWorker};
 pub use scheduler::{CostModel, Scheduler};
 pub use server::{ClientInjector, EvalServer, ServerTelemetry, ServiceStats};
-pub use transport::{
-    channel_duplex, tcp_connect, tcp_listener, unix_connect, unix_listener, BoundUnixListener,
-    Duplex, FrameReceiver, FrameSender,
-};
+pub use transport::{channel_duplex, Duplex, Endpoint, FrameReceiver, FrameSender, Listener};
 pub use wire::{
     Frame, MergeRecord, ShardStats, WireAstArtifact, WireEval, WireLowerArtifact, WireSpan,
     WIRE_VERSION,
@@ -68,16 +68,16 @@ use std::path::PathBuf;
 /// Which transport carries frames between server and clients.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TransportKind {
-    /// In-process duplex channel (no filesystem footprint; the fastest
-    /// option when clients are threads of the tuning process).
+    /// In-process duplex channel (no filesystem footprint): the
+    /// transport of thread clients.
     #[default]
     Channel,
-    /// Unix-domain socket: clients connect to a socket file, exercising
-    /// real stream framing.
+    /// Unix-domain socket: worker processes (or the daemon's tenants)
+    /// connect to a socket file.
     Unix,
     /// TCP over `127.0.0.1` loopback with `TCP_NODELAY`: the paper's
-    /// networked deployment transport, required for worker processes
-    /// that should one day live on other hosts.
+    /// networked deployment transport, for worker processes that should
+    /// one day live on other hosts.
     Tcp,
 }
 
@@ -94,8 +94,9 @@ impl fmt::Display for TransportKind {
 /// How the farm's clients are realized.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum WorkerMode {
-    /// Clients are threads of the tuning process (the offline default:
-    /// no second binary needed, works on every transport).
+    /// Clients are threads of the tuning process, fed over the
+    /// in-process channel (the offline default: no second binary
+    /// needed).
     #[default]
     Threads,
     /// Clients are pre-forked OS processes re-exec'd from a worker
@@ -116,8 +117,7 @@ pub struct ProcessFarm {
     /// after shutdown before it is killed outright.
     pub drain_grace_ms: u64,
     /// How long (milliseconds) launch waits for workers to connect back
-    /// before giving up on the stragglers. Previously a hard-coded 30s
-    /// inside the launcher; lifted here so slow CI hosts can widen it
+    /// before giving up on the stragglers. Slow CI hosts can widen it
     /// and chaos tests can shrink it.
     pub accept_deadline_ms: u64,
     /// Spawn attempts per worker slot at launch: one bad fork retries
@@ -200,8 +200,9 @@ pub struct LivenessConfig {
     /// Consecutive unanswered heartbeats before a client is evicted.
     pub max_missed_heartbeats: u32,
     /// Dispatch deadline = cost-model estimate for the shard × this
-    /// multiplier (then floored at `min_dispatch_deadline_ms`). A client
-    /// that blows the deadline is evicted and its shards re-dispatched.
+    /// multiplier (capped at one hour, then floored at
+    /// `min_dispatch_deadline_ms`). A client that blows the deadline is
+    /// evicted and its shards re-dispatched.
     pub deadline_multiplier: f64,
     /// Floor on any dispatch deadline, milliseconds — also the deadline
     /// used before the cost model has enough observations. `0` disables
@@ -225,11 +226,13 @@ impl Default for LivenessConfig {
 pub struct ServiceConfig {
     /// Worker clients to launch (`0` is treated as `1`).
     pub clients: usize,
-    /// Transport between server and clients.
+    /// Transport between server and clients. It follows from
+    /// [`ServiceConfig::workers`]: thread workers use
+    /// [`TransportKind::Channel`], and worker processes use
+    /// [`TransportKind::Unix`] or [`TransportKind::Tcp`] (there is no
+    /// channel across an exec). Launch refuses any other pairing.
     pub transport: TransportKind,
     /// Whether clients are threads or pre-forked worker processes.
-    /// Processes require a stream transport ([`TransportKind::Unix`] or
-    /// [`TransportKind::Tcp`]) — there is no channel across an exec.
     pub workers: WorkerMode,
     /// Chaos hook: fault one client mid-run (see [`FaultPlan`]). `None`
     /// in production.

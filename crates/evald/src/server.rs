@@ -42,6 +42,12 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Ceiling on a cost-derived dispatch deadline. The estimate behind it
+/// is an EWMA of the wall times workers report on their `Result`
+/// frames, so one frame claiming an absurd figure must neither park a
+/// shard for ages nor overflow the `Duration` conversion.
+const MAX_DISPATCH_DEADLINE: Duration = Duration::from_secs(3_600);
+
 /// Cumulative service telemetry.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ServiceStats {
@@ -430,7 +436,8 @@ impl EvalServer {
 
     /// The wall-clock budget for a dispatch of `genomes` genomes: the
     /// cost model's converged estimate scaled by the configured
-    /// multiplier, floored generously while the model is still cold.
+    /// multiplier and capped at [`MAX_DISPATCH_DEADLINE`], floored
+    /// generously while the model is still cold.
     fn dispatch_deadline(&self, genomes: usize) -> Option<Instant> {
         if self.liveness.min_dispatch_deadline_ms == 0 {
             return None; // dispatch deadlines disabled
@@ -439,7 +446,9 @@ impl EvalServer {
         let budget = match self.cost.observed_secs_per_genome() {
             Some(secs) if secs > 0.0 => {
                 let scaled = secs * genomes as f64 * self.liveness.deadline_multiplier;
-                floor.max(Duration::from_secs_f64(scaled))
+                let capped = Duration::try_from_secs_f64(scaled)
+                    .map_or(MAX_DISPATCH_DEADLINE, |d| d.min(MAX_DISPATCH_DEADLINE));
+                floor.max(capped)
             }
             _ => floor,
         };
@@ -978,9 +987,9 @@ impl Drop for EvalServer {
 mod tests {
     use super::*;
     use crate::client::{run_client, ClientOptions, ShardWorker};
-    use crate::transport::channel_duplex;
+    use crate::transport::{channel_duplex, Listener};
     use crate::wire::ShardStats;
-    use crate::FaultKind;
+    use crate::{FaultKind, TransportKind};
 
     /// Toy worker: fitness = popcount; remembers seen genomes to report
     /// cache hits; merges one record per shard for sink coverage.
@@ -1176,6 +1185,46 @@ mod tests {
         assert_eq!(stats.evicted_clients, 1, "and it fell by eviction");
     }
 
+    /// Reports every shard as taking `1e300` seconds: finite, so the
+    /// cost model's EWMA keeps it.
+    struct Boastful(Popcount);
+
+    impl ShardWorker for Boastful {
+        fn evaluate(&mut self, genomes: &[Vec<bool>], span: u64) -> (Vec<WireEval>, ShardStats) {
+            let (evals, stats) = self.0.evaluate(genomes, span);
+            let stats = ShardStats {
+                wall_seconds: 1e300,
+                ..stats
+            };
+            (evals, stats)
+        }
+    }
+
+    #[test]
+    fn absurd_reported_wall_time_caps_the_dispatch_deadline() {
+        // A Result frame's wall time is worker-supplied. Once the cost
+        // model has converged on an absurd figure, the next dispatch's
+        // deadline must be capped, not a panic in the dispatch loop.
+        let (s, c) = channel_duplex();
+        let handle = std::thread::spawn(move || {
+            let opts = ClientOptions {
+                client_id: 0,
+                n_flags: 4,
+                fail_after_shards: None,
+                fault_kind: FaultKind::Crash,
+            };
+            let _ = run_client(&mut Boastful(Popcount::new()), c, &opts);
+        });
+        let mut server = EvalServer::new(vec![s], CostModel::uniform(), 4).unwrap();
+        for _ in 0..3 {
+            let evals = server.evaluate(&batch(16)).unwrap();
+            assert_eq!(evals.len(), 16);
+        }
+        assert!(server.dispatch_deadline(16).is_some());
+        server.shutdown();
+        handle.join().unwrap();
+    }
+
     #[test]
     fn losing_every_client_is_an_error_not_a_hang() {
         let (mut server, handles) = launch(2, Some((0, 1)));
@@ -1206,11 +1255,10 @@ mod tests {
         // must be actively disconnected (socket shutdown), or it would
         // block in recv forever and joining its thread would deadlock —
         // dropping the server's write-half clone alone is not enough.
-        let path = std::env::temp_dir().join(format!("evald_{}_width.sock", std::process::id()));
-        let listener = crate::transport::unix_listener(&path).unwrap();
-        let client_path = path.clone();
+        let listener = Listener::bind(TransportKind::Unix, None).unwrap();
+        let endpoint = listener.endpoint().clone();
         let handle = std::thread::spawn(move || {
-            let duplex = crate::transport::unix_connect(&client_path).unwrap();
+            let duplex = endpoint.connect().unwrap();
             let mut w = Popcount::new();
             // Wrong width: the server drops us; run_client must return
             // (Disconnected) instead of blocking.
@@ -1225,14 +1273,13 @@ mod tests {
                 },
             );
         });
-        let server_end = crate::transport::unix_accept(&listener).unwrap();
+        let server_end = listener.accept().unwrap();
         assert!(matches!(
             EvalServer::new(vec![server_end], CostModel::uniform(), 4),
             Err(EvaldError::NoClients)
         ));
         // The join completing IS the assertion.
         handle.join().unwrap();
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -1240,11 +1287,10 @@ mod tests {
         // An embedder error path may drop the server between launch and
         // shutdown(); Drop must still sever connections so clients and
         // readers unblock (join completing is the assertion).
-        let path = std::env::temp_dir().join(format!("evald_{}_drop.sock", std::process::id()));
-        let listener = crate::transport::unix_listener(&path).unwrap();
-        let client_path = path.clone();
+        let listener = Listener::bind(TransportKind::Unix, None).unwrap();
+        let endpoint = listener.endpoint().clone();
         let handle = std::thread::spawn(move || {
-            let duplex = crate::transport::unix_connect(&client_path).unwrap();
+            let duplex = endpoint.connect().unwrap();
             let mut w = Popcount::new();
             let _ = run_client(
                 &mut w,
@@ -1257,11 +1303,10 @@ mod tests {
                 },
             );
         });
-        let server_end = crate::transport::unix_accept(&listener).unwrap();
+        let server_end = listener.accept().unwrap();
         let server = EvalServer::new(vec![server_end], CostModel::uniform(), 4).unwrap();
         drop(server);
         handle.join().unwrap();
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

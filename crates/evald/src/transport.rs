@@ -9,31 +9,35 @@
 //! Three implementations:
 //!
 //! * **Duplex channel** ([`channel_duplex`]) — a pair of in-process
-//!   `mpsc` channels. Zero filesystem footprint; frames still travel as
-//!   encoded bytes, so the wire format is exercised end to end.
-//! * **Unix-domain socket** ([`unix_listener`] / [`unix_connect`]) — a
-//!   real `SOCK_STREAM` socket: the sender writes the encoded frame, the
-//!   receiver reads the length prefix then the body.
-//! * **TCP loopback** ([`tcp_listener`] / [`tcp_connect`]) — the same
-//!   stream framing over `127.0.0.1`, with `TCP_NODELAY` set on both
-//!   ends (frames are small and latency-bound; Nagle batching would
-//!   serialize the dispatch ping-pong). This is the paper's actual
-//!   deployment transport — worker *processes*, and with a routable bind
-//!   address one day, worker *hosts*.
+//!   `mpsc` channels, the transport of thread workers. Zero filesystem
+//!   footprint; frames still travel as encoded bytes, so the wire format
+//!   is exercised end to end.
+//! * **Unix-domain socket** — a real `SOCK_STREAM` socket: the sender
+//!   writes the encoded frame, the receiver reads the length prefix then
+//!   the body.
+//! * **TCP loopback** — the same stream framing over `127.0.0.1`, with
+//!   `TCP_NODELAY` set on both ends (frames are small and latency-bound;
+//!   Nagle batching would serialize the dispatch ping-pong). This is the
+//!   paper's actual deployment transport — worker *processes*, and with
+//!   a routable bind address one day, worker *hosts*.
 //!
-//! The two socket transports share one generic framing implementation
-//! (the private `StreamSender` / `StreamReceiver`), so their `Disconnected`
+//! Both socket kinds sit behind two types: a [`Listener`] binds, accepts
+//! and owns its socket, and an [`Endpoint`] names where it listens and
+//! connects to it. They share one generic framing implementation (the
+//! private `StreamSender` / `StreamReceiver`), so their `Disconnected`
 //! semantics are identical by construction: EOF, connection reset and
 //! broken pipe all surface as [`EvaldError::Disconnected`] — the signal
 //! the server's straggler re-dispatch turns into "re-queue this client's
 //! work".
 
 use crate::wire::MAX_FRAME_LEN;
-use crate::EvaldError;
+use crate::{EvaldError, TransportKind};
+use std::fmt;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 
 /// The sending half of a connection.
@@ -220,112 +224,158 @@ fn stream_duplex<S: FrameStream>(stream: S) -> Result<Duplex, EvaldError> {
     })
 }
 
-// ------------------------------------------------------------ unix socket
+// ------------------------------------------------- endpoint and listener
 
-/// A bound Unix-domain listener that owns its socket path: the file is
-/// removed when the listener is dropped, so a finished (or panicked) run
-/// does not leave a stale socket for the next one to trip over.
-/// Binding also unlinks any stale file a *killed* previous run left
-/// behind — `Drop` never runs after SIGKILL.
-pub struct BoundUnixListener {
-    listener: UnixListener,
-    path: PathBuf,
+/// Monotonic suffix for generated Unix socket paths, so parallel tests
+/// (or several listeners in one process) never collide.
+static SOCKET_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// Where a client reaches a [`Listener`]: a Unix-domain socket path or a
+/// TCP loopback address. Displays as `unix:<path>` or `tcp:<addr>`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Endpoint {
+    /// A Unix-domain socket path.
+    Unix(PathBuf),
+    /// A TCP loopback address (`127.0.0.1:port`).
+    Tcp(SocketAddr),
 }
 
-impl BoundUnixListener {
-    /// The underlying listener (e.g. for `set_nonblocking`).
-    pub fn listener(&self) -> &UnixListener {
-        &self.listener
-    }
-
-    /// The socket path this listener is bound to.
-    pub fn path(&self) -> &Path {
-        &self.path
+impl Endpoint {
+    /// Connect to the listener at this endpoint. TCP connections set
+    /// `TCP_NODELAY`.
+    ///
+    /// # Errors
+    ///
+    /// [`EvaldError::Io`] when the listener cannot be reached.
+    pub fn connect(&self) -> Result<Duplex, EvaldError> {
+        match self {
+            Endpoint::Unix(path) => stream_duplex(UnixStream::connect(path)?),
+            Endpoint::Tcp(addr) => tcp_duplex(TcpStream::connect(addr)?),
+        }
     }
 }
 
-impl Drop for BoundUnixListener {
+impl fmt::Display for Endpoint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Endpoint::Unix(path) => write!(f, "unix:{}", path.display()),
+            Endpoint::Tcp(addr) => write!(f, "tcp:{addr}"),
+        }
+    }
+}
+
+/// Dispatch is a latency-bound frame ping-pong; Nagle batching would
+/// stall it, so both ends of a TCP connection set `TCP_NODELAY`.
+fn tcp_duplex(stream: TcpStream) -> Result<Duplex, EvaldError> {
+    stream.set_nodelay(true)?;
+    stream_duplex(stream)
+}
+
+#[derive(Debug)]
+enum Socket {
+    Unix(UnixListener),
+    Tcp(TcpListener),
+}
+
+/// A bound listening socket, Unix or TCP, and the [`Endpoint`] its
+/// clients connect to.
+///
+/// A Unix listener owns its socket file. Binding unlinks a stale file
+/// left by a killed previous run (`Drop` never runs after SIGKILL), and
+/// dropping the listener removes the file, so a finished (or panicked)
+/// run leaves nothing for the next one to trip over.
+#[derive(Debug)]
+pub struct Listener {
+    socket: Socket,
+    endpoint: Endpoint,
+}
+
+impl Listener {
+    /// Bind a listener of `kind`.
+    ///
+    /// Unix binds at `unix_path`, or at a fresh path under the system
+    /// temp dir when it is `None`. TCP binds `127.0.0.1` with an
+    /// OS-assigned port and ignores `unix_path`: loopback only by
+    /// construction, because the farm is local worker processes, not an
+    /// open network service.
+    ///
+    /// # Errors
+    ///
+    /// [`EvaldError::Protocol`] for [`TransportKind::Channel`], which has
+    /// no socket to listen on; [`EvaldError::Io`] when binding fails.
+    pub fn bind(kind: TransportKind, unix_path: Option<&Path>) -> Result<Listener, EvaldError> {
+        let (socket, endpoint) = match kind {
+            TransportKind::Channel => {
+                return Err(EvaldError::Protocol(
+                    "the channel transport has no socket to listen on",
+                ))
+            }
+            TransportKind::Unix => {
+                let path = unix_path.map_or_else(
+                    || {
+                        std::env::temp_dir().join(format!(
+                            "evald-{}-{}.sock",
+                            std::process::id(),
+                            SOCKET_SEQ.fetch_add(1, Ordering::Relaxed)
+                        ))
+                    },
+                    Path::to_path_buf,
+                );
+                let _ = std::fs::remove_file(&path);
+                (
+                    Socket::Unix(UnixListener::bind(&path)?),
+                    Endpoint::Unix(path),
+                )
+            }
+            TransportKind::Tcp => {
+                let listener = TcpListener::bind(("127.0.0.1", 0))?;
+                let addr = listener.local_addr()?;
+                (Socket::Tcp(listener), Endpoint::Tcp(addr))
+            }
+        };
+        Ok(Listener { socket, endpoint })
+    }
+
+    /// Where clients connect.
+    pub fn endpoint(&self) -> &Endpoint {
+        &self.endpoint
+    }
+
+    /// Accept one client connection (TCP sets `TCP_NODELAY`).
+    ///
+    /// # Errors
+    ///
+    /// [`EvaldError::Io`] when accepting, configuring or cloning the
+    /// stream fails — of kind `WouldBlock` when a nonblocking listener
+    /// has nothing pending.
+    pub fn accept(&self) -> Result<Duplex, EvaldError> {
+        match &self.socket {
+            Socket::Unix(l) => stream_duplex(l.accept()?.0),
+            Socket::Tcp(l) => tcp_duplex(l.accept()?.0),
+        }
+    }
+
+    /// Make [`Listener::accept`] return at once when no connection is
+    /// pending, instead of blocking.
+    ///
+    /// # Errors
+    ///
+    /// [`EvaldError::Io`] when the socket refuses the mode change.
+    pub fn set_nonblocking(&self) -> Result<(), EvaldError> {
+        match &self.socket {
+            Socket::Unix(l) => l.set_nonblocking(true)?,
+            Socket::Tcp(l) => l.set_nonblocking(true)?,
+        }
+        Ok(())
+    }
+}
+
+impl Drop for Listener {
     fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
+        if let Endpoint::Unix(path) = &self.endpoint {
+            let _ = std::fs::remove_file(path);
+        }
     }
-}
-
-/// Bind a Unix-domain listener at `path` (removing a stale socket file
-/// left by a crashed previous run). The returned guard removes the
-/// socket file again when dropped.
-///
-/// # Errors
-///
-/// [`EvaldError::Io`] when binding fails.
-pub fn unix_listener(path: &Path) -> Result<BoundUnixListener, EvaldError> {
-    if path.exists() {
-        let _ = std::fs::remove_file(path);
-    }
-    Ok(BoundUnixListener {
-        listener: UnixListener::bind(path)?,
-        path: path.to_path_buf(),
-    })
-}
-
-/// Accept one client connection from `listener`.
-///
-/// # Errors
-///
-/// [`EvaldError::Io`] when accepting or cloning the stream fails.
-pub fn unix_accept(listener: &BoundUnixListener) -> Result<Duplex, EvaldError> {
-    let (stream, _) = listener.listener.accept().map_err(EvaldError::Io)?;
-    stream_duplex(stream)
-}
-
-/// Connect to the server's socket at `path`.
-///
-/// # Errors
-///
-/// [`EvaldError::Io`] when the socket cannot be reached.
-pub fn unix_connect(path: &Path) -> Result<Duplex, EvaldError> {
-    stream_duplex(UnixStream::connect(path)?)
-}
-
-// -------------------------------------------------------------------- tcp
-
-/// Bind a TCP listener on `127.0.0.1` with an OS-assigned port,
-/// returning the listener and the address clients should connect to.
-///
-/// Loopback-only by construction: the farm is local worker processes,
-/// not an open network service.
-///
-/// # Errors
-///
-/// [`EvaldError::Io`] when binding fails.
-pub fn tcp_listener() -> Result<(TcpListener, SocketAddr), EvaldError> {
-    let listener = TcpListener::bind(("127.0.0.1", 0))?;
-    let addr = listener.local_addr()?;
-    Ok((listener, addr))
-}
-
-/// Accept one client connection from `listener`, setting `TCP_NODELAY`
-/// (dispatch is a latency-bound frame ping-pong; Nagle batching would
-/// stall it).
-///
-/// # Errors
-///
-/// [`EvaldError::Io`] when accepting, configuring or cloning the stream
-/// fails.
-pub fn tcp_accept(listener: &TcpListener) -> Result<Duplex, EvaldError> {
-    let (stream, _) = listener.accept().map_err(EvaldError::Io)?;
-    stream.set_nodelay(true)?;
-    stream_duplex(stream)
-}
-
-/// Connect to the server at `addr`, setting `TCP_NODELAY`.
-///
-/// # Errors
-///
-/// [`EvaldError::Io`] when the server cannot be reached.
-pub fn tcp_connect(addr: SocketAddr) -> Result<Duplex, EvaldError> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    stream_duplex(stream)
 }
 
 #[cfg(test)]
@@ -370,16 +420,17 @@ mod tests {
     #[test]
     fn unix_socket_round_trips_frames_and_reports_eof() {
         let path = scratch_socket("round_trip");
-        let listener = unix_listener(&path).unwrap();
-        let path_for_client = path.clone();
+        let listener = Listener::bind(TransportKind::Unix, Some(&path)).unwrap();
+        assert_eq!(listener.endpoint(), &Endpoint::Unix(path.clone()));
+        let endpoint = listener.endpoint().clone();
         let client_thread = std::thread::spawn(move || {
-            let mut d = unix_connect(&path_for_client).unwrap();
+            let mut d = endpoint.connect().unwrap();
             let bytes = d.rx.recv_frame().unwrap();
             let (frame, _) = decode_frame(&bytes).unwrap();
             d.tx.send_frame(&encode_frame(&frame)).unwrap(); // echo
                                                              // Dropping both halves closes the stream.
         });
-        let mut server = unix_accept(&listener).unwrap();
+        let mut server = listener.accept().unwrap();
         let frame = Frame::Work {
             shard: 9,
             span: 0,
@@ -397,10 +448,11 @@ mod tests {
     }
 
     #[test]
-    fn unix_listener_reclaims_stale_socket_file() {
+    fn unix_bind_reclaims_stale_socket_file() {
         let path = scratch_socket("stale");
         std::fs::write(&path, b"stale").unwrap();
-        let listener = unix_listener(&path).expect("rebinds over stale file");
+        let listener =
+            Listener::bind(TransportKind::Unix, Some(&path)).expect("rebinds over stale file");
         assert!(path.exists(), "freshly bound socket exists");
         // Dropping the listener removes the socket file, so the *next*
         // run does not even need the stale-unlink path.
@@ -409,15 +461,35 @@ mod tests {
     }
 
     #[test]
+    fn bind_generates_fresh_unix_paths_and_refuses_the_channel() {
+        let a = Listener::bind(TransportKind::Unix, None).unwrap();
+        let b = Listener::bind(TransportKind::Unix, None).unwrap();
+        assert_ne!(a.endpoint(), b.endpoint(), "generated paths never collide");
+        assert!(a.endpoint().to_string().starts_with("unix:"));
+        let Endpoint::Unix(path) = a.endpoint().clone() else {
+            unreachable!("a Unix listener has a Unix endpoint")
+        };
+        assert!(path.exists(), "freshly bound socket exists");
+        drop(a);
+        assert!(!path.exists(), "drop removed the generated socket file");
+        assert!(matches!(
+            Listener::bind(TransportKind::Channel, None),
+            Err(EvaldError::Protocol(_))
+        ));
+    }
+
+    #[test]
     fn tcp_round_trips_frames_and_reports_eof() {
-        let (listener, addr) = tcp_listener().unwrap();
+        let listener = Listener::bind(TransportKind::Tcp, None).unwrap();
+        let endpoint = listener.endpoint().clone();
+        assert!(endpoint.to_string().starts_with("tcp:127.0.0.1:"));
         let client_thread = std::thread::spawn(move || {
-            let mut d = tcp_connect(addr).unwrap();
+            let mut d = endpoint.connect().unwrap();
             let bytes = d.rx.recv_frame().unwrap();
             let (frame, _) = decode_frame(&bytes).unwrap();
             d.tx.send_frame(&encode_frame(&frame)).unwrap(); // echo
         });
-        let mut server = tcp_accept(&listener).unwrap();
+        let mut server = listener.accept().unwrap();
         let frame = Frame::Work {
             shard: 5,
             span: 0,
@@ -438,14 +510,17 @@ mod tests {
     fn tcp_truncated_frame_is_a_disconnect_not_a_misread() {
         // A peer that dies mid-frame (length prefix promised more bytes
         // than ever arrive) must surface as Disconnected.
-        let (listener, addr) = tcp_listener().unwrap();
+        let listener = Listener::bind(TransportKind::Tcp, None).unwrap();
+        let Endpoint::Tcp(addr) = *listener.endpoint() else {
+            unreachable!("a TCP listener has a TCP endpoint")
+        };
         let client_thread = std::thread::spawn(move || {
             let mut stream = TcpStream::connect(addr).unwrap();
             let frame = encode_frame(&Frame::EndBatch { batch: 1 });
             stream.write_all(&frame[..frame.len() - 3]).unwrap();
             // Dropping the stream closes it mid-frame.
         });
-        let mut server = tcp_accept(&listener).unwrap();
+        let mut server = listener.accept().unwrap();
         assert!(matches!(
             server.rx.recv_frame(),
             Err(EvaldError::Disconnected)
@@ -457,7 +532,10 @@ mod tests {
     fn tcp_oversized_length_prefix_is_corrupt() {
         // A desynchronized or malicious peer declaring a multi-gigabyte
         // frame must be rejected before any allocation.
-        let (listener, addr) = tcp_listener().unwrap();
+        let listener = Listener::bind(TransportKind::Tcp, None).unwrap();
+        let Endpoint::Tcp(addr) = *listener.endpoint() else {
+            unreachable!("a TCP listener has a TCP endpoint")
+        };
         let client_thread = std::thread::spawn(move || {
             let mut stream = TcpStream::connect(addr).unwrap();
             stream
@@ -467,7 +545,7 @@ mod tests {
             // prefix, not EOF.
             stream
         });
-        let mut server = tcp_accept(&listener).unwrap();
+        let mut server = listener.accept().unwrap();
         assert!(matches!(
             server.rx.recv_frame(),
             Err(EvaldError::Corrupt(_))

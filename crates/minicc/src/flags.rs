@@ -36,11 +36,20 @@ impl CompilerKind {
     /// Stable one-byte tag used in persistent cache keys. Unlike the
     /// discriminant of `as u8`, this is part of the on-disk format: the
     /// assignments below must never be reordered or reused.
+    #[inline]
     pub fn stable_id(self) -> u8 {
         match self {
             CompilerKind::Gcc => 0,
             CompilerKind::Llvm => 1,
         }
+    }
+
+    /// Inverse of [`CompilerKind::stable_id`]; `None` for an unassigned
+    /// tag.
+    pub fn from_stable_id(id: u8) -> Option<CompilerKind> {
+        [CompilerKind::Gcc, CompilerKind::Llvm]
+            .into_iter()
+            .find(|k| k.stable_id() == id)
     }
 }
 
@@ -919,6 +928,16 @@ impl EffectConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn stable_ids_are_pinned_and_invert() {
+        assert_eq!(CompilerKind::Gcc.stable_id(), 0);
+        assert_eq!(CompilerKind::Llvm.stable_id(), 1);
+        for kind in [CompilerKind::Gcc, CompilerKind::Llvm] {
+            assert_eq!(CompilerKind::from_stable_id(kind.stable_id()), Some(kind));
+        }
+        assert_eq!(CompilerKind::from_stable_id(7), None);
+    }
 
     #[test]
     fn profiles_have_paper_scale_flag_counts() {
