@@ -9,11 +9,14 @@
 //!
 //! Mirrors `minicc::codec` in shape and discipline: a fixed magic,
 //! little-endian integers, declaration-order enum tags that must never
-//! be renumbered, defensive decoding (forged lengths, truncation and bad
-//! tags are typed errors, never panics or huge pre-allocations), and a
-//! trailing-bytes check so concatenated payloads cannot alias.
+//! be renumbered, defensive decoding through [`Cursor`] (forged lengths,
+//! truncation and bad tags are typed errors, never panics or huge
+//! pre-allocations), and a trailing-bytes check so concatenated payloads
+//! cannot alias.
 
 use crate::cfg::{Block, Cfg, Terminator};
+pub use crate::cursor::CodecError;
+use crate::cursor::Cursor;
 use crate::insn::{BlockId, Cond, FuncId, ImportId, Insn, MemRef, Opcode, Operand};
 use crate::program::{Arch, Binary, Function, Import};
 use crate::reg::{Gpr, Xmm};
@@ -21,36 +24,6 @@ use crate::reg::{Gpr, Xmm};
 /// Format magic: "BRC" + version byte. Bump the version byte on any
 /// layout change so stale artifact payloads decode to a typed error.
 pub const MAGIC: [u8; 4] = *b"BRC\x01";
-
-/// Decoding failure. Encoding is infallible.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CodecError {
-    /// Input does not start with [`MAGIC`].
-    BadMagic,
-    /// Input ended before the structure did (or a length field claimed
-    /// more bytes than remain).
-    Truncated,
-    /// An enum tag byte outside the known range, with the site name.
-    BadTag(&'static str, u8),
-    /// A length-prefixed string was not UTF-8.
-    BadString,
-    /// Bytes left over after the binary was fully decoded.
-    TrailingBytes,
-}
-
-impl std::fmt::Display for CodecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CodecError::BadMagic => write!(f, "not a binrep codec payload (bad magic)"),
-            CodecError::Truncated => write!(f, "payload truncated"),
-            CodecError::BadTag(what, t) => write!(f, "bad {what} tag {t}"),
-            CodecError::BadString => write!(f, "string is not UTF-8"),
-            CodecError::TrailingBytes => write!(f, "trailing bytes after binary"),
-        }
-    }
-}
-
-impl std::error::Error for CodecError {}
 
 /// Serialize a binary to its canonical byte form.
 pub fn encode_binary(b: &Binary) -> Vec<u8> {
@@ -77,7 +50,7 @@ pub fn encode_binary(b: &Binary) -> Vec<u8> {
 
 /// Inverse of [`encode_binary`]. The whole input must be consumed.
 pub fn decode_binary(bytes: &[u8]) -> Result<Binary, CodecError> {
-    let mut r = Reader { buf: bytes, at: 0 };
+    let mut r = Cursor::new(bytes);
     if r.take(4)? != MAGIC {
         return Err(CodecError::BadMagic);
     }
@@ -85,25 +58,15 @@ pub fn decode_binary(bytes: &[u8]) -> Result<Binary, CodecError> {
     let tag = r.u8()?;
     let arch = Arch::from_tag(tag).ok_or(CodecError::BadTag("arch", tag))?;
     let entry = FuncId(r.u32()?);
-    let mut functions = Vec::new();
-    for _ in 0..r.len()? {
-        functions.push(r.func()?);
-    }
-    let mut data = Vec::new();
-    for _ in 0..r.len()? {
-        data.push(r.u32()?);
-    }
-    let mut imports = Vec::new();
-    for _ in 0..r.len()? {
-        let id = ImportId(r.u16()?);
-        imports.push(Import {
-            id,
+    let functions = r.seq(func)?;
+    let data = r.seq(Cursor::u32)?;
+    let imports = r.seq(|r| {
+        Ok(Import {
+            id: ImportId(r.u16()?),
             name: r.string()?,
-        });
-    }
-    if r.at != r.buf.len() {
-        return Err(CodecError::TrailingBytes);
-    }
+        })
+    })?;
+    r.finish()?;
     Ok(Binary {
         name,
         arch,
@@ -269,227 +232,158 @@ fn put_term(out: &mut Vec<u8>, t: &Terminator) {
     }
 }
 
-/// Bounds-checked cursor over the input.
-struct Reader<'b> {
-    buf: &'b [u8],
-    at: usize,
+pub(crate) fn cond(r: &mut Cursor<'_>) -> Result<Cond, CodecError> {
+    let t = r.u8()?;
+    Cond::from_number(t).ok_or(CodecError::BadTag("cond", t))
 }
 
-impl<'b> Reader<'b> {
-    fn take(&mut self, n: usize) -> Result<&'b [u8], CodecError> {
-        let end = self.at.checked_add(n).ok_or(CodecError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(CodecError::Truncated);
-        }
-        let s = &self.buf[self.at..end];
-        self.at = end;
-        Ok(s)
-    }
+pub(crate) fn gpr(r: &mut Cursor<'_>) -> Result<Gpr, CodecError> {
+    let t = r.u8()?;
+    Gpr::from_number(t).ok_or(CodecError::BadTag("gpr", t))
+}
 
-    fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, CodecError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32, CodecError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn i32(&mut self) -> Result<i32, CodecError> {
-        Ok(self.u32()? as i32)
-    }
-
-    fn i64(&mut self) -> Result<i64, CodecError> {
-        let b = self.take(8)?;
-        Ok(i64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    /// A sequence length. Sanity-capped by remaining input (every
-    /// element is ≥ 1 byte), so a forged huge length cannot drive a
-    /// pre-allocation.
-    fn len(&mut self) -> Result<usize, CodecError> {
-        let n = self.u32()? as usize;
-        if n > self.buf.len() - self.at {
-            return Err(CodecError::Truncated);
-        }
-        Ok(n)
-    }
-
-    fn string(&mut self) -> Result<String, CodecError> {
-        let n = self.len()?;
-        let s = std::str::from_utf8(self.take(n)?).map_err(|_| CodecError::BadString)?;
-        Ok(s.to_owned())
-    }
-
-    fn cond(&mut self) -> Result<Cond, CodecError> {
-        let t = self.u8()?;
-        Cond::from_number(t).ok_or(CodecError::BadTag("cond", t))
-    }
-
-    fn gpr(&mut self) -> Result<Gpr, CodecError> {
-        let t = self.u8()?;
-        Gpr::from_number(t).ok_or(CodecError::BadTag("gpr", t))
-    }
-
-    fn gpr_opt(&mut self) -> Result<Option<Gpr>, CodecError> {
-        let t = self.u8()?;
-        if t == 0xff {
-            return Ok(None);
-        }
-        Gpr::from_number(t)
+fn gpr_opt(r: &mut Cursor<'_>) -> Result<Option<Gpr>, CodecError> {
+    match r.u8()? {
+        0xff => Ok(None),
+        t => Gpr::from_number(t)
             .map(Some)
-            .ok_or(CodecError::BadTag("gpr", t))
+            .ok_or(CodecError::BadTag("gpr", t)),
     }
+}
 
-    fn func(&mut self) -> Result<Function, CodecError> {
-        let id = FuncId(self.u32()?);
-        let name = self.string()?;
-        let params = self.len()?;
-        let is_library = match self.u8()? {
-            0 => false,
-            1 => true,
-            t => return Err(CodecError::BadTag("bool", t)),
-        };
-        let align_pad = self.u8()?;
-        let entry = BlockId(self.u32()?);
-        let next_id = self.u32()?;
-        let mut blocks = Vec::new();
-        for _ in 0..self.len()? {
-            let b = self.block()?;
-            if b.id.0 >= next_id {
-                return Err(CodecError::BadTag("block-id-watermark", 0));
-            }
-            blocks.push(b);
+fn func(r: &mut Cursor<'_>) -> Result<Function, CodecError> {
+    let id = FuncId(r.u32()?);
+    let name = r.string()?;
+    let params = r.count()?;
+    let is_library = match r.u8()? {
+        0 => false,
+        1 => true,
+        t => return Err(CodecError::BadTag("bool", t)),
+    };
+    let align_pad = r.u8()?;
+    let entry = BlockId(r.u32()?);
+    let next_id = r.u32()?;
+    let blocks = r.seq(|r| {
+        let b = block(r)?;
+        if b.id.0 >= next_id {
+            return Err(CodecError::BadTag("block-id-watermark", 0));
         }
-        let mut f = Function::new(id, name, params);
-        f.is_library = is_library;
-        f.align_pad = align_pad;
-        f.cfg = Cfg::from_raw_parts(blocks, entry, next_id);
-        Ok(f)
-    }
+        Ok(b)
+    })?;
+    let mut f = Function::new(id, name, params);
+    f.is_library = is_library;
+    f.align_pad = align_pad;
+    f.cfg = Cfg::from_raw_parts(blocks, entry, next_id);
+    Ok(f)
+}
 
-    fn block(&mut self) -> Result<Block, CodecError> {
-        let id = BlockId(self.u32()?);
-        let mut insns = Vec::new();
-        for _ in 0..self.len()? {
-            insns.push(self.insn()?);
+fn block(r: &mut Cursor<'_>) -> Result<Block, CodecError> {
+    let id = BlockId(r.u32()?);
+    let insns = r.seq(insn)?;
+    let term = term(r)?;
+    Ok(Block { id, insns, term })
+}
+
+fn insn(r: &mut Cursor<'_>) -> Result<Insn, CodecError> {
+    const PLAIN: [Opcode; 35] = [
+        Opcode::Mov,
+        Opcode::Lea,
+        Opcode::Add,
+        Opcode::Sub,
+        Opcode::Sbb,
+        Opcode::Adc,
+        Opcode::Imul,
+        Opcode::Udiv,
+        Opcode::Urem,
+        Opcode::Umulh,
+        Opcode::And,
+        Opcode::Or,
+        Opcode::Xor,
+        Opcode::Not,
+        Opcode::Neg,
+        Opcode::Inc,
+        Opcode::Dec,
+        Opcode::Shl,
+        Opcode::Shr,
+        Opcode::Sar,
+        Opcode::Cmp,
+        Opcode::Test,
+        Opcode::Set(Cond::E),  // placeholder, cond read below
+        Opcode::Cmov(Cond::E), // placeholder, cond read below
+        Opcode::Push,
+        Opcode::Pop,
+        Opcode::Call,
+        Opcode::CallImport,
+        Opcode::Vload,
+        Opcode::Vstore,
+        Opcode::Vadd,
+        Opcode::Vsub,
+        Opcode::Vmul,
+        Opcode::Vhsum,
+        Opcode::Nop,
+    ];
+    let t = r.u8()?;
+    let op = match *PLAIN
+        .get(t as usize)
+        .ok_or(CodecError::BadTag("opcode", t))?
+    {
+        Opcode::Set(_) => Opcode::Set(cond(r)?),
+        Opcode::Cmov(_) => Opcode::Cmov(cond(r)?),
+        plain => plain,
+    };
+    let a = operand_opt(r)?;
+    let b = operand_opt(r)?;
+    Ok(Insn { op, a, b })
+}
+
+fn operand_opt(r: &mut Cursor<'_>) -> Result<Option<Operand>, CodecError> {
+    Ok(match r.u8()? {
+        0 => None,
+        1 => Some(Operand::Reg(gpr(r)?)),
+        2 => {
+            let n = r.u8()?;
+            if n >= 8 {
+                return Err(CodecError::BadTag("xmm", n));
+            }
+            Some(Operand::Vec(Xmm(n)))
         }
-        let term = self.term()?;
-        Ok(Block { id, insns, term })
-    }
+        3 => Some(Operand::Imm(r.u64()? as i64)),
+        4 => {
+            let base = gpr_opt(r)?;
+            let index = gpr_opt(r)?;
+            let scale = r.u8()?;
+            let disp = r.u32()? as i32;
+            Some(Operand::Mem(MemRef {
+                base,
+                index,
+                scale,
+                disp,
+            }))
+        }
+        t => return Err(CodecError::BadTag("operand", t)),
+    })
+}
 
-    fn insn(&mut self) -> Result<Insn, CodecError> {
-        const PLAIN: [Opcode; 35] = [
-            Opcode::Mov,
-            Opcode::Lea,
-            Opcode::Add,
-            Opcode::Sub,
-            Opcode::Sbb,
-            Opcode::Adc,
-            Opcode::Imul,
-            Opcode::Udiv,
-            Opcode::Urem,
-            Opcode::Umulh,
-            Opcode::And,
-            Opcode::Or,
-            Opcode::Xor,
-            Opcode::Not,
-            Opcode::Neg,
-            Opcode::Inc,
-            Opcode::Dec,
-            Opcode::Shl,
-            Opcode::Shr,
-            Opcode::Sar,
-            Opcode::Cmp,
-            Opcode::Test,
-            Opcode::Set(Cond::E),  // placeholder, cond read below
-            Opcode::Cmov(Cond::E), // placeholder, cond read below
-            Opcode::Push,
-            Opcode::Pop,
-            Opcode::Call,
-            Opcode::CallImport,
-            Opcode::Vload,
-            Opcode::Vstore,
-            Opcode::Vadd,
-            Opcode::Vsub,
-            Opcode::Vmul,
-            Opcode::Vhsum,
-            Opcode::Nop,
-        ];
-        let t = self.u8()?;
-        let op = match *PLAIN
-            .get(t as usize)
-            .ok_or(CodecError::BadTag("opcode", t))?
-        {
-            Opcode::Set(_) => Opcode::Set(self.cond()?),
-            Opcode::Cmov(_) => Opcode::Cmov(self.cond()?),
-            plain => plain,
-        };
-        let a = self.operand_opt()?;
-        let b = self.operand_opt()?;
-        Ok(Insn { op, a, b })
-    }
-
-    fn operand_opt(&mut self) -> Result<Option<Operand>, CodecError> {
-        Ok(match self.u8()? {
-            0 => None,
-            1 => Some(Operand::Reg(self.gpr()?)),
-            2 => {
-                let n = self.u8()?;
-                if n >= 8 {
-                    return Err(CodecError::BadTag("xmm", n));
-                }
-                Some(Operand::Vec(Xmm(n)))
-            }
-            3 => Some(Operand::Imm(self.i64()?)),
-            4 => {
-                let base = self.gpr_opt()?;
-                let index = self.gpr_opt()?;
-                let scale = self.u8()?;
-                let disp = self.i32()?;
-                Some(Operand::Mem(MemRef {
-                    base,
-                    index,
-                    scale,
-                    disp,
-                }))
-            }
-            t => return Err(CodecError::BadTag("operand", t)),
-        })
-    }
-
-    fn term(&mut self) -> Result<Terminator, CodecError> {
-        Ok(match self.u8()? {
-            0 => Terminator::Jmp(BlockId(self.u32()?)),
-            1 => Terminator::Branch {
-                cond: self.cond()?,
-                then_bb: BlockId(self.u32()?),
-                else_bb: BlockId(self.u32()?),
-            },
-            2 => {
-                let index = self.gpr()?;
-                let mut targets = Vec::new();
-                for _ in 0..self.len()? {
-                    targets.push(BlockId(self.u32()?));
-                }
-                Terminator::JumpTable { index, targets }
-            }
-            3 => Terminator::LoopBack {
-                body: BlockId(self.u32()?),
-                exit: BlockId(self.u32()?),
-            },
-            4 => Terminator::Ret,
-            5 => Terminator::TailCall(FuncId(self.u32()?)),
-            t => return Err(CodecError::BadTag("terminator", t)),
-        })
-    }
+fn term(r: &mut Cursor<'_>) -> Result<Terminator, CodecError> {
+    Ok(match r.u8()? {
+        0 => Terminator::Jmp(BlockId(r.u32()?)),
+        1 => Terminator::Branch {
+            cond: cond(r)?,
+            then_bb: BlockId(r.u32()?),
+            else_bb: BlockId(r.u32()?),
+        },
+        2 => Terminator::JumpTable {
+            index: gpr(r)?,
+            targets: r.seq(|r| Ok(BlockId(r.u32()?)))?,
+        },
+        3 => Terminator::LoopBack {
+            body: BlockId(r.u32()?),
+            exit: BlockId(r.u32()?),
+        },
+        4 => Terminator::Ret,
+        5 => Terminator::TailCall(FuncId(r.u32()?)),
+        t => return Err(CodecError::BadTag("terminator", t)),
+    })
 }
 
 #[cfg(test)]
@@ -591,7 +485,7 @@ mod tests {
         assert_eq!(decode_binary(&[]), Err(CodecError::Truncated));
         let mut bytes = encode_binary(&kitchen_sink());
         bytes.push(0);
-        assert_eq!(decode_binary(&bytes), Err(CodecError::TrailingBytes));
+        assert_eq!(decode_binary(&bytes), Err(CodecError::TrailingBytes(1)));
     }
 
     #[test]

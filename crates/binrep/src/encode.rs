@@ -14,6 +14,8 @@
 //! re-derive an instruction stream from raw bytes.
 
 use crate::cfg::Terminator;
+use crate::codec::{cond, gpr};
+use crate::cursor::{CodecError, Cursor};
 use crate::insn::{Cond, Insn, MemRef, Opcode, Operand};
 use crate::program::{Arch, Binary, Function};
 use crate::reg::{Gpr, Xmm};
@@ -347,99 +349,6 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn err<T>(&self, reason: impl Into<String>) -> Result<T, DecodeError> {
-        Err(DecodeError {
-            offset: self.pos,
-            reason: reason.into(),
-        })
-    }
-
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        match self.bytes.get(self.pos) {
-            Some(&b) => {
-                self.pos += 1;
-                Ok(b)
-            }
-            None => self.err("unexpected end of code"),
-        }
-    }
-
-    fn i16le(&mut self) -> Result<i16, DecodeError> {
-        let lo = self.u8()?;
-        let hi = self.u8()?;
-        Ok(i16::from_le_bytes([lo, hi]))
-    }
-
-    fn i32le(&mut self) -> Result<i32, DecodeError> {
-        let mut b = [0u8; 4];
-        for x in &mut b {
-            *x = self.u8()?;
-        }
-        Ok(i32::from_le_bytes(b))
-    }
-
-    fn operand(&mut self) -> Result<Operand, DecodeError> {
-        let kind = self.u8()?;
-        Ok(match kind {
-            K_REG => {
-                let n = self.u8()?;
-                Operand::Reg(match Gpr::from_number(n) {
-                    Some(r) => r,
-                    None => return self.err(format!("bad register {n}")),
-                })
-            }
-            K_VEC => {
-                let n = self.u8()?;
-                if n >= 8 {
-                    return self.err(format!("bad xmm {n}"));
-                }
-                Operand::Vec(Xmm(n))
-            }
-            K_IMM8 => Operand::Imm(self.u8()? as i8 as i64),
-            K_IMM32 => Operand::Imm(self.i32le()? as i64),
-            K_MEM => {
-                let mode = self.u8()?;
-                let base = if mode & 0x80 != 0 {
-                    Some(Gpr::from_number(self.u8()?).ok_or(DecodeError {
-                        offset: self.pos,
-                        reason: "bad base".into(),
-                    })?)
-                } else {
-                    None
-                };
-                let index = if mode & 0x40 != 0 {
-                    Some(Gpr::from_number(self.u8()?).ok_or(DecodeError {
-                        offset: self.pos,
-                        reason: "bad index".into(),
-                    })?)
-                } else {
-                    None
-                };
-                let scale = 1u8 << ((mode >> 4) & 0x3);
-                let disp = match mode & 0x3 {
-                    0 => 0,
-                    1 => self.u8()? as i8 as i32,
-                    2 => self.i32le()?,
-                    _ => return self.err("bad disp size"),
-                };
-                Operand::Mem(MemRef {
-                    base,
-                    index,
-                    scale,
-                    disp,
-                })
-            }
-            other => return self.err(format!("bad operand kind {other:#x}")),
-        })
-    }
-}
-
 /// Decode a code section back into a stream of [`Item`]s.
 ///
 /// # Errors
@@ -447,103 +356,122 @@ impl<'a> Reader<'a> {
 /// Returns [`DecodeError`] when the bytes are not a valid encoding for
 /// `arch` (truncated stream, unknown opcode tag, malformed operand).
 pub fn decode(bytes: &[u8], arch: Arch) -> Result<Vec<Item>, DecodeError> {
-    let mut r = Reader { bytes, pos: 0 };
+    let mut r = Cursor::new(bytes);
     let mut out = Vec::new();
-    while r.pos < bytes.len() {
-        let start = r.pos;
-        let mut tag = r.u8()?;
-        if arch == Arch::X8664 && tag == PREFIX_EXT {
-            tag = r.u8()?;
-        }
-        let item = match tag {
-            T_JMP => Item::Jmp(r.i16le()?),
-            T_BR => {
-                let c = r.u8()?;
-                let cond = match Cond::from_number(c) {
-                    Some(c) => c,
-                    None => return r.err(format!("bad cond {c}")),
-                };
-                Item::Branch(cond, r.i16le()?)
-            }
-            T_TABLE => {
-                let reg = match Gpr::from_number(r.u8()?) {
-                    Some(g) => g,
-                    None => return r.err("bad table index reg"),
-                };
-                let n = {
-                    let lo = r.u8()?;
-                    let hi = r.u8()?;
-                    u16::from_le_bytes([lo, hi])
-                };
-                let mut targets = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    targets.push(r.i16le()?);
-                }
-                Item::Table(reg, targets)
-            }
-            T_LOOP => Item::LoopBack(r.i16le()?),
-            T_RET => Item::Ret,
-            T_TAILCALL => {
-                let lo = r.u8()?;
-                let hi = r.u8()?;
-                Item::TailCall(u16::from_le_bytes([lo, hi]))
-            }
-            _ => {
-                let raw = if arch == Arch::Mips {
-                    tag.wrapping_sub(0x80)
-                } else {
-                    tag
-                };
-                if raw == PAD_BYTE {
-                    let item = Item::Insn(Insn::op0(Opcode::Nop));
-                    if matches!(arch, Arch::Arm | Arch::Mips) {
-                        while !(r.pos - start).is_multiple_of(4) && r.pos < bytes.len() {
-                            r.u8()?;
-                        }
-                    }
-                    out.push(item);
-                    continue;
-                }
-                // Set/Cmov carry a condition byte.
-                let cond = if raw == 0x26 || raw == 0x27 {
-                    let c = r.u8()?;
-                    Some(match Cond::from_number(c) {
-                        Some(c) => c,
-                        None => return r.err(format!("bad cond {c}")),
-                    })
-                } else {
-                    None
-                };
-                let op = match tag_op(raw, cond) {
-                    Some(op) => op,
-                    None => return r.err(format!("unknown opcode tag {tag:#x}")),
-                };
-                let mut a = None;
-                let mut b = None;
-                match op.arity() {
-                    0 => {}
-                    1 => a = Some(r.operand()?),
-                    _ => {
-                        if arch == Arch::Mips {
-                            b = Some(r.operand()?);
-                            a = Some(r.operand()?);
-                        } else {
-                            a = Some(r.operand()?);
-                            b = Some(r.operand()?);
-                        }
-                    }
-                }
-                Item::Insn(Insn { op, a, b })
-            }
-        };
+    while r.remaining() > 0 {
+        let start = r.pos();
+        let item = decode_item(&mut r, arch).map_err(|e| match e {
+            // Whichever field ran out, the stream ran out at its end.
+            CodecError::Truncated => DecodeError {
+                offset: bytes.len(),
+                reason: "unexpected end of code".into(),
+            },
+            e => DecodeError {
+                offset: r.pos(),
+                reason: e.to_string(),
+            },
+        })?;
         if matches!(arch, Arch::Arm | Arch::Mips) {
-            while !(r.pos - start).is_multiple_of(4) && r.pos < bytes.len() {
-                r.u8()?;
-            }
+            // Skip the word-alignment pad (cut short at the end of code).
+            while !(r.pos() - start).is_multiple_of(4) && r.u8().is_ok() {}
         }
         out.push(item);
     }
     Ok(out)
+}
+
+fn decode_item(r: &mut Cursor<'_>, arch: Arch) -> Result<Item, CodecError> {
+    let mut tag = r.u8()?;
+    if arch == Arch::X8664 && tag == PREFIX_EXT {
+        tag = r.u8()?;
+    }
+    let i16 = |r: &mut Cursor<'_>| r.u16().map(|v| v as i16);
+    Ok(match tag {
+        T_JMP => Item::Jmp(i16(r)?),
+        T_BR => Item::Branch(cond(r)?, i16(r)?),
+        T_TABLE => {
+            let index = gpr(r)?;
+            let n = usize::from(r.u16()?);
+            let targets = r
+                .take(2 * n)?
+                .chunks_exact(2)
+                .map(|d| i16::from_le_bytes([d[0], d[1]]))
+                .collect();
+            Item::Table(index, targets)
+        }
+        T_LOOP => Item::LoopBack(i16(r)?),
+        T_RET => Item::Ret,
+        T_TAILCALL => Item::TailCall(r.u16()?),
+        _ => {
+            let raw = if arch == Arch::Mips {
+                tag.wrapping_sub(0x80)
+            } else {
+                tag
+            };
+            if raw == PAD_BYTE {
+                return Ok(Item::Insn(Insn::op0(Opcode::Nop)));
+            }
+            // Set/Cmov carry a condition byte.
+            let cond = if raw == 0x26 || raw == 0x27 {
+                Some(cond(r)?)
+            } else {
+                None
+            };
+            let op = tag_op(raw, cond).ok_or(CodecError::BadTag("opcode", tag))?;
+            let (a, b) = match op.arity() {
+                0 => (None, None),
+                1 => (Some(operand(r)?), None),
+                _ if arch == Arch::Mips => {
+                    let b = operand(r)?;
+                    (Some(operand(r)?), Some(b))
+                }
+                _ => (Some(operand(r)?), Some(operand(r)?)),
+            };
+            Item::Insn(Insn { op, a, b })
+        }
+    })
+}
+
+fn operand(r: &mut Cursor<'_>) -> Result<Operand, CodecError> {
+    Ok(match r.u8()? {
+        K_REG => Operand::Reg(gpr(r)?),
+        K_VEC => {
+            let n = r.u8()?;
+            if n >= 8 {
+                return Err(CodecError::BadTag("xmm", n));
+            }
+            Operand::Vec(Xmm(n))
+        }
+        K_IMM8 => Operand::Imm(r.u8()? as i8 as i64),
+        K_IMM32 => Operand::Imm(r.u32()? as i32 as i64),
+        K_MEM => {
+            let mode = r.u8()?;
+            let base = if mode & 0x80 != 0 {
+                Some(gpr(r)?)
+            } else {
+                None
+            };
+            let index = if mode & 0x40 != 0 {
+                Some(gpr(r)?)
+            } else {
+                None
+            };
+            let scale = 1u8 << ((mode >> 4) & 0x3);
+            let disp = match mode & 0x3 {
+                0 => 0,
+                1 => r.u8()? as i8 as i32,
+                2 => r.u32()? as i32,
+                _ => return Err(CodecError::BadTag("disp size", mode)),
+            };
+            Operand::Mem(MemRef {
+                base,
+                index,
+                scale,
+                disp,
+            })
+        }
+        other => return Err(CodecError::BadTag("operand kind", other)),
+    })
 }
 
 #[cfg(test)]

@@ -5,7 +5,9 @@
 //! structured basic blocks and control flow graphs ([`mod@cfg`]), whole-binary
 //! images with data sections and import tables ([`program`]), deterministic
 //! byte encoders/decoders for four target architectures ([`encode`]), and
-//! descriptive code statistics ([`stats`]).
+//! descriptive code statistics ([`stats`]). Its [`Cursor`] is the one
+//! bounds-checked reader every decoder of outside bytes in the workspace
+//! goes through ([`cursor`]).
 //!
 //! The design goal is fidelity to the properties the paper's study depends
 //! on, not to real x86: optimization passes in `minicc` transform these
@@ -43,6 +45,7 @@
 
 pub mod cfg;
 pub mod codec;
+pub mod cursor;
 pub mod encode;
 pub mod insn;
 pub mod program;
@@ -50,6 +53,7 @@ pub mod reg;
 pub mod stats;
 
 pub use cfg::{Block, Cfg, Terminator};
+pub use cursor::{CodecError, Cursor};
 pub use encode::{decode, encode_binary, encode_function, DecodeError, Item};
 pub use insn::{BlockId, Cond, FuncId, ImportId, Insn, MemRef, Opcode, Operand};
 pub use program::{Arch, Binary, Function, Import, DATA_BASE, HEAP_BASE, STACK_TOP};

@@ -1,7 +1,13 @@
 //! Property tests: arbitrary instruction streams survive the
-//! encode → decode round trip on every architecture.
+//! encode → decode round trip on every architecture, and mutated
+//! encodings — of binaries and of instruction streams — decode or fail
+//! typed, never panic.
 
-use binrep::{Arch, BlockId, Cond, FuncId, Function, Gpr, Insn, Item, MemRef, Opcode, Xmm};
+use binrep::codec::{decode_binary, encode_binary};
+use binrep::{
+    Arch, Binary, Block, BlockId, Cond, FuncId, Function, Gpr, Insn, Item, MemRef, Opcode,
+    Terminator, Xmm,
+};
 use proptest::prelude::*;
 
 fn arb_gpr() -> impl Strategy<Value = Gpr> {
@@ -87,5 +93,97 @@ proptest! {
         binrep::encode_function(&mut b, &f, Arch::X86);
         prop_assert!(binrep::decode(&a, Arch::X86).is_ok());
         prop_assert!(binrep::decode(&b, Arch::X86).is_ok());
+    }
+}
+
+/// One edit of an encoding: overwrite (most often), insert or delete
+/// the byte at `at`, taken modulo the length.
+fn edit_strategy() -> impl Strategy<Value = (usize, u8, u8)> {
+    (any::<usize>(), any::<u8>(), 0u8..8)
+}
+
+fn mutate(mut bytes: Vec<u8>, edits: &[(usize, u8, u8)]) -> Vec<u8> {
+    for &(at, byte, kind) in edits {
+        match kind {
+            6 => bytes.insert(at % (bytes.len() + 1), byte),
+            7 if !bytes.is_empty() => {
+                bytes.remove(at % bytes.len());
+            }
+            _ if !bytes.is_empty() => {
+                let i = at % bytes.len();
+                bytes[i] = byte;
+            }
+            _ => {}
+        }
+    }
+    bytes
+}
+
+/// A binary whose entry function holds `insns`, ends in every
+/// terminator kind, and which carries data and an import.
+fn sample_binary(insns: Vec<Insn>) -> Binary {
+    let mut bin = Binary::new("sample", Arch::X8664);
+    bin.add_string("hi");
+    let puts = bin.import_by_name("puts");
+    let mut f = Function::new(FuncId(0), "main", 2);
+    let [b1, b2, b3, b4] = [(); 4].map(|_| f.cfg.fresh_id());
+    let entry = f.cfg.block_mut(BlockId(0));
+    entry.insns = insns;
+    entry.insns.push(Insn::call_import(puts));
+    entry.term = Terminator::Branch {
+        cond: Cond::Ne,
+        then_bb: b1,
+        else_bb: b2,
+    };
+    let index = Gpr::Ecx;
+    f.cfg.push(Block::new(
+        b1,
+        vec![],
+        Terminator::JumpTable {
+            index,
+            targets: vec![b2, b3],
+        },
+    ));
+    f.cfg.push(Block::new(
+        b2,
+        vec![],
+        Terminator::LoopBack { body: b2, exit: b3 },
+    ));
+    f.cfg.push(Block::new(b3, vec![], Terminator::Jmp(b4)));
+    f.cfg
+        .push(Block::new(b4, vec![], Terminator::TailCall(FuncId(0))));
+    bin.functions.push(f);
+    bin
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8000))]
+
+    #[test]
+    fn mutated_binary_encodings_decode_canonically_or_fail_typed(
+        insns in proptest::collection::vec(arb_insn(), 0..12),
+        edits in proptest::collection::vec(edit_strategy(), 1..4),
+    ) {
+        let bytes = mutate(encode_binary(&sample_binary(insns)), &edits);
+        if let Ok(bin) = decode_binary(&bytes) {
+            // One byte sequence per binary: whatever decodes is the
+            // encoding of what it decoded to.
+            prop_assert_eq!(encode_binary(&bin), bytes);
+        }
+    }
+
+    #[test]
+    fn mutated_instruction_streams_decode_or_fail_typed(
+        insns in proptest::collection::vec(arb_insn(), 1..24),
+        edits in proptest::collection::vec(edit_strategy(), 1..4),
+    ) {
+        let bin = sample_binary(insns);
+        for arch in Arch::ALL {
+            let bin = Binary { arch, ..bin.clone() };
+            let bytes = mutate(binrep::encode_binary(&bin), &edits);
+            if let Err(e) = binrep::decode(&bytes, arch) {
+                prop_assert!(e.offset <= bytes.len(), "{:?}: {}", arch, e);
+            }
+        }
     }
 }

@@ -652,6 +652,11 @@ fn handle_submit(
         Ok(m) => m,
         Err(e) => return reject(RejectCode::BadModule, format!("module decode failed: {e}")),
     };
+    // A module that decodes may still name what it never declared;
+    // refuse it here, before a runner's compile can trip on it.
+    if let Err(e) = module.validate() {
+        return reject(RejectCode::BadModule, format!("module is invalid: {e}"));
+    }
     // The deadline clock starts at admission — queue time counts
     // against it, so an overloaded daemon fails a tight-deadline job
     // fast instead of running it late.

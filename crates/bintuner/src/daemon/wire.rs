@@ -18,7 +18,7 @@
 //! be *bit-identical* to the solo-run `TuneResult`, checksum included.
 
 use bytes::BufMut;
-use evald::wire::{open_frame, put_genome, seal_frame, Reader};
+use evald::wire::{open_frame, put_genome, read_genome, seal_frame};
 use evald::EvaldError;
 use genetic::StopReason;
 
@@ -56,7 +56,8 @@ pub enum RejectCode {
     QueueFull,
     /// The daemon is shutting down.
     ShuttingDown,
-    /// The submitted module bytes failed to decode.
+    /// The submitted module bytes failed to decode or to validate
+    /// (`minicc::ast::Module::validate`).
     BadModule,
     /// The submitted deadline is unusable (beyond the daemon's cap) —
     /// typed so a fat-fingered deadline reads as a request bug, not
@@ -272,10 +273,6 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.put_slice(s.as_bytes());
 }
 
-fn read_str(r: &mut Reader<'_>) -> Result<String, EvaldError> {
-    String::from_utf8(r.bytes()?).map_err(|_| EvaldError::Corrupt("string is not UTF-8"))
-}
-
 /// Encode one daemon frame, length prefix included — ready for any
 /// `evald::transport` sender.
 pub fn encode_daemon_frame(frame: &DaemonFrame) -> Vec<u8> {
@@ -389,8 +386,8 @@ pub fn decode_daemon_frame(buf: &[u8]) -> Result<(DaemonFrame, usize), EvaldErro
     let (tag, mut r, total) = open_frame(buf, DAEMON_MAGIC, DAEMON_WIRE_VERSION)?;
     let frame = match tag {
         TAG_SUBMIT => {
-            let tenant = read_str(&mut r)?;
-            let module = r.bytes()?;
+            let tenant = r.string()?;
+            let module = r.bytes()?.to_vec();
             DaemonFrame::Submit {
                 tenant,
                 module,
@@ -403,7 +400,7 @@ pub fn decode_daemon_frame(buf: &[u8]) -> Result<(DaemonFrame, usize), EvaldErro
         TAG_ACCEPTED => DaemonFrame::Accepted { job: r.u64()? },
         TAG_REJECTED => DaemonFrame::Rejected {
             code: RejectCode::from_u8(r.u8()?)?,
-            detail: read_str(&mut r)?,
+            detail: r.string()?,
         },
         TAG_STATUS => DaemonFrame::Status { job: r.u64()? },
         TAG_STATUS_REPLY => DaemonFrame::StatusReply {
@@ -422,7 +419,7 @@ pub fn decode_daemon_frame(buf: &[u8]) -> Result<(DaemonFrame, usize), EvaldErro
             let job = r.u64()?;
             let outcome = match r.u8()? {
                 1 => Ok(WireTuneOutcome {
-                    best_flags: r.genome()?,
+                    best_flags: read_genome(&mut r)?,
                     best_ncd_bits: r.u64()?,
                     iterations: r.u64()?,
                     stopped_by: stop_reason_from_u8(r.u8()?)?,
@@ -431,22 +428,18 @@ pub fn decode_daemon_frame(buf: &[u8]) -> Result<(DaemonFrame, usize), EvaldErro
                     store_ast_hits: r.u64()?,
                     store_lower_hits: r.u64()?,
                 }),
-                0 => Err(read_str(&mut r)?),
+                0 => Err(r.string()?),
                 _ => return Err(EvaldError::Corrupt("outcome tag out of range")),
             };
             DaemonFrame::ResultReply { job, outcome }
         }
         TAG_METRICS_TEXT => DaemonFrame::MetricsText,
-        TAG_METRICS_TEXT_REPLY => DaemonFrame::MetricsTextReply {
-            text: read_str(&mut r)?,
-        },
+        TAG_METRICS_TEXT_REPLY => DaemonFrame::MetricsTextReply { text: r.string()? },
         TAG_TRACE_DUMP => DaemonFrame::TraceDump,
-        TAG_TRACE_DUMP_REPLY => DaemonFrame::TraceDumpReply {
-            jsonl: read_str(&mut r)?,
-        },
+        TAG_TRACE_DUMP_REPLY => DaemonFrame::TraceDumpReply { jsonl: r.string()? },
         _ => return Err(EvaldError::Corrupt("unknown frame tag")),
     };
-    r.done()?;
+    r.finish()?;
     Ok((frame, total))
 }
 

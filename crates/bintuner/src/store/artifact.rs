@@ -32,6 +32,7 @@
 //! lock, so another writer's appends are merged, never lost.
 
 use super::{LoadReport, SaveOutcome, StoreLock};
+use binrep::{CodecError, Cursor};
 use bytes::BufMut;
 use minicc::fnv1a32 as checksum;
 use std::collections::HashMap;
@@ -172,29 +173,22 @@ impl LogIndex {
             file_bytes: bytes.len() as u64,
             ..LogIndex::default()
         };
-        if bytes.len() < ARTIFACT_HEADER_LEN
-            || bytes[..4] != ARTIFACT_MAGIC
-            || u32::from_le_bytes(bytes[4..8].try_into().unwrap()) != ARTIFACT_VERSION
-        {
+        let mut r = Cursor::new(bytes);
+        if r.take(4) != Ok(&ARTIFACT_MAGIC[..]) || r.u32() != Ok(ARTIFACT_VERSION) {
             index.report.malformed_header = true;
             index.report.dropped_bytes = bytes.len();
             index.needs_rewrite = true;
             return index;
         }
-        let mut off = ARTIFACT_HEADER_LEN;
-        while off + 4 <= bytes.len() {
-            let p_len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
-            let end = off + 4 + p_len + 4;
-            if !(AST_FIXED..=MAX_PAYLOAD).contains(&p_len) || end > bytes.len() {
-                break;
+        loop {
+            let mut c = r;
+            match read_record(&mut c) {
+                Some(payload) if index.index_record(r.pos() as u64, payload).is_ok() => {
+                    index.report.valid_records += 1;
+                    r = c;
+                }
+                _ => break,
             }
-            let payload = &bytes[off + 4..off + 4 + p_len];
-            let stored = u32::from_le_bytes(bytes[end - 4..end].try_into().unwrap());
-            if checksum(payload) != stored || !index.index_record(off as u64, payload) {
-                break;
-            }
-            index.report.valid_records += 1;
-            off = end;
         }
         index.live_bytes = index
             .ast
@@ -202,63 +196,57 @@ impl LogIndex {
             .chain(index.lower.values())
             .map(|a| u64::from(a.record_len))
             .sum();
-        if off != bytes.len() {
-            index.report.dropped_bytes = bytes.len() - off;
+        if r.remaining() > 0 {
+            index.report.dropped_bytes = r.remaining();
             index.needs_rewrite = true;
         }
         index
     }
 
-    /// Index one checksum-verified payload. Returns false on an unknown
-    /// tag or malformed key section (corrupt tail).
-    fn index_record(&mut self, record_off: u64, payload: &[u8]) -> bool {
-        let record_len = (4 + payload.len() + 4) as u32;
-        let u64_at = |off: usize| u64::from_le_bytes(payload[off..off + 8].try_into().unwrap());
-        let u128_at = |off: usize| (u128::from(u64_at(off)) << 64) | u128::from(u64_at(off + 8));
-        match payload[0] {
-            TAG_AST if payload.len() >= AST_FIXED => {
+    /// Index one checksum-verified payload. An unknown tag or a payload
+    /// shorter than its key and cost is an error (corrupt tail).
+    fn index_record(&mut self, record_off: u64, payload: &[u8]) -> Result<(), CodecError> {
+        let mut r = Cursor::new(payload);
+        let record_len = 4 + payload.len() + 4;
+        match r.u8()? {
+            TAG_AST => {
                 let key = AstArtifactKey {
-                    body_hash: u64_at(1),
-                    compiler: payload[9],
-                    ast_digest: u128_at(10),
+                    body_hash: r.u64()?,
+                    compiler: r.u8()?,
+                    ast_digest: r.u128()?,
                 };
-                let cost = f64::from_bits(u64_at(26));
-                self.ast.insert(
-                    key,
-                    DiskArtifact {
-                        record_off,
-                        record_len,
-                        blob_off: record_off + 4 + AST_FIXED as u64,
-                        blob_len: (payload.len() - AST_FIXED) as u32,
-                        cost,
-                    },
-                );
-                true
+                let cost = f64::from_bits(r.u64()?);
+                self.ast
+                    .insert(key, disk_at(record_off, record_len, AST_FIXED, cost));
             }
-            TAG_LOWER if payload.len() >= LOWER_FIXED => {
+            TAG_LOWER => {
                 let key = LowerArtifactKey {
-                    body_hash: u64_at(1),
-                    compiler: payload[9],
-                    arch: payload[10],
-                    ast_digest: u128_at(11),
-                    lower_digest: u128_at(27),
+                    body_hash: r.u64()?,
+                    compiler: r.u8()?,
+                    arch: r.u8()?,
+                    ast_digest: r.u128()?,
+                    lower_digest: r.u128()?,
                 };
-                let cost = f64::from_bits(u64_at(43));
-                self.lower.insert(
-                    key,
-                    DiskArtifact {
-                        record_off,
-                        record_len,
-                        blob_off: record_off + 4 + LOWER_FIXED as u64,
-                        blob_len: (payload.len() - LOWER_FIXED) as u32,
-                        cost,
-                    },
-                );
-                true
+                let cost = f64::from_bits(r.u64()?);
+                self.lower
+                    .insert(key, disk_at(record_off, record_len, LOWER_FIXED, cost));
             }
-            _ => false,
+            t => return Err(CodecError::BadTag("artifact", t)),
         }
+        Ok(())
     }
+}
+
+/// One `[payload length: u32][payload][FNV-1a: u32]` record at the
+/// cursor, or `None` when it is cut short, its length is out of range,
+/// or its checksum fails.
+fn read_record<'a>(r: &mut Cursor<'a>) -> Option<&'a [u8]> {
+    let p_len = r.u32().ok()? as usize;
+    if !(AST_FIXED..=MAX_PAYLOAD).contains(&p_len) {
+        return None;
+    }
+    let payload = r.take(p_len).ok()?;
+    (r.u32().ok()? == checksum(payload)).then_some(payload)
 }
 
 /// Telemetry handles of an [`ArtifactStore`].
@@ -428,13 +416,9 @@ impl ArtifactStore {
         f.seek(SeekFrom::Start(at.record_off)).ok()?;
         let mut record = vec![0u8; at.record_len as usize];
         f.read_exact(&mut record).ok()?;
-        let p_len = u32::from_le_bytes(record[..4].try_into().unwrap()) as usize;
-        if 4 + p_len + 4 != record.len() {
-            return None;
-        }
-        let payload = &record[4..4 + p_len];
-        let stored = u32::from_le_bytes(record[4 + p_len..].try_into().unwrap());
-        if checksum(payload) != stored || !payload.starts_with(key_bytes) {
+        let mut r = Cursor::new(&record);
+        let payload = read_record(&mut r)?;
+        if r.finish().is_err() || !payload.starts_with(key_bytes) {
             return None;
         }
         let blob_start = (at.blob_off - at.record_off) as usize;
@@ -558,13 +542,13 @@ impl ArtifactStore {
         for p in &self.pending_ast {
             let off = base + buf.len() as u64;
             let rec = encode_ast(&p.key, p.cost, &p.blob);
-            new_ast.push((p.key, disk_at(off, &rec, AST_FIXED, p.cost)));
+            new_ast.push((p.key, disk_at(off, rec.len(), AST_FIXED, p.cost)));
             buf.extend_from_slice(&rec);
         }
         for p in &self.pending_lower {
             let off = base + buf.len() as u64;
             let rec = encode_lower(&p.key, p.cost, &p.blob);
-            new_lower.push((p.key, disk_at(off, &rec, LOWER_FIXED, p.cost)));
+            new_lower.push((p.key, disk_at(off, rec.len(), LOWER_FIXED, p.cost)));
             buf.extend_from_slice(&rec);
         }
         let mut file = fs::OpenOptions::new().append(true).open(path)?;
@@ -640,7 +624,7 @@ impl ArtifactStore {
             {
                 break; // budget reached: everything cheaper is evicted
             }
-            fresh.index_record(buf.len() as u64, &rec[4..rec.len() - 4]);
+            let _ = fresh.index_record(buf.len() as u64, &rec[4..rec.len() - 4]);
             buf.extend_from_slice(rec);
         }
         let mut tmp = path.as_os_str().to_owned();
@@ -658,12 +642,12 @@ impl ArtifactStore {
     }
 }
 
-fn disk_at(record_off: u64, rec: &[u8], fixed: usize, cost: f64) -> DiskArtifact {
+fn disk_at(record_off: u64, record_len: usize, fixed: usize, cost: f64) -> DiskArtifact {
     DiskArtifact {
         record_off,
-        record_len: rec.len() as u32,
+        record_len: record_len as u32,
         blob_off: record_off + 4 + fixed as u64,
-        blob_len: (rec.len() - 4 - fixed - 4) as u32,
+        blob_len: (record_len - 4 - fixed - 4) as u32,
         cost,
     }
 }

@@ -77,7 +77,7 @@ pub use artifact::{
 pub use lock::StoreLock;
 pub use shard::{shard_for, shard_for_module};
 
-use binrep::Arch;
+use binrep::{Arch, Cursor};
 use index::ShardIndex;
 use minicc::fnv1a32 as checksum;
 use minicc::{CompilerKind, ModuleFeatures};
@@ -477,12 +477,9 @@ impl FitnessStore {
                 };
                 max_idx = Some(max_idx.map_or(idx, |m| m.max(idx)));
                 if header_count.is_none() {
-                    if let Ok(bytes) = fs::read(entry.path()) {
-                        if bytes.len() >= 12 && bytes[..4] == MAGIC {
-                            let c = u16::from_le_bytes(bytes[10..12].try_into().unwrap());
-                            header_count = Some(usize::from(c));
-                        }
-                    }
+                    header_count = fs::read(entry.path())
+                        .ok()
+                        .and_then(|bytes| shard::header_shard_count(&bytes));
                 }
             }
         }
@@ -941,19 +938,20 @@ fn encode_manifest(shard_count: usize, generation: u32) -> [u8; MANIFEST_LEN] {
 }
 
 fn decode_manifest(bytes: &[u8]) -> Option<(usize, u32)> {
-    if bytes.len() != MANIFEST_LEN
-        || bytes[..4] != MAGIC
-        || u32::from_le_bytes(bytes[4..8].try_into().unwrap()) != FORMAT_VERSION
-        || u32::from_le_bytes(bytes[16..20].try_into().unwrap()) != checksum(&bytes[..16])
-    {
+    let mut r = Cursor::new(bytes);
+    let body = r.take(MANIFEST_LEN - 4).ok()?;
+    if r.u32().ok()? != checksum(body) || r.finish().is_err() {
         return None;
     }
-    let count = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
+    let mut r = Cursor::new(body);
+    if r.take(4).ok()? != MAGIC || r.u32().ok()? != FORMAT_VERSION {
+        return None;
+    }
+    let count = r.u32().ok()? as usize;
     if count == 0 || count > usize::from(u16::MAX) {
         return None;
     }
-    let generation = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
-    Some((count, generation))
+    Some((count, r.u32().ok()?))
 }
 
 /// The `(shard count, generation)` recorded in `dir`'s manifest, if it

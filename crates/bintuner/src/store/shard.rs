@@ -14,9 +14,9 @@
 
 use super::index::ShardIndex;
 use super::{
-    FlagBits, PendingRecord, StoreKey, StoredFitness, FLAG_BYTES, FORMAT_VERSION, MAGIC,
-    MAX_STORED_FLAGS,
+    FlagBits, PendingRecord, StoreKey, StoredFitness, FORMAT_VERSION, MAGIC, MAX_STORED_FLAGS,
 };
+use binrep::{CodecError, Cursor};
 use bytes::BufMut;
 use minicc::fnv1a32 as checksum;
 use minicc::{ModuleFeatures, StableHasher};
@@ -90,11 +90,11 @@ fn shard_header(idx: usize, shard_count: usize) -> [u8; SHARD_HEADER_LEN] {
 /// valid prefix is kept.
 pub(super) fn parse_shard(bytes: &[u8], idx: usize, shard_count: usize) -> ShardIndex {
     let mut shard = ShardIndex::default();
-    if bytes.len() < SHARD_HEADER_LEN || bytes[..SHARD_HEADER_LEN] != shard_header(idx, shard_count)
-    {
+    let mut r = Cursor::new(bytes);
+    if r.take(SHARD_HEADER_LEN) != Ok(&shard_header(idx, shard_count)[..]) {
         // Distinguish "wrong version" from "not ours at all" for the
         // report, but both degrade identically.
-        if bytes.len() >= 8 && bytes[..4] == MAGIC {
+        if bytes.len() >= 8 && bytes.starts_with(&MAGIC) {
             shard.report.version_mismatch = true;
         } else {
             shard.report.malformed_header = true;
@@ -103,55 +103,63 @@ pub(super) fn parse_shard(bytes: &[u8], idx: usize, shard_count: usize) -> Shard
         shard.needs_rewrite = true;
         return shard;
     }
-    let consumed = parse_records(&bytes[SHARD_HEADER_LEN..], &mut shard);
+    parse_records(&mut r, &mut shard);
     shard.report.valid_records = shard.disk_records;
-    if SHARD_HEADER_LEN + consumed != bytes.len() {
+    if r.remaining() > 0 {
         // Truncated or corrupt tail: appending after it would misalign
         // every future record, so force a rewrite.
-        shard.report.dropped_bytes = bytes.len() - SHARD_HEADER_LEN - consumed;
+        shard.report.dropped_bytes = r.remaining();
         shard.needs_rewrite = true;
     }
     shard
 }
 
-/// Decode checksummed records into `shard` until the bytes run out or a
-/// record fails its checksum/tag check. Returns the bytes consumed.
-fn parse_records(bytes: &[u8], shard: &mut ShardIndex) -> usize {
-    let mut off = 0;
-    while off + RECORD_LEN <= bytes.len() {
-        let payload = &bytes[off..off + RECORD_PAYLOAD_LEN];
-        let stored = u32::from_le_bytes(
-            bytes[off + RECORD_PAYLOAD_LEN..off + RECORD_LEN]
-                .try_into()
-                .unwrap(),
-        );
-        if checksum(payload) != stored || !decode_record(payload, shard) {
-            break;
-        }
-        shard.disk_records += 1;
-        off += RECORD_LEN;
+/// The shard count a shard file's header records, if the file starts
+/// with our magic (the geometry hint for a store that lost its
+/// manifest).
+pub(super) fn header_shard_count(bytes: &[u8]) -> Option<usize> {
+    let mut r = Cursor::new(bytes);
+    if r.take(4).ok()? != MAGIC {
+        return None;
     }
-    off
+    r.take(6).ok()?; // format version + shard index
+    r.u16().ok().map(usize::from)
 }
 
-/// Decode one checksum-verified payload. Returns false for an unknown
-/// tag (treated as a corrupt tail — same-version files only ever carry
+/// Decode checksummed records into `shard` until the bytes run out or a
+/// record fails its checksum/tag check, leaving the cursor after the
+/// last record kept.
+fn parse_records(r: &mut Cursor<'_>, shard: &mut ShardIndex) {
+    loop {
+        let mut c = *r;
+        let Ok(payload) = c.take(RECORD_PAYLOAD_LEN) else {
+            return;
+        };
+        if c.u32() != Ok(checksum(payload)) || decode_record(payload, shard).is_err() {
+            return;
+        }
+        shard.disk_records += 1;
+        *r = c;
+    }
+}
+
+/// Decode one checksum-verified payload. An unknown tag is an error
+/// (treated as a corrupt tail — same-version files only ever carry
 /// known tags).
-fn decode_record(payload: &[u8], shard: &mut ShardIndex) -> bool {
-    let body = &payload[1..];
-    match payload[0] {
+fn decode_record(payload: &[u8], shard: &mut ShardIndex) -> Result<(), CodecError> {
+    let mut r = Cursor::new(payload);
+    match r.u8()? {
         TAG_FITNESS => {
-            let (key, value) = decode_fitness(body);
+            let (key, value) = decode_fitness(&mut r)?;
             shard.entries.insert(key, value);
-            true
         }
         TAG_MODULE_FEATURES => {
-            let (hash, feats) = decode_features(body);
+            let (hash, feats) = decode_features(&mut r)?;
             shard.features.insert(hash, feats);
-            true
         }
-        _ => false,
+        t => return Err(CodecError::BadTag("record", t)),
     }
+    Ok(())
 }
 
 /// Load one shard from disk. A missing file is an empty shard (clean —
@@ -308,35 +316,33 @@ pub(super) fn encode_features_record(module_hash: u64, feats: &ModuleFeatures, o
     finish_record(start, out);
 }
 
-fn decode_fitness(body: &[u8]) -> (StoreKey, StoredFitness) {
-    let u64_at = |off: usize| u64::from_le_bytes(body[off..off + 8].try_into().unwrap());
+fn decode_fitness(r: &mut Cursor<'_>) -> Result<(StoreKey, StoredFitness), CodecError> {
     let key = StoreKey {
-        module_hash: u64_at(0),
-        compiler: body[8],
-        arch: body[9],
-        effect_digest: (u128::from(u64_at(10)) << 64) | u128::from(u64_at(18)),
+        module_hash: r.u64()?,
+        compiler: r.u8()?,
+        arch: r.u8()?,
+        effect_digest: r.u128()?,
     };
-    let n = u16::from_le_bytes(body[35..37].try_into().unwrap());
-    let mut flags = FlagBits {
-        n: n.min(MAX_STORED_FLAGS as u16),
-        bits: [0; FLAG_BYTES],
+    let fitness = f64::from_bits(r.u64()?);
+    let failed = r.u8()? != 0;
+    let flags = FlagBits {
+        n: r.u16()?.min(MAX_STORED_FLAGS as u16),
+        bits: r.array()?,
     };
-    flags.bits.copy_from_slice(&body[37..37 + FLAG_BYTES]);
     let value = StoredFitness {
-        fitness: f64::from_bits(u64_at(26)),
-        failed: body[34] != 0,
+        fitness,
+        failed,
         flags,
-        generation: u32::from_le_bytes(body[37 + FLAG_BYTES..41 + FLAG_BYTES].try_into().unwrap()),
+        generation: r.u32()?,
     };
-    (key, value)
+    Ok((key, value))
 }
 
-fn decode_features(body: &[u8]) -> (u64, ModuleFeatures) {
-    let hash = u64::from_le_bytes(body[0..8].try_into().unwrap());
+fn decode_features(r: &mut Cursor<'_>) -> Result<(u64, ModuleFeatures), CodecError> {
+    let hash = r.u64()?;
     let mut feats = ModuleFeatures::default();
-    for (i, c) in feats.counts.iter_mut().enumerate() {
-        let off = 8 + 4 * i;
-        *c = u32::from_le_bytes(body[off..off + 4].try_into().unwrap());
+    for c in &mut feats.counts {
+        *c = r.u32()?;
     }
-    (hash, feats)
+    Ok((hash, feats))
 }

@@ -10,7 +10,7 @@ use bintuner::daemon::wire::{JobState, RejectCode, WireTuneOutcome};
 use bintuner::daemon::{Daemon, DaemonClient, DaemonConfig, DaemonHandle};
 use bintuner::{ArtifactStore, ProcessFarm, TuneResult, Tuner, TunerConfig, WorkerMode};
 use evald::{FaultPlan, ServiceConfig, TransportKind};
-use minicc::ast::Module;
+use minicc::ast::{Expr, LValue, Module, Stmt};
 use std::path::PathBuf;
 use testutil::{small_tuner, tiny_loop_module, ScratchStore};
 
@@ -324,6 +324,40 @@ fn admission_control_rejects_with_types_not_blocking() {
         registry.counter_value("bintuner_daemon_rejects_total", Some("carol")),
         Some(1)
     );
+    daemon.shutdown();
+}
+
+#[test]
+fn a_module_naming_an_undeclared_variable_is_rejected_and_others_still_run() {
+    // The module decodes, but `main` assigns to a `ghost` it never
+    // declared: admission validation refuses it, so no runner ever
+    // compiles it — and the next tenant's job runs as if it never came.
+    let store = ScratchStore::new("daemon_bad_module");
+    let mut ghost = tiny_loop_module("daemon_ghost_mod", 3);
+    ghost.funcs[0]
+        .body
+        .insert(0, Stmt::Assign(LValue::Var("ghost".into()), Expr::Const(1)));
+    let module = tiny_loop_module("daemon_after_ghost_mod", 5);
+    let reference = solo(&module, 0x6057);
+
+    let daemon = Daemon::launch(daemon_config(TransportKind::Unix, &store)).unwrap();
+    let mut client = DaemonClient::connect(daemon.addr()).unwrap();
+    let (code, detail) = client
+        .submit("mallory", &ghost, 1, EVALS, false, 0)
+        .unwrap()
+        .expect_err("an undeclared variable is refused at admission");
+    assert_eq!(code, RejectCode::BadModule);
+    assert!(detail.contains("ghost"), "{detail}");
+
+    let outcome = submit_and_fetch(&mut client, "alice", &module, 0x6057)
+        .expect("the next tenant's job completes");
+    assert_outcome_matches_solo(&outcome, &reference, "job after a refused module vs solo");
+    let registry = daemon.registry();
+    assert_eq!(
+        registry.counter_value("bintuner_daemon_rejects_total", Some("mallory")),
+        Some(1)
+    );
+    assert_eq!(daemon.metrics_snapshot().completed, 1);
     daemon.shutdown();
 }
 

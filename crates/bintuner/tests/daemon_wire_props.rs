@@ -4,10 +4,11 @@
 //! truncated or corrupt — never misread; and a version field that is
 //! not exactly `DAEMON_WIRE_VERSION` must be refused with the typed
 //! mismatch carrying both sides, so a v3 peer gets a diagnosis instead
-//! of garbage.
+//! of garbage; and arbitrary payloads behind a valid envelope must
+//! decode or fail typed.
 
 use bintuner::daemon::wire::{
-    decode_daemon_frame, encode_daemon_frame, DaemonFrame, JobState, RejectCode,
+    decode_daemon_frame, encode_daemon_frame, DaemonFrame, JobState, RejectCode, DAEMON_MAGIC,
     DAEMON_WIRE_VERSION,
 };
 use evald::EvaldError;
@@ -139,6 +140,43 @@ proptest! {
                 prop_assert_eq!(want, DAEMON_WIRE_VERSION);
             }
             other => prop_assert!(false, "expected VersionMismatch, got {other:?}"),
+        }
+    }
+}
+
+/// Payload bytes biased towards zero, so lengths read from them are
+/// often small enough for whole frames to decode.
+fn payload_strategy() -> impl Strategy<Value = Vec<u8>> {
+    vec(
+        (any::<u8>(), any::<bool>()).prop_map(|(b, zero)| if zero { 0 } else { b }),
+        0..80,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(50000))]
+
+    #[test]
+    fn arbitrary_sealed_payloads_decode_or_fail_typed(tag in 0u8..16,
+                                                      payload in payload_strategy()) {
+        // Every tag the daemon wire knows (0..=8, 11..=14), the two it
+        // retired (9, 10) and a foreign one (15), each over arbitrary
+        // bytes behind a valid envelope: decode the whole buffer into a
+        // frame that survives re-encoding, or fail Corrupt.
+        let mut body = DAEMON_MAGIC.to_vec();
+        body.extend_from_slice(&DAEMON_WIRE_VERSION.to_le_bytes());
+        body.push(tag);
+        body.extend_from_slice(&payload);
+        let bytes = evald::wire::seal_frame(&body);
+        match decode_daemon_frame(&bytes) {
+            Ok((frame, used)) => {
+                prop_assert_eq!(used, bytes.len());
+                let (again, _) =
+                    decode_daemon_frame(&encode_daemon_frame(&frame)).expect("re-encoded frame");
+                prop_assert_eq!(again, frame);
+            }
+            Err(EvaldError::Corrupt(_)) => {}
+            Err(other) => prop_assert!(false, "tag {}: {:?}", tag, other),
         }
     }
 }

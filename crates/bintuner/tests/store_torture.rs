@@ -18,11 +18,18 @@
 //! 4. **Backend independence** — a warm start from one v4 directory
 //!    replays a bit-identical tuning trajectory in-process and behind
 //!    the service backend.
+//! 5. **Arbitrary bytes under valid checksums** — a shard record, a
+//!    manifest or an artifact-log record that passes its checksum but
+//!    carries arbitrary content loads typed: it decodes, or the file
+//!    keeps its clean prefix. Never a panic.
 
 use bintuner::{
     ArtifactStore, Backend, FitnessStore, SaveOutcome, ServiceConfig, StoreKey, StoredFitness,
     TuneResult, Tuner,
 };
+use minicc::fnv1a32;
+use proptest::collection::vec;
+use proptest::prelude::*;
 use std::fs;
 use std::path::Path;
 use std::thread;
@@ -546,4 +553,161 @@ fn persist_failure_degrades_the_run_to_memory_not_to_an_error() {
         "the durable prefix serves the replay entirely from the store"
     );
     assert!(replay.engine_stats.persistent_hits > 0);
+}
+
+/// `payload` framed as the artifact log frames a record: length prefix,
+/// payload, FNV-1a checksum.
+fn artifact_record(payload: &[u8]) -> Vec<u8> {
+    let mut rec = (payload.len() as u32).to_le_bytes().to_vec();
+    rec.extend_from_slice(payload);
+    rec.extend_from_slice(&fnv1a32(payload).to_le_bytes());
+    rec
+}
+
+fn art_key(i: u64) -> bintuner::AstArtifactKey {
+    bintuner::AstArtifactKey {
+        body_hash: 0xA27 + i,
+        compiler: 0,
+        ast_digest: u128::from(i),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    #[test]
+    fn arbitrary_shard_records_under_valid_checksums_keep_the_clean_prefix(
+        tag in prop_oneof![Just(0u8), Just(1u8), any::<u8>()],
+        body in vec(any::<u8>(), 65),
+        at in 0usize..=6,
+    ) {
+        // One shard holds six fitness records; an arbitrary record with
+        // a valid checksum goes in after `at` of them. A known tag
+        // decodes any body, so every record loads; any other tag is a
+        // corrupt tail, and exactly the `at` records before it load.
+        let scratch = ScratchStore::new("torture_prop_record");
+        let entries = seed_entries(6);
+        let mut store = FitnessStore::load_with_shard_count(scratch.path(), 1);
+        for (k, v) in &entries {
+            store.insert(*k, *v);
+        }
+        store.save().unwrap();
+        let shard = scratch.path().join("shard-00.log");
+        let mut bytes = fs::read(&shard).unwrap();
+        let mut rec = vec![tag];
+        rec.extend_from_slice(&body);
+        rec.extend_from_slice(&fnv1a32(&rec).to_le_bytes());
+        let off = (SHARD_HEADER_LEN + at as u64 * RECORD_LEN) as usize;
+        bytes.splice(off..off, rec);
+        fs::write(&shard, &bytes).unwrap();
+
+        let mut loaded = FitnessStore::load(scratch.path());
+        loaded.modules_with_features();
+        let report = loaded.report();
+        let known = tag <= 1;
+        let kept = if known { entries.len() + 1 } else { at };
+        prop_assert_eq!(report.valid_records, kept);
+        let dropped = if known { 0 } else { (entries.len() - at + 1) as u64 * RECORD_LEN };
+        prop_assert_eq!(report.dropped_bytes as u64, dropped);
+        let mut served = 0;
+        for (k, v) in &entries {
+            if let Some(got) = loaded.get(k) {
+                prop_assert_eq!(got.fitness.to_bits(), v.fitness.to_bits());
+                served += 1;
+            }
+        }
+        prop_assert_eq!(served, if known { entries.len() } else { at });
+    }
+
+    #[test]
+    fn arbitrary_manifests_under_valid_checksums_load_typed(
+        magic in prop_oneof![Just(u32::from_le_bytes(*b"BTFS")), any::<u32>()],
+        version in prop_oneof![Just(4u32), any::<u32>()],
+        count in prop_oneof![Just(0u32), Just(4u32), 1u32..600, any::<u32>()],
+        generation in any::<u32>(),
+    ) {
+        // Four shards hold twelve records. A manifest the store accepts
+        // names the geometry: the true one serves every record under the
+        // manifest's generation, a wrong one turns every shard foreign
+        // (dropped, reported). A manifest it refuses is rebuilt from the
+        // shard headers, losing nothing.
+        let scratch = ScratchStore::new("torture_prop_manifest");
+        let entries = seed_entries(12);
+        let mut store = FitnessStore::load_with_shard_count(scratch.path(), 4);
+        for (k, v) in &entries {
+            store.insert(*k, *v);
+        }
+        store.save().unwrap();
+        let mut manifest = Vec::new();
+        for word in [magic, version, count, generation] {
+            manifest.extend_from_slice(&word.to_le_bytes());
+        }
+        manifest.extend_from_slice(&fnv1a32(&manifest).to_le_bytes());
+        fs::write(scratch.path().join("manifest"), &manifest).unwrap();
+
+        let mut loaded = FitnessStore::load(scratch.path());
+        let len = loaded.len();
+        let report = loaded.report();
+        let accepted = magic.to_le_bytes() == *b"BTFS"
+            && version == 4
+            && (1..=65_535).contains(&count);
+        if !accepted {
+            prop_assert!(report.malformed_header);
+            prop_assert_eq!(loaded.shard_count(), 4);
+            prop_assert_eq!(len, entries.len());
+        } else if count == 4 {
+            prop_assert_eq!(loaded.generation(), generation);
+            prop_assert_eq!(len, entries.len());
+            prop_assert_eq!(report.dropped_bytes, 0);
+        } else {
+            prop_assert_eq!(len, 0);
+            prop_assert!(report.version_mismatch && report.dropped_bytes > 0);
+        }
+    }
+
+    #[test]
+    fn arbitrary_artifact_records_under_valid_checksums_keep_the_clean_prefix(
+        tag in prop_oneof![Just(0u8), Just(1u8), any::<u8>()],
+        tail in vec(any::<u8>(), 0..80),
+        at in 0usize..=3,
+    ) {
+        // Three AST artifacts, most expensive first; an arbitrary
+        // payload with a valid checksum goes in after `at` of them. It
+        // indexes when its tag is known and it is long enough for that
+        // tag's key and cost (34 bytes for an AST record, 51 for a
+        // lowered one); otherwise exactly the `at` records before it are
+        // served.
+        let scratch = ScratchStore::new("torture_prop_artifact");
+        build_store(&scratch, &seed_entries(2));
+        let mut artifacts = ArtifactStore::load(scratch.path());
+        for i in 0..3u64 {
+            artifacts.insert_ast(art_key(i), 3.0 - i as f64, vec![i as u8; 9 + i as usize]);
+        }
+        artifacts.save().unwrap();
+        let log = scratch.path().join("artifacts.log");
+        let mut bytes = fs::read(&log).unwrap();
+        let mut off = 8;
+        for _ in 0..at {
+            let p_len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
+            off += 4 + p_len + 4;
+        }
+        let mut payload = vec![tag];
+        payload.extend_from_slice(&tail);
+        bytes.splice(off..off, artifact_record(&payload));
+        fs::write(&log, &bytes).unwrap();
+
+        let mut loaded = ArtifactStore::load(scratch.path());
+        let indexes = match tag {
+            0 => payload.len() >= 34,
+            1 => payload.len() >= 51,
+            _ => false,
+        };
+        prop_assert_eq!(loaded.len(), if indexes { 4 } else { at });
+        prop_assert_eq!(loaded.report().dropped_bytes == 0, indexes);
+        for i in 0..3u64 {
+            let served = indexes || (i as usize) < at;
+            let want = served.then(|| vec![i as u8; 9 + i as usize]);
+            prop_assert_eq!(loaded.fetch_ast(&art_key(i)), want);
+        }
+    }
 }

@@ -329,6 +329,21 @@ impl From<std::io::Error> for EvaldError {
     }
 }
 
+/// A payload whose [`binrep::Cursor`] reads fail is corrupt: its frame
+/// envelope already passed the length and checksum checks.
+impl From<binrep::CodecError> for EvaldError {
+    fn from(e: binrep::CodecError) -> EvaldError {
+        EvaldError::Corrupt(match e {
+            binrep::CodecError::Truncated => "payload shorter than its fields",
+            binrep::CodecError::BadString => "string is not UTF-8",
+            binrep::CodecError::TrailingBytes(_) => "trailing bytes after payload",
+            // Frame payloads carry no codec magic and no nesting; their
+            // tags are checked by the frame decoders themselves.
+            _ => "malformed payload",
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

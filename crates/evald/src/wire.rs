@@ -18,11 +18,13 @@
 //! little-endian integers, length-prefixed sequences, packed bitmaps for
 //! genomes, and `f64::to_bits` for floats (fitness values must cross the
 //! wire *bit-exactly* — the embedder's differential guarantee rests on
-//! it). Decoding never panics: a frame that is truncated, carries a
-//! foreign version, fails its checksum, or has a malformed payload is
-//! rejected with a typed [`EvaldError`].
+//! it). Decoding reads through [`binrep::Cursor`] and never panics: a
+//! frame that is truncated, carries a foreign version, fails its
+//! checksum, or has a malformed payload is rejected with a typed
+//! [`EvaldError`].
 
 use crate::EvaldError;
+use binrep::{CodecError, Cursor};
 use bytes::BufMut;
 use minicc::fnv1a32 as checksum;
 
@@ -463,104 +465,39 @@ pub fn seal_frame(body: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Bounds-checked cursor over a frame payload (decoding must reject
-/// malformed bytes, never panic).
+/// Consume one genome in the [`put_genome`] encoding.
 ///
-/// Public so embedder-defined protocols layered over the same transports
-/// (the BinTuner daemon's job frames) get the same never-panic decoding
-/// discipline without re-deriving it.
-pub struct Reader<'a> {
-    buf: &'a [u8],
-    off: usize,
+/// Public beside [`put_genome`] so embedder-defined protocols layered
+/// over the same transports share one genome decoding.
+pub fn read_genome(r: &mut Cursor<'_>) -> Result<Vec<bool>, CodecError> {
+    let mut c = *r;
+    let n = usize::from(c.u16()?);
+    let bytes = c.take(n.div_ceil(8))?;
+    *r = c;
+    Ok((0..n).map(|i| bytes[i / 8] & (1 << (i % 8)) != 0).collect())
 }
 
-impl<'a> Reader<'a> {
-    /// Start a cursor at the head of `buf`.
-    pub fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, off: 0 }
-    }
-
-    /// Consume the next `n` bytes, or reject the payload as short.
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], EvaldError> {
-        if self.off + n > self.buf.len() {
-            return Err(EvaldError::Corrupt("payload shorter than its fields"));
-        }
-        let s = &self.buf[self.off..self.off + n];
-        self.off += n;
-        Ok(s)
-    }
-
-    /// Consume one byte.
-    pub fn u8(&mut self) -> Result<u8, EvaldError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Consume a little-endian `u16`.
-    pub fn u16(&mut self) -> Result<u16, EvaldError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    /// Consume a little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, EvaldError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    /// Consume a little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, EvaldError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Consume a `u128` encoded as high then low `u64` halves.
-    pub fn u128(&mut self) -> Result<u128, EvaldError> {
-        let hi = self.u64()?;
-        let lo = self.u64()?;
-        Ok((u128::from(hi) << 64) | u128::from(lo))
-    }
-
-    /// Consume a `u32`-length-prefixed byte string.
-    pub fn bytes(&mut self) -> Result<Vec<u8>, EvaldError> {
-        let n = self.u32()? as usize;
-        Ok(self.take(n)?.to_vec())
-    }
-
-    /// Consume one genome in the [`put_genome`] encoding.
-    pub fn genome(&mut self) -> Result<Vec<bool>, EvaldError> {
-        let n = usize::from(self.u16()?);
-        let bytes = self.take(n.div_ceil(8))?;
-        Ok((0..n).map(|i| bytes[i / 8] & (1 << (i % 8)) != 0).collect())
-    }
-
-    /// Consume one [`WireSpan`] in the [`put_span`] encoding. A name
-    /// that is not valid UTF-8 rejects the payload as corrupt.
-    fn span(&mut self) -> Result<WireSpan, EvaldError> {
-        let id = self.u64()?;
-        let parent = self.u64()?;
-        let n = usize::from(self.u16()?);
-        let name = std::str::from_utf8(self.take(n)?)
-            .map_err(|_| EvaldError::Corrupt("span name is not UTF-8"))?
-            .to_string();
-        Ok(WireSpan {
-            id,
-            parent,
-            name,
-            start_us: self.u64()?,
-            dur_us: self.u64()?,
-        })
-    }
-
-    /// Require the payload to be fully consumed.
-    pub fn done(&self) -> Result<(), EvaldError> {
-        if self.off == self.buf.len() {
-            Ok(())
-        } else {
-            Err(EvaldError::Corrupt("trailing bytes after payload"))
-        }
-    }
+/// Consume one [`WireSpan`] in the [`put_span`] encoding. A name that
+/// is not valid UTF-8 rejects the payload as corrupt.
+fn read_span(r: &mut Cursor<'_>) -> Result<WireSpan, EvaldError> {
+    let id = r.u64()?;
+    let parent = r.u64()?;
+    let n = usize::from(r.u16()?);
+    let name = std::str::from_utf8(r.take(n)?)
+        .map_err(|_| EvaldError::Corrupt("span name is not UTF-8"))?
+        .to_string();
+    Ok(WireSpan {
+        id,
+        parent,
+        name,
+        start_us: r.u64()?,
+        dur_us: r.u64()?,
+    })
 }
 
 /// Open the envelope of the frame at the head of `buf`: check its
 /// length, `magic`, `version` and checksum, and return the frame tag, a
-/// [`Reader`] over the payload, and the number of bytes the frame takes.
+/// [`Cursor`] over the payload, and the number of bytes the frame takes.
 ///
 /// # Errors
 ///
@@ -571,14 +508,12 @@ pub fn open_frame(
     buf: &[u8],
     magic: [u8; 4],
     version: u32,
-) -> Result<(u8, Reader<'_>, usize), EvaldError> {
-    if buf.len() < 4 {
-        return Err(EvaldError::Truncated {
-            needed: 4,
-            got: buf.len(),
-        });
-    }
-    let len = u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize;
+) -> Result<(u8, Cursor<'_>, usize), EvaldError> {
+    let mut r = Cursor::new(buf);
+    let len = r.u32().map_err(|_| EvaldError::Truncated {
+        needed: 4,
+        got: buf.len(),
+    })? as usize;
     if len > MAX_FRAME_LEN {
         return Err(EvaldError::Corrupt("frame length exceeds the cap"));
     }
@@ -587,27 +522,24 @@ pub fn open_frame(
         return Err(EvaldError::Corrupt("frame shorter than its fixed header"));
     }
     let total = 4 + len;
-    if buf.len() < total {
-        return Err(EvaldError::Truncated {
-            needed: total,
-            got: buf.len(),
-        });
-    }
-    let body = &buf[4..total];
-    if body[..4] != magic {
+    let body = r.take(len).map_err(|_| EvaldError::Truncated {
+        needed: total,
+        got: buf.len(),
+    })?;
+    let mut r = Cursor::new(body);
+    if r.take(4)? != magic {
         return Err(EvaldError::BadMagic);
     }
-    let got = u32::from_le_bytes(body[4..8].try_into().unwrap());
+    let got = r.u32()?;
     if got != version {
         return Err(EvaldError::VersionMismatch { got, want: version });
     }
-    let (payload, ck_bytes) = body.split_at(body.len() - 4);
-    let stored = u32::from_le_bytes(ck_bytes.try_into().unwrap());
-    if checksum(payload) != stored {
+    let tag = r.u8()?;
+    let payload = r.take(len - 13)?;
+    if checksum(&body[..len - 4]) != r.u32()? {
         return Err(EvaldError::Corrupt("checksum mismatch"));
     }
-    // The payload starts past magic + version + tag.
-    Ok((payload[8], Reader::new(&payload[9..]), total))
+    Ok((tag, Cursor::new(payload), total))
 }
 
 /// Decode one frame from the head of `buf`, returning it together with
@@ -625,20 +557,11 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), EvaldError> {
             client: r.u32()?,
             n_flags: r.u16()?,
         },
-        TAG_WORK => {
-            let shard = r.u64()?;
-            let span = r.u64()?;
-            let n = r.u32()? as usize;
-            let mut genomes = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                genomes.push(r.genome()?);
-            }
-            Frame::Work {
-                shard,
-                span,
-                genomes,
-            }
-        }
+        TAG_WORK => Frame::Work {
+            shard: r.u64()?,
+            span: r.u64()?,
+            genomes: r.seq(read_genome)?,
+        },
         TAG_RESULT => {
             let shard = r.u64()?;
             let client = r.u32()?;
@@ -651,19 +574,16 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), EvaldError> {
                 wall_seconds: f64::from_bits(r.u64()?),
                 span: r.u64()?,
             };
-            let n = r.u32()? as usize;
-            let mut evals = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                evals.push(WireEval {
+            let evals = r.seq(|r| {
+                Ok(WireEval {
                     fitness_bits: r.u64()?,
                     failed: r.u8()? != 0,
                     wall_seconds_bits: r.u64()?,
-                });
-            }
-            let n = r.u32()? as usize;
-            let mut spans = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                spans.push(r.span()?);
+                })
+            })?;
+            let mut spans = Vec::new();
+            for _ in 0..r.count()? {
+                spans.push(read_span(&mut r)?);
             }
             Frame::Result {
                 shard,
@@ -674,64 +594,49 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), EvaldError> {
             }
         }
         TAG_END_BATCH => Frame::EndBatch { batch: r.u64()? },
-        TAG_MERGE => {
-            let client = r.u32()?;
-            let n = r.u32()? as usize;
-            let mut records = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                records.push(MergeRecord {
+        TAG_MERGE => Frame::Merge {
+            client: r.u32()?,
+            records: r.seq(|r| {
+                Ok(MergeRecord {
                     module_hash: r.u64()?,
                     compiler: r.u8()?,
                     arch: r.u8()?,
                     effect_digest: r.u128()?,
                     fitness_bits: r.u64()?,
                     failed: r.u8()? != 0,
-                    flags: r.genome()?,
-                });
-            }
-            let n = r.u32()? as usize;
-            let mut ast_artifacts = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                ast_artifacts.push(WireAstArtifact {
+                    flags: read_genome(r)?,
+                })
+            })?,
+            ast_artifacts: r.seq(|r| {
+                Ok(WireAstArtifact {
                     body_hash: r.u64()?,
                     compiler: r.u8()?,
                     ast_digest: r.u128()?,
                     cost_bits: r.u64()?,
-                    blob: r.bytes()?,
-                });
-            }
-            let n = r.u32()? as usize;
-            let mut lower_artifacts = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                lower_artifacts.push(WireLowerArtifact {
+                    blob: r.bytes()?.to_vec(),
+                })
+            })?,
+            lower_artifacts: r.seq(|r| {
+                Ok(WireLowerArtifact {
                     body_hash: r.u64()?,
                     compiler: r.u8()?,
                     arch: r.u8()?,
                     ast_digest: r.u128()?,
                     lower_digest: r.u128()?,
                     cost_bits: r.u64()?,
-                    blob: r.bytes()?,
-                });
-            }
-            Frame::Merge {
-                client,
-                records,
-                ast_artifacts,
-                lower_artifacts,
-            }
-        }
+                    blob: r.bytes()?.to_vec(),
+                })
+            })?,
+        },
         TAG_SHUTDOWN => Frame::Shutdown,
-        TAG_JOB => {
-            let n = r.u32()? as usize;
-            Frame::Job {
-                payload: r.take(n)?.to_vec(),
-            }
-        }
+        TAG_JOB => Frame::Job {
+            payload: r.bytes()?.to_vec(),
+        },
         TAG_PING => Frame::Ping { nonce: r.u64()? },
         TAG_PONG => Frame::Pong { nonce: r.u64()? },
         _ => return Err(EvaldError::Corrupt("unknown frame tag")),
     };
-    r.done()?;
+    r.finish()?;
     Ok((frame, total))
 }
 

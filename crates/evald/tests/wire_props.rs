@@ -2,11 +2,12 @@
 //! results and merge records must round-trip bit-exactly, and any
 //! truncation of a valid frame must be rejected as truncated — never
 //! misread as a different frame. These mirror the fitness store's
-//! corruption-tolerance guarantees at the transport boundary.
+//! corruption-tolerance guarantees at the transport boundary. Arbitrary
+//! payloads behind a valid envelope must decode or fail typed.
 
 use evald::wire::{
-    decode_frame, encode_frame, Frame, MergeRecord, ShardStats, WireAstArtifact, WireEval,
-    WireLowerArtifact, WireSpan,
+    decode_frame, encode_frame, seal_frame, Frame, MergeRecord, ShardStats, WireAstArtifact,
+    WireEval, WireLowerArtifact, WireSpan, WIRE_MAGIC,
 };
 use evald::EvaldError;
 use evald::WIRE_VERSION;
@@ -254,5 +255,42 @@ proptest! {
             decode_frame(&bytes),
             Err(EvaldError::VersionMismatch { .. })
         ));
+    }
+}
+
+/// Payload bytes biased towards zero, so counts and lengths read from
+/// them are often small enough for whole frames to decode.
+fn payload_strategy() -> impl Strategy<Value = Vec<u8>> {
+    vec(
+        (any::<u8>(), any::<bool>()).prop_map(|(b, zero)| if zero { 0 } else { b }),
+        0..96,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(50000))]
+
+    #[test]
+    fn arbitrary_sealed_payloads_decode_or_fail_typed(tag in 0u8..10,
+                                                      payload in payload_strategy()) {
+        // Tags 0..=8 are every frame the wire knows; 9 is foreign. The
+        // envelope is valid, so the payload alone decides: a frame that
+        // decodes takes the whole buffer and survives re-encoding; any
+        // other outcome is Corrupt — never a panic, never a misread
+        // envelope error.
+        let mut body = WIRE_MAGIC.to_vec();
+        body.extend_from_slice(&WIRE_VERSION.to_le_bytes());
+        body.push(tag);
+        body.extend_from_slice(&payload);
+        let bytes = seal_frame(&body);
+        match decode_frame(&bytes) {
+            Ok((frame, used)) => {
+                prop_assert_eq!(used, bytes.len());
+                let (again, _) = decode_frame(&encode_frame(&frame)).expect("re-encoded frame");
+                prop_assert_eq!(again, frame);
+            }
+            Err(EvaldError::Corrupt(_)) => {}
+            Err(other) => prop_assert!(false, "tag {}: {:?}", tag, other),
+        }
     }
 }

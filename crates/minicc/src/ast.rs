@@ -557,7 +557,10 @@ impl Module {
     }
 
     /// Structural validation: unique names, calls resolve, calls only in
-    /// statement position, switch cases distinct, loop vars declared.
+    /// statement position, switch cases distinct, nonzero loop steps, and
+    /// every name a body reads, writes, indexes, loops over or takes the
+    /// address of resolves the way codegen resolves it — so a module that
+    /// validates lowers without panicking.
     pub fn validate(&self) -> Result<(), String> {
         let mut names = BTreeSet::new();
         for f in &self.funcs {
@@ -565,27 +568,40 @@ impl Module {
                 return Err(format!("duplicate function {}", f.name));
             }
         }
+        let globals: BTreeSet<&str> = self.globals.iter().map(|g| g.name.as_str()).collect();
         for f in &self.funcs {
-            let mut vars: BTreeSet<&str> = f.params.iter().map(String::as_str).collect();
+            let mut scope = Scope {
+                f,
+                scalars: f.params.iter().map(String::as_str).collect(),
+                arrays: BTreeSet::new(),
+                globals: &globals,
+            };
             for l in &f.locals {
-                if !vars.insert(&l.name) {
+                let name = l.name.as_str();
+                if scope.scalars.contains(name) || scope.arrays.contains(name) {
                     return Err(format!("{}: duplicate variable {}", f.name, l.name));
                 }
+                match l.array {
+                    None => scope.scalars.insert(name),
+                    Some(_) => scope.arrays.insert(name),
+                };
             }
-            self.validate_body(f, &f.body)?;
+            self.validate_body(&scope, &f.body)?;
         }
         Ok(())
     }
 
-    fn validate_body(&self, f: &FuncDef, body: &[Stmt]) -> Result<(), String> {
+    fn validate_body(&self, cx: &Scope<'_>, body: &[Stmt]) -> Result<(), String> {
         for s in body {
-            self.validate_stmt(f, s)?;
+            self.validate_stmt(cx, s)?;
         }
         Ok(())
     }
 
-    fn validate_stmt(&self, f: &FuncDef, s: &Stmt) -> Result<(), String> {
+    fn validate_stmt(&self, cx: &Scope<'_>, s: &Stmt) -> Result<(), String> {
+        let f = cx.f;
         let check_top = |e: &Expr| -> Result<(), String> {
+            cx.expr(e)?;
             // Calls allowed at top level of the expression only.
             let check_nested = |e: &Expr| {
                 if e.is_pure() {
@@ -605,24 +621,35 @@ impl Module {
                 other => check_nested(other),
             }
         };
+        let check_pure = |e: &Expr| {
+            cx.expr(e)?;
+            check_nested_pure(f, e)
+        };
         match s {
-            Stmt::Assign(LValue::Index(_, i), e) => {
-                check_nested_pure(f, i)?;
+            Stmt::Assign(lv, e) => {
+                match lv {
+                    LValue::Var(v) => cx.scalar(v)?,
+                    LValue::Global(g) => cx.global(g)?,
+                    LValue::Index(a, i) => {
+                        cx.array(a)?;
+                        check_pure(i)?;
+                    }
+                }
                 check_top(e)
             }
-            Stmt::Assign(_, e) | Stmt::Return(e) | Stmt::ExprStmt(e) => check_top(e),
+            Stmt::Return(e) | Stmt::ExprStmt(e) => check_top(e),
             Stmt::If {
                 cond,
                 then_body,
                 else_body,
             } => {
-                check_nested_pure(f, cond)?;
-                self.validate_body(f, then_body)?;
-                self.validate_body(f, else_body)
+                check_pure(cond)?;
+                self.validate_body(cx, then_body)?;
+                self.validate_body(cx, else_body)
             }
             Stmt::While { cond, body } => {
-                check_nested_pure(f, cond)?;
-                self.validate_body(f, body)
+                check_pure(cond)?;
+                self.validate_body(cx, body)
             }
             Stmt::For {
                 var,
@@ -631,30 +658,91 @@ impl Module {
                 step,
                 body,
             } => {
-                if !f.params.contains(var) && !f.locals.iter().any(|l| l.name == *var) {
+                if !cx.scalars.contains(var.as_str()) {
                     return Err(format!("{}: undeclared loop var {}", f.name, var));
                 }
                 if *step == 0 {
                     return Err(format!("{}: zero loop step", f.name));
                 }
-                check_nested_pure(f, start)?;
-                check_nested_pure(f, end)?;
-                self.validate_body(f, body)
+                check_pure(start)?;
+                check_pure(end)?;
+                self.validate_body(cx, body)
             }
             Stmt::Switch {
                 scrutinee,
                 cases,
                 default,
             } => {
-                check_nested_pure(f, scrutinee)?;
+                check_pure(scrutinee)?;
                 let mut seen = BTreeSet::new();
                 for (v, b) in cases {
                     if !seen.insert(v) {
                         return Err(format!("{}: duplicate case {}", f.name, v));
                     }
-                    self.validate_body(f, b)?;
+                    self.validate_body(cx, b)?;
                 }
-                self.validate_body(f, default)
+                self.validate_body(cx, default)
+            }
+        }
+    }
+}
+
+/// The names one function's body may use, split the way codegen looks
+/// them up: a scalar is a param or a scalar local; an array is an array
+/// local, else a global.
+struct Scope<'m> {
+    f: &'m FuncDef,
+    /// Params and scalar locals.
+    scalars: BTreeSet<&'m str>,
+    /// Array locals.
+    arrays: BTreeSet<&'m str>,
+    /// The module's globals.
+    globals: &'m BTreeSet<&'m str>,
+}
+
+impl Scope<'_> {
+    fn scalar(&self, v: &str) -> Result<(), String> {
+        self.resolve(self.scalars.contains(v), "variable", v)
+    }
+
+    fn global(&self, g: &str) -> Result<(), String> {
+        self.resolve(self.globals.contains(g), "global", g)
+    }
+
+    fn array(&self, a: &str) -> Result<(), String> {
+        self.resolve(
+            self.arrays.contains(a) || self.globals.contains(a),
+            "array",
+            a,
+        )
+    }
+
+    fn resolve(&self, found: bool, what: &str, name: &str) -> Result<(), String> {
+        if found {
+            Ok(())
+        } else {
+            Err(format!("{}: unknown {what} {name}", self.f.name))
+        }
+    }
+
+    /// Resolve every name `e` reads, indexes or takes the address of.
+    fn expr(&self, e: &Expr) -> Result<(), String> {
+        match e {
+            Expr::Const(_) | Expr::Str(_) => Ok(()),
+            Expr::Var(v) => self.scalar(v),
+            Expr::Global(g) => self.global(g),
+            Expr::AddrOf(a) => self.array(a),
+            Expr::Index(a, i) => {
+                self.array(a)?;
+                self.expr(i)
+            }
+            Expr::Bin(_, a, b) => {
+                self.expr(a)?;
+                self.expr(b)
+            }
+            Expr::Not(a) | Expr::Neg(a) => self.expr(a),
+            Expr::Call(_, args) | Expr::CallImport(_, args) => {
+                args.iter().try_for_each(|a| self.expr(a))
             }
         }
     }

@@ -10,12 +10,15 @@
 //! determinism proofs hash what travels; a wobbling encoding would
 //! produce spurious cache splits.
 //!
-//! The decoder is defensive the same way the `evald` wire format is:
-//! every read is bounds-checked, unknown tags and trailing garbage are
-//! errors, and recursion (nested expressions/statements) is depth-capped
-//! so a hostile payload cannot blow the stack.
+//! The decoder reads through [`binrep::Cursor`], the one bounds-checked
+//! cursor every decoder of outside bytes shares: unknown tags and
+//! trailing garbage are errors, and recursion (nested
+//! expressions/statements) is depth-capped so a hostile payload cannot
+//! blow the stack.
 
 use crate::ast::{BinOp, Expr, FuncDef, Global, LValue, Local, Module, Stmt};
+pub use binrep::CodecError;
+use binrep::Cursor;
 
 /// Magic prefix of an encoded module (`MCC ` + format version).
 const MAGIC: [u8; 4] = *b"MCC\x01";
@@ -24,38 +27,6 @@ const MAGIC: [u8; 4] = *b"MCC\x01";
 /// statements…). Generated corpus programs nest a handful of levels;
 /// anything deeper than this is garbage, not a program.
 pub const MAX_DEPTH: usize = 64;
-
-/// Decode failures. The encoder is total — only decoding can fail.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CodecError {
-    /// Input does not start with the `MCC` magic/version prefix.
-    BadMagic,
-    /// Input ended before the structure it promised.
-    Truncated,
-    /// An enum tag byte outside the known range.
-    BadTag(&'static str, u8),
-    /// A string was not valid UTF-8.
-    BadString,
-    /// Structure nests deeper than [`MAX_DEPTH`].
-    TooDeep,
-    /// Valid module followed by trailing bytes.
-    TrailingBytes(usize),
-}
-
-impl std::fmt::Display for CodecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CodecError::BadMagic => write!(f, "not an encoded module (bad magic)"),
-            CodecError::Truncated => write!(f, "encoded module is truncated"),
-            CodecError::BadTag(what, tag) => write!(f, "unknown {what} tag {tag}"),
-            CodecError::BadString => write!(f, "string is not valid UTF-8"),
-            CodecError::TooDeep => write!(f, "module nests deeper than the decoder allows"),
-            CodecError::TrailingBytes(n) => write!(f, "{n} trailing bytes after module"),
-        }
-    }
-}
-
-impl std::error::Error for CodecError {}
 
 /// Encode a module to its canonical byte form.
 pub fn encode_module(m: &Module) -> Vec<u8> {
@@ -85,27 +56,19 @@ pub fn encode_module(m: &Module) -> Vec<u8> {
 /// invalid UTF-8, excessive nesting, or trailing bytes — is a
 /// [`CodecError`]; the decoder never panics on hostile input.
 pub fn decode_module(bytes: &[u8]) -> Result<Module, CodecError> {
-    let mut r = Reader { buf: bytes, at: 0 };
+    let mut r = Cursor::new(bytes);
     if r.take(4)? != MAGIC {
         return Err(CodecError::BadMagic);
     }
     let name = r.string()?;
-    let mut funcs = Vec::new();
-    for _ in 0..r.len()? {
-        funcs.push(r.func()?);
-    }
-    let mut globals = Vec::new();
-    for _ in 0..r.len()? {
-        let name = r.string()?;
-        let mut words = Vec::new();
-        for _ in 0..r.len()? {
-            words.push(r.u32()?);
-        }
-        globals.push(Global { name, words });
-    }
-    if r.at != bytes.len() {
-        return Err(CodecError::TrailingBytes(bytes.len() - r.at));
-    }
+    let funcs = r.seq(func)?;
+    let globals = r.seq(|r| {
+        Ok(Global {
+            name: r.string()?,
+            words: r.seq(Cursor::u32)?,
+        })
+    })?;
+    r.finish()?;
     Ok(Module {
         name,
         funcs,
@@ -289,210 +252,139 @@ fn put_expr(out: &mut Vec<u8>, e: &Expr) {
     }
 }
 
-/// Bounds-checked cursor over the input.
-struct Reader<'b> {
-    buf: &'b [u8],
-    at: usize,
+fn func(r: &mut Cursor<'_>) -> Result<FuncDef, CodecError> {
+    let name = r.string()?;
+    let params = r.seq(Cursor::string)?;
+    let locals = r.seq(|r| {
+        let name = r.string()?;
+        let array = match r.u8()? {
+            0 => None,
+            1 => Some(r.count()?),
+            t => return Err(CodecError::BadTag("local-kind", t)),
+        };
+        Ok(Local { name, array })
+    })?;
+    let body = body(r, 0)?;
+    let is_library = match r.u8()? {
+        0 => false,
+        1 => true,
+        t => return Err(CodecError::BadTag("bool", t)),
+    };
+    Ok(FuncDef {
+        name,
+        params,
+        locals,
+        body,
+        is_library,
+    })
 }
 
-impl<'b> Reader<'b> {
-    fn take(&mut self, n: usize) -> Result<&'b [u8], CodecError> {
-        let end = self.at.checked_add(n).ok_or(CodecError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(CodecError::Truncated);
+fn body(r: &mut Cursor<'_>, depth: usize) -> Result<Vec<Stmt>, CodecError> {
+    if depth > MAX_DEPTH {
+        return Err(CodecError::TooDeep);
+    }
+    r.seq(|r| stmt(r, depth + 1))
+}
+
+fn stmt(r: &mut Cursor<'_>, depth: usize) -> Result<Stmt, CodecError> {
+    if depth > MAX_DEPTH {
+        return Err(CodecError::TooDeep);
+    }
+    Ok(match r.u8()? {
+        0 => Stmt::Assign(lvalue(r, depth)?, expr(r, depth)?),
+        1 => Stmt::If {
+            cond: expr(r, depth)?,
+            then_body: body(r, depth)?,
+            else_body: body(r, depth)?,
+        },
+        2 => Stmt::While {
+            cond: expr(r, depth)?,
+            body: body(r, depth)?,
+        },
+        3 => Stmt::For {
+            var: r.string()?,
+            start: expr(r, depth)?,
+            end: expr(r, depth)?,
+            step: r.u32()?,
+            body: body(r, depth)?,
+        },
+        4 => Stmt::Switch {
+            scrutinee: expr(r, depth)?,
+            cases: r.seq(|r| Ok((r.u32()?, body(r, depth)?)))?,
+            default: body(r, depth)?,
+        },
+        5 => Stmt::Return(expr(r, depth)?),
+        6 => Stmt::ExprStmt(expr(r, depth)?),
+        t => return Err(CodecError::BadTag("stmt", t)),
+    })
+}
+
+fn lvalue(r: &mut Cursor<'_>, depth: usize) -> Result<LValue, CodecError> {
+    Ok(match r.u8()? {
+        0 => LValue::Var(r.string()?),
+        1 => LValue::Global(r.string()?),
+        2 => LValue::Index(r.string()?, expr(r, depth)?),
+        t => return Err(CodecError::BadTag("lvalue", t)),
+    })
+}
+
+fn binop(r: &mut Cursor<'_>) -> Result<BinOp, CodecError> {
+    const OPS: [BinOp; 16] = [
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::Div,
+        BinOp::Rem,
+        BinOp::And,
+        BinOp::Or,
+        BinOp::Xor,
+        BinOp::Shl,
+        BinOp::Shr,
+        BinOp::Eq,
+        BinOp::Ne,
+        BinOp::Lt,
+        BinOp::Le,
+        BinOp::Gt,
+        BinOp::Ge,
+    ];
+    let t = r.u8()?;
+    OPS.get(t as usize)
+        .copied()
+        .ok_or(CodecError::BadTag("binop", t))
+}
+
+fn expr(r: &mut Cursor<'_>, depth: usize) -> Result<Expr, CodecError> {
+    if depth > MAX_DEPTH {
+        return Err(CodecError::TooDeep);
+    }
+    let depth = depth + 1;
+    Ok(match r.u8()? {
+        0 => Expr::Const(r.u32()?),
+        1 => Expr::Var(r.string()?),
+        2 => Expr::Global(r.string()?),
+        3 => Expr::Index(r.string()?, Box::new(expr(r, depth)?)),
+        4 => {
+            let op = binop(r)?;
+            let a = expr(r, depth)?;
+            let b = expr(r, depth)?;
+            Expr::Bin(op, Box::new(a), Box::new(b))
         }
-        let s = &self.buf[self.at..end];
-        self.at = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, CodecError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// A sequence length. Sanity-capped by remaining input (every
-    /// element is ≥ 1 byte), so a forged huge length cannot drive a
-    /// pre-allocation.
-    fn len(&mut self) -> Result<usize, CodecError> {
-        let n = self.u32()? as usize;
-        if n > self.buf.len() - self.at {
-            return Err(CodecError::Truncated);
-        }
-        Ok(n)
-    }
-
-    fn string(&mut self) -> Result<String, CodecError> {
-        let n = self.len()?;
-        let s = std::str::from_utf8(self.take(n)?).map_err(|_| CodecError::BadString)?;
-        Ok(s.to_owned())
-    }
-
-    fn func(&mut self) -> Result<FuncDef, CodecError> {
-        let name = self.string()?;
-        let mut params = Vec::new();
-        for _ in 0..self.len()? {
-            params.push(self.string()?);
-        }
-        let mut locals = Vec::new();
-        for _ in 0..self.len()? {
-            let name = self.string()?;
-            let array = match self.u8()? {
-                0 => None,
-                1 => Some(self.len()?),
-                t => return Err(CodecError::BadTag("local-kind", t)),
-            };
-            locals.push(Local { name, array });
-        }
-        let body = self.body(0)?;
-        let is_library = match self.u8()? {
-            0 => false,
-            1 => true,
-            t => return Err(CodecError::BadTag("bool", t)),
-        };
-        Ok(FuncDef {
-            name,
-            params,
-            locals,
-            body,
-            is_library,
-        })
-    }
-
-    fn body(&mut self, depth: usize) -> Result<Vec<Stmt>, CodecError> {
-        if depth > MAX_DEPTH {
-            return Err(CodecError::TooDeep);
-        }
-        let mut body = Vec::new();
-        for _ in 0..self.len()? {
-            body.push(self.stmt(depth + 1)?);
-        }
-        Ok(body)
-    }
-
-    fn stmt(&mut self, depth: usize) -> Result<Stmt, CodecError> {
-        if depth > MAX_DEPTH {
-            return Err(CodecError::TooDeep);
-        }
-        Ok(match self.u8()? {
-            0 => Stmt::Assign(self.lvalue(depth)?, self.expr(depth)?),
-            1 => Stmt::If {
-                cond: self.expr(depth)?,
-                then_body: self.body(depth)?,
-                else_body: self.body(depth)?,
-            },
-            2 => Stmt::While {
-                cond: self.expr(depth)?,
-                body: self.body(depth)?,
-            },
-            3 => Stmt::For {
-                var: self.string()?,
-                start: self.expr(depth)?,
-                end: self.expr(depth)?,
-                step: self.u32()?,
-                body: self.body(depth)?,
-            },
-            4 => {
-                let scrutinee = self.expr(depth)?;
-                let mut cases = Vec::new();
-                for _ in 0..self.len()? {
-                    let k = self.u32()?;
-                    cases.push((k, self.body(depth)?));
-                }
-                Stmt::Switch {
-                    scrutinee,
-                    cases,
-                    default: self.body(depth)?,
-                }
-            }
-            5 => Stmt::Return(self.expr(depth)?),
-            6 => Stmt::ExprStmt(self.expr(depth)?),
-            t => return Err(CodecError::BadTag("stmt", t)),
-        })
-    }
-
-    fn lvalue(&mut self, depth: usize) -> Result<LValue, CodecError> {
-        Ok(match self.u8()? {
-            0 => LValue::Var(self.string()?),
-            1 => LValue::Global(self.string()?),
-            2 => LValue::Index(self.string()?, self.expr(depth)?),
-            t => return Err(CodecError::BadTag("lvalue", t)),
-        })
-    }
-
-    fn binop(&mut self) -> Result<BinOp, CodecError> {
-        const OPS: [BinOp; 16] = [
-            BinOp::Add,
-            BinOp::Sub,
-            BinOp::Mul,
-            BinOp::Div,
-            BinOp::Rem,
-            BinOp::And,
-            BinOp::Or,
-            BinOp::Xor,
-            BinOp::Shl,
-            BinOp::Shr,
-            BinOp::Eq,
-            BinOp::Ne,
-            BinOp::Lt,
-            BinOp::Le,
-            BinOp::Gt,
-            BinOp::Ge,
-        ];
-        let t = self.u8()?;
-        OPS.get(t as usize)
-            .copied()
-            .ok_or(CodecError::BadTag("binop", t))
-    }
-
-    fn expr(&mut self, depth: usize) -> Result<Expr, CodecError> {
-        if depth > MAX_DEPTH {
-            return Err(CodecError::TooDeep);
-        }
-        let depth = depth + 1;
-        Ok(match self.u8()? {
-            0 => Expr::Const(self.u32()?),
-            1 => Expr::Var(self.string()?),
-            2 => Expr::Global(self.string()?),
-            3 => Expr::Index(self.string()?, Box::new(self.expr(depth)?)),
-            4 => {
-                let op = self.binop()?;
-                let a = self.expr(depth)?;
-                let b = self.expr(depth)?;
-                Expr::Bin(op, Box::new(a), Box::new(b))
-            }
-            5 => Expr::Not(Box::new(self.expr(depth)?)),
-            6 => Expr::Neg(Box::new(self.expr(depth)?)),
-            7 => {
-                let f = self.string()?;
-                let mut args = Vec::new();
-                for _ in 0..self.len()? {
-                    args.push(self.expr(depth)?);
-                }
-                Expr::Call(f, args)
-            }
-            8 => {
-                let f = self.string()?;
-                let mut args = Vec::new();
-                for _ in 0..self.len()? {
-                    args.push(self.expr(depth)?);
-                }
-                Expr::CallImport(f, args)
-            }
-            9 => Expr::Str(self.string()?),
-            10 => Expr::AddrOf(self.string()?),
-            t => return Err(CodecError::BadTag("expr", t)),
-        })
-    }
+        5 => Expr::Not(Box::new(expr(r, depth)?)),
+        6 => Expr::Neg(Box::new(expr(r, depth)?)),
+        7 => Expr::Call(r.string()?, r.seq(|r| expr(r, depth))?),
+        8 => Expr::CallImport(r.string()?, r.seq(|r| expr(r, depth))?),
+        9 => Expr::Str(r.string()?),
+        10 => Expr::AddrOf(r.string()?),
+        t => return Err(CodecError::BadTag("expr", t)),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Compiler, CompilerKind, OptLevel};
+    use binrep::Arch;
+    use proptest::prelude::*;
 
     /// A module exercising every statement, lvalue and expression
     /// variant plus a few binops from both halves of the table.
@@ -664,5 +556,65 @@ mod tests {
         bytes.extend_from_slice(&MAGIC);
         bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // name "length"
         assert_eq!(decode_module(&bytes), Err(CodecError::Truncated));
+    }
+
+    /// One edit of an encoding: overwrite (most often), insert or delete
+    /// the byte at `at`, taken modulo the length.
+    fn edit_strategy() -> impl Strategy<Value = (usize, u8, u8)> {
+        // Letters keep a mutated name a valid string, so more mutants
+        // decode and reach the compiler.
+        let byte = prop_oneof![b'a'..=b'z', any::<u8>()];
+        (any::<usize>(), byte, 0u8..8)
+    }
+
+    fn mutate(mut bytes: Vec<u8>, edits: &[(usize, u8, u8)]) -> Vec<u8> {
+        for &(at, byte, kind) in edits {
+            match kind {
+                6 => bytes.insert(at % (bytes.len() + 1), byte),
+                7 if !bytes.is_empty() => {
+                    bytes.remove(at % bytes.len());
+                }
+                _ if !bytes.is_empty() => {
+                    let i = at % bytes.len();
+                    bytes[i] = byte;
+                }
+                _ => {}
+            }
+        }
+        bytes
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(10000))]
+
+        #[test]
+        fn mutated_encodings_decode_canonically_or_fail_typed(
+            edits in proptest::collection::vec(edit_strategy(), 1..4),
+        ) {
+            let bytes = mutate(encode_module(&kitchen_sink()), &edits);
+            if let Ok(m) = decode_module(&bytes) {
+                // One byte sequence per module: whatever decodes is the
+                // encoding of what it decoded to.
+                prop_assert_eq!(encode_module(&m), bytes);
+            }
+        }
+
+        #[test]
+        fn a_module_that_decodes_compiles_at_o0_or_returns_compile_error(
+            edits in proptest::collection::vec(edit_strategy(), 1..4),
+        ) {
+            let bytes = mutate(encode_module(&kitchen_sink()), &edits);
+            if let Ok(m) = decode_module(&bytes) {
+                // Ok or a typed CompileError; a panic fails the test.
+                let _ = Compiler::new(CompilerKind::Gcc).compile_preset(&m, OptLevel::O0, Arch::X86);
+            }
+        }
+    }
+
+    #[test]
+    fn the_mutation_base_compiles() {
+        Compiler::new(CompilerKind::Gcc)
+            .compile_preset(&kitchen_sink(), OptLevel::O0, Arch::X86)
+            .expect("the unmutated module is valid");
     }
 }

@@ -316,11 +316,14 @@ impl<'a> FnCx<'a> {
     }
 
     fn array_elem_const(&self, name: &str, k: u32) -> MemRef {
+        // A constant index is source input: wrap the 32-bit displacement
+        // (what a release build emits) instead of overflowing.
+        let disp = (k as i32).wrapping_mul(4);
         if let Some(&base) = self.arrays.get(name) {
-            MemRef::base_disp(Gpr::Ebp, base + (k as i32) * 4)
+            MemRef::base_disp(Gpr::Ebp, base.wrapping_add(disp))
         } else {
             let addr = self.global_addr(name);
-            MemRef::abs(addr as i32 + (k as i32) * 4)
+            MemRef::abs((addr as i32).wrapping_add(disp))
         }
     }
 

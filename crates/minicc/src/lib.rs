@@ -680,6 +680,93 @@ mod tests {
     }
 
     #[test]
+    fn unresolved_names_are_bad_modules_not_codegen_panics() {
+        // `main(a)` declares scalar `x` and array `buf`; the module has
+        // global `g`. Each statement names something codegen cannot find.
+        let at0 = || Expr::Const(0);
+        let cases = [
+            ("read", Stmt::Return(Expr::Var("ghost".into()))),
+            ("write", Stmt::Assign(LValue::Var("ghost".into()), at0())),
+            ("global read", Stmt::Return(Expr::Global("ghost".into()))),
+            (
+                "global write",
+                Stmt::Assign(LValue::Global("ghost".into()), at0()),
+            ),
+            (
+                "index",
+                Stmt::Return(Expr::Index("ghost".into(), Box::new(at0()))),
+            ),
+            (
+                "indexed write",
+                Stmt::Assign(LValue::Index("ghost".into(), at0()), at0()),
+            ),
+            (
+                "loop",
+                Stmt::For {
+                    var: "ghost".into(),
+                    start: at0(),
+                    end: Expr::Const(4),
+                    step: 1,
+                    body: vec![],
+                },
+            ),
+            ("address", Stmt::Return(Expr::AddrOf("ghost".into()))),
+            ("array as scalar", Stmt::Return(Expr::Var("buf".into()))),
+            (
+                "scalar as array",
+                Stmt::Return(Expr::Index("x".into(), Box::new(at0()))),
+            ),
+            (
+                "array as loop var",
+                Stmt::For {
+                    var: "buf".into(),
+                    start: at0(),
+                    end: Expr::Const(4),
+                    step: 1,
+                    body: vec![],
+                },
+            ),
+            (
+                "nested in a loop body",
+                Stmt::While {
+                    cond: Expr::Var("a".into()),
+                    body: vec![Stmt::Assign(
+                        LValue::Index("buf".into(), Expr::Var("ghost".into())),
+                        at0(),
+                    )],
+                },
+            ),
+        ];
+        let cc = Compiler::new(CompilerKind::Gcc);
+        let module = |stmt: Stmt| {
+            let mut f = FuncDef::new("main", vec!["a".into()], vec![stmt]);
+            f.local("x").local_array("buf", 4);
+            let mut m = Module::new("names");
+            m.funcs.push(f);
+            m.globals.push(Global {
+                name: "g".into(),
+                words: vec![7, 8],
+            });
+            m
+        };
+        for (what, stmt) in cases {
+            match cc.compile_preset(&module(stmt), OptLevel::O0, Arch::X86) {
+                Err(CompileError::BadModule(e)) => assert!(e.starts_with("main: "), "{what}: {e}"),
+                other => panic!("{what}: expected BadModule, got {other:?}"),
+            }
+        }
+        // Arrays resolve to an array local, else to a global.
+        for stmt in [
+            Stmt::Return(Expr::Index("g".into(), Box::new(Expr::Var("x".into())))),
+            Stmt::Assign(LValue::Index("buf".into(), at0()), Expr::AddrOf("g".into())),
+            Stmt::Return(Expr::AddrOf("buf".into())),
+        ] {
+            cc.compile_preset(&module(stmt), OptLevel::O0, Arch::X86)
+                .expect("resolvable names compile");
+        }
+    }
+
+    #[test]
     fn optimization_changes_code_structure() {
         let m = kitchen_sink();
         let cc = Compiler::new(CompilerKind::Gcc);
