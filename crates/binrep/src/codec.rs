@@ -254,7 +254,8 @@ fn gpr_opt(r: &mut Cursor<'_>) -> Result<Option<Gpr>, CodecError> {
 fn func(r: &mut Cursor<'_>) -> Result<Function, CodecError> {
     let id = FuncId(r.u32()?);
     let name = r.string()?;
-    let params = r.count()?;
+    // A plain number, not a count of encoded elements.
+    let params = r.u32()? as usize;
     let is_library = match r.u8()? {
         0 => false,
         1 => true,

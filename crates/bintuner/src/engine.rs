@@ -254,10 +254,11 @@ impl EngineStats {
 /// telemetry state touched — the hot paths are bit-identical to a
 /// telemetry-free build.
 pub struct EngineTelemetry {
-    /// Span recorder. Stage spans (`ast`/`lower`/`mir`) parent to the
-    /// id set with [`EngineTelemetry::set_trace_parent`] when one is
-    /// set (a farm worker sets it to the server's dispatch-span id
-    /// carried on the wire), else to the enclosing `batch` span.
+    /// Span recorder. Stage spans (`ast`/`lower`/`mir`/`encode`/`score`)
+    /// parent to the id set with [`EngineTelemetry::set_trace_parent`]
+    /// when one is set (a farm worker sets it to the server's
+    /// dispatch-span id carried on the wire), else to the enclosing
+    /// `batch` span.
     pub tracer: btel::Tracer,
     trace_parent: AtomicU64,
     evaluations: Arc<btel::Counter>,
@@ -270,6 +271,8 @@ pub struct EngineTelemetry {
     stage_ast: Arc<btel::Histogram>,
     stage_lower: Arc<btel::Histogram>,
     stage_mir: Arc<btel::Histogram>,
+    stage_encode: Arc<btel::Histogram>,
+    stage_score: Arc<btel::Histogram>,
     miss_seconds: Arc<btel::Histogram>,
     batch_seconds: Arc<btel::Histogram>,
 }
@@ -297,7 +300,7 @@ impl EngineTelemetry {
         let stage = |stage| {
             registry.histogram_with(
                 "bintuner_engine_stage_seconds",
-                "per-stage compile wall clock",
+                "per-stage wall clock of a miss: compile, encode, NCD score",
                 "stage",
                 stage,
             )
@@ -318,6 +321,8 @@ impl EngineTelemetry {
             stage_ast: stage("ast"),
             stage_lower: stage("lower"),
             stage_mir: stage("mir"),
+            stage_encode: stage("encode"),
+            stage_score: stage("score"),
             miss_seconds: registry.histogram(
                 "bintuner_engine_miss_seconds",
                 "wall clock of one compiled-and-scored miss",
@@ -735,13 +740,17 @@ impl<'a> FitnessEngine<'a> {
     /// Decode a persisted optimized-AST artifact. The blob was produced
     /// from a module with the same *body* but possibly another name, so
     /// the name is rewritten to this engine's module — the one part of
-    /// the AST the stage pipeline carries through untouched. `None` on
-    /// any miss, verification failure or decode error: callers
-    /// recompute, bit-identically.
+    /// the AST the stage pipeline carries through untouched. A checksum
+    /// guards the record against corruption, not against a valid record
+    /// that lowering would choke on, so the module must also pass
+    /// [`Module::validate`] (every `stage_ast` output does). `None` on
+    /// any miss, verification failure, decode or validation error:
+    /// callers recompute, bit-identically.
     fn store_ast(&self, digest: u128) -> Option<Arc<Module>> {
         let astore = self.artifact_store.as_ref()?;
         let bytes = astore.lock().unwrap().fetch_ast(&self.ast_key(digest))?;
         let mut m = minicc::codec::decode_module(&bytes).ok()?;
+        m.validate().ok()?;
         m.name = self.module.name.clone();
         Some(
             self.artifact_values
@@ -778,21 +787,58 @@ impl<'a> FitnessEngine<'a> {
         )
     }
 
-    /// Run the machine-level stage, observing its wall clock into the
-    /// installed telemetry (Off mode: a plain `stage_mir` call, no
-    /// clock read). `stage_parent != 0` additionally records a `mir`
-    /// span under that parent.
-    fn mir_timed(&self, lowered: Binary, eff: &EffectConfig, stage_parent: u64) -> Binary {
+    /// Run one stage of a miss, observing its wall clock into the
+    /// installed telemetry's `hist` (Off mode: a plain `run()`, no clock
+    /// read). `stage_parent != 0` additionally records a `name` span
+    /// under that parent.
+    fn timed<T>(
+        &self,
+        hist: impl FnOnce(&EngineTelemetry) -> &btel::Histogram,
+        name: &str,
+        stage_parent: u64,
+        run: impl FnOnce() -> T,
+    ) -> T {
         let Some(tel) = &self.tel else {
-            return self.compiler.stage_mir(lowered, eff);
+            return run();
         };
         let t = Instant::now();
-        let bin = self.compiler.stage_mir(lowered, eff);
-        tel.stage_mir.observe_seconds(t.elapsed().as_secs_f64());
+        let out = run();
+        hist(tel).observe_seconds(t.elapsed().as_secs_f64());
         if stage_parent != 0 {
-            tel.tracer.record("mir", stage_parent, t);
+            tel.tracer.record(name, stage_parent, t);
         }
-        bin
+        out
+    }
+
+    /// The machine-level stage, [`Self::timed`].
+    fn mir_timed(&self, lowered: Binary, eff: &EffectConfig, stage_parent: u64) -> Binary {
+        self.timed(
+            |t| &t.stage_mir,
+            "mir",
+            stage_parent,
+            || self.compiler.stage_mir(lowered, eff),
+        )
+    }
+
+    /// The scoring tail of a miss: encode the binary, then its NCD
+    /// against the baseline, each [`Self::timed`].
+    fn score_timed(&self, bin: &Binary, stage_parent: u64) -> CacheEntry {
+        let bytes = self.timed(
+            |t| &t.stage_encode,
+            "encode",
+            stage_parent,
+            || binrep::encode_binary(bin),
+        );
+        let fitness = self.timed(
+            |t| &t.stage_score,
+            "score",
+            stage_parent,
+            || self.baseline.score(&bytes),
+        );
+        CacheEntry {
+            fitness,
+            failed: false,
+        }
     }
 
     /// Compile + score one miss according to its plan (run on workers).
@@ -853,41 +899,26 @@ impl<'a> FitnessEngine<'a> {
                 }
             }
         };
-        CacheEntry {
-            fitness: self.baseline.score(&binrep::encode_binary(&bin)),
-            failed: false,
-        }
+        self.score_timed(&bin, stage_parent)
     }
 
     /// Compile + score one miss with the artifact cache disabled: the
     /// full staged pipeline, nothing shared, nothing retained.
     fn evaluate_full(&self, eff: &EffectConfig, stage_parent: u64) -> CacheEntry {
-        let bin = match &self.tel {
-            None => {
-                let optimized = self.compiler.stage_ast(self.module, eff);
-                let lowered = self.compiler.stage_lower(&optimized, eff, self.arch);
-                self.compiler.stage_mir(lowered, eff)
-            }
-            Some(tel) => {
-                let t = Instant::now();
-                let optimized = self.compiler.stage_ast(self.module, eff);
-                tel.stage_ast.observe_seconds(t.elapsed().as_secs_f64());
-                if stage_parent != 0 {
-                    tel.tracer.record("ast", stage_parent, t);
-                }
-                let t = Instant::now();
-                let lowered = self.compiler.stage_lower(&optimized, eff, self.arch);
-                tel.stage_lower.observe_seconds(t.elapsed().as_secs_f64());
-                if stage_parent != 0 {
-                    tel.tracer.record("lower", stage_parent, t);
-                }
-                self.mir_timed(lowered, eff, stage_parent)
-            }
-        };
-        CacheEntry {
-            fitness: self.baseline.score(&binrep::encode_binary(&bin)),
-            failed: false,
-        }
+        let optimized = self.timed(
+            |t| &t.stage_ast,
+            "ast",
+            stage_parent,
+            || self.compiler.stage_ast(self.module, eff),
+        );
+        let lowered = self.timed(
+            |t| &t.stage_lower,
+            "lower",
+            stage_parent,
+            || self.compiler.stage_lower(&optimized, eff, self.arch),
+        );
+        let bin = self.mir_timed(lowered, eff, stage_parent);
+        self.score_timed(&bin, stage_parent)
     }
 }
 

@@ -21,13 +21,15 @@
 //! 5. **Arbitrary bytes under valid checksums** — a shard record, a
 //!    manifest or an artifact-log record that passes its checksum but
 //!    carries arbitrary content loads typed: it decodes, or the file
-//!    keeps its clean prefix. Never a panic.
+//!    keeps its clean prefix. Never a panic. An AST record that decodes
+//!    but does not validate is a miss, recomputed bit-identically.
 
 use bintuner::{
     ArtifactStore, Backend, FitnessStore, SaveOutcome, ServiceConfig, StoreKey, StoredFitness,
     TuneResult, Tuner,
 };
-use minicc::fnv1a32;
+use minicc::ast::{Expr, Stmt};
+use minicc::{fnv1a32, Compiler, CompilerKind, EffectConfig, StageKeys};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::fs;
@@ -553,6 +555,55 @@ fn persist_failure_degrades_the_run_to_memory_not_to_an_error() {
         "the durable prefix serves the replay entirely from the store"
     );
     assert!(replay.engine_stats.persistent_hits > 0);
+}
+
+#[test]
+fn an_ast_record_that_fails_validation_is_recomputed_bit_identically() {
+    let module = tiny_loop_module("torture_invalid_ast", 4);
+    let cold = Tuner::new(cached_tuner(60, None)).tune(&module).unwrap();
+
+    // A record that passes its checksum and decodes, but names a
+    // variable nobody declares, under the AST key of every vector the
+    // cold run compiled: the same job run against this store fetches it.
+    let mut bad = module.clone();
+    bad.funcs[0].body = vec![Stmt::Return(Expr::Var("ghost".into()))];
+    assert!(bad.validate().is_err());
+    let blob = minicc::codec::encode_module(&bad);
+    let cc = Compiler::new(CompilerKind::Gcc);
+    let scratch = ScratchStore::new("torture_invalid_ast");
+    fs::create_dir_all(scratch.path()).unwrap();
+    let mut artifacts = ArtifactStore::load(scratch.path());
+    for row in cold.db.rows() {
+        let eff = EffectConfig::from_flags(cc.profile(), &row.flags);
+        let key = bintuner::AstArtifactKey {
+            body_hash: module.body_hash(),
+            compiler: CompilerKind::Gcc.stable_id(),
+            ast_digest: StageKeys::project(&eff).ast.stable_digest(),
+        };
+        artifacts.insert_ast(key, 1.0, blob.clone());
+    }
+    assert_eq!(artifacts.save().unwrap(), SaveOutcome::Written);
+
+    let warm = Tuner::new(cached_tuner(60, Some(&scratch)))
+        .tune(&module)
+        .unwrap();
+    assert!(
+        warm.engine_stats.store_ast_hits > 0,
+        "the job must have fetched a planted record"
+    );
+    assert_eq!(warm.best_flags, cold.best_flags);
+    assert_eq!(warm.best_ncd.to_bits(), cold.best_ncd.to_bits());
+    assert_eq!(warm.iterations, cold.iterations);
+    assert_eq!(warm.db.rows().len(), cold.db.rows().len());
+    for (w, c) in warm.db.rows().iter().zip(cold.db.rows()) {
+        assert_eq!(w.flags, c.flags, "iteration {}", w.iteration);
+        assert_eq!(
+            w.ncd.to_bits(),
+            c.ncd.to_bits(),
+            "iteration {}",
+            w.iteration
+        );
+    }
 }
 
 /// `payload` framed as the artifact log frames a record: length prefix,

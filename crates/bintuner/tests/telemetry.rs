@@ -145,6 +145,23 @@ fn telemetry_on_is_bit_identical_to_off_on_every_backend() {
         assert!(text.contains("bintuner_engine_stage_seconds_bucket"));
         assert!(run.spans.iter().any(|s| s.name == "batch"), "{what}: spans");
     }
+
+    // In-process, the scoring tail of every compile is timed: one
+    // `encode` and one `score` sample (and span) per compile. (A farm's
+    // stage samples stay in its clients' registries.)
+    let registry = local.registry.as_ref().unwrap();
+    assert!(local.engine_stats.compiles > 0);
+    for stage in ["encode", "score"] {
+        let samples = registry
+            .histogram_with("bintuner_engine_stage_seconds", "", "stage", stage)
+            .count();
+        assert_eq!(
+            samples, local.engine_stats.compiles as u64,
+            "{stage} samples"
+        );
+        let spans = local.spans.iter().filter(|s| s.name == stage).count();
+        assert_eq!(spans, local.engine_stats.compiles, "{stage} spans");
+    }
 }
 
 /// Every file in a store directory with its bytes, sorted by name.

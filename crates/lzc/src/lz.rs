@@ -38,47 +38,69 @@ impl std::fmt::Display for LzError {
 
 impl std::error::Error for LzError {}
 
-/// Length-code table entry: `(base, extra_bits)`.
-fn length_codes() -> Vec<(usize, u32)> {
-    let mut v = Vec::new();
+/// Length codes: `(base, extra_bits)`, 8 single lengths from 3, then
+/// four codes for each of 1..=5 extra bits, up to [`MAX_MATCH`].
+const LEN_CODES: [(usize, u32); 28] = {
+    let mut v = [(0usize, 0u32); 28];
     let mut base = 3usize;
-    for _ in 0..8 {
-        v.push((base, 0));
-        base += 1;
+    let mut i = 0;
+    while i < 28 {
+        let extra = if i < 8 { 0 } else { (i as u32 - 8) / 4 + 1 };
+        v[i] = (base, extra);
+        base += 1 << extra;
+        i += 1;
     }
-    for extra in 1..=5u32 {
-        for _ in 0..4 {
-            v.push((base, extra));
-            base += 1 << extra;
-        }
-    }
-    debug_assert_eq!(base, 259);
+    assert!(base == MAX_MATCH + 1);
     v
-}
+};
 
-/// Distance-code table entry: `(base, extra_bits)`.
-fn dist_codes() -> Vec<(usize, u32)> {
-    let mut v = Vec::new();
+/// Distance codes: `(base, extra_bits)`, 4 single distances from 1, then
+/// two codes for each of 1..=23 extra bits (distances up to 2^25).
+const DIST_CODES: [(usize, u32); 50] = {
+    let mut v = [(0usize, 0u32); 50];
     let mut base = 1usize;
-    for _ in 0..4 {
-        v.push((base, 0));
-        base += 1;
-    }
-    for extra in 1..=23u32 {
-        for _ in 0..2 {
-            v.push((base, extra));
-            base += 1 << extra;
-        }
+    let mut i = 0;
+    while i < 50 {
+        let extra = if i < 4 { 0 } else { (i as u32 - 4) / 2 + 1 };
+        v[i] = (base, extra);
+        base += 1 << extra;
+        i += 1;
     }
     v
-}
+};
 
-fn code_for(codes: &[(usize, u32)], value: usize) -> usize {
-    // Largest base <= value.
-    match codes.binary_search_by(|(b, _)| b.cmp(&value)) {
-        Ok(i) => i,
-        Err(i) => i - 1,
+/// Symbols of the literal/length alphabet: 256 literals, EOB, the
+/// length codes.
+const LIT_SYMBOLS: usize = 257 + LEN_CODES.len();
+
+/// The length code of every match length (a lookup, not a search).
+const LEN_CODE_OF: [u8; MAX_MATCH + 1] = {
+    let mut v = [0u8; MAX_MATCH + 1];
+    let mut code = 0;
+    let mut len = LEN_CODES[0].0;
+    while len <= MAX_MATCH {
+        if code + 1 < LEN_CODES.len() && LEN_CODES[code + 1].0 == len {
+            code += 1;
+        }
+        v[len] = code as u8;
+        len += 1;
     }
+    v
+};
+
+/// The distance code of `dist ≥ 1`: the largest code whose base is at
+/// most `dist`. Past the first four, codes come in pairs per extra-bit
+/// count, so with `v = dist - 1` the code is `2·⌊log2 v⌋` plus the bit
+/// of `v` just below its top one. A distance past the last code's range
+/// gets the last code, as a search of [`DIST_CODES`] would give it.
+#[inline]
+fn dist_code(dist: usize) -> usize {
+    if dist <= 4 {
+        return dist - 1;
+    }
+    let v = dist - 1;
+    let log = (usize::BITS - 1 - v.leading_zeros()) as usize;
+    (2 * log + ((v >> (log - 1)) & 1)).min(DIST_CODES.len() - 1)
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -87,37 +109,200 @@ enum Token {
     Match { len: usize, dist: usize },
 }
 
+/// Where the tokenizer sends its tokens: [`compress`]'s token list, or a
+/// [`Tally`] when only the compressed length is wanted.
+trait Sink {
+    fn literal(&mut self, byte: u8);
+    fn matched(&mut self, len: usize, dist: usize);
+}
+
+impl Sink for Vec<Token> {
+    fn literal(&mut self, byte: u8) {
+        self.push(Token::Literal(byte));
+    }
+
+    fn matched(&mut self, len: usize, dist: usize) {
+        self.push(Token::Match { len, dist });
+    }
+}
+
+/// Symbol frequencies of a token stream (EOB terminator included) plus
+/// the raw extra bits its matches emit. Identical frequencies mean
+/// identical canonical code lengths, so this is all [`compress`] needs to
+/// choose its codes and all [`compressed_len`] needs to count its bits
+/// exactly. Tallies of consecutive token runs add up, which is what lets
+/// [`compressed_len_pair`] share one run between two streams.
+#[derive(Clone)]
+struct Tally {
+    lit: [u64; LIT_SYMBOLS],
+    dist: [u64; DIST_CODES.len()],
+    extra_bits: u64,
+}
+
+impl Tally {
+    fn new() -> Tally {
+        let mut lit = [0; LIT_SYMBOLS];
+        lit[EOB] = 1;
+        Tally {
+            lit,
+            dist: [0; DIST_CODES.len()],
+            extra_bits: 0,
+        }
+    }
+
+    /// Length in bytes of the `lzc` stream of the tallied tokens.
+    fn compressed_len(&self) -> usize {
+        let lit_lens = code_lengths(&self.lit);
+        let dist_lens = code_lengths(&self.dist);
+        // Header table: 4 bits per code length; then every symbol
+        // occurrence costs its canonical code length.
+        let mut bits = 4 * (LIT_SYMBOLS + DIST_CODES.len()) as u64 + self.extra_bits;
+        for (freq, len) in self.lit.iter().zip(&lit_lens) {
+            bits += freq * u64::from(*len);
+        }
+        for (freq, len) in self.dist.iter().zip(&dist_lens) {
+            bits += freq * u64::from(*len);
+        }
+        // 4-byte magic + 8-byte raw length + zero-padded final partial byte.
+        12 + bits.div_ceil(8) as usize
+    }
+}
+
+impl Sink for Tally {
+    #[inline]
+    fn literal(&mut self, byte: u8) {
+        self.lit[usize::from(byte)] += 1;
+    }
+
+    #[inline]
+    fn matched(&mut self, len: usize, dist: usize) {
+        let lc = usize::from(LEN_CODE_OF[len]);
+        self.lit[257 + lc] += 1;
+        let dc = dist_code(dist);
+        self.dist[dc] += 1;
+        self.extra_bits += u64::from(LEN_CODES[lc].1 + DIST_CODES[dc].1);
+    }
+}
+
+/// Hash-chain match finder: `head[h]` is the latest position whose next
+/// four bytes hash to `h`, `prev[p]` the position before `p` on its
+/// chain (`u32::MAX` ends a chain).
+struct Chains {
+    head: Vec<u32>,
+    prev: Vec<u32>,
+}
+
+impl Chains {
+    /// Empty chains for an input of `n` bytes. `prev` is not cleared: a
+    /// position's entry is written when the position joins a chain,
+    /// before anything can reach it.
+    fn reset(&mut self, n: usize) {
+        self.head.clear();
+        self.head.resize(1 << HASH_BITS, u32::MAX);
+        if self.prev.len() < n {
+            self.prev.resize(n, u32::MAX);
+        }
+    }
+
+    /// Put position `i` (hash `h`) at the head of its chain, logging the
+    /// overwritten head into `undo` when there is one.
+    #[inline]
+    fn insert(&mut self, h: usize, i: usize, undo: &mut Option<&mut Vec<(u32, u32)>>) {
+        if let Some(log) = undo {
+            log.push((h as u32, self.head[h]));
+        }
+        self.prev[i] = self.head[h];
+        self.head[h] = i as u32;
+    }
+}
+
+/// Per-thread buffers of the tokenizer, kept between calls and grown to
+/// the largest input seen: the hash chains, the `x‖y` concatenation of
+/// [`compressed_len_pair`] and its undo log.
+struct Scratch {
+    chains: Chains,
+    joined: Vec<u8>,
+    undo: Vec<(u32, u32)>,
+}
+
+thread_local! {
+    static SCRATCH: std::cell::RefCell<Scratch> = const {
+        std::cell::RefCell::new(Scratch {
+            chains: Chains { head: Vec::new(), prev: Vec::new() },
+            joined: Vec::new(),
+            undo: Vec::new(),
+        })
+    };
+}
+
+fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+    SCRATCH.with(|s| f(&mut s.borrow_mut()))
+}
+
+#[inline]
 fn hash4(data: &[u8], i: usize) -> usize {
     let v = u32::from_le_bytes([data[i], data[i + 1], data[i + 2], data[i + 3]]);
     (v.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
 }
 
-fn tokenize(data: &[u8]) -> Vec<Token> {
-    let n = data.len();
-    let mut tokens = Vec::with_capacity(n / 3);
-    if n < MIN_MATCH {
-        tokens.extend(data.iter().map(|&b| Token::Literal(b)));
-        return tokens;
+/// Length of the common prefix of `data[a..]` and `data[b..]`, at most
+/// `max` (with `a < b` and `b + max <= data.len()`), compared eight
+/// bytes at a time.
+#[inline]
+fn match_len(data: &[u8], a: usize, b: usize, max: usize) -> usize {
+    let word = |s: &[u8], at: usize| {
+        let mut w = [0; 8];
+        w.copy_from_slice(&s[at..at + 8]);
+        u64::from_le_bytes(w)
+    };
+    let (x, y) = (&data[a..a + max], &data[b..b + max]);
+    let mut l = 0;
+    while l + 8 <= max {
+        let diff = word(x, l) ^ word(y, l);
+        if diff != 0 {
+            return l + (diff.trailing_zeros() / 8) as usize;
+        }
+        l += 8;
     }
-    let mut head = vec![u32::MAX; 1 << HASH_BITS];
-    let mut prev = vec![u32::MAX; n];
-    let mut i = 0usize;
-    while i < n {
+    while l < max && x[l] == y[l] {
+        l += 1;
+    }
+    l
+}
+
+/// Greedy LZ77 over `data` from position `from`, emitting tokens into
+/// `sink` until the next token would start at or after `stop`; returns
+/// where that token starts.
+///
+/// A token is fixed by the bytes it compares and the chains it walks.
+/// Every comparison at position `i` lies within `data[..i + MAX_MATCH]`,
+/// and every candidate lies before `i`; so two inputs that share their
+/// first `k` bytes get the same tokens at every `i` with
+/// `i + MAX_MATCH <= k`, given the same chains. [`compressed_len_pair`]
+/// builds on that.
+fn tokenize(
+    data: &[u8],
+    from: usize,
+    stop: usize,
+    chains: &mut Chains,
+    mut undo: Option<&mut Vec<(u32, u32)>>,
+    sink: &mut impl Sink,
+) -> usize {
+    let n = data.len();
+    let mut i = from;
+    while i < stop {
         let mut best_len = 0usize;
         let mut best_dist = 0usize;
         if i + MIN_MATCH <= n {
             let h = hash4(data, i);
-            let mut cand = head[h];
+            let max = (n - i).min(MAX_MATCH);
+            let mut cand = chains.head[h];
             let mut chain = 0;
             while cand != u32::MAX && chain < MAX_CHAIN {
                 let c = cand as usize;
-                // Quick reject on first byte beyond current best.
-                if best_len == 0 || data.get(c + best_len) == data.get(i + best_len) {
-                    let max = (n - i).min(MAX_MATCH);
-                    let mut l = 0usize;
-                    while l < max && data[c + l] == data[i + l] {
-                        l += 1;
-                    }
+                // Quick reject on the first byte beyond the current best.
+                if best_len == 0 || data[c + best_len] == data[i + best_len] {
+                    let l = match_len(data, c, i, max);
                     if l >= MIN_MATCH && l > best_len {
                         best_len = l;
                         best_dist = i - c;
@@ -126,76 +311,44 @@ fn tokenize(data: &[u8]) -> Vec<Token> {
                         }
                     }
                 }
-                cand = prev[c];
+                cand = chains.prev[c];
                 chain += 1;
             }
-            // Insert current position into the chain.
-            prev[i] = head[h];
-            head[h] = i as u32;
+            chains.insert(h, i, &mut undo);
         }
         if best_len >= MIN_MATCH {
-            tokens.push(Token::Match {
-                len: best_len,
-                dist: best_dist,
-            });
-            // Insert skipped positions (sparsely, every position, bounded
-            // work since insertion is O(1)).
+            sink.matched(best_len, best_dist);
+            // Insert the skipped positions too (O(1) each).
             let end = (i + best_len).min(n.saturating_sub(MIN_MATCH - 1));
-            let mut j = i + 1;
-            while j < end {
-                let h = hash4(data, j);
-                prev[j] = head[h];
-                head[h] = j as u32;
-                j += 1;
+            for j in i + 1..end {
+                chains.insert(hash4(data, j), j, &mut undo);
             }
             i += best_len;
         } else {
-            tokens.push(Token::Literal(data[i]));
+            sink.literal(data[i]);
             i += 1;
         }
     }
-    tokens
-}
-
-/// Symbol frequencies of a token stream (EOB terminator included) plus
-/// the total raw extra bits its matches will emit. Shared by
-/// [`compress`] and [`compressed_len`] so the two can never drift:
-/// identical frequencies mean identical canonical code lengths, which
-/// is what makes the bit count exact.
-fn tally_tokens(
-    tokens: &[Token],
-    lcodes: &[(usize, u32)],
-    dcodes: &[(usize, u32)],
-) -> (Vec<u64>, Vec<u64>, u64) {
-    let mut lit_freq = vec![0u64; 257 + lcodes.len()];
-    let mut dist_freq = vec![0u64; dcodes.len()];
-    lit_freq[EOB] = 1;
-    let mut extra_bits = 0u64;
-    for t in tokens {
-        match t {
-            Token::Literal(b) => lit_freq[*b as usize] += 1,
-            Token::Match { len, dist } => {
-                let lc = code_for(lcodes, *len);
-                lit_freq[257 + lc] += 1;
-                extra_bits += u64::from(lcodes[lc].1);
-                let dc = code_for(dcodes, *dist);
-                dist_freq[dc] += 1;
-                extra_bits += u64::from(dcodes[dc].1);
-            }
-        }
-    }
-    (lit_freq, dist_freq, extra_bits)
+    i
 }
 
 /// Compress `data` into an `lzc` stream.
 pub fn compress(data: &[u8]) -> Vec<u8> {
-    let lcodes = length_codes();
-    let dcodes = dist_codes();
-    let tokens = tokenize(data);
-
-    let (lit_freq, dist_freq, _) = tally_tokens(&tokens, &lcodes, &dcodes);
-    let lit_lens = code_lengths(&lit_freq);
-    let dist_lens = code_lengths(&dist_freq);
+    let tokens = with_scratch(|s| {
+        s.chains.reset(data.len());
+        let mut tokens = Vec::with_capacity(data.len() / 3);
+        tokenize(data, 0, data.len(), &mut s.chains, None, &mut tokens);
+        tokens
+    });
+    let mut tally = Tally::new();
+    for t in &tokens {
+        match *t {
+            Token::Literal(b) => tally.literal(b),
+            Token::Match { len, dist } => tally.matched(len, dist),
+        }
+    }
+    let lit_lens = code_lengths(&tally.lit);
+    let dist_lens = code_lengths(&tally.dist);
     let lit_enc = Encoder::from_lengths(&lit_lens);
     let dist_enc = Encoder::from_lengths(&dist_lens);
 
@@ -208,17 +361,17 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
         w.put(l as u32, 4);
     }
     for t in &tokens {
-        match t {
-            Token::Literal(b) => lit_enc.put(&mut w, *b as usize),
+        match *t {
+            Token::Literal(b) => lit_enc.put(&mut w, b as usize),
             Token::Match { len, dist } => {
-                let lc = code_for(&lcodes, *len);
+                let lc = usize::from(LEN_CODE_OF[len]);
                 lit_enc.put(&mut w, 257 + lc);
-                let (base, extra) = lcodes[lc];
-                w.put((*len - base) as u32, extra);
-                let dc = code_for(&dcodes, *dist);
+                let (base, extra) = LEN_CODES[lc];
+                w.put((len - base) as u32, extra);
+                let dc = dist_code(dist);
                 dist_enc.put(&mut w, dc);
-                let (dbase, dextra) = dcodes[dc];
-                w.put((*dist - dbase) as u32, dextra);
+                let (dbase, dextra) = DIST_CODES[dc];
+                w.put((dist - dbase) as u32, dextra);
             }
         }
     }
@@ -234,8 +387,7 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
 /// Returns [`LzError`] on bad magic, truncation, invalid codes, or
 /// out-of-range match references.
 pub fn decompress(stream: &[u8]) -> Result<Vec<u8>, LzError> {
-    let lcodes = length_codes();
-    let dcodes = dist_codes();
+    let (lcodes, dcodes) = (&LEN_CODES, &DIST_CODES);
     if stream.len() < 12 || &stream[..4] != b"LZC1" {
         return Err(LzError::BadMagic);
     }
@@ -296,38 +448,74 @@ pub fn decompress(stream: &[u8]) -> Result<Vec<u8>, LzError> {
 
 /// Length in bytes of the compressed form of `data`.
 ///
-/// This is `C(x)` in the paper's NCD formula (Equation 1) — and the only
+/// This is `C(x)` in the paper's NCD formula (Equation 1), and the only
 /// thing NCD needs, so it is computed by *counting* output bits instead
-/// of materializing the compressed byte buffer: no bit-writer, no
-/// output `Vec` growth, no canonical-code assignment. The count walks the
-/// same token stream and code-length tables [`compress`] uses, so it is
-/// exact (`compressed_len(x) == compress(x).len()`, pinned by a
-/// property test), but the NCD hot path — three compressed lengths per
-/// fitness evaluation — skips the allocation and byte-packing work
-/// entirely.
+/// of materializing the compressed bytes: the tokenizer feeds a tally
+/// of symbol frequencies (no token list, no bit-writer, no output
+/// buffer), and the count uses the same code-length tables [`compress`]
+/// does, so it is exact (`compressed_len(x) == compress(x).len()`, pinned
+/// by a property test).
 pub fn compressed_len(data: &[u8]) -> usize {
-    let lcodes = length_codes();
-    let dcodes = dist_codes();
-    let tokens = tokenize(data);
+    with_scratch(|s| {
+        s.chains.reset(data.len());
+        let mut tally = Tally::new();
+        tokenize(data, 0, data.len(), &mut s.chains, None, &mut tally);
+        tally.compressed_len()
+    })
+}
 
-    // Extra (raw) bits are fixed per code, independent of the Huffman
-    // lengths, so one shared pass tallies them with the frequencies.
-    let (lit_freq, dist_freq, extra_bits) = tally_tokens(&tokens, &lcodes, &dcodes);
-    let lit_lens = code_lengths(&lit_freq);
-    let dist_lens = code_lengths(&dist_freq);
+/// `(C(x), C(x‖y))` from one tokenization of their shared part.
+///
+/// Every token that starts at least [`MAX_MATCH`] bytes before the end
+/// of `x` is the same in both inputs (see [`tokenize`]), so that prefix
+/// is tokenized once, over the concatenation, into a shared tally. The
+/// rest of `x` is then tokenized alone (where matches stop at the end of
+/// `x`), logging every `head` write; the writes are rolled back, and the
+/// concatenation continues from the same point into `y`. The stale
+/// `prev` entries the `x`-only tail leaves behind cannot be reached once
+/// `head` is restored: the continuation rewrites each position's entry
+/// as it puts the position back on a chain. One subtlety: the last
+/// shared match may have put positions within three bytes of the end of
+/// `x` on chains, which `x` alone would not do; but then fewer than four
+/// bytes of `x` remain after it, and `x` alone ends in literals without
+/// reading a chain.
+///
+/// Equal to `(compressed_len(x), compressed_len(x‖y))`, pinned by
+/// property tests. It tokenizes `|x| + |y|` bytes, fewer than
+/// [`MAX_MATCH`] of them twice, where two calls would tokenize
+/// `2|x| + |y|`.
+pub(crate) fn compressed_len_pair(x: &[u8], y: &[u8]) -> (usize, usize) {
+    with_scratch(|s| {
+        let Scratch {
+            chains,
+            joined,
+            undo,
+        } = s;
+        joined.clear();
+        joined.extend_from_slice(x);
+        joined.extend_from_slice(y);
+        chains.reset(joined.len());
+        let mut shared = Tally::new();
+        let split = (x.len() + 1).saturating_sub(MAX_MATCH);
+        let split = tokenize(joined, 0, split, chains, None, &mut shared);
 
-    // Header table: 4 bits per code length; then every symbol occurrence
-    // costs its canonical code length (the EOB terminator is already in
-    // `lit_freq`).
-    let mut bits = 4 * (lit_lens.len() + dist_lens.len()) as u64 + extra_bits;
-    for (freq, len) in lit_freq.iter().zip(&lit_lens) {
-        bits += freq * u64::from(*len);
-    }
-    for (freq, len) in dist_freq.iter().zip(&dist_lens) {
-        bits += freq * u64::from(*len);
-    }
-    // 4-byte magic + 8-byte raw length + zero-padded final partial byte.
-    12 + bits.div_ceil(8) as usize
+        let mut alone = shared.clone();
+        undo.clear();
+        tokenize(
+            &joined[..x.len()],
+            split,
+            x.len(),
+            chains,
+            Some(undo),
+            &mut alone,
+        );
+        for &(h, old) in undo.iter().rev() {
+            chains.head[h as usize] = old;
+        }
+
+        tokenize(joined, split, joined.len(), chains, None, &mut shared);
+        (alone.compressed_len(), shared.compressed_len())
+    })
 }
 
 #[cfg(test)]
@@ -443,6 +631,67 @@ mod tests {
     }
 
     #[test]
+    fn pair_is_exact_at_every_split_near_max_match() {
+        // A cycled `x` tokenizes as a few literals and then back-to-back
+        // `MAX_MATCH` matches, and a `y` that continues the cycle lets the
+        // last of them run on past the end of `x`. Sweeping `|x|` across
+        // `MAX_MATCH` plus the literal run puts a match start at every
+        // offset from the end of `x`, including the last shared match
+        // ending within three bytes of it (where the shared pass chains
+        // positions that `x` alone would not).
+        for stride in 1..=16 {
+            let cycle = |from: usize, n: usize| -> Vec<u8> {
+                (from..from + n).map(|i| (i % stride) as u8 * 7).collect()
+            };
+            for n in MAX_MATCH - 48..=MAX_MATCH + 24 {
+                let x = cycle(0, n);
+                for y in [cycle(n, 300), Vec::new()] {
+                    let joined = [&x[..], &y[..]].concat();
+                    assert_eq!(
+                        compressed_len_pair(&x, &y),
+                        (compress(&x).len(), compress(&joined).len()),
+                        "stride {stride}, |x| {n}, |y| {}",
+                        y.len()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pair_takes_the_match_x_alone_takes_at_the_last_shared_position() {
+        // At the first position that must not be shared (`MAX_MATCH` bytes
+        // before the end of `x`), the newest candidate matches to the end
+        // of `x` and stops, while an older one runs on into `y`. `x` alone
+        // takes the newest at full length; `x‖y` takes the older, one byte
+        // longer and much farther back.
+        let mut s = 0x2545_f491u32;
+        let mut random = |n: usize| -> Vec<u8> {
+            (0..n)
+                .map(|_| {
+                    s ^= s << 13;
+                    s ^= s >> 17;
+                    s ^= s << 5;
+                    (s >> 8) as u8
+                })
+                .collect()
+        };
+        let run = random(MAX_MATCH - 1);
+        let mut x = run.clone();
+        x.push(b'A');
+        x.extend(random(3000));
+        x.extend_from_slice(&run);
+        x.push(b'B');
+        x.extend(random(100));
+        x.extend_from_slice(&run);
+        let mut y = vec![b'A'];
+        y.extend(random(50));
+        let joined = [&x[..], &y[..]].concat();
+        let (alone, both) = compressed_len_pair(&x, &y);
+        assert_eq!((alone, both), (compress(&x).len(), compress(&joined).len()));
+    }
+
+    #[test]
     fn rejects_garbage() {
         assert_eq!(decompress(b"nope"), Err(LzError::BadMagic));
         let mut c = compress(b"hello world hello world hello world");
@@ -450,21 +699,43 @@ mod tests {
         assert!(matches!(decompress(&c), Err(LzError::Corrupt(_))));
     }
 
+    /// The largest code whose base is at most `value`: the table search
+    /// the lookups replace.
+    fn code_for(codes: &[(usize, u32)], value: usize) -> usize {
+        match codes.binary_search_by(|(b, _)| b.cmp(&value)) {
+            Ok(i) => i,
+            Err(i) => i - 1,
+        }
+    }
+
     #[test]
     fn code_tables_are_monotone() {
-        for table in [length_codes(), dist_codes()] {
+        for table in [&LEN_CODES[..], &DIST_CODES[..]] {
             for w in table.windows(2) {
                 assert!(w[0].0 < w[1].0);
             }
         }
-        let lc = length_codes();
-        assert_eq!(lc[0].0, 3);
-        assert!(lc.last().unwrap().0 <= MAX_MATCH + 1);
+        assert_eq!(LEN_CODES[0].0, 3);
+        assert!(LEN_CODES.last().unwrap().0 <= MAX_MATCH + 1);
         // Every length in 3..=258 maps to a code whose range contains it.
         for len in 3..=MAX_MATCH {
-            let c = code_for(&lc, len);
-            let (base, extra) = lc[c];
+            let c = code_for(&LEN_CODES, len);
+            let (base, extra) = LEN_CODES[c];
             assert!(base <= len && len < base + (1 << extra).max(1));
+        }
+    }
+
+    #[test]
+    fn code_lookups_agree_with_the_table_search() {
+        for (len, &code) in LEN_CODE_OF.iter().enumerate().skip(3) {
+            assert_eq!(usize::from(code), code_for(&LEN_CODES, len), "len {len}");
+        }
+        let edges = (0..27).flat_map(|b| {
+            let p = 1usize << b;
+            [p - 1, p, p + 1, p + p / 2, p + p / 2 + 1]
+        });
+        for dist in (1..5000).chain(edges).filter(|&d| d > 0) {
+            assert_eq!(dist_code(dist), code_for(&DIST_CODES, dist), "dist {dist}");
         }
     }
 }

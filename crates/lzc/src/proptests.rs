@@ -2,8 +2,40 @@
 
 #![cfg(test)]
 
-use crate::{compress, compressed_len, decompress, ncd};
+use crate::lz::compressed_len_pair;
+use crate::{compress, compressed_len, decompress, ncd, NcdBaseline, MAX_MATCH};
+use proptest::collection::vec;
 use proptest::prelude::*;
+
+/// `(C(x), C(x‖y))` from two separate compressions: the reference the
+/// one-pass pair must equal.
+fn two_pass(x: &[u8], y: &[u8]) -> (usize, usize) {
+    (compress(x).len(), compress(&[x, y].concat()).len())
+}
+
+/// `n` bytes cycling through `stride` values from `byte`, starting
+/// `phase` bytes into the cycle.
+fn cycle(byte: u8, n: usize, stride: usize, phase: usize) -> Vec<u8> {
+    (phase..phase + n)
+        .map(|i| byte.wrapping_add((i % stride) as u8))
+        .collect()
+}
+
+/// Check the pair against [`two_pass`] for `x` and `y`, for a prefix of
+/// `x` (a second input size on the same thread's scratch, in both
+/// orders), and for each against an empty `y`.
+fn pair_matches_two_passes(x: &[u8], y: &[u8], cut: usize) {
+    let short = &x[..cut.min(x.len())];
+    for (a, b) in [(x, y), (short, y), (x, y), (x, &[][..]), (short, &[][..])] {
+        assert_eq!(
+            compressed_len_pair(a, b),
+            two_pass(a, b),
+            "|x| {}, |y| {}",
+            a.len(),
+            b.len()
+        );
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -69,5 +101,66 @@ proptest! {
             // If it still decodes (flip in padding bits), length must match.
             prop_assert_eq!(out.len(), data.len());
         }
+    }
+
+    /// The one-pass `(C(x), C(x‖y))` equals two separate compressions on
+    /// random bytes, with `|x|` on both sides of `MAX_MATCH`, where the
+    /// shared prefix begins.
+    #[test]
+    fn prop_pair_matches_two_passes_on_random(x in vec(any::<u8>(), 0..=MAX_MATCH + 8),
+                                              y in vec(any::<u8>(), 0..600),
+                                              cut in 0..=MAX_MATCH + 8) {
+        pair_matches_two_passes(&x, &y, cut);
+    }
+
+    /// Same pin on repetitive bytes, where `y` continues `x`'s cycle so
+    /// matches run across the boundary; then with the two swapped, so
+    /// `x` runs to 1,200 bytes.
+    #[test]
+    fn prop_pair_matches_two_passes_on_repetitive(byte in any::<u8>(),
+                                                  n in 0..=MAX_MATCH + 8,
+                                                  m in 0usize..1200,
+                                                  stride in 1usize..17,
+                                                  cut in 0..=MAX_MATCH + 8) {
+        let x = cycle(byte, n, stride, 0);
+        let y = cycle(byte, m, stride, n);
+        pair_matches_two_passes(&x, &y, cut);
+        pair_matches_two_passes(&y, &x, cut);
+    }
+
+    /// Same pin with a long shared prefix: a seeded random block
+    /// repeated inside `x` (matches of every length) and again in `y`.
+    #[test]
+    fn prop_pair_matches_two_passes_with_long_prefixes(block in vec(any::<u8>(), 1..300),
+                                                       reps in 1usize..12,
+                                                       tail in vec(any::<u8>(), 0..40),
+                                                       cut in 0usize..4000) {
+        let mut x = block.repeat(reps);
+        x.extend_from_slice(&tail);
+        let mut y = tail.clone();
+        y.extend_from_slice(&block);
+        pair_matches_two_passes(&x, &y, cut);
+    }
+
+    /// `ncd` and `NcdBaseline::score` equal Equation 1 over three
+    /// separate compressions, bit for bit.
+    #[test]
+    fn prop_ncd_matches_the_two_pass_formula(x in vec(any::<u8>(), 0..=MAX_MATCH + 8),
+                                             y in vec(any::<u8>(), 0..600),
+                                             overlap in 0usize..300) {
+        // Half the `y`s start with a piece of `x`.
+        let mut y = y;
+        if overlap % 2 == 0 {
+            y.splice(0..0, x[..overlap.min(x.len())].iter().copied());
+        }
+        let (cx, cxy) = two_pass(&x, &y);
+        let cy = compress(&y).len();
+        let want = if x.is_empty() && y.is_empty() {
+            0.0
+        } else {
+            cxy.saturating_sub(cx.min(cy)) as f64 / cx.max(cy) as f64
+        };
+        prop_assert_eq!(ncd(&x, &y).to_bits(), want.to_bits());
+        prop_assert_eq!(NcdBaseline::new(y).score(&x).to_bits(), want.to_bits());
     }
 }

@@ -525,6 +525,12 @@ pub struct Global {
     pub words: Vec<u32>,
 }
 
+/// The most stack words [`Module::validate`] lets one function declare:
+/// params, scalar locals and array words together. Far above any program
+/// in the corpus (whose arrays are at most 16 words), and far below the
+/// 2^29 words where codegen's `i32` frame offsets wrap.
+pub const MAX_FRAME_WORDS: usize = 1 << 20;
+
 /// A whole translation unit.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Module {
@@ -557,10 +563,11 @@ impl Module {
     }
 
     /// Structural validation: unique names, calls resolve, calls only in
-    /// statement position, switch cases distinct, nonzero loop steps, and
-    /// every name a body reads, writes, indexes, loops over or takes the
-    /// address of resolves the way codegen resolves it — so a module that
-    /// validates lowers without panicking.
+    /// statement position, switch cases distinct, nonzero loop steps, at
+    /// most four params and at most [`MAX_FRAME_WORDS`] stack words per
+    /// function, and every name a body reads, writes, indexes, loops over
+    /// or takes the address of resolves the way codegen resolves it — so a
+    /// module that validates lowers without panicking.
     pub fn validate(&self) -> Result<(), String> {
         let mut names = BTreeSet::new();
         for f in &self.funcs {
@@ -585,6 +592,20 @@ impl Module {
                     None => scope.scalars.insert(name),
                     Some(_) => scope.arrays.insert(name),
                 };
+            }
+            if f.params.len() > 4 {
+                return Err(format!("{}: more than 4 params", f.name));
+            }
+            let words = f
+                .locals
+                .iter()
+                .map(|l| l.array.map_or(1, |n| n.max(1)))
+                .fold(f.params.len(), usize::saturating_add);
+            if words > MAX_FRAME_WORDS {
+                return Err(format!(
+                    "{}: frame of {words} words exceeds {MAX_FRAME_WORDS}",
+                    f.name
+                ));
             }
             self.validate_body(&scope, &f.body)?;
         }

@@ -13,40 +13,43 @@ use std::collections::BTreeSet;
 /// Run all enabled AST passes, in the fixed pipeline order the compiler
 /// uses: fold → inline → unswitch → peel → distribute → unroll → licm →
 /// fold again (inlining and unrolling expose new folding opportunities).
+///
+/// The module is cloned once; every pass then rewrites that copy in
+/// place.
 pub fn optimize(module: &Module, cfg: &EffectConfig) -> Module {
     let mut m = module.clone();
     if cfg.const_fold {
-        m = fold_module(&m);
+        fold_module(&mut m);
     }
     if cfg.inline_threshold > 0 || cfg.partial_inline {
-        m = inline_module(&m, cfg.inline_threshold, cfg.partial_inline);
+        inline_module(&mut m, cfg.inline_threshold, cfg.partial_inline);
     }
     if cfg.unswitch {
-        m = map_bodies(&m, &mut |body| unswitch_body(body));
+        map_bodies(&mut m, unswitch_body);
     }
     if cfg.peel {
-        m = map_bodies(&m, &mut |body| peel_body(body));
+        map_bodies(&mut m, peel_body);
     }
     if cfg.loop_distribute {
-        m = map_bodies(&m, &mut |body| distribute_body(body));
+        map_bodies(&mut m, distribute_body);
     }
     if cfg.unroll_factor > 1 {
         let factor = cfg.unroll_factor;
         let jam = cfg.unroll_and_jam;
-        m = map_bodies(&m, &mut |body| unroll_body(body, factor, jam));
+        map_bodies(&mut m, |body| unroll_body(body, factor, jam));
     }
     if cfg.licm {
-        m = map_bodies(&m, &mut |body| licm_body(body));
+        map_bodies(&mut m, licm_body);
     }
     if cfg.const_fold {
         // Straight-line constant propagation turns unrolled loop bodies
         // (`i = 0; c[i] = ...; i = 1; ...`) into constant-indexed stores,
         // which the SLP vectorizer and jump-threading can then consume.
-        m = map_bodies(&m, &mut |body| propagate_consts(body));
+        map_bodies(&mut m, propagate_consts);
         if cfg.cse {
-            m = map_bodies(&m, &mut |body| eliminate_dead_assigns(body));
+            map_bodies(&mut m, eliminate_dead_assigns);
         }
-        m = fold_module(&m);
+        fold_module(&mut m);
     }
     m
 }
@@ -229,22 +232,18 @@ fn eliminate_dead_assigns(body: Vec<Stmt>) -> Vec<Stmt> {
     out
 }
 
-fn map_bodies(m: &Module, f: &mut impl FnMut(Vec<Stmt>) -> Vec<Stmt>) -> Module {
-    let mut out = m.clone();
-    for func in &mut out.funcs {
+fn map_bodies(m: &mut Module, mut f: impl FnMut(Vec<Stmt>) -> Vec<Stmt>) {
+    for func in &mut m.funcs {
         func.body = f(std::mem::take(&mut func.body));
     }
-    out
 }
 
 // ---------------------------------------------------------------- folding
 
-fn fold_module(m: &Module) -> Module {
-    let mut out = m.clone();
-    for f in &mut out.funcs {
+fn fold_module(m: &mut Module) {
+    for f in &mut m.funcs {
         f.body = f.body.iter().map(fold_stmt).collect();
     }
-    out
 }
 
 /// Fold constants in an expression (pure simplifications only).
@@ -607,20 +606,15 @@ impl<'a> Inliner<'a> {
         result: Option<&LValue>,
         new_locals: &mut Vec<Local>,
     ) -> Vec<Stmt> {
-        let callee = match self.module.func(name) {
-            Some(f) => f.clone(),
-            None => {
-                return fallback_call(name, args, result);
-            }
+        let Some(callee) = self.module.func(name) else {
+            return fallback_call(name, args, result);
         };
-        if self.threshold > 0
-            && inlinable(&callee, self.threshold)
-            && args.iter().all(Expr::is_pure)
+        if self.threshold > 0 && inlinable(callee, self.threshold) && args.iter().all(Expr::is_pure)
         {
-            return self.splice(&callee, args, result, new_locals);
+            return self.splice(callee, args, result, new_locals);
         }
         if self.partial {
-            if let Some(stmts) = self.splice_partial(&callee, args, result, new_locals) {
+            if let Some(stmts) = self.splice_partial(callee, args, result, new_locals) {
                 return stmts;
             }
         }
@@ -689,21 +683,30 @@ fn rename_stmt(s: &Stmt, f: &impl Fn(&str) -> String) -> Stmt {
     }
 }
 
-fn inline_module(m: &Module, threshold: usize, partial: bool) -> Module {
-    let mut out = m.clone();
-    let src = m.clone();
-    for f in &mut out.funcs {
-        let mut inliner = Inliner {
-            module: &src,
-            threshold,
-            partial,
-            counter: 0,
-        };
-        let mut new_locals = Vec::new();
-        f.body = inliner.rewrite_body(&f.body, &mut new_locals);
+/// Inline calls in every function. Each new body is built from the
+/// unmodified module (callees are spliced as they were before this
+/// pass), and all of them are swapped in at the end.
+fn inline_module(m: &mut Module, threshold: usize, partial: bool) {
+    let src: &Module = m;
+    let rewritten: Vec<(Vec<Stmt>, Vec<Local>)> = src
+        .funcs
+        .iter()
+        .map(|f| {
+            let mut inliner = Inliner {
+                module: src,
+                threshold,
+                partial,
+                counter: 0,
+            };
+            let mut new_locals = Vec::new();
+            let body = inliner.rewrite_body(&f.body, &mut new_locals);
+            (body, new_locals)
+        })
+        .collect();
+    for (f, (body, new_locals)) in m.funcs.iter_mut().zip(rewritten) {
+        f.body = body;
         f.locals.extend(new_locals);
     }
-    out
 }
 
 // ------------------------------------------------------------- loop opts
@@ -1360,7 +1363,8 @@ mod tests {
         main.local("y");
         m.funcs.push(main);
         m.validate().unwrap();
-        let inlined = inline_module(&m, 48, false);
+        let mut inlined = m;
+        inline_module(&mut inlined, 48, false);
         let main2 = inlined.func("main").unwrap();
         // No call should remain.
         assert!(!main2.body.iter().any(Stmt::contains_call));
@@ -1398,7 +1402,8 @@ mod tests {
         m.funcs.push(main);
         m.validate().unwrap();
         // Threshold 0 disables full inlining; partial must kick in.
-        let inlined = inline_module(&m, 0, true);
+        let mut inlined = m;
+        inline_module(&mut inlined, 0, true);
         let main2 = inlined.func("main").unwrap();
         assert!(matches!(main2.body[0], Stmt::If { .. }));
         inlined.validate().unwrap();
@@ -1415,7 +1420,8 @@ mod tests {
                 vec![Expr::Var("x".into())],
             ))],
         ));
-        let inlined = inline_module(&m, 1000, false);
+        let mut inlined = m;
+        inline_module(&mut inlined, 1000, false);
         // Still contains the self-call (as tmp = rec(x); return tmp).
         assert!(inlined
             .func("rec")

@@ -259,7 +259,9 @@ fn func(r: &mut Cursor<'_>) -> Result<FuncDef, CodecError> {
         let name = r.string()?;
         let array = match r.u8()? {
             0 => None,
-            1 => Some(r.count()?),
+            // A word count, not a count of encoded elements: `validate`
+            // bounds it.
+            1 => Some(r.u32()? as usize),
             t => return Err(CodecError::BadTag("local-kind", t)),
         };
         Ok(Local { name, array })
@@ -458,6 +460,19 @@ mod tests {
         assert_eq!(decode_module(&bytes).unwrap(), m);
         // Canonical: encoding the decode reproduces the bytes.
         assert_eq!(encode_module(&decode_module(&bytes).unwrap()), bytes);
+    }
+
+    #[test]
+    fn an_array_larger_than_its_encoding_round_trips() {
+        // An array local's size is a word count, not a count of encoded
+        // elements, so it may exceed the bytes that follow it.
+        let mut f = FuncDef::new("main", vec![], vec![Stmt::Return(Expr::Const(0))]);
+        f.local_array("buf", 4096);
+        let mut m = Module::new("big");
+        m.funcs.push(f);
+        let bytes = encode_module(&m);
+        assert!(bytes.len() < 4096);
+        assert_eq!(decode_module(&bytes), Ok(m));
     }
 
     #[test]

@@ -134,11 +134,14 @@ impl<'a> FnCx<'a> {
 
     fn assign_locations(&mut self) {
         let leaf_params = self.eff.regalloc && self.is_leaf() && self.f.params.len() <= 2;
+        // Slot and frame arithmetic wraps (as release builds always did):
+        // `validate` bounds a function's frame, but inlining can grow a
+        // caller's past that bound, and a debug build must not panic on it.
         let mut next_slot: i32 = -4;
         let alloc_slot = |words: usize, next: &mut i32| -> i32 {
-            *next -= (words as i32 - 1) * 4;
+            *next = next.wrapping_sub((words as i32).wrapping_sub(1).wrapping_mul(4));
             let s = *next;
-            *next -= 4;
+            *next = next.wrapping_sub(4);
             s
         };
         // Params.
@@ -182,7 +185,10 @@ impl<'a> FnCx<'a> {
                 }
             }
         }
-        self.frame = -next_slot - 4 + self.saved.len() as i32 * 4;
+        self.frame = next_slot
+            .wrapping_neg()
+            .wrapping_sub(4)
+            .wrapping_add(self.saved.len() as i32 * 4);
         // Expression register pool.
         let mut pool = vec![Gpr::Eax];
         if self.eff.regalloc {
@@ -269,7 +275,9 @@ impl<'a> FnCx<'a> {
 
     fn saved_slot(&self, r: Gpr) -> i32 {
         let idx = self.saved.iter().position(|&x| x == r).unwrap();
-        -(self.frame - self.saved.len() as i32 * 4) - 4 * (idx as i32 + 1)
+        (self.saved.len() as i32 * 4)
+            .wrapping_sub(self.frame)
+            .wrapping_sub(4 * (idx as i32 + 1))
     }
 
     fn emit_epilogue(&mut self) {

@@ -767,6 +767,46 @@ mod tests {
     }
 
     #[test]
+    fn oversized_frames_and_param_lists_are_bad_modules_not_codegen_panics() {
+        let cc = Compiler::new(CompilerKind::Gcc);
+        let module = |params: usize, arrays: &[usize]| {
+            let params = (0..params).map(|i| format!("p{i}")).collect();
+            let mut f = FuncDef::new("main", params, vec![Stmt::Return(Expr::Const(0))]);
+            for (i, &n) in arrays.iter().enumerate() {
+                f.local_array(format!("buf{i}"), n);
+            }
+            let mut m = Module::new("frames");
+            m.funcs.push(f);
+            m
+        };
+        let huge = module(0, &[300_000_000, 300_000_000]);
+        let over_cap = module(4, &[ast::MAX_FRAME_WORDS - 4, 1]);
+        for (what, m) in [
+            ("two 300M-word arrays", &huge),
+            ("one word past the cap", &over_cap),
+            ("five params", &module(5, &[])),
+        ] {
+            match cc.compile_preset(m, OptLevel::O0, Arch::X86) {
+                Err(CompileError::BadModule(e)) => assert!(e.starts_with("main: "), "{what}: {e}"),
+                other => panic!("{what}: expected BadModule, got {other:?}"),
+            }
+        }
+        cc.compile_preset(
+            &module(4, &[ast::MAX_FRAME_WORDS - 4]),
+            OptLevel::O0,
+            Arch::X86,
+        )
+        .expect("a frame at the cap compiles");
+        // Inlining can grow a caller's frame past the cap after
+        // validation: lowering such a frame wraps its offsets, never
+        // panics.
+        let eff = cc
+            .check(&module(0, &[]), &cc.profile().preset(OptLevel::O0))
+            .unwrap();
+        cc.stage_lower(&huge, &eff, Arch::X86);
+    }
+
+    #[test]
     fn optimization_changes_code_structure() {
         let m = kitchen_sink();
         let cc = Compiler::new(CompilerKind::Gcc);

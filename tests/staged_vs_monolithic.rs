@@ -21,9 +21,15 @@
 //! compiler profiles, every preset, and seeded random repaired flag
 //! vectors, with the warm path reusing artifacts across vectors exactly
 //! the way the engine's tier-0 cache does.
+//!
+//! Both invariants are differentials, so a change that moves the staged
+//! and the monolithic output together would pass them. Each corpus sweep
+//! therefore also folds every binary it compiles (and, for the GCC
+//! presets, each preset's NCD against the module's `-O0` binary) into one
+//! digest per compiler profile, checked against a committed value.
 
 use binrep::Arch;
-use minicc::{Compiler, CompilerKind, EffectConfig, OptLevel, StageKeys};
+use minicc::{Compiler, CompilerKind, EffectConfig, OptLevel, StableHasher, StageKeys};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use std::collections::HashMap;
@@ -89,10 +95,17 @@ fn compile_staged_cold(
     arch: Arch,
 ) -> binrep::Binary {
     let optimized = cc.stage_ast(m, eff);
+    // The engine treats a stored AST artifact that fails `validate` as a
+    // miss, so no artifact the compiler produces may fail it.
+    if let Err(e) = optimized.validate() {
+        panic!("a stage-1 artifact of {} fails validation: {e}", m.name);
+    }
     let lowered = cc.stage_lower(&optimized, eff, arch);
     cc.stage_mir(lowered, eff)
 }
 
+/// Compile `flags` monolithically, staged cold and staged warm, assert
+/// the three binaries are byte-identical, and return their encoding.
 fn assert_all_paths_agree(
     cc: &Compiler,
     bench: &corpus::Benchmark,
@@ -100,7 +113,7 @@ fn assert_all_paths_agree(
     arch: Arch,
     memo: &mut ArtifactMemo,
     label: &str,
-) {
+) -> Vec<u8> {
     let mono = cc
         .compile(&bench.module, flags, arch)
         .unwrap_or_else(|e| panic!("{label}: monolithic compile failed: {e}"));
@@ -118,12 +131,33 @@ fn assert_all_paths_agree(
         binrep::encode_binary(&warm),
         "{label}: staged (warm artifact cache) diverged from monolithic"
     );
+    mono_bytes
 }
+
+/// Check one sweep's per-profile digests against the committed values,
+/// printing the computed ones on a mismatch.
+fn assert_digests(sweep: &str, got: &[(CompilerKind, u64)], want: &[(CompilerKind, u64)]) {
+    assert_eq!(
+        got,
+        want,
+        "{sweep}: binary digests moved; computed {:#018x?}",
+        got.iter().map(|(_, d)| *d).collect::<Vec<_>>()
+    );
+}
+
+/// Digest of every preset binary of the corpus sweep, per profile; the
+/// GCC digest also folds each preset's NCD against `-O0`.
+const PRESET_DIGESTS: [(CompilerKind, u64); 2] = [
+    (CompilerKind::Gcc, 0x988f_d7fc_f33a_24b5),
+    (CompilerKind::Llvm, 0xfd8e_5343_bf9f_19ea),
+];
 
 #[test]
 fn presets_are_byte_identical_staged_and_monolithic_across_corpus() {
+    let mut digests = Vec::new();
     for kind in [CompilerKind::Gcc, CompilerKind::Llvm] {
         let cc = Compiler::new(kind);
+        let mut digest = StableHasher::new();
         for bench in corpus::all_benign() {
             if corpus::excluded_for(kind).contains(&bench.name) {
                 continue;
@@ -131,9 +165,10 @@ fn presets_are_byte_identical_staged_and_monolithic_across_corpus() {
             // One memo per (module, kind): presets share artifacts
             // heavily (O2/O3/Os agree on many early-stage fields).
             let mut memo = ArtifactMemo::default();
+            let mut o0 = None;
             for level in OptLevel::ALL {
                 let flags = cc.profile().preset(level);
-                assert_all_paths_agree(
+                let bytes = assert_all_paths_agree(
                     &cc,
                     &bench,
                     &flags,
@@ -141,6 +176,12 @@ fn presets_are_byte_identical_staged_and_monolithic_across_corpus() {
                     &mut memo,
                     &format!("{kind} {} {level}", bench.name),
                 );
+                digest.write_usize(bytes.len());
+                digest.write(&bytes);
+                if kind == CompilerKind::Gcc {
+                    let baseline = o0.get_or_insert_with(|| lzc::NcdBaseline::new(bytes.clone()));
+                    digest.write_u64(baseline.score(&bytes).to_bits());
+                }
             }
             // The warm leg must have exercised real reuse (e.g. -Os
             // shares -O2's AST stage key), or invariant 2 went
@@ -151,8 +192,16 @@ fn presets_are_byte_identical_staged_and_monolithic_across_corpus() {
                 bench.name
             );
         }
+        digests.push((kind, digest.finish()));
     }
+    assert_digests("presets", &digests, &PRESET_DIGESTS);
 }
+
+/// Digest of every binary of the random-vector sweep, per profile.
+const RANDOM_DIGESTS: [(CompilerKind, u64); 2] = [
+    (CompilerKind::Gcc, 0x1926_4945_5926_9bbc),
+    (CompilerKind::Llvm, 0xbad0_2734_0846_6cfc),
+];
 
 #[test]
 fn random_flag_vectors_are_byte_identical_staged_and_monolithic() {
@@ -164,9 +213,11 @@ fn random_flag_vectors_are_byte_identical_staged_and_monolithic() {
     const TRIALS_PER_MODULE: usize = 9;
     let mut total = 0usize;
     let mut total_hits = 0usize;
+    let mut digests = Vec::new();
     for kind in [CompilerKind::Gcc, CompilerKind::Llvm] {
         let cc = Compiler::new(kind);
         let n = cc.profile().n_flags();
+        let mut digest = StableHasher::new();
         for bench in corpus::all_benign() {
             if corpus::excluded_for(kind).contains(&bench.name) {
                 continue;
@@ -176,7 +227,7 @@ fn random_flag_vectors_are_byte_identical_staged_and_monolithic() {
             for trial in 0..TRIALS_PER_MODULE {
                 let raw: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.5)).collect();
                 let flags = cc.profile().constraints().repair(&raw, trial as u64);
-                assert_all_paths_agree(
+                let bytes = assert_all_paths_agree(
                     &cc,
                     &bench,
                     &flags,
@@ -184,11 +235,15 @@ fn random_flag_vectors_are_byte_identical_staged_and_monolithic() {
                     &mut memo,
                     &format!("{kind} {} trial {trial}", bench.name),
                 );
+                digest.write_usize(bytes.len());
+                digest.write(&bytes);
                 total += 1;
             }
             total_hits += memo.hits;
         }
+        digests.push((kind, digest.finish()));
     }
+    assert_digests("random vectors", &digests, &RANDOM_DIGESTS);
     assert!(total >= 200, "only {total} random vectors exercised");
     // Random vectors collide on stage keys far less often than presets,
     // but across ~40 (module, profile) memos the warm leg must have
