@@ -2,9 +2,9 @@
 //! (the paper's §5 deployment, long-lived).
 //!
 //! One process owns one client farm ([`ServiceHandle`]), one persistent
-//! [`FitnessStore`](crate::FitnessStore)/[`ArtifactStore`] pair, and a
-//! versioned job-control wire ([`wire`]). Tenants submit tuning jobs over
-//! a Unix or TCP socket (bound and reached through the same
+//! [`FitnessStore`](crate::FitnessStore)/[`ArtifactStore`](crate::ArtifactStore)
+//! pair, and a versioned job-control wire ([`wire`]). Tenants submit
+//! tuning jobs over a Unix or TCP socket (bound and reached through the same
 //! [`evald::Listener`] and [`evald::Endpoint`] the process farm uses);
 //! the daemon multiplexes every job onto the shared
 //! farm with fair-share batch interleaving, serves duplicate work from
@@ -34,9 +34,8 @@ pub mod metrics;
 pub mod wire;
 
 use crate::service::{
-    check_topology, fold_artifacts, FarmTelemetry, ServiceExecutor, ServiceHandle, SharedEvaldError,
+    check_topology, FarmTelemetry, ServiceExecutor, ServiceHandle, SharedEvaldError,
 };
-use crate::store::ArtifactStore;
 use crate::tuner::{Backend, TuneError, TuneResult, Tuner, TunerConfig};
 use crate::{MissExecutor, MissResult};
 use evald::{
@@ -50,7 +49,7 @@ use metrics::{
 use minicc::ast::Module;
 use minicc::codec::decode_module;
 use std::collections::{HashMap, VecDeque};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
@@ -177,10 +176,6 @@ struct SharedFarm {
     strikes: Mutex<HashMap<u64, u32>>,
     /// `DaemonConfig::quarantine_strikes` (0 = disabled).
     quarantine_strikes: u32,
-    /// Stage artifacts drained from farms torn down mid-daemon (module
-    /// switches, failures), awaiting the next finishing job's
-    /// [`ServiceExecutor::take_artifacts`] or the shutdown flush.
-    pending: Mutex<(Vec<WireAstArtifact>, Vec<WireLowerArtifact>)>,
 }
 
 impl SharedFarm {
@@ -205,18 +200,11 @@ impl SharedFarm {
         self.turn.notify_all();
     }
 
-    /// Tear the live farm down, parking its merged artifacts for the
-    /// next finishing job (or the shutdown flush).
+    /// Tear the live farm down.
     fn teardown_slot(&self, state: &mut FarmState) {
-        let Some(slot) = state.slot.take() else {
-            return;
-        };
-        let (ast, lower) = slot.handle.take_artifacts();
-        let mut pending = self.pending.lock().unwrap();
-        pending.0.extend(ast);
-        pending.1.extend(lower);
-        drop(pending);
-        let _ = slot.handle.finish();
+        if let Some(slot) = state.slot.take() {
+            let _ = slot.handle.finish();
+        }
     }
 
     /// Record one farm failure against `module_hash`; returns the new
@@ -228,25 +216,24 @@ impl SharedFarm {
         *n
     }
 
-    /// Run one batch of `job`'s misses on the shared farm, waiting for
-    /// the job's rotation turn, (re)launching the farm for `module` if
-    /// needed. On a farm loss the recorded cause lands in `failure`
-    /// (for [`ServiceExecutor::take_failure`]) and the dead farm is
-    /// torn down so the next batch — this job's or another's —
-    /// relaunches fresh. A module whose launches/batches have failed
-    /// `quarantine_strikes` consecutive times is refused up front
-    /// (poison-job quarantine): its abort is typed via `control`, it
-    /// never waits for a rotation turn, and the live farm — some other
-    /// tenant's — is untouched.
+    /// Run one batch of `exec`'s misses on the shared farm, waiting for
+    /// the job's rotation turn, (re)launching the farm for its module if
+    /// needed. A healthy batch's stage artifacts go to `exec` (for
+    /// [`ServiceExecutor::take_artifacts`]). On a farm loss the recorded
+    /// cause lands in `exec`'s failure slot (for
+    /// [`ServiceExecutor::take_failure`]) and the dead farm is torn down
+    /// so the next batch — this job's or another's — relaunches fresh. A
+    /// module whose launches/batches have failed `quarantine_strikes`
+    /// consecutive times is refused up front (poison-job quarantine):
+    /// its abort is typed via the job's control, it never waits for a
+    /// rotation turn, and the live farm — some other tenant's — is
+    /// untouched.
     fn execute(
         &self,
-        job: u64,
-        module: &Module,
+        exec: &FarmExecutor,
         misses: &[Vec<bool>],
-        failure: &Mutex<Option<Arc<EvaldError>>>,
-        control: &JobControl,
     ) -> Result<Vec<MissResult>, EvalAbort> {
-        let module_hash = module.content_hash();
+        let module_hash = exec.module.content_hash();
         if self.quarantine_strikes > 0 {
             let strikes = self
                 .strikes
@@ -256,14 +243,14 @@ impl SharedFarm {
                 .copied()
                 .unwrap_or(0);
             if strikes >= self.quarantine_strikes {
-                control.latch_abort(AbortKind::Quarantined { strikes });
+                exec.control.latch_abort(AbortKind::Quarantined { strikes });
                 return Err(EvalAbort::new(format!(
                     "module quarantined as poison after {strikes} consecutive farm failures"
                 )));
             }
         }
         let mut state = self.state.lock().unwrap();
-        while state.rotation.front() != Some(&job) {
+        while state.rotation.front() != Some(&exec.job) {
             state = self.turn.wait(state).unwrap();
         }
         if state
@@ -285,7 +272,7 @@ impl SharedFarm {
             match ServiceHandle::launch_with(
                 &cfg,
                 self.base.compiler,
-                module,
+                &exec.module,
                 self.base.arch,
                 self.base.artifact_cache,
                 Some(self.tel.clone()),
@@ -301,7 +288,7 @@ impl SharedFarm {
                     self.failures.inc();
                     self.note_strike(module_hash);
                     let cause = Arc::new(e);
-                    *failure.lock().unwrap() = Some(cause.clone());
+                    *exec.failure.lock().unwrap() = Some(cause.clone());
                     self.rotate(&mut state);
                     return Err(EvalAbort::with_source(
                         format!("shared farm failed to launch: {cause}"),
@@ -310,26 +297,25 @@ impl SharedFarm {
                 }
             }
         }
-        let result = state
-            .slot
-            .as_ref()
-            .expect("slot just ensured")
-            .handle
-            .execute(misses);
+        let handle = &state.slot.as_ref().expect("slot just ensured").handle;
+        let result = handle.execute(misses);
         match &result {
             Ok(_) => {
                 // A healthy batch clears the module's strike streak —
-                // only *consecutive* failures spell poison.
+                // only *consecutive* failures spell poison — and hands
+                // its artifacts to the job that ran it.
                 self.strikes.lock().unwrap().remove(&module_hash);
+                let (ast, lower) = handle.take_artifacts();
+                let mut artifacts = exec.artifacts.lock().unwrap();
+                artifacts.0.extend(ast);
+                artifacts.1.extend(lower);
             }
             Err(_) => {
                 // The farm is gone (every worker lost mid-batch). Record
                 // the transport-level cause for the job's TuneError, bury
                 // the corpse, and let the rotation move on — the daemon
                 // itself never dies here.
-                if let Some(slot) = &state.slot {
-                    *failure.lock().unwrap() = slot.handle.take_failure();
-                }
+                *exec.failure.lock().unwrap() = handle.take_failure();
                 self.teardown_slot(&mut state);
                 self.failures.inc();
                 self.note_strike(module_hash);
@@ -339,39 +325,9 @@ impl SharedFarm {
         result
     }
 
-    /// Drain the stage artifacts a finishing job's tuner folds into the
-    /// store it already indexed: everything parked from torn-down
-    /// farms, plus the live farm's merged artifacts when that farm
-    /// serves `module_hash` (another module's live farm is left to its
-    /// own job). Farm workers compile in their own address spaces, so
-    /// without this hand-off a process-worker daemon would persist no
-    /// artifacts.
-    fn take_artifacts(&self, module_hash: u64) -> (Vec<WireAstArtifact>, Vec<WireLowerArtifact>) {
-        let state = self.state.lock().unwrap();
-        let (mut ast, mut lower) = std::mem::take(&mut *self.pending.lock().unwrap());
-        if let Some(slot) = state.slot.as_ref().filter(|s| s.module_hash == module_hash) {
-            let (a, l) = slot.handle.take_artifacts();
-            ast.extend(a);
-            lower.extend(l);
-        }
-        (ast, lower)
-    }
-
-    /// Tear the live farm down and persist the artifacts no job took
-    /// (parked by a failed job's farm, or merged after the last job
-    /// finished) — the daemon's only artifact write of its own.
-    fn shutdown(&self, store_path: Option<&Path>) {
+    /// Tear the live farm down.
+    fn shutdown(&self) {
         self.teardown_slot(&mut self.state.lock().unwrap());
-        let parked = std::mem::take(&mut *self.pending.lock().unwrap());
-        let Some(path) = store_path else { return };
-        if parked.0.is_empty() && parked.1.is_empty() {
-            return;
-        }
-        let mut store = ArtifactStore::load(path);
-        fold_artifacts(&mut store, parked);
-        // A skipped save (lock contended) only costs future warm
-        // starts, never correctness — same contract as the tuner's.
-        let _ = store.save();
     }
 }
 
@@ -430,6 +386,9 @@ struct FarmExecutor {
     module: Module,
     failure: Mutex<Option<Arc<EvaldError>>>,
     control: Arc<JobControl>,
+    /// Stage artifacts of the job's healthy batches, for the tuner's
+    /// store fold when the job ends.
+    artifacts: Mutex<(Vec<WireAstArtifact>, Vec<WireLowerArtifact>)>,
 }
 
 impl MissExecutor for FarmExecutor {
@@ -444,8 +403,7 @@ impl MissExecutor for FarmExecutor {
             self.control.latch_abort(AbortKind::DeadlineExceeded);
             return Err(EvalAbort::new("job deadline exceeded"));
         }
-        self.farm
-            .execute(self.job, &self.module, misses, &self.failure, &self.control)
+        self.farm.execute(self, misses)
     }
 }
 
@@ -455,7 +413,7 @@ impl ServiceExecutor for FarmExecutor {
     }
 
     fn take_artifacts(&self) -> (Vec<WireAstArtifact>, Vec<WireLowerArtifact>) {
-        self.farm.take_artifacts(self.module.content_hash())
+        std::mem::take(&mut *self.artifacts.lock().unwrap())
     }
 }
 
@@ -536,6 +494,7 @@ fn run_job(
         module: spec.module.clone(),
         failure: Mutex::new(None),
         control: control.clone(),
+        artifacts: Mutex::default(),
     };
     shared.farm.attach(job);
     let result = Tuner::new(config).tune_with_executor(&spec.module, &executor);
@@ -880,7 +839,6 @@ impl Daemon {
             turn: Condvar::new(),
             strikes: Mutex::new(HashMap::new()),
             quarantine_strikes: config.quarantine_strikes,
-            pending: Mutex::new(Default::default()),
         });
         let runners = config.runners.max(1);
         let shared = Arc::new(DaemonShared {
@@ -977,9 +935,7 @@ impl DaemonHandle {
             drop(jobs);
             self.shared.done.notify_all();
         }
-        self.shared
-            .farm
-            .shutdown(self.shared.config.store_path.as_deref());
+        self.shared.farm.shutdown();
     }
 }
 

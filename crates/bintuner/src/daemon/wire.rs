@@ -580,7 +580,7 @@ mod tests {
         ));
         // A farm frame sent to the daemon port: rejected by magic, not
         // misparsed (and symmetrically, TUND magic fails EVLD decode).
-        let farm = evald::wire::encode_frame(&evald::wire::Frame::EndBatch { batch: 1 });
+        let farm = evald::wire::encode_frame(&evald::wire::Frame::Ping { nonce: 1 });
         assert!(matches!(
             decode_daemon_frame(&farm),
             Err(EvaldError::BadMagic)

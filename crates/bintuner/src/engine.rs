@@ -607,23 +607,12 @@ impl<'a> FitnessEngine<'a> {
         self.artifact_store = Some(Mutex::new(store));
     }
 
-    /// Drain the fitness results recorded into the engine's store since
-    /// the last drain (the client side of the evaluation service ships
-    /// these back for the server-side store; see
-    /// [`FitnessStore::drain_pending_fitness`]). Empty for store-less
-    /// engines.
-    pub fn drain_pending_store(&self) -> Vec<(StoreKey, StoredFitness)> {
-        self.store
-            .as_ref()
-            .map_or_else(Vec::new, |s| s.lock().unwrap().drain_pending_fitness())
-    }
-
     /// Drain the stage artifacts queued into the engine's artifact store
-    /// since the last drain — the artifact half of the service's merge
-    /// barrier: a farm worker's engine carries an in-memory artifact
-    /// store purely so its freshly computed artifacts accumulate
-    /// somewhere drainable, and this ships them back to the server's
-    /// persistent log. Empty for engines without an artifact store.
+    /// since the last drain: a farm worker's engine carries an in-memory
+    /// artifact store purely so its freshly computed artifacts
+    /// accumulate somewhere drainable, and each shard's `Result` frame
+    /// ships them back to the server's persistent log. Empty for engines
+    /// without an artifact store.
     pub fn drain_pending_artifacts(&self) -> crate::store::PendingArtifacts {
         self.artifact_store
             .as_ref()

@@ -303,22 +303,14 @@ fn run_worker(args: &WorkerArgs) -> Result<(), EvaldError> {
         n_flags,
     }))?;
     // The engine needs the module, which arrives as the job description.
-    // Nothing but a Job (or an early Shutdown / empty-batch EndBatch) is
-    // legal before the first Work frame.
+    // Nothing but a Job (or an early Shutdown) is legal before the first
+    // Work frame.
     let payload = loop {
         let bytes = duplex.rx.recv_frame()?;
         let (frame, _) = decode_frame(&bytes)?;
         match frame {
             Frame::Job { payload } => break payload,
             Frame::Shutdown => return Ok(()),
-            Frame::EndBatch { .. } => {
-                duplex.tx.send_frame(&encode_frame(&Frame::Merge {
-                    client: args.client_id,
-                    records: Vec::new(),
-                    ast_artifacts: Vec::new(),
-                    lower_artifacts: Vec::new(),
-                }))?;
-            }
             Frame::Work { .. } => {
                 // Work before the job description: we cannot evaluate.
                 // Exiting severs the connection; the server re-queues the
@@ -332,10 +324,7 @@ fn run_worker(args: &WorkerArgs) -> Result<(), EvaldError> {
                     .tx
                     .send_frame(&encode_frame(&Frame::Pong { nonce }))?;
             }
-            Frame::Hello { .. }
-            | Frame::Result { .. }
-            | Frame::Merge { .. }
-            | Frame::Pong { .. } => {}
+            Frame::Hello { .. } | Frame::Result { .. } | Frame::Pong { .. } => {}
         }
     };
     let module = minicc::codec::decode_module(&payload)

@@ -10,28 +10,21 @@
 //!   ([`WorkerMode::Processes`], see [`crate::farm`]) that connect back
 //!   over a Unix or TCP socket. **Each client is a full
 //!   [`FitnessEngine`]** with its own [`Compiler`] instance, its own
-//!   `-O0` baseline, its own in-run caches, and an *in-memory*
-//!   [`FitnessStore`] that accumulates the shard results it computes.
+//!   `-O0` baseline and its own in-run caches.
 //! * The server side is the tuner's own engine: partition, the three
 //!   cache tiers, the single writable store and the stats all stay where
 //!   they were, and only the deduplicated miss list travels — the handle
 //!   implements [`MissExecutor`] by pushing each miss batch through
 //!   [`evald::EvalServer::evaluate`] (work-stealing shards, straggler
 //!   re-dispatch, first result wins).
-//! * At batch end every client drains its local store into
-//!   [`evald::MergeRecord`]s; the server accumulates them and the tuner
-//!   folds them into the persistent store before saving — appends are
+//! * The server engine records every result it receives into the one
+//!   writable [`crate::FitnessStore`] itself, so each fitness crosses
+//!   the wire once, on its shard's `Result` frame. The stage artifacts
+//!   a shard freshly computed ride the same frame; the tuner folds them
+//!   into its persistent [`ArtifactStore`] before saving. Appends are
 //!   serialized through that single writer, which is what resolves the
 //!   concurrent-store-writers problem for the service case (the advisory
-//!   file lock covers the separate-processes case). Note that in *this*
-//!   integration the fold is belt-and-braces, not the consistency
-//!   mechanism: the server engine already records every dispatched miss
-//!   result itself, so each folded record hits
-//!   [`FitnessStore::insert`]'s identical-value dedup (that redundancy
-//!   is what keeps the store complete even when a client dies before
-//!   its merge). The merge path is load-bearing for embedders whose
-//!   clients evaluate work the server did not dispatch;
-//!   `merged_records` telemetry proves it ran.
+//!   file lock covers the separate-processes case).
 //!
 //! Every fitness an engine computes is a pure function of the genome, so
 //! client count, transport, scheduling and even mid-run client death
@@ -45,14 +38,13 @@ use crate::engine::{
 use crate::farm::{
     resolve_worker_binary, BackoffSchedule, Supervisor, SupervisorVerdict, WorkerSpec,
 };
-use crate::store::{ArtifactStore, AstArtifactKey, FitnessStore, LowerArtifactKey};
+use crate::store::{ArtifactStore, AstArtifactKey, LowerArtifactKey};
 use crate::FitnessEngine;
 use binrep::Arch;
 use evald::wire::ShardStats;
 use evald::{
     channel_duplex, run_client, ClientOptions, CostModel, Duplex, EvalServer, EvaldError, Listener,
-    MergeRecord, ServerTelemetry, ShardWorker, WireAstArtifact, WireEval, WireLowerArtifact,
-    WireSpan,
+    ServerTelemetry, ShardWorker, WireAstArtifact, WireEval, WireLowerArtifact, WireSpan,
 };
 use genetic::EvalAbort;
 use minicc::ast::Module;
@@ -158,10 +150,8 @@ pub struct ServiceSummary {
     /// (bit-identical duplicates; also mirrored into
     /// [`EngineStats::duplicate_results`]).
     pub duplicate_results: usize,
-    /// Client-cache records merged back into the server-side store.
-    pub merged_records: usize,
-    /// Client-produced stage artifacts merged back into the server-side
-    /// artifact store.
+    /// Client-produced stage artifacts received on `Result` frames, for
+    /// the server-side artifact store.
     pub merged_artifacts: usize,
     /// Real compiles performed across the farm (includes duplicated
     /// straggler work, unlike the engine's logical compile count).
@@ -274,8 +264,8 @@ impl std::fmt::Debug for ServiceHandle {
 /// [`ShardWorker`]; `None` when the engine cannot compile the baseline.
 /// Thread clients (`run_client`) and worker processes (`evald::serve`,
 /// from [`crate::farm`]) build it the same way: one worker, its own
-/// [`Compiler`], an in-memory [`FitnessStore`] that accumulates the
-/// shard results it computes.
+/// [`Compiler`], no store of its own — its results go home on `Result`
+/// frames.
 pub(crate) fn serve_client_engine<R>(
     kind: CompilerKind,
     module: &Module,
@@ -286,7 +276,7 @@ pub(crate) fn serve_client_engine<R>(
     serve: impl FnOnce(&mut dyn ShardWorker) -> R,
 ) -> Option<R> {
     let compiler = Compiler::new(kind);
-    let mut engine = FitnessEngine::with_store(
+    let mut engine = FitnessEngine::new(
         &compiler,
         module,
         arch,
@@ -295,7 +285,6 @@ pub(crate) fn serve_client_engine<R>(
             artifact_cache,
             ..EngineConfig::default()
         },
-        FitnessStore::in_memory(),
     )
     .ok()?;
     if artifact_cache {
@@ -303,8 +292,8 @@ pub(crate) fn serve_client_engine<R>(
         // never saved, so it never answers membership queries — the
         // engine's compile classification (and thus the differential
         // bit-identity guarantee) is untouched. Its only job is to
-        // capture freshly built stage artifacts for the merge barrier,
-        // where the server folds them into the persistent store.
+        // capture freshly built stage artifacts for the shard's Result
+        // frame; the server folds them into the persistent store.
         engine.set_artifact_store(ArtifactStore::in_memory());
     }
     if trace {
@@ -397,22 +386,6 @@ impl ShardWorker for EngineWorker<'_, '_> {
                 })
                 .collect()
         })
-    }
-
-    fn drain_merge(&mut self) -> Vec<MergeRecord> {
-        self.engine
-            .drain_pending_store()
-            .into_iter()
-            .map(|(key, value)| MergeRecord {
-                module_hash: key.module_hash,
-                compiler: key.compiler,
-                arch: key.arch,
-                effect_digest: key.effect_digest,
-                fitness_bits: value.fitness.to_bits(),
-                failed: value.failed,
-                flags: value.flags.to_bools(),
-            })
-            .collect()
     }
 
     fn drain_artifacts(&mut self) -> (Vec<WireAstArtifact>, Vec<WireLowerArtifact>) {
@@ -751,11 +724,10 @@ impl ServiceHandle {
         self.failure.lock().unwrap().take()
     }
 
-    /// Drain the client-produced stage artifacts accumulated on the
-    /// merge barrier (the tuner folds them into its persistent
-    /// [`ArtifactStore`] before saving — the single-writer rule, same
-    /// as the fitness-record fold). Call before
-    /// [`ServiceHandle::finish`].
+    /// Drain the client-produced stage artifacts that arrived on
+    /// `Result` frames since the last call (the tuner folds them into
+    /// its persistent [`ArtifactStore`] before saving — the
+    /// single-writer rule). Call before [`ServiceHandle::finish`].
     pub fn take_artifacts(&self) -> (Vec<WireAstArtifact>, Vec<WireLowerArtifact>) {
         let mut guard = self.server.lock().unwrap();
         guard
@@ -823,16 +795,18 @@ impl ServiceHandle {
     }
 
     /// Shut the service down: stop the clients, join their threads /
-    /// drain their processes, and return the final telemetry plus the
-    /// accumulated merge records for the tuner's single-writer store
-    /// fold.
+    /// drain their processes, and return the final telemetry. The
+    /// record list is always empty (see [`MergeRecord`]).
     pub fn finish(mut self) -> (ServiceSummary, Vec<MergeRecord>) {
         // Cost-model telemetry must be read before shutdown consumes the
         // server.
-        let (merged, shard_sizes) = match self.server.lock().unwrap().as_mut() {
-            Some(server) => (server.take_merged(), server.shard_sizes().to_vec()),
-            None => Default::default(),
-        };
+        let shard_sizes = self
+            .server
+            .lock()
+            .unwrap()
+            .as_ref()
+            .map(|server| server.shard_sizes().to_vec())
+            .unwrap_or_default();
         let stats = self.teardown().expect("finish tears down once");
         (
             ServiceSummary {
@@ -842,7 +816,6 @@ impl ServiceHandle {
                 shards: stats.shards,
                 redispatched_shards: stats.redispatched_shards,
                 duplicate_results: stats.duplicate_results,
-                merged_records: stats.merged_records,
                 merged_artifacts: stats.merged_artifacts,
                 farm_compiles: stats.client_compiles,
                 farm_full_compiles: stats.client_full_compiles,
@@ -855,9 +828,34 @@ impl ServiceHandle {
                 cost_observations: stats.cost_observations,
                 shard_sizes,
             },
-            merged,
+            Vec::new(),
         )
     }
+}
+
+/// A fitness record as farm clients once shipped home at batch end.
+///
+/// Nothing produces these any more: the server engine records every
+/// result it receives itself, so [`ServiceHandle::finish`] always
+/// returns an empty list of them. The type stays only because callers
+/// that fold `finish`'s second element into a store still name its
+/// fields; it goes once they stop.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MergeRecord {
+    /// Stable content hash of the module.
+    pub module_hash: u64,
+    /// Stable one-byte compiler-profile tag.
+    pub compiler: u8,
+    /// Stable one-byte architecture tag.
+    pub arch: u8,
+    /// Stable 128-bit effect-config digest.
+    pub effect_digest: u128,
+    /// `f64::to_bits` of the fitness.
+    pub fitness_bits: u64,
+    /// Whether the compile failed.
+    pub failed: bool,
+    /// The representative flag vector.
+    pub flags: Vec<bool>,
 }
 
 impl Drop for ServiceHandle {
@@ -963,7 +961,7 @@ impl ServiceExecutor for ServiceHandle {
 }
 
 /// Queue wire-shipped stage artifacts into a persistent store — the
-/// inverse of a worker's merge-barrier drain. Inserts dedup against the
+/// inverse of a worker's per-shard drain. Inserts dedup against the
 /// store's live and pending entries, so folding artifacts the store
 /// already holds is a no-op.
 pub(crate) fn fold_artifacts(

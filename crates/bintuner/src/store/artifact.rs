@@ -131,7 +131,7 @@ struct PendingArtifact<K> {
 
 /// Artifacts drained out of a store's pending queues
 /// ([`ArtifactStore::drain_pending`]): `(key, stage seconds, blob)`
-/// triples, ready to cross the evaluation service's merge barrier.
+/// triples, ready to ride an evaluation-service `Result` frame.
 #[derive(Debug, Clone, Default)]
 pub struct PendingArtifacts {
     /// Pending optimized-AST artifacts.
@@ -455,7 +455,7 @@ impl ArtifactStore {
 
     /// Drain the artifacts queued since the last save (or drain),
     /// clearing the pending queues — the client side of the evaluation
-    /// service ships these back through the merge barrier so farm
+    /// service ships these back on each shard's `Result` frame so farm
     /// workers' freshly computed stage artifacts reach the server's
     /// persistent log. Each entry is `(key, measured stage seconds,
     /// encoded blob)`.

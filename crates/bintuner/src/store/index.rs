@@ -18,10 +18,8 @@ pub(super) struct ShardIndex {
     pub entries: HashMap<StoreKey, StoredFitness>,
     /// Per-module shape features routed to this shard by module hash.
     pub features: HashMap<u64, ModuleFeatures>,
-    /// Records inserted since the last save. The `u64` is a store-wide
-    /// insertion sequence number so a cross-shard drain can restore the
-    /// caller's insertion order exactly.
-    pub pending: Vec<(u64, PendingRecord)>,
+    /// Records inserted since the last save, in insertion order.
+    pub pending: Vec<PendingRecord>,
     /// Records currently in this shard's file, including dead
     /// (overwritten) ones. Advisory: a concurrent writer's appends are
     /// not counted until the next reload, which only delays compaction.
@@ -56,7 +54,7 @@ impl ShardIndex {
     pub fn pending_fitness(&self) -> usize {
         self.pending
             .iter()
-            .filter(|(_, r)| matches!(r, PendingRecord::Fitness(..)))
+            .filter(|r| matches!(r, PendingRecord::Fitness(..)))
             .count()
     }
 }

@@ -360,9 +360,6 @@ pub struct FitnessStore {
     /// The manifest must be rewritten even if the generation is
     /// unchanged (recovered from corruption).
     manifest_dirty: bool,
-    /// Store-wide insertion sequence, so draining pending records across
-    /// shards restores the caller's insertion order exactly.
-    next_seq: u64,
     report: LoadReport,
     /// Save/compaction timing handles; `None` (the default) takes no
     /// telemetry path at all.
@@ -385,7 +382,6 @@ impl FitnessStore {
             generation: 0,
             manifest_gen: 0,
             manifest_dirty: false,
-            next_seq: 0,
             report: LoadReport::default(),
             tel: None,
         }
@@ -415,7 +411,6 @@ impl FitnessStore {
             generation: 0,
             manifest_gen: 0,
             manifest_dirty: false,
-            next_seq: 0,
             report: LoadReport::default(),
             tel: None,
         };
@@ -629,7 +624,6 @@ impl FitnessStore {
     pub fn insert(&mut self, key: StoreKey, value: StoredFitness) {
         let idx = shard_for(&key, self.shard_count);
         let generation = self.generation;
-        let seq = self.next_seq;
         let shard = self.ensure_shard(idx);
         if shard.is_noop_insert(&key, &value) {
             return;
@@ -639,32 +633,7 @@ impl FitnessStore {
             ..value
         };
         shard.entries.insert(key, value);
-        shard
-            .pending
-            .push((seq, PendingRecord::Fitness(key, value)));
-        self.next_seq += 1;
-    }
-
-    /// Drain the fitness results queued since the last save (or drain),
-    /// *removing* them from the save queue — the client-side path of the
-    /// evaluation service, where an in-memory store accumulates a
-    /// shard's results to ship back for the server's single writable
-    /// store instead of saving anything itself. Queued module-features
-    /// records stay queued (they are identity metadata, not results).
-    /// Order is the caller's insertion order, across shards.
-    pub fn drain_pending_fitness(&mut self) -> Vec<(StoreKey, StoredFitness)> {
-        let mut tagged = Vec::new();
-        for shard in self.shards.iter_mut().flatten() {
-            shard.pending.retain(|&(seq, rec)| match rec {
-                PendingRecord::Fitness(key, value) => {
-                    tagged.push((seq, key, value));
-                    false
-                }
-                PendingRecord::Features(..) => true,
-            });
-        }
-        tagged.sort_unstable_by_key(|&(seq, ..)| seq);
-        tagged.into_iter().map(|(_, k, v)| (k, v)).collect()
+        shard.pending.push(PendingRecord::Fitness(key, value));
     }
 
     /// Record a module's shape features (queued for the next save;
@@ -672,7 +641,6 @@ impl FitnessStore {
     /// log). The engine calls this once per run for the tuned module.
     pub fn record_module_features(&mut self, module_hash: u64, feats: ModuleFeatures) {
         let idx = shard_for_module(module_hash, self.shard_count);
-        let seq = self.next_seq;
         let shard = self.ensure_shard(idx);
         if shard.features.get(&module_hash) == Some(&feats) {
             return;
@@ -680,8 +648,7 @@ impl FitnessStore {
         shard.features.insert(module_hash, feats);
         shard
             .pending
-            .push((seq, PendingRecord::Features(module_hash, feats)));
-        self.next_seq += 1;
+            .push(PendingRecord::Features(module_hash, feats));
     }
 
     /// A module's recorded shape features, if any (materializes one
@@ -788,12 +755,12 @@ impl FitnessStore {
                     .features
                     .insert(hash, feats);
             }
-            for (seq, rec) in shard.pending {
+            for rec in shard.pending {
                 let idx = match &rec {
                     PendingRecord::Fitness(k, _) => shard_for(k, new_count),
                     PendingRecord::Features(h, _) => shard_for_module(*h, new_count),
                 };
-                fresh[idx].pending.push((seq, rec));
+                fresh[idx].pending.push(rec);
             }
         }
         self.shard_count = new_count;

@@ -227,7 +227,7 @@ fn rewrite_shard(
     for (hash, feats) in &shard.features {
         merged.features.entry(*hash).or_insert(*feats);
     }
-    for (_, rec) in &shard.pending {
+    for rec in &shard.pending {
         match rec {
             PendingRecord::Fitness(key, value) => {
                 merged.entries.insert(*key, *value);
@@ -262,7 +262,7 @@ fn rewrite_shard(
 
 fn append_shard(path: &Path, shard: &mut ShardIndex) -> std::io::Result<()> {
     let mut buf: Vec<u8> = Vec::with_capacity(shard.pending.len() * RECORD_LEN);
-    for (_, rec) in &shard.pending {
+    for rec in &shard.pending {
         match rec {
             PendingRecord::Fitness(key, value) => encode_fitness_record(key, value, &mut buf),
             PendingRecord::Features(hash, feats) => encode_features_record(*hash, feats, &mut buf),

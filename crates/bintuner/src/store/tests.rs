@@ -637,31 +637,3 @@ fn stale_lock_of_a_dead_process_is_reclaimed() {
     fs::remove_file(StoreLock::lock_path(&shard4)).unwrap();
     cleanup(&path);
 }
-
-#[test]
-fn drain_pending_fitness_reroutes_results_away_from_save() {
-    let path = scratch("drain");
-    let mut client_side = FitnessStore::in_memory();
-    client_side.insert(key(1), value(1));
-    client_side.insert(key(2), value(2));
-    client_side.record_module_features(0xF, feats(1));
-    let drained = client_side.drain_pending_fitness();
-    assert_eq!(drained.len(), 2);
-    // Insertion order is restored across shards.
-    assert_eq!(drained[0].0, key(1));
-    assert_eq!(drained[1].0, key(2));
-    assert_eq!(client_side.pending_len(), 0);
-    assert_eq!(client_side.drain_pending_fitness(), vec![]);
-    // The in-memory map still serves lookups (client-side cache).
-    assert!(client_side.get(&key(1)).is_some());
-
-    // Server side: draining into a real store persists exactly the
-    // shipped records (single-writer merge path).
-    let mut server_side = FitnessStore::load(&path);
-    for (k, v) in drained {
-        server_side.insert(k, v);
-    }
-    server_side.save().unwrap();
-    assert_eq!(FitnessStore::load(&path).len(), 2);
-    cleanup(&path);
-}

@@ -9,7 +9,7 @@ use crate::priors::{mine_prior, PriorConfig, PriorMode};
 use crate::service::{
     fold_artifacts, ServiceConfig, ServiceExecutor, ServiceHandle, ServiceSummary,
 };
-use crate::store::{ArtifactStore, FitnessStore, FlagBits, SaveOutcome, StoreKey, StoredFitness};
+use crate::store::{ArtifactStore, FitnessStore, SaveOutcome};
 use binrep::{Arch, Binary};
 use genetic::{Ga, GaParams, GaRun, StopReason, Termination};
 use lzc::NcdBaseline;
@@ -560,44 +560,22 @@ impl Tuner {
         let baseline = engine.baseline_binary().clone();
         let mut stats = engine.stats();
         let (store_after, artifacts_after) = engine.into_stores();
-        // Tear the service down before saving: its merge records fold
-        // into the store through this single writer (appends serialized
-        // server-side — the clients never touch the file). The engine
-        // already recorded every dispatched miss itself, so these
-        // inserts dedup to no-ops; the fold is the defense-in-depth end
-        // of the merge protocol, not the store-fill path (see
-        // `service` module docs). The *artifact* fold below is NOT
-        // redundant, though: farm workers compile in their own address
-        // spaces, so their stage artifacts exist nowhere else — without
-        // this fold a process-worker run would persist no artifacts and
-        // the next warm start would silently rerun full pipelines. The
-        // artifacts come from whichever executor ran the misses: this
-        // run's own farm, or an external one (the daemon's shared farm).
+        // The engine recorded every result itself, wherever it was
+        // computed (the single writer: clients never touch the file).
+        // Stage artifacts are another matter: farm workers compile in
+        // their own address spaces, so their artifacts exist nowhere
+        // else — without the fold below a process-worker run would
+        // persist no artifacts and the next warm start would silently
+        // rerun full pipelines. They come from whichever executor ran
+        // the misses: this run's own farm, or an external one (the
+        // daemon's shared farm).
         let service_artifacts = service
             .as_ref()
             .map(|s| s as &dyn ServiceExecutor)
             .or(external)
             .map(ServiceExecutor::take_artifacts);
-        let service_outcome = service.map(ServiceHandle::finish);
+        let service_summary = service.map(|s| s.finish().0);
         let persistence = store_after.map(|mut store| {
-            if let Some((_, merged)) = &service_outcome {
-                for rec in merged {
-                    store.insert(
-                        StoreKey {
-                            module_hash: rec.module_hash,
-                            compiler: rec.compiler,
-                            arch: rec.arch,
-                            effect_digest: rec.effect_digest,
-                        },
-                        StoredFitness {
-                            fitness: f64::from_bits(rec.fitness_bits),
-                            failed: rec.failed,
-                            flags: FlagBits::from_bools(&rec.flags),
-                            generation: 0, // stamped by the store
-                        },
-                    );
-                }
-            }
             let new_entries = store.pending_len();
             let (save_error, lock_skipped) = match store.save() {
                 Ok(SaveOutcome::Written) => (None, false),
@@ -629,7 +607,6 @@ impl Tuner {
             }
             let _ = artifacts.save();
         }
-        let service_summary = service_outcome.map(|(summary, _)| summary);
         if let Some(summary) = &service_summary {
             stats.duplicate_results = summary.duplicate_results;
         }

@@ -124,7 +124,7 @@ fn killing_a_worker_process_mid_run_changes_nothing() {
 fn process_farm_persists_stage_artifacts_for_warm_starts() {
     // Farm workers compile in their own address spaces, so their stage
     // artifacts exist nowhere the persistent store can see unless the
-    // merge barrier ships them home. Before that fold, a warm start
+    // `Result` frames ship them home. Before that fold, a warm start
     // behind `WorkerMode::Processes` silently reran full pipelines the
     // in-process engine would have served from the artifact store. A
     // *renamed* module makes every fitness key miss (keys hash the
@@ -154,7 +154,7 @@ fn process_farm_persists_stage_artifacts_for_warm_starts() {
     assert_eq!(summary.transport, TransportKind::Unix);
     assert!(
         summary.merged_artifacts > 0,
-        "the farm never shipped a stage artifact through the merge barrier"
+        "the farm never shipped a stage artifact on a Result frame"
     );
 
     let warm_local = Tuner::new(cached_tuner(90, Some(&local_store)))

@@ -213,9 +213,14 @@ fn service_and_local_build_equivalent_stores_and_warm_starts() {
     let persist = cold_svc.persistence.as_ref().expect("persistence summary");
     assert_eq!(persist.save_error, None);
     assert!(!persist.lock_skipped);
-    // The client farm shipped its local caches back, and the single
-    // writable store ended up equivalent to the in-process run's.
-    assert!(cold_svc.service.as_ref().unwrap().merged_records > 0);
+    // The server engine recorded every farm result itself (clients hold
+    // no store), and the single writable store ended up equivalent to
+    // the in-process run's.
+    let local_persist = cold_local
+        .persistence
+        .as_ref()
+        .expect("persistence summary");
+    assert_eq!(persist.new_entries, local_persist.new_entries);
     assert_same_store(local_store.path(), service_store.path());
 
     // Warm runs: the service replays the identical trajectory from

@@ -4,15 +4,15 @@
 //! BinTuner reproduction, a full fitness engine with its own compiler,
 //! `-O0` baseline and local caches) driven by [`run_client`]: announce
 //! yourself ([`crate::wire::Frame::Hello`]), then serve `Work` frames
-//! until the server says `Shutdown`. At every `EndBatch` the worker's
-//! fresh local-cache records are flushed back as a `Merge` frame — the
-//! client never writes any store itself; the server is the single
-//! writer.
+//! until the server says `Shutdown`. Each shard's `Result` frame carries
+//! its evaluations, its trace spans and the stage artifacts it freshly
+//! produced — the client never writes any store itself; the server is
+//! the single writer.
 
 use crate::transport::Duplex;
 use crate::wire::{
-    decode_frame, encode_frame, Frame, MergeRecord, ShardStats, WireAstArtifact, WireEval,
-    WireLowerArtifact, WireSpan,
+    decode_frame, encode_frame, Frame, ShardStats, WireAstArtifact, WireEval, WireLowerArtifact,
+    WireSpan,
 };
 use crate::{EvaldError, FaultKind};
 
@@ -36,17 +36,9 @@ pub trait ShardWorker {
         Vec::new()
     }
 
-    /// Drain the records the local cache accumulated since the last
-    /// drain (merged into the server-side store at batch end). Workers
-    /// without a cache return nothing.
-    fn drain_merge(&mut self) -> Vec<MergeRecord> {
-        Vec::new()
-    }
-
-    /// Drain the stage artifacts produced since the last drain (folded
-    /// into the server-side artifact store at batch end, alongside
-    /// [`ShardWorker::drain_merge`]). Workers without an artifact cache
-    /// return nothing.
+    /// Drain the stage artifacts produced since the last drain (shipped
+    /// on the shard's [`Frame::Result`], for the server-side artifact
+    /// store). Workers without an artifact cache return nothing.
     fn drain_artifacts(&mut self) -> (Vec<WireAstArtifact>, Vec<WireLowerArtifact>) {
         (Vec::new(), Vec::new())
     }
@@ -123,12 +115,15 @@ pub fn serve(
                     if let Some(ms) = slow_ms {
                         std::thread::sleep(std::time::Duration::from_millis(ms));
                     }
+                    let (ast_artifacts, lower_artifacts) = worker.drain_artifacts();
                     duplex.tx.send_frame(&encode_frame(&Frame::Result {
                         shard,
                         client: opts.client_id,
                         evals,
                         stats,
                         spans,
+                        ast_artifacts,
+                        lower_artifacts,
                     }))?;
                 }
                 shards_done += 1;
@@ -146,15 +141,6 @@ pub fn serve(
                     }
                 }
             }
-            Frame::EndBatch { .. } => {
-                let (ast_artifacts, lower_artifacts) = worker.drain_artifacts();
-                duplex.tx.send_frame(&encode_frame(&Frame::Merge {
-                    client: opts.client_id,
-                    records: worker.drain_merge(),
-                    ast_artifacts,
-                    lower_artifacts,
-                }))?;
-            }
             Frame::Ping { nonce } => {
                 duplex
                     .tx
@@ -165,11 +151,8 @@ pub fn serve(
             // the job description was consumed before this loop (worker
             // processes) or never needed (thread workers, which get the
             // module at spawn time): ignore rather than die.
-            Frame::Job { .. }
-            | Frame::Hello { .. }
-            | Frame::Result { .. }
-            | Frame::Merge { .. }
-            | Frame::Pong { .. } => {}
+            Frame::Job { .. } | Frame::Hello { .. } | Frame::Result { .. } | Frame::Pong { .. } => {
+            }
         }
     }
 }
@@ -251,29 +234,18 @@ mod tests {
                 shard,
                 client,
                 evals,
+                ast_artifacts,
+                lower_artifacts,
                 ..
             } => {
                 assert_eq!(shard, 11);
                 assert_eq!(client, 5);
                 assert_eq!(evals.len(), 1);
+                // A worker without an artifact cache ships none.
+                assert!(ast_artifacts.is_empty() && lower_artifacts.is_empty());
             }
             other => panic!("expected Result, got {other:?}"),
         }
-        // EndBatch yields a (possibly empty) merge.
-        server
-            .tx
-            .send_frame(&encode_frame(&Frame::EndBatch { batch: 0 }))
-            .unwrap();
-        let (merge, _) = decode_frame(&server.rx.recv_frame().unwrap()).unwrap();
-        assert_eq!(
-            merge,
-            Frame::Merge {
-                client: 5,
-                records: vec![],
-                ast_artifacts: vec![],
-                lower_artifacts: vec![],
-            }
-        );
         server
             .tx
             .send_frame(&encode_frame(&Frame::Shutdown))

@@ -14,10 +14,11 @@
 //! The crate is deliberately *generic*: it moves genome batches out and
 //! evaluation results back, but knows nothing about compilers or NCD.
 //! The embedder (the `bintuner` crate) supplies a [`ShardWorker`] per
-//! client — there, a full fitness engine — and receives ordered results
-//! plus the clients' [`MergeRecord`]s to fold into the single writable
-//! fitness store it owns. That single-writer rule is the point: clients
-//! only ever *send* results; the server serializes every store append.
+//! client — there, a full fitness engine — and receives ordered results,
+//! plus the stage artifacts each shard's [`Frame::Result`] carried, to
+//! record in the stores it owns. That single-writer rule is the point:
+//! clients only ever *send* results; the server serializes every store
+//! append.
 //!
 //! Layers, bottom up:
 //!
@@ -58,8 +59,7 @@ pub use scheduler::{CostModel, Scheduler};
 pub use server::{ClientInjector, EvalServer, ServerTelemetry, ServiceStats};
 pub use transport::{channel_duplex, Duplex, Endpoint, FrameReceiver, FrameSender, Listener};
 pub use wire::{
-    Frame, MergeRecord, ShardStats, WireAstArtifact, WireEval, WireLowerArtifact, WireSpan,
-    WIRE_VERSION,
+    Frame, ShardStats, WireAstArtifact, WireEval, WireLowerArtifact, WireSpan, WIRE_VERSION,
 };
 
 use std::fmt;

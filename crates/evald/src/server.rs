@@ -1,4 +1,4 @@
-//! The server side: dispatch loop, result assembly, merge sink.
+//! The server side: dispatch loop, result assembly, artifact sink.
 //!
 //! [`EvalServer`] owns one sender per client connection plus a single
 //! event queue fed by per-connection reader threads. One call to
@@ -8,16 +8,18 @@
 //! 2. every live client is primed with a shard and re-fed as results
 //!    arrive (work stealing + straggler re-dispatch),
 //! 3. results are committed at their shard's batch offset — first result
-//!    wins, duplicates are counted,
-//! 4. after the last shard, every live client is asked to flush its
-//!    local cache ([`crate::wire::Frame::EndBatch`]); the returned
-//!    [`MergeRecord`]s accumulate in the server (the *single writer* of
-//!    the embedder's persistent store — the answer to the "concurrent
-//!    store writers" roadmap item is that nobody else ever writes).
+//!    wins, duplicates are counted — and the stage artifacts each
+//!    `Result` frame carries accumulate in the server (the *single
+//!    writer* of the embedder's persistent store: clients only ever
+//!    send),
+//! 4. the batch ends once every shard has a result *and* no client
+//!    still holds a dispatch, so straggler copies are awaited (or their
+//!    clients evicted) and counted inside the batch that issued them.
 //!
-//! A dead client (closed connection, failed send, undecodable frame) is
-//! dropped from the rotation and its outstanding shards are re-queued;
-//! the batch completes as long as one client survives.
+//! A dead client (closed connection, failed send, undecodable frame,
+//! protocol violation such as a result of the wrong length) is dropped
+//! from the rotation and its outstanding shards are re-queued; the batch
+//! completes as long as one client survives.
 //!
 //! A *hung* client — one that neither answers nor disconnects — is
 //! handled by the liveness plane ([`crate::LivenessConfig`]): the event
@@ -32,8 +34,7 @@
 use crate::scheduler::{CostModel, Scheduler};
 use crate::transport::{Duplex, FrameReceiver, FrameSender};
 use crate::wire::{
-    decode_frame, encode_frame, Frame, MergeRecord, WireAstArtifact, WireEval, WireLowerArtifact,
-    WireSpan,
+    decode_frame, encode_frame, Frame, WireAstArtifact, WireEval, WireLowerArtifact, WireSpan,
 };
 use crate::{EvaldError, LivenessConfig};
 use std::collections::{HashMap, HashSet};
@@ -61,9 +62,7 @@ pub struct ServiceStats {
     /// Individual evaluations discarded because another client answered
     /// the shard first (first result wins; duplicates are bit-identical).
     pub duplicate_results: usize,
-    /// Client-cache records received in merge frames.
-    pub merged_records: usize,
-    /// Client-produced stage artifacts received in merge frames (v4).
+    /// Client-produced stage artifacts received on `Result` frames.
     pub merged_artifacts: usize,
     /// Real compiles reported by clients (includes duplicated straggler
     /// work — the farm's actual effort, unlike the embedder's logical
@@ -97,8 +96,8 @@ pub struct ServiceStats {
 /// The embedder's telemetry handles for the dispatch server, resolved
 /// once against a `btel::Registry` and installed via
 /// [`EvalServer::set_telemetry`]. Absent (the default), the server
-/// takes no clock readings and sends span id `0` on every `Work` frame
-/// — bit-identical to pre-telemetry behavior.
+/// records no spans or metrics and sends span id `0` on every `Work`
+/// frame — bit-identical to pre-telemetry behavior.
 pub struct ServerTelemetry {
     /// Records shard-dispatch spans and stitches in worker spans.
     pub tracer: btel::Tracer,
@@ -189,6 +188,18 @@ impl ClientInjector {
     }
 }
 
+/// A client's one outstanding `Work` frame (a client holds at most one),
+/// cleared by the client's `Result` or by its loss.
+struct Dispatch {
+    /// The dispatch-span id the frame carried; `0` without tracing.
+    span: u64,
+    /// When the frame went out.
+    sent: Instant,
+    /// Past this instant the client is evicted; `None` when dispatch
+    /// deadlines are off.
+    deadline: Option<Instant>,
+}
+
 /// The dispatch server (see module docs).
 pub struct EvalServer {
     senders: Vec<Option<Box<dyn crate::transport::FrameSender>>>,
@@ -208,9 +219,7 @@ pub struct EvalServer {
     /// eligible for work until they do.
     pending_hello: HashSet<u32>,
     next_shard_id: u64,
-    next_batch: u64,
     stats: ServiceStats,
-    merged: Vec<MergeRecord>,
     merged_ast: Vec<WireAstArtifact>,
     merged_lower: Vec<WireLowerArtifact>,
     /// Shard size chosen for each batch, in batch order (convergence
@@ -233,21 +242,17 @@ pub struct EvalServer {
     /// proof of life). Reset to zero on receive; eviction when it
     /// exceeds [`LivenessConfig::max_missed_heartbeats`].
     unanswered_pings: HashMap<u32, u32>,
-    /// Wall-clock deadline for each client's outstanding dispatch
-    /// (a client holds at most one `Work` frame at a time). Set on
-    /// dispatch, cleared on its `Result`; blowing it is an eviction.
-    dispatch_deadlines: HashMap<u32, Instant>,
+    /// Each client's outstanding dispatch. Blowing its deadline is an
+    /// eviction; its span and send time close the dispatch span when
+    /// the `Result` arrives, so each straggler copy of a re-dispatched
+    /// shard closes its *own* span (the one its worker parented stage
+    /// spans under).
+    outstanding: HashMap<u32, Dispatch>,
     /// When the last round of heartbeat probes went out.
     last_ping: Option<Instant>,
     /// Monotonically increasing ping nonce (diagnostics only — any
     /// inbound frame proves liveness, not just the matching Pong).
     next_nonce: u64,
-    /// Send time per outstanding dispatch span, keyed by span id
-    /// (telemetry only). Keyed by span — not shard — so each straggler
-    /// copy of a re-dispatched shard closes its *own* dispatch span (the
-    /// one its worker parented stage spans under, echoed back in
-    /// [`crate::wire::ShardStats::span`]).
-    inflight_spans: HashMap<u64, Instant>,
 }
 
 impl EvalServer {
@@ -283,9 +288,7 @@ impl EvalServer {
             job: None,
             pending_hello: HashSet::new(),
             next_shard_id: 0,
-            next_batch: 0,
             stats: ServiceStats::default(),
-            merged: Vec::new(),
             merged_ast: Vec::new(),
             merged_lower: Vec::new(),
             shard_sizes: Vec::new(),
@@ -294,10 +297,9 @@ impl EvalServer {
             tel: None,
             liveness: LivenessConfig::default(),
             unanswered_pings: HashMap::new(),
-            dispatch_deadlines: HashMap::new(),
+            outstanding: HashMap::new(),
             last_ping: None,
             next_nonce: 0,
-            inflight_spans: HashMap::new(),
         };
         server.handshake()?;
         Ok(server)
@@ -345,6 +347,12 @@ impl EvalServer {
 
     fn alive(&self) -> usize {
         self.senders.iter().filter(|s| s.is_some()).count()
+    }
+
+    fn connected(&self, client: u32) -> bool {
+        self.senders
+            .get(client as usize)
+            .is_some_and(Option::is_some)
     }
 
     fn alive_ids(&self) -> Vec<u32> {
@@ -419,7 +427,15 @@ impl EvalServer {
         self.pending_hello.remove(&client);
         self.idle.remove(&client);
         self.unanswered_pings.remove(&client);
-        self.dispatch_deadlines.remove(&client);
+        self.outstanding.remove(&client);
+    }
+
+    /// Drop `client` mid-batch: re-queue its shards and re-poke the idle
+    /// clients that can now take them.
+    fn lose_client(&mut self, sched: &mut Scheduler, client: u32) {
+        self.drop_client(client);
+        sched.client_dead(client);
+        self.wake_idle(sched);
     }
 
     /// How long one event wait may block before the liveness plane gets
@@ -437,8 +453,9 @@ impl EvalServer {
     /// The wall-clock budget for a dispatch of `genomes` genomes: the
     /// cost model's converged estimate scaled by the configured
     /// multiplier and capped at [`MAX_DISPATCH_DEADLINE`], floored
-    /// generously while the model is still cold.
-    fn dispatch_deadline(&self, genomes: usize) -> Option<Instant> {
+    /// generously while the model is still cold. `None` when dispatch
+    /// deadlines are off.
+    fn dispatch_budget(&self, genomes: usize) -> Option<Duration> {
         if self.liveness.min_dispatch_deadline_ms == 0 {
             return None; // dispatch deadlines disabled
         }
@@ -452,7 +469,7 @@ impl EvalServer {
             }
             _ => floor,
         };
-        Some(Instant::now() + budget)
+        Some(budget)
     }
 
     /// One turn of the liveness plane, run whenever an event wait times
@@ -463,9 +480,9 @@ impl EvalServer {
     fn liveness_sweep(&mut self) -> Vec<u32> {
         let now = Instant::now();
         let mut condemned: Vec<u32> = self
-            .dispatch_deadlines
+            .outstanding
             .iter()
-            .filter(|&(_, deadline)| now >= *deadline)
+            .filter(|(_, d)| d.deadline.is_some_and(|deadline| now >= deadline))
             .map(|(&c, _)| c)
             .collect();
         let due = self.liveness.heartbeat_interval_ms > 0
@@ -475,7 +492,11 @@ impl EvalServer {
         if due {
             self.last_ping = Some(now);
             for c in self.ready_ids() {
-                if self.dispatch_deadlines.contains_key(&c) {
+                if self
+                    .outstanding
+                    .get(&c)
+                    .is_some_and(|d| d.deadline.is_some())
+                {
                     // Busy on a shard: the client loop cannot answer a
                     // probe mid-evaluation, so the dispatch deadline —
                     // not the heartbeat — governs it.
@@ -580,11 +601,7 @@ impl EvalServer {
     /// Give `client` its next shard if the scheduler has one; otherwise
     /// mark it idle.
     fn dispatch_next(&mut self, sched: &mut Scheduler, client: u32) {
-        let connected = self
-            .senders
-            .get(client as usize)
-            .is_some_and(Option::is_some);
-        if !connected || self.pending_hello.contains(&client) {
+        if !self.connected(client) || self.pending_hello.contains(&client) {
             return;
         }
         let Some((shard, genomes)) = sched.next_for(client) else {
@@ -592,14 +609,11 @@ impl EvalServer {
             return;
         };
         let span = match &self.tel {
-            Some(t) if t.tracer.is_enabled() => {
-                let id = t.tracer.alloc_id();
-                self.inflight_spans.insert(id, Instant::now());
-                id
-            }
+            Some(t) if t.tracer.is_enabled() => t.tracer.alloc_id(),
             _ => 0,
         };
-        let deadline = self.dispatch_deadline(genomes.len());
+        let budget = self.dispatch_budget(genomes.len());
+        let sent = Instant::now();
         if self.send_to(
             client,
             &Frame::Work {
@@ -612,9 +626,15 @@ impl EvalServer {
             // The dispatch deadline takes over liveness duty from the
             // heartbeat until the shard's Result comes back.
             self.unanswered_pings.insert(client, 0);
-            if let Some(deadline) = deadline {
-                self.dispatch_deadlines.insert(client, deadline);
-            }
+            let deadline = budget.map(|b| sent + b);
+            self.outstanding.insert(
+                client,
+                Dispatch {
+                    span,
+                    sent,
+                    deadline,
+                },
+            );
         } else {
             // Send failed: the client was dropped mid-dispatch. Release
             // its shards; the reader's Gone event (a closed connection
@@ -623,18 +643,17 @@ impl EvalServer {
         }
     }
 
-    /// Close out a shard's dispatch span and stitch the worker's spans
-    /// into the trace (no-op without telemetry). `span` is the dispatch
-    /// span the worker echoed back ([`crate::wire::ShardStats::span`]):
-    /// the copy that
-    /// actually produced this result, `0` when the Work frame predates
-    /// telemetry.
-    fn fold_result_telemetry(&mut self, client: u32, span: u64, spans: Vec<WireSpan>) {
+    /// Close out the dispatch span of the copy that produced a result
+    /// and stitch the worker's spans into the trace (no-op without
+    /// telemetry; `dispatch` is `None` for a result that answers no
+    /// outstanding dispatch, and its span is `0` when the Work frame
+    /// went out untraced).
+    fn fold_result_telemetry(&self, client: u32, dispatch: Option<Dispatch>, spans: Vec<WireSpan>) {
         let Some(t) = &self.tel else { return };
-        if let Some(sent) = self.inflight_spans.remove(&span) {
-            t.tracer.record_with_id(span, "dispatch", 0, sent);
+        if let Some(d) = dispatch.filter(|d| d.span != 0) {
+            t.tracer.record_with_id(d.span, "dispatch", 0, d.sent);
             t.dispatch_seconds
-                .observe_seconds(sent.elapsed().as_secs_f64());
+                .observe_seconds(d.sent.elapsed().as_secs_f64());
         }
         t.tracer.import(spans.into_iter().map(|s| btel::SpanRecord {
             id: s.id,
@@ -655,13 +674,16 @@ impl EvalServer {
     }
 
     /// Evaluate one batch of genomes across the client farm, returning
-    /// one [`WireEval`] per genome in input order.
+    /// one [`WireEval`] per genome in input order. Returns once every
+    /// shard has a result and no client holds a dispatch: straggler
+    /// copies still running are awaited (or evicted by their dispatch
+    /// deadline), so each batch's duplicates and artifacts are counted
+    /// before it returns.
     ///
     /// # Errors
     ///
     /// [`EvaldError::NoClients`] when every client is dead with shards
-    /// still outstanding; [`EvaldError::Protocol`] when a client returns
-    /// a result of the wrong length (a broken worker build).
+    /// still outstanding.
     pub fn evaluate(&mut self, genomes: &[Vec<bool>]) -> Result<Vec<WireEval>, EvaldError> {
         if genomes.is_empty() {
             return Ok(Vec::new());
@@ -681,7 +703,7 @@ impl EvalServer {
         for c in self.ready_ids() {
             self.dispatch_next(&mut sched, c);
         }
-        while !sched.all_done() {
+        while !sched.all_done() || !self.outstanding.is_empty() {
             if self.alive() == 0 {
                 return Err(EvaldError::NoClients);
             }
@@ -693,9 +715,7 @@ impl EvalServer {
                 Err(mpsc::RecvTimeoutError::Timeout) => {
                     for c in self.liveness_sweep() {
                         self.note_eviction(c);
-                        self.drop_client(c);
-                        sched.client_dead(c);
-                        self.wake_idle(&mut sched);
+                        self.lose_client(&mut sched, c);
                     }
                     continue;
                 }
@@ -713,46 +733,42 @@ impl EvalServer {
                         evals,
                         stats,
                         spans,
+                        ast_artifacts,
+                        lower_artifacts,
                         ..
                     },
                 ) => {
-                    self.dispatch_deadlines.remove(&c);
+                    if let Some(want) = sched.shard_len(shard).filter(|&n| n != evals.len()) {
+                        // A broken worker build: drop it like any other
+                        // protocol violation and re-queue its shard.
+                        self.last_loss = Some(format!(
+                            "client {c} answered shard {shard} with {} results, not {want}",
+                            evals.len()
+                        ));
+                        self.lose_client(&mut sched, c);
+                        continue;
+                    }
+                    let dispatch = self.outstanding.remove(&c);
                     self.stats.client_compiles += u64::from(stats.compiles);
                     self.stats.client_cache_hits += u64::from(stats.cache_hits);
                     self.stats.client_full_compiles += u64::from(stats.full_compiles);
                     self.stats.client_ast_reuse += u64::from(stats.ast_reuse);
                     self.stats.client_lower_reuse += u64::from(stats.lower_reuse);
+                    self.stats.merged_artifacts += ast_artifacts.len() + lower_artifacts.len();
+                    self.merged_ast.extend(ast_artifacts);
+                    self.merged_lower.extend(lower_artifacts);
                     self.observe_cost(c, evals.len(), stats.wall_seconds);
-                    self.fold_result_telemetry(c, stats.span, spans);
+                    self.fold_result_telemetry(c, dispatch, spans);
                     match sched.complete(shard) {
-                        Some(start) if sched.shard_len(shard) == Some(evals.len()) => {
+                        Some(start) => {
                             for (k, e) in evals.into_iter().enumerate() {
                                 out[start + k] = Some(e);
                             }
-                        }
-                        Some(_) => {
-                            // Malformed result length: treat the client as
-                            // broken, re-queue the shard for someone else.
-                            // (complete() already marked it done — undo by
-                            // treating this as fatal for the client and
-                            // failing loudly instead of silently zeroing.)
-                            return Err(EvaldError::Protocol(
-                                "result length does not match its shard",
-                            ));
                         }
                         None => self.stats.duplicate_results += evals.len(),
                     }
                     self.dispatch_next(&mut sched, c);
                 }
-                Event::Frame(
-                    _,
-                    Frame::Merge {
-                        records,
-                        ast_artifacts,
-                        lower_artifacts,
-                        ..
-                    },
-                ) => self.apply_merge(records, ast_artifacts, lower_artifacts),
                 Event::Frame(c, Frame::Hello { n_flags, .. }) => {
                     if self.admit_joined(c, n_flags) {
                         // A reconnecting worker joins the running batch:
@@ -761,9 +777,7 @@ impl EvalServer {
                     } else {
                         // Repeated Hello from an established client:
                         // protocol violation.
-                        self.drop_client(c);
-                        sched.client_dead(c);
-                        self.wake_idle(&mut sched);
+                        self.lose_client(&mut sched, c);
                     }
                 }
                 Event::Frame(_, Frame::Pong { .. }) => {
@@ -771,17 +785,16 @@ impl EvalServer {
                     // already did the work.
                 }
                 Event::Frame(c, _) => {
-                    // Work/EndBatch/Shutdown/Job from a client: protocol
+                    // Work/Shutdown/Job/Ping from a client: protocol
                     // violation — drop it.
-                    self.drop_client(c);
-                    sched.client_dead(c);
-                    self.wake_idle(&mut sched);
+                    self.lose_client(&mut sched, c);
                 }
                 Event::Gone(c, e) => {
-                    self.last_loss = Some(e.to_string());
-                    self.drop_client(c);
-                    sched.client_dead(c);
-                    self.wake_idle(&mut sched);
+                    // A client the server dropped keeps the reason why.
+                    if self.connected(c) {
+                        self.last_loss = Some(e.to_string());
+                    }
+                    self.lose_client(&mut sched, c);
                 }
                 Event::Joined(c, sender) => self.register_joined(c, sender),
             }
@@ -791,137 +804,15 @@ impl EvalServer {
         if let Some(t) = &self.tel {
             t.redispatched.add(sched.redispatched as u64);
         }
-        self.flush_merges()?;
-        // Dispatch spans whose results never arrived (copies sent to
-        // clients that died mid-shard) would otherwise leak across
-        // batches. Cleared *after* the merge barrier: stragglers
-        // finishing re-dispatched copies during the barrier still close
-        // their own dispatch spans.
-        self.inflight_spans.clear();
         Ok(out
             .into_iter()
             .map(|e| e.expect("every shard completed"))
             .collect())
     }
 
-    /// End-of-batch barrier: ask every live client to flush its local
-    /// cache and wait for the merge frames (results of still-running
-    /// straggler copies arriving meanwhile are counted as duplicates).
-    fn flush_merges(&mut self) -> Result<(), EvaldError> {
-        let batch = self.next_batch;
-        self.next_batch += 1;
-        let mut waiting: HashSet<u32> = HashSet::new();
-        for c in self.ready_ids() {
-            if self.send_to(c, &Frame::EndBatch { batch }) {
-                waiting.insert(c);
-            }
-        }
-        while !waiting.is_empty() {
-            // deadline: bounded wait — the liveness sweep on timeout
-            // ticks evicts hung clients out of `waiting`, so the merge
-            // barrier cannot wedge on a worker that never answers.
-            let event = match self.events.recv_timeout(self.liveness_tick()) {
-                Ok(event) => event,
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    for c in self.liveness_sweep() {
-                        self.note_eviction(c);
-                        self.drop_client(c);
-                        waiting.remove(&c);
-                    }
-                    continue;
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            };
-            if let Event::Frame(c, _) = &event {
-                // Any frame is proof of life.
-                self.unanswered_pings.insert(*c, 0);
-            }
-            match event {
-                Event::Frame(
-                    c,
-                    Frame::Merge {
-                        records,
-                        ast_artifacts,
-                        lower_artifacts,
-                        ..
-                    },
-                ) => {
-                    self.apply_merge(records, ast_artifacts, lower_artifacts);
-                    waiting.remove(&c);
-                }
-                Event::Frame(
-                    c,
-                    Frame::Result {
-                        evals,
-                        stats,
-                        spans,
-                        ..
-                    },
-                ) => {
-                    self.dispatch_deadlines.remove(&c);
-                    // A straggler finishing a re-dispatched copy after the
-                    // batch completed: pure duplicate — but still a real
-                    // wall-time measurement for the cost model, and its
-                    // trace spans still stitch under their own dispatch.
-                    self.fold_result_telemetry(c, stats.span, spans);
-                    self.stats.client_compiles += u64::from(stats.compiles);
-                    self.stats.client_cache_hits += u64::from(stats.cache_hits);
-                    self.stats.client_full_compiles += u64::from(stats.full_compiles);
-                    self.stats.client_ast_reuse += u64::from(stats.ast_reuse);
-                    self.stats.client_lower_reuse += u64::from(stats.lower_reuse);
-                    self.observe_cost(c, evals.len(), stats.wall_seconds);
-                    self.stats.duplicate_results += evals.len();
-                }
-                Event::Frame(c, Frame::Hello { n_flags, .. }) => {
-                    // A worker reconnecting between batches: admit it —
-                    // the next batch's dispatch will pick it up. A bad
-                    // Hello is a protocol violation as usual.
-                    if !self.admit_joined(c, n_flags) {
-                        self.drop_client(c);
-                        waiting.remove(&c);
-                    }
-                }
-                Event::Frame(_, Frame::Pong { .. }) => {
-                    // Heartbeat answer: the proof-of-life reset above
-                    // already did the work.
-                }
-                Event::Frame(c, _) => {
-                    self.drop_client(c);
-                    waiting.remove(&c);
-                }
-                Event::Gone(c, e) => {
-                    self.last_loss = Some(e.to_string());
-                    self.drop_client(c);
-                    waiting.remove(&c);
-                }
-                Event::Joined(c, sender) => self.register_joined(c, sender),
-            }
-        }
-        Ok(())
-    }
-
-    fn apply_merge(
-        &mut self,
-        records: Vec<MergeRecord>,
-        ast: Vec<WireAstArtifact>,
-        lower: Vec<WireLowerArtifact>,
-    ) {
-        self.stats.merged_records += records.len();
-        self.stats.merged_artifacts += ast.len() + lower.len();
-        self.merged.extend(records);
-        self.merged_ast.extend(ast);
-        self.merged_lower.extend(lower);
-    }
-
-    /// Drain the accumulated client-cache records (the embedder folds
-    /// them into its store — the single write path).
-    pub fn take_merged(&mut self) -> Vec<MergeRecord> {
-        std::mem::take(&mut self.merged)
-    }
-
     /// Drain the accumulated client-produced stage artifacts (the
-    /// embedder folds them into its artifact store — same single-writer
-    /// rule as [`EvalServer::take_merged`]).
+    /// embedder folds them into its artifact store — the single write
+    /// path).
     pub fn take_merged_artifacts(&mut self) -> (Vec<WireAstArtifact>, Vec<WireLowerArtifact>) {
         (
             std::mem::take(&mut self.merged_ast),
@@ -992,10 +883,11 @@ mod tests {
     use crate::{FaultKind, TransportKind};
 
     /// Toy worker: fitness = popcount; remembers seen genomes to report
-    /// cache hits; merges one record per shard for sink coverage.
+    /// cache hits; ships one stage-1 artifact per shard for sink
+    /// coverage.
     struct Popcount {
         seen: std::collections::BTreeSet<Vec<bool>>,
-        pending: Vec<MergeRecord>,
+        pending: Vec<WireAstArtifact>,
     }
 
     impl Popcount {
@@ -1025,20 +917,18 @@ mod tests {
                     }
                 })
                 .collect();
-            self.pending.push(MergeRecord {
-                module_hash: 1,
+            self.pending.push(WireAstArtifact {
+                body_hash: 1,
                 compiler: 0,
-                arch: 0,
-                effect_digest: self.seen.len() as u128,
-                fitness_bits: 0,
-                failed: false,
-                flags: vec![],
+                ast_digest: self.seen.len() as u128,
+                cost_bits: 0,
+                blob: vec![],
             });
             (evals, stats)
         }
 
-        fn drain_merge(&mut self) -> Vec<MergeRecord> {
-            std::mem::take(&mut self.pending)
+        fn drain_artifacts(&mut self) -> (Vec<WireAstArtifact>, Vec<WireLowerArtifact>) {
+            (std::mem::take(&mut self.pending), Vec::new())
         }
     }
 
@@ -1051,9 +941,22 @@ mod tests {
         fail: Option<(usize, usize)>,
         fault_kind: FaultKind,
     ) -> (EvalServer, Vec<JoinHandle<()>>) {
+        let workers = (0..n_clients)
+            .map(|_| Box::new(Popcount::new()) as Box<dyn ShardWorker + Send>)
+            .collect();
+        launch_workers(workers, fail, fault_kind)
+    }
+
+    /// Serve each worker as one channel client, ids in order; `fail`
+    /// faults client `.0` after `.1` shards.
+    fn launch_workers(
+        workers: Vec<Box<dyn ShardWorker + Send>>,
+        fail: Option<(usize, usize)>,
+        fault_kind: FaultKind,
+    ) -> (EvalServer, Vec<JoinHandle<()>>) {
         let mut server_side = Vec::new();
         let mut handles = Vec::new();
-        for i in 0..n_clients {
+        for (i, mut w) in workers.into_iter().enumerate() {
             let (s, c) = channel_duplex();
             server_side.push(s);
             let opts = ClientOptions {
@@ -1063,8 +966,7 @@ mod tests {
                 fault_kind,
             };
             handles.push(std::thread::spawn(move || {
-                let mut w = Popcount::new();
-                let _ = run_client(&mut w, c, &opts);
+                let _ = run_client(w.as_mut(), c, &opts);
             }));
         }
         let server = EvalServer::new(server_side, CostModel::uniform(), 4).unwrap();
@@ -1089,8 +991,11 @@ mod tests {
         let stats = server.stats();
         assert_eq!(stats.batches, 1);
         assert!(stats.shards >= 3);
-        assert!(stats.merged_records > 0, "clients flushed their caches");
-        assert!(!server.take_merged().is_empty());
+        // Every shard copy's Result frame carried its artifact.
+        let (ast, lower) = server.take_merged_artifacts();
+        assert_eq!(ast.len(), stats.shards + stats.redispatched_shards);
+        assert_eq!(stats.merged_artifacts, ast.len());
+        assert!(lower.is_empty());
         let final_stats = server.shutdown();
         for h in handles {
             h.join().unwrap();
@@ -1185,6 +1090,102 @@ mod tests {
         assert_eq!(stats.evicted_clients, 1, "and it fell by eviction");
     }
 
+    /// Answers every shard one result short: a broken worker build.
+    struct Short(Popcount);
+
+    impl ShardWorker for Short {
+        fn evaluate(&mut self, genomes: &[Vec<bool>], span: u64) -> (Vec<WireEval>, ShardStats) {
+            let (mut evals, stats) = self.0.evaluate(genomes, span);
+            evals.pop();
+            (evals, stats)
+        }
+    }
+
+    #[test]
+    fn a_short_result_drops_its_client_not_the_batch() {
+        let (mut healthy, healthy_handles) = launch(2, None);
+        let reference = healthy.evaluate(&batch(16)).unwrap();
+        healthy.shutdown();
+        for h in healthy_handles {
+            h.join().unwrap();
+        }
+
+        let workers: Vec<Box<dyn ShardWorker + Send>> =
+            vec![Box::new(Short(Popcount::new())), Box::new(Popcount::new())];
+        let (mut server, handles) = launch_workers(workers, None, FaultKind::Crash);
+        let evals = server.evaluate(&batch(16)).unwrap();
+        assert_eq!(evals, reference, "the healthy client carries the batch");
+        assert!(server.last_loss().unwrap().contains("results, not"));
+        let stats = server.shutdown();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(stats.clients_lost, 1, "only the broken client fell");
+    }
+
+    /// A straggler: holds each shard until `gate` opens (10 s at most).
+    struct Straggler(Popcount, mpsc::Receiver<()>);
+
+    impl ShardWorker for Straggler {
+        fn evaluate(&mut self, genomes: &[Vec<bool>], span: u64) -> (Vec<WireEval>, ShardStats) {
+            let _ = self.1.recv_timeout(Duration::from_secs(10));
+            self.0.evaluate(genomes, span)
+        }
+
+        fn drain_artifacts(&mut self) -> (Vec<WireAstArtifact>, Vec<WireLowerArtifact>) {
+            self.0.drain_artifacts()
+        }
+    }
+
+    /// Opens the straggler's gate once it has evaluated all of
+    /// `batch(16)` itself, which takes stealing the straggler's shard.
+    struct Finisher(Popcount, mpsc::Sender<()>);
+
+    impl ShardWorker for Finisher {
+        fn evaluate(&mut self, genomes: &[Vec<bool>], span: u64) -> (Vec<WireEval>, ShardStats) {
+            let out = self.0.evaluate(genomes, span);
+            if self.0.seen.len() == 16 {
+                let _ = self.1.send(());
+            }
+            out
+        }
+
+        fn drain_artifacts(&mut self) -> (Vec<WireAstArtifact>, Vec<WireLowerArtifact>) {
+            self.0.drain_artifacts()
+        }
+    }
+
+    #[test]
+    fn a_batch_ends_only_after_its_straggler_copies_answer() {
+        // The finisher serves every other shard, then steals the
+        // straggler's; only then does the straggler answer its own copy.
+        // The batch must wait for that copy, so its duplicate and its
+        // artifact are counted before `evaluate` returns.
+        let (gate, wait) = mpsc::channel();
+        let workers: Vec<Box<dyn ShardWorker + Send>> = vec![
+            Box::new(Straggler(Popcount::new(), wait)),
+            Box::new(Finisher(Popcount::new(), gate)),
+        ];
+        let (mut server, handles) = launch_workers(workers, None, FaultKind::Crash);
+        let evals = server.evaluate(&batch(16)).unwrap();
+        assert_eq!(evals.len(), 16);
+        let stats = server.stats();
+        assert!(
+            stats.redispatched_shards >= 1,
+            "the straggler's shard was stolen"
+        );
+        assert!(stats.duplicate_results > 0, "its own copy was awaited");
+        assert_eq!(
+            server.take_merged_artifacts().0.len(),
+            stats.shards + stats.redispatched_shards,
+            "every copy's artifact arrived inside the batch"
+        );
+        server.shutdown();
+        for h in handles {
+            h.join().unwrap();
+        }
+    }
+
     /// Reports every shard as taking `1e300` seconds: finite, so the
     /// cost model's EWMA keeps it.
     struct Boastful(Popcount);
@@ -1220,7 +1221,7 @@ mod tests {
             let evals = server.evaluate(&batch(16)).unwrap();
             assert_eq!(evals.len(), 16);
         }
-        assert!(server.dispatch_deadline(16).is_some());
+        assert_eq!(server.dispatch_budget(16), Some(MAX_DISPATCH_DEADLINE));
         server.shutdown();
         handle.join().unwrap();
     }

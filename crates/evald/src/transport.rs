@@ -390,7 +390,7 @@ mod tests {
     #[test]
     fn channel_round_trips_frames() {
         let (mut server, mut client) = channel_duplex();
-        let frame = Frame::EndBatch { batch: 3 };
+        let frame = Frame::Ping { nonce: 3 };
         server.tx.send_frame(&encode_frame(&frame)).unwrap();
         let bytes = client.rx.recv_frame().unwrap();
         assert_eq!(decode_frame(&bytes).unwrap().0, frame);
@@ -516,7 +516,7 @@ mod tests {
         };
         let client_thread = std::thread::spawn(move || {
             let mut stream = TcpStream::connect(addr).unwrap();
-            let frame = encode_frame(&Frame::EndBatch { batch: 1 });
+            let frame = encode_frame(&Frame::Ping { nonce: 1 });
             stream.write_all(&frame[..frame.len() - 3]).unwrap();
             // Dropping the stream closes it mid-frame.
         });

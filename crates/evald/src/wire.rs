@@ -35,18 +35,21 @@ pub const WIRE_MAGIC: [u8; 4] = *b"EVLD";
 /// changes; both ends reject mismatched frames instead of misreading
 /// them. (v2: [`ShardStats`] grew the three per-stage pipeline-reuse
 /// counters. v3: the [`Frame::Job`] frame, carrying the embedder's
-/// opaque job description to pre-forked worker processes. v4:
-/// [`Frame::Merge`] grew the two stage-artifact record lists, so farm
-/// workers' freshly computed artifacts reach the server's persistent
-/// artifact store instead of being recomputed on every warm start. v5:
-/// trace-span propagation — [`Frame::Work`] carries the server's
-/// dispatch-span id, [`ShardStats`] echoes it, and [`Frame::Result`]
-/// carries the worker's recorded [`WireSpan`]s, so a farm worker's
-/// per-stage compile timings stitch into the dispatching server's
-/// trace. v6: the [`Frame::Ping`]/[`Frame::Pong`] liveness probes —
-/// the server's heartbeat plane, so a hung worker is *detected* rather
-/// than holding its shard copies forever.)
-pub const WIRE_VERSION: u32 = 6;
+/// opaque job description to pre-forked worker processes. v4: the
+/// end-of-batch merge frame grew the two stage-artifact record lists, so
+/// farm workers' freshly computed artifacts reach the server's
+/// persistent artifact store instead of being recomputed on every warm
+/// start. v5: trace-span propagation — [`Frame::Work`] carries the
+/// server's dispatch-span id, [`ShardStats`] echoes it, and
+/// [`Frame::Result`] carries the worker's recorded [`WireSpan`]s, so a
+/// farm worker's per-stage compile timings stitch into the dispatching
+/// server's trace. v6: the [`Frame::Ping`]/[`Frame::Pong`] liveness
+/// probes — the server's heartbeat plane, so a hung worker is
+/// *detected* rather than holding its shard copies forever. v7: each
+/// [`Frame::Result`] carries the stage artifacts its shard produced, and
+/// the end-of-batch `EndBatch`/`Merge` round trip (tags 3 and 4) is
+/// gone: every result crosses the wire once.)
+pub const WIRE_VERSION: u32 = 7;
 
 /// Hard cap on one frame's declared length (a corrupted length prefix
 /// must not trigger a multi-gigabyte allocation).
@@ -55,8 +58,7 @@ pub const MAX_FRAME_LEN: usize = 64 << 20;
 const TAG_HELLO: u8 = 0;
 const TAG_WORK: u8 = 1;
 const TAG_RESULT: u8 = 2;
-const TAG_END_BATCH: u8 = 3;
-const TAG_MERGE: u8 = 4;
+// Tags 3 and 4 (the end-of-batch merge round trip before v7) stay unused.
 const TAG_SHUTDOWN: u8 = 5;
 const TAG_JOB: u8 = 6;
 const TAG_PING: u8 = 7;
@@ -88,33 +90,9 @@ impl WireEval {
     }
 }
 
-/// One client-cached fitness result shipped back for the server-side
-/// store at batch end.
-///
-/// The key fields mirror the embedder's store key tuple — module content
-/// hash, compiler tag, arch tag, effect digest — without this crate
-/// depending on the store itself.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MergeRecord {
-    /// Stable content hash of the module.
-    pub module_hash: u64,
-    /// Stable one-byte compiler-profile tag.
-    pub compiler: u8,
-    /// Stable one-byte architecture tag.
-    pub arch: u8,
-    /// Stable 128-bit effect-config digest.
-    pub effect_digest: u128,
-    /// `f64::to_bits` of the fitness.
-    pub fitness_bits: u64,
-    /// Whether the compile failed.
-    pub failed: bool,
-    /// The representative flag vector (minable metadata).
-    pub flags: Vec<bool>,
-}
-
 /// One client-produced stage-1 artifact (optimized AST) shipped back on
-/// the merge barrier so the server's persistent [`ArtifactStore`] learns
-/// it without recompiling (v4).
+/// the [`Frame::Result`] of the shard that produced it (v7), so the
+/// server's persistent [`ArtifactStore`] learns it without recompiling.
 ///
 /// The key fields mirror the embedder's `AstArtifactKey` — module body
 /// hash, compiler tag, effect digest of the optimization prefix —
@@ -137,7 +115,7 @@ pub struct WireAstArtifact {
 }
 
 /// One client-produced stage-2 artifact (lowered binary) shipped back on
-/// the merge barrier (v4); see [`WireAstArtifact`].
+/// its shard's [`Frame::Result`] (v7); see [`WireAstArtifact`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireLowerArtifact {
     /// Stable content hash of the module body.
@@ -246,7 +224,8 @@ pub enum Frame {
         genomes: Vec<Vec<bool>>,
     },
     /// Client → server: one shard's evaluations, in shard order, plus
-    /// per-shard stats.
+    /// per-shard stats, trace spans and the stage artifacts the shard
+    /// produced — everything a shard sends back, in one frame.
     Result {
         /// The shard this answers.
         shard: u64,
@@ -259,22 +238,9 @@ pub enum Frame {
         /// Trace spans the client recorded while evaluating the shard
         /// (v5); empty when tracing is off.
         spans: Vec<WireSpan>,
-    },
-    /// Server → client: the batch is complete; flush the local cache.
-    EndBatch {
-        /// Batch sequence number (telemetry).
-        batch: u64,
-    },
-    /// Client → server: the local cache's fresh records, answering
-    /// [`Frame::EndBatch`].
-    Merge {
-        /// The reporting client.
-        client: u32,
-        /// Fresh records since the last merge.
-        records: Vec<MergeRecord>,
-        /// Fresh stage-1 artifacts since the last merge (v4).
+        /// Stage-1 artifacts the shard freshly computed (v7).
         ast_artifacts: Vec<WireAstArtifact>,
-        /// Fresh stage-2 artifacts since the last merge (v4).
+        /// Stage-2 artifacts the shard freshly computed (v7).
         lower_artifacts: Vec<WireLowerArtifact>,
     },
     /// Server → client: exit cleanly.
@@ -368,6 +334,8 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             evals,
             stats,
             spans,
+            ast_artifacts,
+            lower_artifacts,
         } => {
             body.put_u8(TAG_RESULT);
             body.put_u64_le(*shard);
@@ -388,30 +356,6 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             body.put_u32_le(spans.len() as u32);
             for s in spans {
                 put_span(&mut body, s);
-            }
-        }
-        Frame::EndBatch { batch } => {
-            body.put_u8(TAG_END_BATCH);
-            body.put_u64_le(*batch);
-        }
-        Frame::Merge {
-            client,
-            records,
-            ast_artifacts,
-            lower_artifacts,
-        } => {
-            body.put_u8(TAG_MERGE);
-            body.put_u32_le(*client);
-            body.put_u32_le(records.len() as u32);
-            for r in records {
-                body.put_u64_le(r.module_hash);
-                body.put_u8(r.compiler);
-                body.put_u8(r.arch);
-                body.put_u64_le((r.effect_digest >> 64) as u64);
-                body.put_u64_le(r.effect_digest as u64);
-                body.put_u64_le(r.fitness_bits);
-                body.put_u8(r.failed as u8);
-                put_genome(&mut body, &r.flags);
             }
             body.put_u32_le(ast_artifacts.len() as u32);
             for a in ast_artifacts {
@@ -591,43 +535,28 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), EvaldError> {
                 evals,
                 stats,
                 spans,
+                ast_artifacts: r.seq(|r| {
+                    Ok(WireAstArtifact {
+                        body_hash: r.u64()?,
+                        compiler: r.u8()?,
+                        ast_digest: r.u128()?,
+                        cost_bits: r.u64()?,
+                        blob: r.bytes()?.to_vec(),
+                    })
+                })?,
+                lower_artifacts: r.seq(|r| {
+                    Ok(WireLowerArtifact {
+                        body_hash: r.u64()?,
+                        compiler: r.u8()?,
+                        arch: r.u8()?,
+                        ast_digest: r.u128()?,
+                        lower_digest: r.u128()?,
+                        cost_bits: r.u64()?,
+                        blob: r.bytes()?.to_vec(),
+                    })
+                })?,
             }
         }
-        TAG_END_BATCH => Frame::EndBatch { batch: r.u64()? },
-        TAG_MERGE => Frame::Merge {
-            client: r.u32()?,
-            records: r.seq(|r| {
-                Ok(MergeRecord {
-                    module_hash: r.u64()?,
-                    compiler: r.u8()?,
-                    arch: r.u8()?,
-                    effect_digest: r.u128()?,
-                    fitness_bits: r.u64()?,
-                    failed: r.u8()? != 0,
-                    flags: read_genome(r)?,
-                })
-            })?,
-            ast_artifacts: r.seq(|r| {
-                Ok(WireAstArtifact {
-                    body_hash: r.u64()?,
-                    compiler: r.u8()?,
-                    ast_digest: r.u128()?,
-                    cost_bits: r.u64()?,
-                    blob: r.bytes()?.to_vec(),
-                })
-            })?,
-            lower_artifacts: r.seq(|r| {
-                Ok(WireLowerArtifact {
-                    body_hash: r.u64()?,
-                    compiler: r.u8()?,
-                    arch: r.u8()?,
-                    ast_digest: r.u128()?,
-                    lower_digest: r.u128()?,
-                    cost_bits: r.u64()?,
-                    blob: r.bytes()?.to_vec(),
-                })
-            })?,
-        },
         TAG_SHUTDOWN => Frame::Shutdown,
         TAG_JOB => Frame::Job {
             payload: r.bytes()?.to_vec(),
@@ -699,28 +628,6 @@ mod tests {
                         dur_us: u64::MAX,
                     },
                 ],
-            },
-            // Tracing off: span context zero, no spans — still a valid
-            // v5 frame with explicit zero counts.
-            Frame::Result {
-                shard: 43,
-                client: 0,
-                evals: vec![],
-                stats: ShardStats::default(),
-                spans: vec![],
-            },
-            Frame::EndBatch { batch: 7 },
-            Frame::Merge {
-                client: 1,
-                records: vec![MergeRecord {
-                    module_hash: 0xDEAD_BEEF,
-                    compiler: 0,
-                    arch: 1,
-                    effect_digest: (u128::from(u64::MAX) << 64) | 0x1234,
-                    fitness_bits: 0.5f64.to_bits(),
-                    failed: false,
-                    flags: vec![true; 9],
-                }],
                 ast_artifacts: vec![WireAstArtifact {
                     body_hash: 0xDEAD_BEEF,
                     compiler: 0,
@@ -738,11 +645,14 @@ mod tests {
                     blob: vec![],
                 }],
             },
-            // Empty merge: the artifact lists must encode (and decode)
-            // as explicit zero counts, not be elided.
-            Frame::Merge {
+            // Tracing off and nothing fresh: span context zero, no spans,
+            // no artifacts — explicit zero counts, not elided.
+            Frame::Result {
+                shard: 43,
                 client: 0,
-                records: vec![],
+                evals: vec![],
+                stats: ShardStats::default(),
+                spans: vec![],
                 ast_artifacts: vec![],
                 lower_artifacts: vec![],
             },
@@ -772,10 +682,10 @@ mod tests {
         let golden = [
             0x15, 0x00, 0x00, 0x00, // length of the rest
             0x45, 0x56, 0x4c, 0x44, // "EVLD"
-            0x06, 0x00, 0x00, 0x00, // WIRE_VERSION
+            0x07, 0x00, 0x00, 0x00, // WIRE_VERSION
             0x07, // TAG_PING
             0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // nonce
-            0xf6, 0x52, 0x39, 0xb4, // FNV-1a over magic..payload
+            0xe9, 0xb6, 0xee, 0x02, // FNV-1a over magic..payload
         ];
         let frame = Frame::Ping { nonce: 7 };
         assert_eq!(encode_frame(&frame), golden);
@@ -865,6 +775,8 @@ mod tests {
             evals: vec![],
             stats: nan,
             spans: vec![],
+            ast_artifacts: vec![],
+            lower_artifacts: vec![],
         };
         let (decoded, _) = decode_frame(&encode_frame(&frame)).unwrap();
         assert_eq!(decoded, frame);
@@ -920,6 +832,8 @@ mod tests {
                 start_us: 7,
                 dur_us: 8,
             }],
+            ast_artifacts: vec![],
+            lower_artifacts: vec![],
         };
         let mut bytes = encode_frame(&frame);
         // The span name's bytes are the only "mir" in the frame; smash
@@ -959,6 +873,8 @@ mod tests {
                 start_us: u64::MAX,
                 dur_us: 0,
             }],
+            ast_artifacts: vec![],
+            lower_artifacts: vec![],
         };
         let bytes = encode_frame(&frame);
         let (decoded, used) = decode_frame(&bytes).unwrap();

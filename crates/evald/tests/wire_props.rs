@@ -1,13 +1,14 @@
 //! Property tests for the wire format: arbitrary genome batches, eval
-//! results and merge records must round-trip bit-exactly, and any
+//! results and the stage artifacts they carry must round-trip
+//! bit-exactly, and any
 //! truncation of a valid frame must be rejected as truncated — never
 //! misread as a different frame. These mirror the fitness store's
 //! corruption-tolerance guarantees at the transport boundary. Arbitrary
 //! payloads behind a valid envelope must decode or fail typed.
 
 use evald::wire::{
-    decode_frame, encode_frame, seal_frame, Frame, MergeRecord, ShardStats, WireAstArtifact,
-    WireEval, WireLowerArtifact, WireSpan, WIRE_MAGIC,
+    decode_frame, encode_frame, seal_frame, Frame, ShardStats, WireAstArtifact, WireEval,
+    WireLowerArtifact, WireSpan, WIRE_MAGIC,
 };
 use evald::EvaldError;
 use evald::WIRE_VERSION;
@@ -43,23 +44,6 @@ fn span_strategy() -> impl Strategy<Value = WireSpan> {
                 .collect(),
             start_us,
             dur_us,
-        })
-}
-
-fn record_strategy() -> impl Strategy<Value = MergeRecord> {
-    (
-        (any::<u64>(), any::<u8>(), any::<u8>()),
-        (any::<u64>(), any::<u64>()),
-        (any::<u64>(), any::<bool>(), genome_strategy()),
-    )
-        .prop_map(|((m, c, a), (hi, lo), (f, failed, flags))| MergeRecord {
-            module_hash: m,
-            compiler: c,
-            arch: a,
-            effect_digest: (u128::from(hi) << 64) | u128::from(lo),
-            fitness_bits: f,
-            failed,
-            flags,
         })
 }
 
@@ -141,6 +125,8 @@ proptest! {
                 span,
             },
             spans,
+            ast_artifacts: vec![],
+            lower_artifacts: vec![],
         };
         let bytes = encode_frame(&frame);
         let (decoded, _) = decode_frame(&bytes).expect("valid frame decodes");
@@ -161,6 +147,8 @@ proptest! {
             evals,
             stats: ShardStats::default(),
             spans,
+            ast_artifacts: vec![],
+            lower_artifacts: vec![],
         };
         let bytes = encode_frame(&frame);
         for cut in 0..bytes.len() {
@@ -172,13 +160,33 @@ proptest! {
     }
 
     #[test]
-    fn merge_frames_round_trip(client in any::<u32>(),
-                               records in vec(record_strategy(), 0..12),
-                               ast_artifacts in vec(ast_artifact_strategy(), 0..6),
-                               lower_artifacts in vec(lower_artifact_strategy(), 0..6)) {
-        let frame = Frame::Merge { client, records, ast_artifacts, lower_artifacts };
-        let (decoded, _) = decode_frame(&encode_frame(&frame)).expect("valid frame decodes");
+    fn result_frames_carry_artifacts_round_trip(client in any::<u32>(),
+                                                evals in vec(eval_strategy(), 0..4),
+                                                spans in vec(span_strategy(), 0..3),
+                                                ast_artifacts in vec(ast_artifact_strategy(), 0..6),
+                                                lower_artifacts in vec(lower_artifact_strategy(), 0..6)) {
+        // The artifact lists sit behind the span block at the tail of a
+        // Result frame: they round-trip bit-exactly, and a cut at any
+        // byte surfaces as Truncated, never as a shorter artifact list.
+        let frame = Frame::Result {
+            shard: 9,
+            client,
+            evals,
+            stats: ShardStats::default(),
+            spans,
+            ast_artifacts,
+            lower_artifacts,
+        };
+        let bytes = encode_frame(&frame);
+        let (decoded, used) = decode_frame(&bytes).expect("valid frame decodes");
         prop_assert_eq!(decoded, frame);
+        prop_assert_eq!(used, bytes.len());
+        for cut in 0..bytes.len() {
+            prop_assert!(matches!(
+                decode_frame(&bytes[..cut]),
+                Err(EvaldError::Truncated { .. })
+            ), "cut at {} not rejected", cut);
+        }
     }
 
     #[test]
@@ -273,7 +281,8 @@ proptest! {
     #[test]
     fn arbitrary_sealed_payloads_decode_or_fail_typed(tag in 0u8..10,
                                                       payload in payload_strategy()) {
-        // Tags 0..=8 are every frame the wire knows; 9 is foreign. The
+        // Tags 0..=8 span every frame the wire knows, plus the retired
+        // merge tags 3 and 4; those and 9 are foreign. The
         // envelope is valid, so the payload alone decides: a frame that
         // decodes takes the whole buffer and survives re-encoding; any
         // other outcome is Corrupt — never a panic, never a misread
