@@ -220,10 +220,6 @@ pub struct EngineStats {
     /// in-process pool; filled in from the service telemetry by the
     /// tuner when `TunerConfig::backend` is a service.
     pub duplicate_results: usize,
-    /// Measured wall-clock seconds spent inside `evaluate_batch` — the
-    /// quantity parallelism reduces (per-item CPU time is on each
-    /// [`genetic::EvalRecord::wall_seconds`]).
-    pub wall_seconds: f64,
 }
 
 impl EngineStats {
@@ -471,7 +467,7 @@ pub struct FitnessEngine<'a> {
     /// Third fitness cache tier: the cross-run store. Consulted during
     /// batch partition (under the partition's store lock, not
     /// per-worker) and fed every fresh result; recovered with
-    /// [`FitnessEngine::into_store`] for the end-of-run save.
+    /// [`FitnessEngine::into_stores`] for the end-of-run save.
     store: Option<Mutex<FitnessStore>>,
     /// Persistent sibling of the tier-0 artifact cache: optimized ASTs
     /// and lowered binaries from *earlier runs*, keyed by stage digests
@@ -519,7 +515,7 @@ impl<'a> FitnessEngine<'a> {
     /// Build an engine backed by a persistent cross-run store
     /// (warm-start): entries for this `(module, profile, arch)` serve as
     /// a third fitness cache tier, and every fresh compile is recorded
-    /// into the store. Recover it with [`FitnessEngine::into_store`] and
+    /// into the store. Recover it with [`FitnessEngine::into_stores`] and
     /// call [`FitnessStore::save`] to persist the run's new results.
     ///
     /// # Errors
@@ -630,12 +626,6 @@ impl<'a> FitnessEngine<'a> {
         )
     }
 
-    /// Recover the persistent store (with this run's fresh results
-    /// pending) for the end-of-run save.
-    pub fn into_store(self) -> Option<FitnessStore> {
-        self.into_stores().0
-    }
-
     /// Recover both persistent stores — fitness and artifacts — for the
     /// end-of-run save. Save the fitness store *first*: its first save
     /// creates the directory the artifact log lives in.
@@ -682,12 +672,6 @@ impl<'a> FitnessEngine<'a> {
     /// front level).
     pub fn cache_len(&self) -> usize {
         self.cache.lock().unwrap().by_flags.len()
-    }
-
-    /// Number of distinct effect configurations compiled so far — the
-    /// number of *actual* compiles a cold run would have needed.
-    pub fn effect_cache_len(&self) -> usize {
-        self.cache.lock().unwrap().by_effect.len()
     }
 
     /// Number of optimized-AST artifacts currently cached (tier 0,
@@ -934,7 +918,9 @@ enum Source {
 
 impl Evaluator for FitnessEngine<'_> {
     fn evaluate_batch(&self, genomes: &[Vec<bool>]) -> Result<Vec<Eval>, EvalAbort> {
-        let batch_start = Instant::now();
+        // The batch clock is telemetry only: Off mode reads no clock
+        // here.
+        let batch_start = self.tel.as_ref().map(|_| Instant::now());
         let profile = self.compiler.profile();
         // Per-batch span context: the batch span's id is allocated up
         // front so stage spans can hang off it; it is recorded (closed)
@@ -1472,10 +1458,8 @@ impl Evaluator for FitnessEngine<'_> {
             stats.store_lower_hits += plan.store_lower as usize;
         }
         stats.failed_compiles += fresh_failures + cold_failures;
-        let batch_wall = batch_start.elapsed().as_secs_f64();
-        stats.wall_seconds += batch_wall;
         drop(stats);
-        if let Some(tel) = &self.tel {
+        if let (Some(tel), Some(batch_start)) = (&self.tel, batch_start) {
             tel.evaluations.add(genomes.len() as u64);
             tel.hits_memo.add(hits as u64);
             tel.hits_persistent.add(persistent as u64);
@@ -1486,7 +1470,8 @@ impl Evaluator for FitnessEngine<'_> {
                     StageReuse::Lower => tel.compiles_lower_reuse.inc(),
                 }
             }
-            tel.batch_seconds.observe_seconds(batch_wall);
+            tel.batch_seconds
+                .observe_seconds(batch_start.elapsed().as_secs_f64());
             if batch_span != 0 {
                 tel.tracer
                     .record_with_id(batch_span, "batch", trace_parent, batch_start);

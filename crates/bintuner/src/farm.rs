@@ -211,19 +211,21 @@ pub enum SupervisorVerdict {
         /// Backoff delay from the deterministic schedule.
         delay_ms: u64,
     },
-    /// The crash-loop budget is spent: K consecutive failures without a
-    /// success in between. The caller fails the job (quarantine) rather
-    /// than respawning again.
+    /// The crash-loop budget is spent: `strikes` consecutive failures.
+    /// The caller surfaces the last failure instead of trying again.
     GiveUp,
 }
 
-/// Worker-lifecycle supervisor: consecutive-failure accounting over a
-/// [`BackoffSchedule`]. One success resets the streak; `strikes`
-/// consecutive failures is a crash loop and turns into
-/// [`SupervisorVerdict::GiveUp`] — the signal the daemon converts into
-/// poison-job quarantine. Deliberately clock-free (a failure *count*,
-/// not a failure *rate*): the schedule already spaces attempts out, and
-/// clock-free decisions replay deterministically in the chaos suite.
+/// Spawn-retry supervisor: consecutive-failure accounting over a
+/// [`BackoffSchedule`]. Each failure is answered with a retry after the
+/// schedule's next delay until `strikes` consecutive failures turn into
+/// [`SupervisorVerdict::GiveUp`]. A fresh supervisor paces one worker
+/// slot's spawn attempts at launch, so a bad fork retries while a bad
+/// binary fails the launch with its last spawn error. (The daemon's
+/// poison-job quarantine keeps its own per-module strike map.)
+/// Deliberately clock-free (a failure *count*, not a failure *rate*):
+/// the schedule already spaces attempts out, and clock-free decisions
+/// replay deterministically in the chaos suite.
 #[derive(Debug, Clone)]
 pub struct Supervisor {
     schedule: BackoffSchedule,
@@ -242,11 +244,6 @@ impl Supervisor {
         }
     }
 
-    /// Record a worker that came up healthy: the failure streak resets.
-    pub fn on_success(&mut self) {
-        self.consecutive_failures = 0;
-    }
-
     /// Record a spawn failure / dead-on-arrival worker and rule on what
     /// happens next.
     pub fn on_failure(&mut self) -> SupervisorVerdict {
@@ -258,11 +255,6 @@ impl Supervisor {
                 delay_ms: self.schedule.delay_ms(self.consecutive_failures - 1),
             }
         }
-    }
-
-    /// The current consecutive-failure streak.
-    pub fn failures(&self) -> u32 {
-        self.consecutive_failures
     }
 }
 
@@ -568,17 +560,7 @@ mod tests {
             SupervisorVerdict::Retry { delay_ms: 100 },
             "second failure backs off exponentially"
         );
-        assert_eq!(sup.failures(), 2);
         assert_eq!(sup.on_failure(), SupervisorVerdict::GiveUp, "third strike");
-
-        // A success in between resets the streak — only *consecutive*
-        // failures are a crash loop.
-        let mut sup = Supervisor::new(BackoffSchedule::default(), 3);
-        sup.on_failure();
-        sup.on_failure();
-        sup.on_success();
-        assert_eq!(sup.failures(), 0);
-        assert_eq!(sup.on_failure(), SupervisorVerdict::Retry { delay_ms: 50 });
 
         // strikes=1: no retries at all.
         let mut sup = Supervisor::new(BackoffSchedule::default(), 1);

@@ -33,7 +33,7 @@
 //! bit-identity against the in-process engine.
 
 use crate::engine::{
-    EngineConfig, EngineStats, EngineTelemetry, MissExecutor, MissResult, FAILED_COMPILE_PENALTY,
+    EngineConfig, EngineTelemetry, MissExecutor, MissResult, FAILED_COMPILE_PENALTY,
 };
 use crate::farm::{
     resolve_worker_binary, BackoffSchedule, Supervisor, SupervisorVerdict, WorkerSpec,
@@ -41,9 +41,8 @@ use crate::farm::{
 use crate::store::{ArtifactStore, AstArtifactKey, LowerArtifactKey};
 use crate::FitnessEngine;
 use binrep::Arch;
-use evald::wire::ShardStats;
 use evald::{
-    channel_duplex, run_client, ClientOptions, CostModel, Duplex, EvalServer, EvaldError, Listener,
+    channel_duplex, run_client, ClientOptions, Duplex, EvalServer, EvaldError, Listener,
     ServerTelemetry, ShardWorker, WireAstArtifact, WireEval, WireLowerArtifact, WireSpan,
 };
 use genetic::EvalAbort;
@@ -148,27 +147,11 @@ pub struct ServiceSummary {
     pub redispatched_shards: usize,
     /// Evaluations discarded because another client answered first
     /// (bit-identical duplicates; also mirrored into
-    /// [`EngineStats::duplicate_results`]).
+    /// [`crate::EngineStats::duplicate_results`]).
     pub duplicate_results: usize,
     /// Client-produced stage artifacts received on `Result` frames, for
     /// the server-side artifact store.
     pub merged_artifacts: usize,
-    /// Real compiles performed across the farm (includes duplicated
-    /// straggler work, unlike the engine's logical compile count).
-    pub farm_compiles: u64,
-    /// Farm compiles that ran the full pipeline (no stage artifact
-    /// reused in the client's tier-0 cache). The farm-side counterpart
-    /// of [`EngineStats::full_compiles`] — the engine's counter is the
-    /// *logical* classification (identical to an in-process run), this
-    /// is the physical work the clients measured, straggler duplicates
-    /// included.
-    pub farm_full_compiles: u64,
-    /// Farm compiles that reused a client-cached stage-1 artifact
-    /// (optimized AST).
-    pub farm_ast_reuse: u64,
-    /// Farm compiles that reused a client-cached stage-2 artifact
-    /// (lowered binary).
-    pub farm_lower_reuse: u64,
     /// Clients that joined *after* launch (reconnecting/respawned worker
     /// processes absorbed mid-run).
     pub clients_joined: usize,
@@ -180,11 +163,9 @@ pub struct ServiceSummary {
     /// Worker processes that had to be killed (drain timeout at
     /// shutdown, or the [`ServiceHandle::kill_worker`] chaos hook).
     pub workers_killed: usize,
-    /// Shard wall-time measurements folded into the adaptive cost model.
+    /// Dispatch times the server observed and folded into the cost
+    /// model its dispatch deadlines scale with.
     pub cost_observations: u64,
-    /// Shard size chosen for each batch, in batch order — the trace
-    /// showing shard sizes converging to observed farm throughput.
-    pub shard_sizes: Vec<usize>,
 }
 
 /// The one topology check: thread workers use the in-process channel,
@@ -305,29 +286,17 @@ pub(crate) fn serve_client_engine<R>(
         let tracer = btel::Tracer::with_id_base(4096, (u64::from(client_id) + 1) << 48);
         engine.set_telemetry(EngineTelemetry::from_registry(&registry, tracer));
     }
-    Some(serve(&mut EngineWorker::new(&engine)))
+    Some(serve(&mut EngineWorker { engine: &engine }))
 }
 
 /// [`ShardWorker`] over a farm client's [`FitnessEngine`] (see
 /// [`serve_client_engine`]).
 struct EngineWorker<'e, 'a> {
     engine: &'e FitnessEngine<'a>,
-    /// Stats snapshot at the last shard (per-shard deltas go on the
-    /// wire).
-    last: EngineStats,
-}
-
-impl<'e, 'a> EngineWorker<'e, 'a> {
-    fn new(engine: &'e FitnessEngine<'a>) -> EngineWorker<'e, 'a> {
-        EngineWorker {
-            engine,
-            last: EngineStats::default(),
-        }
-    }
 }
 
 impl ShardWorker for EngineWorker<'_, '_> {
-    fn evaluate(&mut self, genomes: &[Vec<bool>], span: u64) -> (Vec<WireEval>, ShardStats) {
+    fn evaluate(&mut self, genomes: &[Vec<bool>], span: u64) -> Vec<WireEval> {
         use genetic::Evaluator;
         // Re-parent this shard's stage spans to the server's dispatch
         // span (`0` = tracing off upstream; a disabled local tracer
@@ -339,24 +308,9 @@ impl ShardWorker for EngineWorker<'_, '_> {
         // executor-less engine is infallible by construction (the
         // `Evaluator` contract: compile failures are scored, not
         // errors) — so this expect can never fire.
-        let evals = self
-            .engine
+        self.engine
             .evaluate_batch(genomes)
-            .expect("executor-less worker engine cannot abort");
-        let now = self.engine.stats();
-        let stats = ShardStats {
-            compiles: (now.compiles - self.last.compiles) as u32,
-            cache_hits: (now.cache_hits + now.persistent_hits
-                - self.last.cache_hits
-                - self.last.persistent_hits) as u32,
-            full_compiles: (now.full_compiles - self.last.full_compiles) as u32,
-            ast_reuse: (now.ast_reuse - self.last.ast_reuse) as u32,
-            lower_reuse: (now.lower_reuse - self.last.lower_reuse) as u32,
-            wall_seconds: now.wall_seconds - self.last.wall_seconds,
-            span,
-        };
-        self.last = now;
-        let wire = evals
+            .expect("executor-less worker engine cannot abort")
             .into_iter()
             .map(|e| WireEval {
                 fitness_bits: e.fitness.to_bits(),
@@ -368,8 +322,7 @@ impl ShardWorker for EngineWorker<'_, '_> {
                 // local attribution split.
                 wall_seconds_bits: (e.wall_seconds + e.ast_produce_seconds).to_bits(),
             })
-            .collect();
-        (wire, stats)
+            .collect()
     }
 
     fn drain_spans(&mut self) -> Vec<WireSpan> {
@@ -632,8 +585,7 @@ impl ServiceHandle {
             }
         };
 
-        let cost = CostModel::from_features(&module.features());
-        let mut server = EvalServer::new(server_side, cost, n_flags)?;
+        let mut server = EvalServer::new(server_side, n_flags)?;
         server.set_liveness(cfg.liveness);
         if let Some(t) = &tel {
             server.set_telemetry(t.server_telemetry());
@@ -798,15 +750,6 @@ impl ServiceHandle {
     /// drain their processes, and return the final telemetry. The
     /// record list is always empty (see [`MergeRecord`]).
     pub fn finish(mut self) -> (ServiceSummary, Vec<MergeRecord>) {
-        // Cost-model telemetry must be read before shutdown consumes the
-        // server.
-        let shard_sizes = self
-            .server
-            .lock()
-            .unwrap()
-            .as_ref()
-            .map(|server| server.shard_sizes().to_vec())
-            .unwrap_or_default();
         let stats = self.teardown().expect("finish tears down once");
         (
             ServiceSummary {
@@ -817,16 +760,11 @@ impl ServiceHandle {
                 redispatched_shards: stats.redispatched_shards,
                 duplicate_results: stats.duplicate_results,
                 merged_artifacts: stats.merged_artifacts,
-                farm_compiles: stats.client_compiles,
-                farm_full_compiles: stats.client_full_compiles,
-                farm_ast_reuse: stats.client_ast_reuse,
-                farm_lower_reuse: stats.client_lower_reuse,
                 clients_joined: stats.clients_joined,
                 evicted_clients: stats.evicted_clients,
                 heartbeat_misses: stats.heartbeat_misses,
                 workers_killed: self.workers_killed.load(Ordering::Relaxed),
                 cost_observations: stats.cost_observations,
-                shard_sizes,
             },
             Vec::new(),
         )

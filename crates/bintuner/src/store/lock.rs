@@ -1,4 +1,5 @@
-//! Advisory cross-process file locks for store mutation.
+//! Advisory file locks for store mutation, between processes and
+//! between threads of one process.
 //!
 //! One [`StoreLock`] guards one file: the v4 store takes one per shard
 //! log (so compacting shard 3 never blocks a writer appending to shard
@@ -6,13 +7,22 @@
 //! or rewriting its manifest takes a whole-store lock on the store path
 //! itself.
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard};
 
-/// Advisory cross-process lock on a store file: a `<path>.lock` sibling
-/// created with `O_EXCL` and holding the owner's pid. Released on drop;
-/// a lock whose owner pid is no longer alive (crashed run) is reclaimed.
+/// Advisory lock on a store file: a `<path>.lock` sibling created with
+/// `O_EXCL` and holding the owner's pid. Released on drop; a lock whose
+/// owner pid is no longer alive (crashed run) is reclaimed.
+///
+/// The pid cannot tell apart the threads of one process (the daemon's
+/// runners share one store), so an acquire first claims its path in a
+/// process-wide set of held lock paths and keeps the claim until the
+/// lock drops. No two threads of one process work on one lock file at once,
+/// and a file stamped with our own pid on an unclaimed path is debris
+/// (a stamp that lost a race with another process): stale.
 ///
 /// Advisory means cooperative: only the store's save/compaction paths
 /// honor it, which is enough because saving is the store's only file
@@ -30,9 +40,10 @@ impl StoreLock {
         PathBuf::from(p)
     }
 
-    /// Try to take the lock. `Ok(None)` means another live process holds
-    /// it (the caller should degrade, not block). A stale lock — owner
-    /// pid dead — is reclaimed once.
+    /// Try to take the lock. `Ok(None)` means another live process, or
+    /// another thread of this one, holds it (the caller should degrade,
+    /// not block). A stale lock — owner pid dead, or this process's own
+    /// pid on a path no thread of it holds — is reclaimed once.
     ///
     /// Reclamation claims by **rename**, the one atomic
     /// take-whatever-is-there primitive std offers: the observed-stale
@@ -64,14 +75,33 @@ impl StoreLock {
 
     /// Implementation seam behind [`StoreLock::acquire`]: the pid
     /// liveness probe and the pid write are injectable so the unit tests
-    /// can exercise the non-Linux "never steal" policy and the
-    /// failed-write cleanup path on any host.
+    /// can exercise the non-Linux "never steal" policy, the
+    /// failed-write cleanup path and the stamp window on any host.
     fn acquire_with(
         store_path: &Path,
         alive: &dyn Fn(u32) -> bool,
         write_pid: &dyn Fn(&mut fs::File, &[u8]) -> io::Result<()>,
     ) -> io::Result<Option<StoreLock>> {
         let path = StoreLock::lock_path(store_path);
+        // Another thread of this process holds, or is acquiring, this
+        // lock: degrade exactly as for a live holder elsewhere.
+        if !held_paths().insert(path.clone()) {
+            return Ok(None);
+        }
+        let got = Self::acquire_file(path.clone(), alive, write_pid);
+        if !matches!(got, Ok(Some(_))) {
+            held_paths().remove(&path);
+        }
+        got
+    }
+
+    /// The file half of an acquire, run while this thread holds `path`
+    /// in [`held_paths`].
+    fn acquire_file(
+        path: PathBuf,
+        alive: &dyn Fn(u32) -> bool,
+        write_pid: &dyn Fn(&mut fs::File, &[u8]) -> io::Result<()>,
+    ) -> io::Result<Option<StoreLock>> {
         let my_pid = std::process::id().to_string();
         let read_holder = |path: &Path| fs::read_to_string(path).ok();
         for attempt in 0..2 {
@@ -100,12 +130,16 @@ impl StoreLock {
                 Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
                     let first = read_holder(&path);
                     let stale = match first.as_deref().map(str::trim).map(str::parse::<u32>) {
-                        Some(Ok(pid)) => pid != std::process::id() && !alive(pid),
+                        // Our own pid, on a path no thread of ours
+                        // holds: debris, not a holder.
+                        Some(Ok(pid)) => pid == std::process::id() || !alive(pid),
                         // Empty content: a torn acquire (killed between
                         // create and pid write) — no live owner can be
-                        // identified, reclaim it. A racing acquirer whose
-                        // file is momentarily empty is protected by its
-                        // own ownership verification above.
+                        // identified, reclaim it. A racing acquirer in
+                        // another process whose file is momentarily
+                        // empty is protected by its own ownership
+                        // verification above; one in this process never
+                        // gets here (it holds the path in the set).
                         Some(Err(_)) if first.as_deref().is_some_and(|s| s.trim().is_empty()) => {
                             true
                         }
@@ -160,30 +194,35 @@ impl StoreLock {
 impl Drop for StoreLock {
     fn drop(&mut self) {
         // Release only a lock file we still own — never a fresh lock a
-        // racing reclaimer put in its place.
+        // racing reclaimer put in its place. The file goes before the
+        // in-process claim, so no thread of ours can find it stamped
+        // with our pid but unclaimed while we still hold it.
         let owned = fs::read_to_string(&self.path)
             .ok()
             .is_some_and(|s| s.trim() == std::process::id().to_string());
         if owned {
             let _ = fs::remove_file(&self.path);
         }
+        held_paths().remove(&self.path);
     }
 }
 
+/// The lock paths this process holds or is acquiring (see
+/// [`StoreLock`]). A thread panicking while it holds the guard leaves
+/// the set itself consistent, so a poisoned lock is simply taken over.
+fn held_paths() -> MutexGuard<'static, BTreeSet<PathBuf>> {
+    static HELD: Mutex<BTreeSet<PathBuf>> = Mutex::new(BTreeSet::new());
+    HELD.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Claimant-unique sibling of `lock_path` for a rename-based stale
-/// reclaim: the pid disambiguates processes, the counter disambiguates
-/// threads of one process racing on the same lock. Claim files are
-/// transient — removed (valid claim) or renamed back (lost race) on
+/// reclaim: the pid disambiguates processes, and no two threads of one
+/// process reclaim one lock at once (see [`held_paths`]). Claim files
+/// are transient — removed (valid claim) or renamed back (lost race) on
 /// every path out of the reclaim.
 fn claim_path(lock_path: &Path) -> PathBuf {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static CLAIM_SEQ: AtomicU64 = AtomicU64::new(0);
     let mut p = lock_path.as_os_str().to_owned();
-    p.push(format!(
-        ".claim.{}.{}",
-        std::process::id(),
-        CLAIM_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
+    p.push(format!(".claim.{}", std::process::id()));
     PathBuf::from(p)
 }
 
@@ -354,6 +393,50 @@ mod tests {
             "contention test never acquired — vacuous"
         );
         let _ = fs::remove_file(&lock_file);
+    }
+
+    #[test]
+    fn a_second_acquire_in_the_stamp_window_does_not_also_hold_the_lock() {
+        // Another thread of this process acquiring between our create
+        // and our pid stamp sees an empty lock file. By file content
+        // alone that is a torn acquire to reclaim — and both threads,
+        // stamping the same pid, would then verify as holders. The
+        // write hook runs the second acquire exactly in that window.
+        use std::cell::RefCell;
+        let path = scratch("stamp_window");
+        let inner: RefCell<Option<Option<StoreLock>>> = RefCell::new(None);
+        let racing_write = |f: &mut fs::File, pid: &[u8]| {
+            *inner.borrow_mut() = Some(StoreLock::acquire(&path).unwrap());
+            f.write_all(pid)
+        };
+        let outer = StoreLock::acquire_with(&path, &pid_alive, &racing_write).unwrap();
+        let inner = inner.into_inner().expect("the write hook ran");
+        assert!(
+            !(outer.is_some() && inner.is_some()),
+            "two holders of one lock"
+        );
+        assert!(outer.is_some(), "the first acquirer keeps its lock");
+        drop(outer);
+        assert!(!StoreLock::lock_path(&path).exists(), "lock released");
+        // The released lock is free again for the next acquirer.
+        assert!(StoreLock::acquire(&path).unwrap().is_some());
+    }
+
+    #[test]
+    fn own_pid_debris_is_reclaimed() {
+        // A lock file stamped with this process's pid that no thread of
+        // this process holds (a stamp that lost a race and landed after
+        // the claim was undone) must not block every later save of the
+        // shard: it is stale.
+        let path = scratch("own_pid_debris");
+        let lock_file = StoreLock::lock_path(&path);
+        fs::write(&lock_file, std::process::id().to_string()).unwrap();
+        let lock = StoreLock::acquire(&path).unwrap();
+        assert!(lock.is_some(), "own-pid debris blocked the acquire");
+        // While that lock is held, the same pid on disk is a live holder.
+        assert!(StoreLock::acquire(&path).unwrap().is_none());
+        drop(lock);
+        assert!(!lock_file.exists());
     }
 
     #[test]

@@ -60,11 +60,13 @@
 //! Concurrency: one store value is owned by one tuning run at a time
 //! (the engine wraps it in a `Mutex`), and *within* a service run the
 //! evaluation server is the single writer per shard — clients only ship
-//! results back. Two *processes* sharing one `cache_path` are
-//! coordinated per shard by advisory lock files: the loser of a race
-//! degrades to skipping that shard's save ([`SaveOutcome::SkippedLocked`],
-//! surfaced through `PersistSummary`, pending kept for a retry), never
-//! to interleaved writes.
+//! results back. Store values sharing one `cache_path` — in separate
+//! processes, or in threads of one process such as the daemon's
+//! runners — are coordinated per shard by advisory lock files
+//! ([`StoreLock`]): the loser of a race degrades to skipping that
+//! shard's save ([`SaveOutcome::SkippedLocked`], surfaced through
+//! `PersistSummary`, pending kept for a retry), never to interleaved
+//! writes.
 
 mod artifact;
 mod index;
@@ -279,11 +281,12 @@ pub enum SaveOutcome {
     /// The store on disk is current (records written, or nothing was
     /// pending, or the store has no backing file).
     Written,
-    /// Another live process held an advisory lock for at least one shard
-    /// (or the whole store, during creation): that part of the save was
-    /// skipped and its pending entries remain queued for a retry. Only
-    /// the warm start for future runs is deferred — never an error, per
-    /// the degrade-don't-panic contract.
+    /// Another live holder (a process, or another thread of this one)
+    /// held an advisory lock for at least one shard (or the whole store,
+    /// during creation): that part of the save was skipped and its
+    /// pending entries remain queued for a retry. Only the warm start
+    /// for future runs is deferred — never an error, per the
+    /// degrade-don't-panic contract.
     SkippedLocked,
 }
 
@@ -311,7 +314,7 @@ pub struct StoreTelemetry {
     pub shard_save_seconds: std::sync::Arc<btel::Histogram>,
     /// Wall time of each per-shard compaction rewrite.
     pub compact_seconds: std::sync::Arc<btel::Histogram>,
-    /// Shard saves/compactions skipped because another live process held
+    /// Shard saves/compactions skipped because another live holder held
     /// the advisory lock (lock contention; pending records are retried).
     pub lock_skips: std::sync::Arc<btel::Counter>,
 }
@@ -675,7 +678,7 @@ impl FitnessStore {
     /// under its own advisory lock: the fast path is one appended
     /// `write_all` per shard, and a shard whose dead records dominate is
     /// compacted alone (re-read + merge under its lock, then an atomic
-    /// tmp + `rename`). A shard whose lock another live process holds is
+    /// tmp + `rename`). A shard whose lock another live holder has is
     /// *skipped* — [`SaveOutcome::SkippedLocked`], pending kept for a
     /// retry — rather than blocked on or corrupted.
     ///

@@ -89,12 +89,8 @@ fn process_farm_is_bit_identical_on_both_stream_transports() {
         assert_eq!(summary.clients_lost, 0, "no worker died");
         assert_eq!(summary.workers_killed, 0, "every worker drained cleanly");
         assert!(summary.shards > 0);
-        // The adaptive cost model ran on real farm wall times.
+        // The server timed its dispatches to real worker processes.
         assert!(summary.cost_observations > 0);
-        assert!(
-            !summary.shard_sizes.is_empty(),
-            "per-batch shard sizes recorded"
-        );
     }
 }
 

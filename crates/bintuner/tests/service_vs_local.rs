@@ -137,21 +137,15 @@ fn service_backend_is_bit_identical_at_every_client_count() {
         (run, clients)
     });
 
-    // The service actually ran: shards were dispatched to a live farm
-    // and the farm did the compiles the engine accounted for.
+    // The service actually ran: shards were dispatched to a live farm.
     for (result, clients) in &channel {
         let summary = result.service.as_ref().expect("service telemetry");
         assert_eq!(summary.transport, TransportKind::Channel);
         assert_eq!(summary.clients, *clients);
         assert_eq!(summary.clients_lost, 0);
         assert!(summary.shards > 0);
-        assert!(
-            summary.farm_compiles >= result.engine_stats.compiles as u64,
-            "farm did at least the logical compiles"
-        );
-        // The adaptive cost model saw every shard's wall time.
+        // The server timed every answered dispatch for its deadlines.
         assert!(summary.cost_observations > 0);
-        assert!(!summary.shard_sizes.is_empty());
     }
 }
 

@@ -204,11 +204,11 @@ impl Histogram {
 }
 
 /// The exponentially-weighted moving average — the estimator behind
-/// the evaluation scheduler's per-client cost model.
+/// the evaluation server's per-client dispatch-time model.
 ///
 /// The update is the *convex-combination* form
 /// `v' = (1 − α)·v + α·x` (not the algebraically equal
-/// `v + α·(x − v)`): the scheduler's shard-sizing tests pin exact
+/// `v + α·(x − v)`): the scheduler's cost-model tests pin exact
 /// floating-point trajectories, so the unified estimator keeps the
 /// form those bits were produced by.
 ///
@@ -724,7 +724,7 @@ mod tests {
     fn ewma_matches_the_cost_model_update_bit_for_bit() {
         // The scheduler's former inline update, reproduced literally;
         // the unified estimator must track it to the last bit (its
-        // shard-sizing tests pin exact values).
+        // cost-model tests pin exact values).
         const ALPHA: f64 = 0.3;
         let samples = [0.05, 0.2, 0.125, 1.75, 0.33, 0.05, 0.0001];
         let mut inline: Option<f64> = None;

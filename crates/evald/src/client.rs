@@ -11,23 +11,21 @@
 
 use crate::transport::Duplex;
 use crate::wire::{
-    decode_frame, encode_frame, Frame, ShardStats, WireAstArtifact, WireEval, WireLowerArtifact,
-    WireSpan,
+    decode_frame, encode_frame, Frame, WireAstArtifact, WireEval, WireLowerArtifact, WireSpan,
 };
 use crate::{EvaldError, FaultKind};
 
 /// The embedder's evaluation engine, as seen by the client loop.
 pub trait ShardWorker {
     /// Evaluate one shard of genomes, returning one [`WireEval`] per
-    /// genome in shard order, plus per-shard telemetry. Must be a pure
-    /// function of the genomes (caching aside): the server's straggler
-    /// re-dispatch relies on duplicate evaluations being bit-identical.
+    /// genome in shard order. Must be a pure function of the genomes
+    /// (caching aside): the server's straggler re-dispatch relies on
+    /// duplicate evaluations being bit-identical.
     ///
     /// `span` is the server's dispatch-span id for this shard, `0` when
-    /// tracing is off; tracing workers parent their stage spans under it
-    /// and echo it in [`ShardStats::span`]. Telemetry must never affect
-    /// the evaluations themselves.
-    fn evaluate(&mut self, genomes: &[Vec<bool>], span: u64) -> (Vec<WireEval>, ShardStats);
+    /// tracing is off; tracing workers parent their stage spans under
+    /// it. Telemetry must never affect the evaluations themselves.
+    fn evaluate(&mut self, genomes: &[Vec<bool>], span: u64) -> Vec<WireEval>;
 
     /// Drain the trace spans recorded since the last drain (shipped on
     /// the same [`Frame::Result`] as the evaluations). Workers without
@@ -47,7 +45,7 @@ pub trait ShardWorker {
 /// Per-client launch options.
 #[derive(Debug, Clone, Copy)]
 pub struct ClientOptions {
-    /// Zero-based client id (reported on every result frame).
+    /// Zero-based client id (announced in the client's `Hello`).
     pub client_id: u32,
     /// Chromosome width this worker evaluates (handshake-checked).
     pub n_flags: u16,
@@ -105,7 +103,7 @@ pub fn serve(
                 span,
                 genomes,
             } => {
-                let (evals, stats) = worker.evaluate(&genomes, span);
+                let evals = worker.evaluate(&genomes, span);
                 let spans = worker.drain_spans();
                 if drop_next {
                     // Chaos: the evaluation happened but its Result is
@@ -118,9 +116,7 @@ pub fn serve(
                     let (ast_artifacts, lower_artifacts) = worker.drain_artifacts();
                     duplex.tx.send_frame(&encode_frame(&Frame::Result {
                         shard,
-                        client: opts.client_id,
                         evals,
-                        stats,
                         spans,
                         ast_artifacts,
                         lower_artifacts,
@@ -180,18 +176,15 @@ mod tests {
     struct Constant;
 
     impl ShardWorker for Constant {
-        fn evaluate(&mut self, genomes: &[Vec<bool>], _span: u64) -> (Vec<WireEval>, ShardStats) {
-            (
-                genomes
-                    .iter()
-                    .map(|_| WireEval {
-                        fitness_bits: 1.0f64.to_bits(),
-                        failed: false,
-                        wall_seconds_bits: 0,
-                    })
-                    .collect(),
-                ShardStats::default(),
-            )
+        fn evaluate(&mut self, genomes: &[Vec<bool>], _span: u64) -> Vec<WireEval> {
+            genomes
+                .iter()
+                .map(|_| WireEval {
+                    fitness_bits: 1.0f64.to_bits(),
+                    failed: false,
+                    wall_seconds_bits: 0,
+                })
+                .collect()
         }
     }
 
@@ -232,14 +225,12 @@ mod tests {
         match result {
             Frame::Result {
                 shard,
-                client,
                 evals,
                 ast_artifacts,
                 lower_artifacts,
                 ..
             } => {
                 assert_eq!(shard, 11);
-                assert_eq!(client, 5);
                 assert_eq!(evals.len(), 1);
                 // A worker without an artifact cache ships none.
                 assert!(ast_artifacts.is_empty() && lower_artifacts.is_empty());

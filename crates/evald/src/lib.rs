@@ -32,11 +32,11 @@
 //!   kinds bind through one [`Listener`] and connect through one
 //!   [`Endpoint`].
 //! * [`scheduler`] — the work-stealing shard queue: a batch's genomes
-//!   are chunked by a [`CostModel`] seeded from the module's shape
-//!   features and refined online from the wall times clients measure
-//!   (per-client EWMA), idle clients steal outstanding shards from
-//!   stragglers, and the first result for a shard wins (duplicates are
-//!   counted, not errors).
+//!   are chunked into about four shards per client, idle clients steal
+//!   outstanding shards from stragglers, and the first result for a
+//!   shard wins (duplicates are counted, not errors). The server times
+//!   each dispatch itself; a per-client EWMA of those times
+//!   ([`scheduler::CostModel`]) scales its dispatch deadlines.
 //! * [`server`] / [`client`] — the dispatch loop ([`EvalServer`]) and
 //!   the worker loop ([`run_client`]).
 //!
@@ -55,12 +55,10 @@ pub mod transport;
 pub mod wire;
 
 pub use client::{run_client, serve, ClientOptions, ShardWorker};
-pub use scheduler::{CostModel, Scheduler};
+pub use scheduler::Scheduler;
 pub use server::{ClientInjector, EvalServer, ServerTelemetry, ServiceStats};
 pub use transport::{channel_duplex, Duplex, Endpoint, FrameReceiver, FrameSender, Listener};
-pub use wire::{
-    Frame, ShardStats, WireAstArtifact, WireEval, WireLowerArtifact, WireSpan, WIRE_VERSION,
-};
+pub use wire::{Frame, WireAstArtifact, WireEval, WireLowerArtifact, WireSpan, WIRE_VERSION};
 
 use std::fmt;
 use std::path::PathBuf;
@@ -199,13 +197,13 @@ pub struct LivenessConfig {
     pub heartbeat_interval_ms: u64,
     /// Consecutive unanswered heartbeats before a client is evicted.
     pub max_missed_heartbeats: u32,
-    /// Dispatch deadline = cost-model estimate for the shard × this
-    /// multiplier (capped at one hour, then floored at
-    /// `min_dispatch_deadline_ms`). A client that blows the deadline is
+    /// Dispatch deadline = the server's observed seconds per genome ×
+    /// the shard's genomes × this multiplier (capped at one hour, then
+    /// floored at `min_dispatch_deadline_ms`). A client that blows the deadline is
     /// evicted and its shards re-dispatched.
     pub deadline_multiplier: f64,
     /// Floor on any dispatch deadline, milliseconds — also the deadline
-    /// used before the cost model has enough observations. `0` disables
+    /// used before the server has observed enough dispatches. `0` disables
     /// dispatch deadlines entirely (heartbeats stay active).
     pub min_dispatch_deadline_ms: u64,
 }

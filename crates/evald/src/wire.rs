@@ -33,23 +33,26 @@ pub const WIRE_MAGIC: [u8; 4] = *b"EVLD";
 
 /// Wire-format version. Bump whenever any frame layout or encoding
 /// changes; both ends reject mismatched frames instead of misreading
-/// them. (v2: [`ShardStats`] grew the three per-stage pipeline-reuse
-/// counters. v3: the [`Frame::Job`] frame, carrying the embedder's
-/// opaque job description to pre-forked worker processes. v4: the
-/// end-of-batch merge frame grew the two stage-artifact record lists, so
-/// farm workers' freshly computed artifacts reach the server's
-/// persistent artifact store instead of being recomputed on every warm
-/// start. v5: trace-span propagation — [`Frame::Work`] carries the
-/// server's dispatch-span id, [`ShardStats`] echoes it, and
-/// [`Frame::Result`] carries the worker's recorded [`WireSpan`]s, so a
-/// farm worker's per-stage compile timings stitch into the dispatching
-/// server's trace. v6: the [`Frame::Ping`]/[`Frame::Pong`] liveness
-/// probes — the server's heartbeat plane, so a hung worker is
-/// *detected* rather than holding its shard copies forever. v7: each
-/// [`Frame::Result`] carries the stage artifacts its shard produced, and
-/// the end-of-batch `EndBatch`/`Merge` round trip (tags 3 and 4) is
-/// gone: every result crosses the wire once.)
-pub const WIRE_VERSION: u32 = 7;
+/// them. (v2: the per-shard stats block, `ShardStats`, grew the three
+/// per-stage pipeline-reuse counters. v3: the [`Frame::Job`] frame,
+/// carrying the embedder's opaque job description to pre-forked worker
+/// processes. v4: the end-of-batch merge frame grew the two
+/// stage-artifact record lists, so farm workers' freshly computed
+/// artifacts reach the server's persistent artifact store instead of
+/// being recomputed on every warm start. v5: trace-span propagation —
+/// [`Frame::Work`] carries the server's dispatch-span id, `ShardStats`
+/// echoes it, and [`Frame::Result`] carries the worker's recorded
+/// [`WireSpan`]s, so a farm worker's per-stage compile timings stitch
+/// into the dispatching server's trace. v6: the
+/// [`Frame::Ping`]/[`Frame::Pong`] liveness probes — the server's
+/// heartbeat plane, so a hung worker is *detected* rather than holding
+/// its shard copies forever. v7: each [`Frame::Result`] carries the
+/// stage artifacts its shard produced, and the end-of-batch
+/// `EndBatch`/`Merge` round trip (tags 3 and 4) is gone: every result
+/// crosses the wire once. v8: [`Frame::Result`] drops its `client` id
+/// and its `ShardStats` block — the server keys clients by connection
+/// and times each dispatch itself — and carries only results.)
+pub const WIRE_VERSION: u32 = 8;
 
 /// Hard cap on one frame's declared length (a corrupted length prefix
 /// must not trigger a multi-gigabyte allocation).
@@ -158,48 +161,6 @@ pub struct WireSpan {
     pub dur_us: u64,
 }
 
-/// Per-shard client telemetry, carried on every [`Frame::Result`].
-///
-/// Equality compares `wall_seconds` by *bit pattern* (see the manual
-/// [`PartialEq`] impl): telemetry crosses the wire as raw bits, and a
-/// NaN or negative-zero measurement must not break round-trip equality
-/// assertions the way derived f64 equality would.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ShardStats {
-    /// Real compiles the client performed for this shard.
-    pub compiles: u32,
-    /// Evaluations the client served from its local cache.
-    pub cache_hits: u32,
-    /// Compiles that ran the client's full pipeline (no stage artifact
-    /// reused).
-    pub full_compiles: u32,
-    /// Compiles that reused a cached stage-1 artifact (optimized AST).
-    pub ast_reuse: u32,
-    /// Compiles that reused a cached stage-2 artifact (lowered binary).
-    pub lower_reuse: u32,
-    /// Client-side wall-clock seconds spent on the shard.
-    pub wall_seconds: f64,
-    /// The server's dispatch-span id for this shard, echoed from
-    /// [`Frame::Work`] (v5); `0` when tracing is off.
-    pub span: u64,
-}
-
-impl PartialEq for ShardStats {
-    fn eq(&self, other: &ShardStats) -> bool {
-        self.compiles == other.compiles
-            && self.cache_hits == other.cache_hits
-            && self.full_compiles == other.full_compiles
-            && self.ast_reuse == other.ast_reuse
-            && self.lower_reuse == other.lower_reuse
-            && self.wall_seconds.to_bits() == other.wall_seconds.to_bits()
-            && self.span == other.span
-    }
-}
-
-// Bit-pattern comparison is a true equivalence relation (unlike f64's
-// `==`), so full `Eq` is sound.
-impl Eq for ShardStats {}
-
 /// The protocol's frames.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
@@ -224,17 +185,14 @@ pub enum Frame {
         genomes: Vec<Vec<bool>>,
     },
     /// Client → server: one shard's evaluations, in shard order, plus
-    /// per-shard stats, trace spans and the stage artifacts the shard
-    /// produced — everything a shard sends back, in one frame.
+    /// the trace spans and stage artifacts the shard produced —
+    /// everything a shard sends back, in one frame. The server knows
+    /// the sender by its connection and times the dispatch itself.
     Result {
         /// The shard this answers.
         shard: u64,
-        /// The reporting client.
-        client: u32,
         /// One evaluation per genome, in shard order.
         evals: Vec<WireEval>,
-        /// Per-shard telemetry.
-        stats: ShardStats,
         /// Trace spans the client recorded while evaluating the shard
         /// (v5); empty when tracing is off.
         spans: Vec<WireSpan>,
@@ -330,23 +288,13 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
         }
         Frame::Result {
             shard,
-            client,
             evals,
-            stats,
             spans,
             ast_artifacts,
             lower_artifacts,
         } => {
             body.put_u8(TAG_RESULT);
             body.put_u64_le(*shard);
-            body.put_u32_le(*client);
-            body.put_u32_le(stats.compiles);
-            body.put_u32_le(stats.cache_hits);
-            body.put_u32_le(stats.full_compiles);
-            body.put_u32_le(stats.ast_reuse);
-            body.put_u32_le(stats.lower_reuse);
-            body.put_u64_le(stats.wall_seconds.to_bits());
-            body.put_u64_le(stats.span);
             body.put_u32_le(evals.len() as u32);
             for e in evals {
                 body.put_u64_le(e.fitness_bits);
@@ -508,16 +456,6 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), EvaldError> {
         },
         TAG_RESULT => {
             let shard = r.u64()?;
-            let client = r.u32()?;
-            let stats = ShardStats {
-                compiles: r.u32()?,
-                cache_hits: r.u32()?,
-                full_compiles: r.u32()?,
-                ast_reuse: r.u32()?,
-                lower_reuse: r.u32()?,
-                wall_seconds: f64::from_bits(r.u64()?),
-                span: r.u64()?,
-            };
             let evals = r.seq(|r| {
                 Ok(WireEval {
                     fitness_bits: r.u64()?,
@@ -531,9 +469,7 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), EvaldError> {
             }
             Frame::Result {
                 shard,
-                client,
                 evals,
-                stats,
                 spans,
                 ast_artifacts: r.seq(|r| {
                     Ok(WireAstArtifact {
@@ -590,7 +526,6 @@ mod tests {
             },
             Frame::Result {
                 shard: 42,
-                client: 3,
                 evals: vec![
                     WireEval {
                         fitness_bits: 0.731f64.to_bits(),
@@ -603,15 +538,6 @@ mod tests {
                         wall_seconds_bits: 0u64,
                     },
                 ],
-                stats: ShardStats {
-                    compiles: 2,
-                    cache_hits: 0,
-                    full_compiles: 1,
-                    ast_reuse: 1,
-                    lower_reuse: 0,
-                    wall_seconds: 0.002,
-                    span: 9001,
-                },
                 spans: vec![
                     WireSpan {
                         id: (4u64 << 48) + 1,
@@ -645,13 +571,11 @@ mod tests {
                     blob: vec![],
                 }],
             },
-            // Tracing off and nothing fresh: span context zero, no spans,
-            // no artifacts — explicit zero counts, not elided.
+            // Tracing off and nothing fresh: no spans, no artifacts —
+            // explicit zero counts, not elided.
             Frame::Result {
                 shard: 43,
-                client: 0,
                 evals: vec![],
-                stats: ShardStats::default(),
                 spans: vec![],
                 ast_artifacts: vec![],
                 lower_artifacts: vec![],
@@ -682,10 +606,10 @@ mod tests {
         let golden = [
             0x15, 0x00, 0x00, 0x00, // length of the rest
             0x45, 0x56, 0x4c, 0x44, // "EVLD"
-            0x07, 0x00, 0x00, 0x00, // WIRE_VERSION
+            0x08, 0x00, 0x00, 0x00, // WIRE_VERSION
             0x07, // TAG_PING
             0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // nonce
-            0xe9, 0xb6, 0xee, 0x02, // FNV-1a over magic..payload
+            0xd8, 0xbd, 0xfd, 0xb1, // FNV-1a over magic..payload
         ];
         let frame = Frame::Ping { nonce: 7 };
         assert_eq!(encode_frame(&frame), golden);
@@ -760,41 +684,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_stats_equality_is_bitwise_over_wall_time() {
-        // NaN != NaN under f64 equality; telemetry equality must not
-        // care (the wire carries raw bits, and round-trip assertions
-        // compare whole frames).
-        let nan = ShardStats {
-            wall_seconds: f64::NAN,
-            ..ShardStats::default()
-        };
-        assert_eq!(nan, nan);
-        let frame = Frame::Result {
-            shard: 1,
-            client: 0,
-            evals: vec![],
-            stats: nan,
-            spans: vec![],
-            ast_artifacts: vec![],
-            lower_artifacts: vec![],
-        };
-        let (decoded, _) = decode_frame(&encode_frame(&frame)).unwrap();
-        assert_eq!(decoded, frame);
-        // −0.0 == +0.0 as f64s, but they are different measurements on
-        // the wire: bitwise equality distinguishes them.
-        let pos = ShardStats {
-            wall_seconds: 0.0,
-            ..ShardStats::default()
-        };
-        let neg = ShardStats {
-            wall_seconds: -0.0,
-            ..ShardStats::default()
-        };
-        assert_ne!(pos, neg);
-        assert_eq!(pos, pos);
-    }
-
-    #[test]
     fn job_payload_is_opaque_bytes() {
         for payload in [vec![], vec![0u8], (0..=255u8).collect::<Vec<u8>>()] {
             let frame = Frame::Job {
@@ -822,9 +711,7 @@ mod tests {
     fn span_names_must_be_utf8() {
         let frame = Frame::Result {
             shard: 5,
-            client: 1,
             evals: vec![],
-            stats: ShardStats::default(),
             spans: vec![WireSpan {
                 id: 1,
                 parent: 0,
@@ -855,17 +742,11 @@ mod tests {
     fn result_spans_round_trip_with_extreme_values() {
         let frame = Frame::Result {
             shard: u64::MAX,
-            client: u32::MAX,
             evals: vec![WireEval {
                 fitness_bits: f64::NAN.to_bits(),
                 failed: true,
                 wall_seconds_bits: f64::NEG_INFINITY.to_bits(),
             }],
-            stats: ShardStats {
-                wall_seconds: f64::INFINITY,
-                span: u64::MAX,
-                ..ShardStats::default()
-            },
             spans: vec![WireSpan {
                 id: u64::MAX,
                 parent: u64::MAX - 1,

@@ -7,8 +7,8 @@
 //! payloads behind a valid envelope must decode or fail typed.
 
 use evald::wire::{
-    decode_frame, encode_frame, seal_frame, Frame, ShardStats, WireAstArtifact, WireEval,
-    WireLowerArtifact, WireSpan, WIRE_MAGIC,
+    decode_frame, encode_frame, seal_frame, Frame, WireAstArtifact, WireEval, WireLowerArtifact,
+    WireSpan, WIRE_MAGIC,
 };
 use evald::EvaldError;
 use evald::WIRE_VERSION;
@@ -98,39 +98,21 @@ proptest! {
 
     #[test]
     fn result_frames_round_trip_bit_exactly(shard in any::<u64>(),
-                                            client in any::<u32>(),
                                             evals in vec(eval_strategy(), 0..24),
-                                            spans in vec(span_strategy(), 0..12),
-                                            compiles in any::<u32>(),
-                                            hits in any::<u32>(),
-                                            full in any::<u32>(),
-                                            ast in any::<u32>(),
-                                            lower in any::<u32>(),
-                                            wall in any::<u64>(),
-                                            span in any::<u64>()) {
+                                            spans in vec(span_strategy(), 0..12)) {
         // Fitness crosses the wire as raw bits: NaNs, infinities and
         // negative zero must all survive — the differential guarantee
         // needs *bit* equality, not f64 equality.
         let frame = Frame::Result {
             shard,
-            client,
             evals,
-            stats: ShardStats {
-                compiles,
-                cache_hits: hits,
-                full_compiles: full,
-                ast_reuse: ast,
-                lower_reuse: lower,
-                wall_seconds: f64::from_bits(wall),
-                span,
-            },
             spans,
             ast_artifacts: vec![],
             lower_artifacts: vec![],
         };
         let bytes = encode_frame(&frame);
         let (decoded, _) = decode_frame(&bytes).expect("valid frame decodes");
-        // ShardStats equality is bitwise over wall_seconds, so whole-frame
+        // Evaluations hold their floats as raw bits, so whole-frame
         // equality is exactly the bit-exactness guarantee.
         prop_assert_eq!(decoded, frame);
     }
@@ -143,9 +125,7 @@ proptest! {
         // as Truncated, never decode to a shorter span list.
         let frame = Frame::Result {
             shard: 3,
-            client: 1,
             evals,
-            stats: ShardStats::default(),
             spans,
             ast_artifacts: vec![],
             lower_artifacts: vec![],
@@ -160,8 +140,7 @@ proptest! {
     }
 
     #[test]
-    fn result_frames_carry_artifacts_round_trip(client in any::<u32>(),
-                                                evals in vec(eval_strategy(), 0..4),
+    fn result_frames_carry_artifacts_round_trip(evals in vec(eval_strategy(), 0..4),
                                                 spans in vec(span_strategy(), 0..3),
                                                 ast_artifacts in vec(ast_artifact_strategy(), 0..6),
                                                 lower_artifacts in vec(lower_artifact_strategy(), 0..6)) {
@@ -170,9 +149,7 @@ proptest! {
         // byte surfaces as Truncated, never as a shorter artifact list.
         let frame = Frame::Result {
             shard: 9,
-            client,
             evals,
-            stats: ShardStats::default(),
             spans,
             ast_artifacts,
             lower_artifacts,
