@@ -42,13 +42,20 @@
 //!   identical at any worker count and on either evaluation backend
 //!   (in-process or service) — worker threads only fill in artifact
 //!   *values*, which are pure functions of their keys.
-//! * **Shared baseline** — the `-O0` baseline is compiled exactly once and
-//!   its compressed length is reused for every NCD score.
+//! * **Shared baseline** — the `-O0` baseline is read from the store's
+//!   binary blobs ([`FitnessStore::binary`]) when one is filed under the
+//!   `-O0` preset's key, else compiled once and queued there. Its NCD
+//!   pre-compression ([`NcdBaseline`]) is built once, on the calling
+//!   thread, when a batch first runs misses on the local pool, and
+//!   reused for every score; an engine whose misses all go to an
+//!   executor (or that has none) never builds it.
 //! * **Hoisted validation** — `Module::validate` runs once per engine
-//!   (the baseline compile) and constraint checking once per genome
-//!   during partition; the miss execution path drives the pipeline
-//!   stages directly instead of re-validating module and flags inside
-//!   every compile.
+//!   (in the baseline compile, or on its own when the baseline came from
+//!   the store) and constraint checking once per genome during
+//!   partition; the miss execution path drives the pipeline stages
+//!   directly instead of re-validating module and flags inside every
+//!   compile. The module's size, which every genome's modelled compile
+//!   cost scales with, is measured once at construction too.
 //!
 //! Failed compiles (flag vectors that defeat repair) are not fatal: they
 //! score a fixed penalty fitness and are counted as constraint violations
@@ -72,10 +79,10 @@ use binrep::{Arch, Binary};
 use genetic::{Eval, EvalAbort, Evaluator};
 use lzc::NcdBaseline;
 use minicc::ast::Module;
-use minicc::{Compiler, EffectConfig, StageKeys};
+use minicc::{CompileError, Compiler, EffectConfig, OptLevel, StageKeys};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Fitness assigned to a genome whose compile fails constraint checking.
@@ -439,11 +446,12 @@ struct CacheState {
 /// The batch fitness engine: compiles genomes, scores them against the
 /// shared `-O0` baseline with NCD, in parallel, with memoization.
 ///
-/// Construction compiles the baseline once ([`FitnessEngine::new`]); the
-/// engine is then shared immutably across the GA run — all interior
-/// state (cache, stats) is behind mutexes, and the hot compile/score path
-/// runs lock-free on worker threads apart from brief artifact-cache
-/// lookups.
+/// Construction compiles the baseline once, or reads it from the store
+/// ([`FitnessEngine::new`]); the engine is then shared immutably across
+/// the GA run — all interior state (cache, stats, the lazily built NCD
+/// baseline) is behind mutexes or a once-cell, and the hot
+/// compile/score path runs lock-free on worker threads apart from brief
+/// artifact-cache lookups.
 pub struct FitnessEngine<'a> {
     compiler: &'a Compiler,
     module: &'a Module,
@@ -454,10 +462,17 @@ pub struct FitnessEngine<'a> {
     /// *artifact* store's key component (a renamed module keeps its
     /// artifacts even though every fitness key changes).
     body_hash: u64,
+    /// [`Module::size`] of `module`: every genome's modelled compile
+    /// cost scales with it.
+    module_size: usize,
     arch: Arch,
     config: EngineConfig,
     baseline_bin: Binary,
-    baseline: NcdBaseline,
+    /// The baseline came from the store's binary blobs, not a compile.
+    baseline_from_store: bool,
+    /// `baseline_bin` pre-compressed for scoring, built at the first
+    /// batch with misses on the local pool.
+    baseline: OnceLock<NcdBaseline>,
     cache: Mutex<CacheState>,
     /// Tier-0 artifact values (separate lock from the bookkeeping: the
     /// partition phase never touches values, workers never touch the
@@ -496,8 +511,9 @@ const _: fn() = || {
 };
 
 impl<'a> FitnessEngine<'a> {
-    /// Build an engine for `module`: compiles the `-O0` baseline once and
-    /// pre-compresses it for NCD scoring.
+    /// Build an engine for `module`: compiles the `-O0` baseline once.
+    /// Its NCD pre-compression waits for the first batch that scores a
+    /// miss on the local pool.
     ///
     /// # Errors
     ///
@@ -515,12 +531,17 @@ impl<'a> FitnessEngine<'a> {
     /// Build an engine backed by a persistent cross-run store
     /// (warm-start): entries for this `(module, profile, arch)` serve as
     /// a third fitness cache tier, and every fresh compile is recorded
-    /// into the store. Recover it with [`FitnessEngine::into_stores`] and
-    /// call [`FitnessStore::save`] to persist the run's new results.
+    /// into the store. The `-O0` baseline comes from the store's binary
+    /// blob under the `-O0` preset's key when it holds an intact one;
+    /// otherwise it is compiled and queued there. Recover the store with
+    /// [`FitnessEngine::into_stores`] and call [`FitnessStore::save`] to
+    /// persist the run's new results.
     ///
     /// # Errors
     ///
-    /// See [`FitnessEngine::new`].
+    /// See [`FitnessEngine::new`]. A module that fails
+    /// [`Module::validate`] fails even when the store holds a blob for
+    /// it.
     pub fn with_store(
         compiler: &'a Compiler,
         module: &'a Module,
@@ -538,29 +559,48 @@ impl<'a> FitnessEngine<'a> {
         config: EngineConfig,
         mut store: Option<FitnessStore>,
     ) -> Result<FitnessEngine<'a>, crate::TuneError> {
-        // The one place the module is validated: the baseline preset
-        // compile goes through the full checked `compile` path. Every
-        // later miss drives the stages directly on the already-validated
-        // module.
-        let baseline_bin = compiler
-            .compile_preset(module, minicc::OptLevel::O0, arch)
-            .map_err(crate::TuneError::Baseline)?;
-        let baseline = NcdBaseline::new(binrep::encode_binary(&baseline_bin));
+        let module_hash = module.content_hash();
+        let profile = compiler.profile();
+        let baseline_key = StoreKey::new(
+            module_hash,
+            profile.kind(),
+            arch,
+            EffectConfig::from_flags(profile, &profile.preset(OptLevel::O0)).stable_digest(),
+        );
+        let stored = store.as_ref().and_then(|s| s.binary(&baseline_key));
+        let baseline_from_store = stored.is_some();
+        // The one place the module is validated: the checked baseline
+        // compile, or `validate` itself when the baseline came from the
+        // store (its bytes vouch for nothing about this module). Every
+        // later miss drives the stages directly on the validated module.
+        let baseline_bin = match stored {
+            Some(bin) => module
+                .validate()
+                .map(|()| bin)
+                .map_err(CompileError::BadModule),
+            None => compiler.compile_preset(module, OptLevel::O0, arch),
+        }
+        .map_err(crate::TuneError::Baseline)?;
         if let Some(store) = &mut store {
+            if !baseline_from_store {
+                store.insert_binary(baseline_key, &baseline_bin);
+            }
             // Record the module's shape signature so future runs on
             // *other* modules can find this one as a transfer source
             // (prior mining; unchanged features never grow the log).
-            store.record_module_features(module.content_hash(), module.features());
+            store.record_module_features(module_hash, module.features());
         }
         Ok(FitnessEngine {
             compiler,
             module,
-            module_hash: module.content_hash(),
+            module_hash,
             body_hash: module.body_hash(),
+            module_size: module.size(),
             arch,
             config,
             baseline_bin,
-            baseline,
+            baseline_from_store,
+            baseline: OnceLock::new(),
             cache: Mutex::new(CacheState::default()),
             artifact_values: Mutex::new(ArtifactValues::default()),
             stats: Mutex::new(EngineStats::default()),
@@ -626,6 +666,18 @@ impl<'a> FitnessEngine<'a> {
         )
     }
 
+    /// The store key `flags`' binary is filed under, or `None` when
+    /// `flags` violate the profile's constraints (they compile to
+    /// nothing).
+    pub(crate) fn binary_key(&self, flags: &[bool]) -> Option<StoreKey> {
+        let profile = self.compiler.profile();
+        profile
+            .constraints()
+            .check(flags)
+            .is_empty()
+            .then(|| self.store_key(&EffectConfig::from_flags(profile, flags)))
+    }
+
     /// Recover both persistent stores — fitness and artifacts — for the
     /// end-of-run save. Save the fitness store *first*: its first save
     /// creates the directory the artifact log lives in.
@@ -661,6 +713,12 @@ impl<'a> FitnessEngine<'a> {
     /// The `-O0` baseline binary the engine scores against.
     pub fn baseline_binary(&self) -> &Binary {
         &self.baseline_bin
+    }
+
+    /// Whether the baseline came from the store's binary blobs rather
+    /// than a compile.
+    pub(crate) fn baseline_from_store(&self) -> bool {
+        self.baseline_from_store
     }
 
     /// A snapshot of the engine's telemetry.
@@ -795,7 +853,7 @@ impl<'a> FitnessEngine<'a> {
 
     /// The scoring tail of a miss: encode the binary, then its NCD
     /// against the baseline, each [`Self::timed`].
-    fn score_timed(&self, bin: &Binary, stage_parent: u64) -> CacheEntry {
+    fn score_timed(&self, ncd: &NcdBaseline, bin: &Binary, stage_parent: u64) -> CacheEntry {
         let bytes = self.timed(
             |t| &t.stage_encode,
             "encode",
@@ -806,7 +864,7 @@ impl<'a> FitnessEngine<'a> {
             |t| &t.stage_score,
             "score",
             stage_parent,
-            || self.baseline.score(&bytes),
+            || ncd.score(&bytes),
         );
         CacheEntry {
             fitness,
@@ -817,7 +875,13 @@ impl<'a> FitnessEngine<'a> {
     /// Compile + score one miss according to its plan (run on workers).
     /// Misses are constraint-valid by partition and the module was
     /// validated at construction, so the staged pipeline cannot fail.
-    fn evaluate_miss(&self, eff: &EffectConfig, plan: &MissPlan, stage_parent: u64) -> CacheEntry {
+    fn evaluate_miss(
+        &self,
+        ncd: &NcdBaseline,
+        eff: &EffectConfig,
+        plan: &MissPlan,
+        stage_parent: u64,
+    ) -> CacheEntry {
         let lower_key = (plan.ast_digest, plan.lower_digest);
         // Only retained keys can have (or deserve) a cached stage-2
         // artifact; a store-classified miss fetches across runs.
@@ -872,12 +936,17 @@ impl<'a> FitnessEngine<'a> {
                 }
             }
         };
-        self.score_timed(&bin, stage_parent)
+        self.score_timed(ncd, &bin, stage_parent)
     }
 
     /// Compile + score one miss with the artifact cache disabled: the
     /// full staged pipeline, nothing shared, nothing retained.
-    fn evaluate_full(&self, eff: &EffectConfig, stage_parent: u64) -> CacheEntry {
+    fn evaluate_full(
+        &self,
+        ncd: &NcdBaseline,
+        eff: &EffectConfig,
+        stage_parent: u64,
+    ) -> CacheEntry {
         let optimized = self.timed(
             |t| &t.stage_ast,
             "ast",
@@ -891,7 +960,7 @@ impl<'a> FitnessEngine<'a> {
             || self.compiler.stage_lower(&optimized, eff, self.arch),
         );
         let bin = self.mir_timed(lowered, eff, stage_parent);
-        self.score_timed(&bin, stage_parent)
+        self.score_timed(ncd, &bin, stage_parent)
     }
 }
 
@@ -1174,7 +1243,12 @@ impl Evaluator for FitnessEngine<'_> {
                     r.wall_seconds,
                 ));
             }
-        } else {
+        } else if !misses.is_empty() {
+            // The first local miss builds the baseline's pre-compression,
+            // here on the calling thread, before any worker scores.
+            let ncd = self
+                .baseline
+                .get_or_init(|| NcdBaseline::new(binrep::encode_binary(&self.baseline_bin)));
             // Phase 1: one producer task per AST digest this batch
             // introduces (the representative is its first Full-classified
             // miss, which reports the artifact's wall time as its
@@ -1248,9 +1322,9 @@ impl Evaluator for FitnessEngine<'_> {
                 let t = Instant::now();
                 let eff = misses[i].1;
                 let entry = if self.config.artifact_cache {
-                    self.evaluate_miss(eff, &plans[i], stage_parent)
+                    self.evaluate_miss(ncd, eff, &plans[i], stage_parent)
                 } else {
-                    self.evaluate_full(eff, stage_parent)
+                    self.evaluate_full(ncd, eff, stage_parent)
                 };
                 let wall = t.elapsed().as_secs_f64();
                 if let Some(tel) = &self.tel {
@@ -1432,7 +1506,7 @@ impl Evaluator for FitnessEngine<'_> {
                 persistent += (hit == Hit::Persistent) as usize;
                 Eval {
                     fitness: entry.fitness,
-                    cost_seconds: self.compiler.simulated_compile_seconds(self.module, g),
+                    cost_seconds: self.compiler.simulated_compile_seconds(self.module_size, g),
                     wall_seconds: wall,
                     ast_produce_seconds: ast_produce,
                     cache_hit: hit == Hit::InRun,
@@ -1478,5 +1552,54 @@ impl Evaluator for FitnessEngine<'_> {
             }
         }
         Ok(results)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use minicc::CompilerKind;
+
+    /// Scores every miss 0.5 without compiling: a farm stand-in.
+    struct Constant;
+
+    impl MissExecutor for Constant {
+        fn execute(&self, misses: &[Vec<bool>]) -> Result<Vec<MissResult>, EvalAbort> {
+            Ok(misses
+                .iter()
+                .map(|_| MissResult {
+                    fitness: 0.5,
+                    failed: false,
+                    wall_seconds: 0.0,
+                })
+                .collect())
+        }
+    }
+
+    #[test]
+    fn the_ncd_baseline_is_built_at_the_first_local_miss_only() {
+        let compiler = Compiler::new(CompilerKind::Gcc);
+        let module = &corpus::by_name("429.mcf").unwrap().module;
+        let config = EngineConfig {
+            workers: 2,
+            ..EngineConfig::default()
+        };
+        let o2 = compiler.profile().preset(OptLevel::O2);
+        let mut invalid = vec![false; compiler.profile().n_flags()];
+        invalid[compiler.profile().flag_index("-fpartial-inlining").unwrap()] = true;
+
+        let local = FitnessEngine::new(&compiler, module, Arch::X86, config.clone()).unwrap();
+        local.evaluate_batch(&[]).unwrap();
+        local.evaluate_batch(&[invalid]).unwrap();
+        assert!(local.baseline.get().is_none(), "built without a miss");
+        let scored = local.evaluate_batch(std::slice::from_ref(&o2)).unwrap();
+        let ncd = local.baseline.get().expect("built by the first miss");
+        assert_eq!(ncd.data(), binrep::encode_binary(local.baseline_binary()));
+        assert!(scored[0].fitness > 0.0);
+
+        let mut farmed = FitnessEngine::new(&compiler, module, Arch::X86, config).unwrap();
+        farmed.set_executor(&Constant);
+        assert_eq!(farmed.evaluate_batch(&[o2]).unwrap()[0].fitness, 0.5);
+        assert!(farmed.baseline.get().is_none(), "the farm scores");
     }
 }

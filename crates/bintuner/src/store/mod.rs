@@ -49,6 +49,15 @@
 //!   record's age in runs — the input to the prior miner's age decay
 //!   (`PriorConfig::decay_half_life`). The manifest never moves
 //!   backwards, even when two store values save into one directory.
+//! * **Binary blobs** — the two binaries every job returns (its `-O0`
+//!   baseline and its winner) are kept as one checksummed file each,
+//!   `binaries/<key hex>`, under the fitness key the binary is a pure
+//!   function of ([`FitnessStore::binary`],
+//!   [`FitnessStore::insert_binary`]). They are a cache: a missing or
+//!   damaged blob reads as absent, the caller compiles, and the next
+//!   save replaces the file. Saves write them after the fitness shards
+//!   (tmp + `rename`, no lock) and delete the oldest once the directory
+//!   passes 64 MiB, the artifact log's default budget.
 //!
 //! The on-disk encoding is hand-rolled little-endian via the vendored
 //! [`bytes::BufMut`] surface (the vendored `serde` is derive-markers
@@ -69,6 +78,7 @@
 //! writes.
 
 mod artifact;
+mod binaries;
 mod index;
 mod lock;
 mod shard;
@@ -79,7 +89,7 @@ pub use artifact::{
 pub use lock::StoreLock;
 pub use shard::{shard_for, shard_for_module};
 
-use binrep::{Arch, Cursor};
+use binrep::{Arch, Binary, Cursor};
 use index::ShardIndex;
 use minicc::fnv1a32 as checksum;
 use minicc::{CompilerKind, ModuleFeatures};
@@ -364,6 +374,8 @@ pub struct FitnessStore {
     /// unchanged (recovered from corruption).
     manifest_dirty: bool,
     report: LoadReport,
+    /// Binary blobs queued for the next save: key and whole file bytes.
+    pending_binaries: Vec<(StoreKey, Vec<u8>)>,
     /// Save/compaction timing handles; `None` (the default) takes no
     /// telemetry path at all.
     tel: Option<StoreTelemetry>,
@@ -386,6 +398,7 @@ impl FitnessStore {
             manifest_gen: 0,
             manifest_dirty: false,
             report: LoadReport::default(),
+            pending_binaries: Vec::new(),
             tel: None,
         }
     }
@@ -415,6 +428,7 @@ impl FitnessStore {
             manifest_gen: 0,
             manifest_dirty: false,
             report: LoadReport::default(),
+            pending_binaries: Vec::new(),
             tel: None,
         };
         if path.is_dir() {
@@ -661,6 +675,28 @@ impl FitnessStore {
         self.ensure_shard(idx).features.get(&module_hash).copied()
     }
 
+    /// The binary filed under `key` (`binaries/<key hex>`), if the store
+    /// directory holds an intact blob for it. A missing, torn, foreign
+    /// or corrupt blob is `None`: blobs are a cache, so the caller
+    /// compiles instead, and queues the result with
+    /// [`FitnessStore::insert_binary`] to replace the file.
+    pub fn binary(&self, key: &StoreKey) -> Option<Binary> {
+        match (&self.path, self.layout) {
+            (Some(dir), Layout::Sharded) => binaries::read(dir, key),
+            _ => None,
+        }
+    }
+
+    /// Queue `bin` as the binary filed under `key` for the next
+    /// [`FitnessStore::save`]. `bin` must be what compiling the key's
+    /// module under its effect config for its arch yields.
+    pub fn insert_binary(&mut self, key: StoreKey, bin: &Binary) {
+        if self.pending_binaries.iter().all(|(k, _)| *k != key) {
+            self.pending_binaries
+                .push((key, binaries::encode(&key, bin)));
+        }
+    }
+
     /// All modules with recorded features (arbitrary order — consumers
     /// that need determinism must sort). Forces a full load.
     pub fn modules_with_features(&mut self) -> Vec<(u64, ModuleFeatures)> {
@@ -686,6 +722,11 @@ impl FitnessStore {
     /// there) creates it on the first save that has records to write,
     /// under a whole-store lock.
     ///
+    /// Pending binary blobs are written after the fitness shards, each
+    /// through tmp + `rename` and without a lock (a blob is a pure
+    /// function of its key), and `binaries/` is then pruned, oldest blob
+    /// first, to 64 MiB.
+    ///
     /// # Errors
     ///
     /// Propagates I/O errors; the in-memory state is unchanged by a
@@ -695,6 +736,7 @@ impl FitnessStore {
             for shard in self.shards.iter_mut().flatten() {
                 shard.pending.clear();
             }
+            self.pending_binaries.clear();
             return Ok(SaveOutcome::Written);
         };
         if self.layout == Layout::Sharded {
@@ -712,7 +754,9 @@ impl FitnessStore {
     /// holding only `manifest.tmp`; both load as a cold start (via
     /// `recover_dir`) and the next save completes them.
     fn create(&mut self, path: &Path) -> io::Result<SaveOutcome> {
-        if self.shards.iter().flatten().all(|s| s.pending.is_empty()) {
+        if self.shards.iter().flatten().all(|s| s.pending.is_empty())
+            && self.pending_binaries.is_empty()
+        {
             return Ok(SaveOutcome::Written); // nothing to create yet
         }
         let Some(lock) = StoreLock::acquire(path)? else {
@@ -825,6 +869,7 @@ impl FitnessStore {
                 }
             }
         }
+        binaries::write_pending(dir, &mut self.pending_binaries)?;
         Ok(if skipped {
             SaveOutcome::SkippedLocked
         } else {

@@ -290,14 +290,30 @@ fn finish_record(start: usize, out: &mut Vec<u8>) {
     out.put_u32_le(ck);
 }
 
-pub(super) fn encode_fitness_record(key: &StoreKey, value: &StoredFitness, out: &mut Vec<u8>) {
-    let start = out.len();
-    out.put_u8(TAG_FITNESS);
+/// A [`StoreKey`]'s 26 bytes, as fitness records and binary blobs both
+/// carry it (a `u128` high half first, as [`Cursor::u128`] reads it).
+pub(super) fn put_key(key: &StoreKey, out: &mut Vec<u8>) {
     out.put_u64_le(key.module_hash);
     out.put_u8(key.compiler);
     out.put_u8(key.arch);
     out.put_u64_le((key.effect_digest >> 64) as u64);
     out.put_u64_le(key.effect_digest as u64);
+}
+
+/// Inverse of [`put_key`].
+pub(super) fn read_key(r: &mut Cursor<'_>) -> Result<StoreKey, CodecError> {
+    Ok(StoreKey {
+        module_hash: r.u64()?,
+        compiler: r.u8()?,
+        arch: r.u8()?,
+        effect_digest: r.u128()?,
+    })
+}
+
+pub(super) fn encode_fitness_record(key: &StoreKey, value: &StoredFitness, out: &mut Vec<u8>) {
+    let start = out.len();
+    out.put_u8(TAG_FITNESS);
+    put_key(key, out);
     out.put_u64_le(value.fitness.to_bits());
     out.put_u8(value.failed as u8);
     out.put_u16_le(value.flags.n);
@@ -317,12 +333,7 @@ pub(super) fn encode_features_record(module_hash: u64, feats: &ModuleFeatures, o
 }
 
 fn decode_fitness(r: &mut Cursor<'_>) -> Result<(StoreKey, StoredFitness), CodecError> {
-    let key = StoreKey {
-        module_hash: r.u64()?,
-        compiler: r.u8()?,
-        arch: r.u8()?,
-        effect_digest: r.u128()?,
-    };
+    let key = read_key(r)?;
     let fitness = f64::from_bits(r.u64()?);
     let failed = r.u8()? != 0;
     let flags = FlagBits {

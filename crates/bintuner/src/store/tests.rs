@@ -637,3 +637,168 @@ fn stale_lock_of_a_dead_process_is_reclaimed() {
     fs::remove_file(StoreLock::lock_path(&shard4)).unwrap();
     cleanup(&path);
 }
+
+/// 429.mcf at `-O0` and `-O2`: two real binaries for blob tests.
+fn two_binaries() -> (Binary, Binary) {
+    let cc = minicc::Compiler::new(CompilerKind::Gcc);
+    let m = &corpus::by_name("429.mcf").unwrap().module;
+    let bin = |level| cc.compile_preset(m, level, Arch::X86).unwrap();
+    (bin(minicc::OptLevel::O0), bin(minicc::OptLevel::O2))
+}
+
+/// The one blob file under `path`'s `binaries/` for `key`.
+fn blob_path(path: &Path, key: &StoreKey) -> PathBuf {
+    binaries::binaries_dir(path).join(binaries::file_name(key))
+}
+
+#[test]
+fn binary_blobs_round_trip_through_a_save() {
+    let path = scratch("blob_round_trip");
+    let (o0, o2) = two_binaries();
+    let mut store = FitnessStore::load(&path);
+    assert_eq!(store.binary(&key(0)), None, "no directory yet");
+    store.insert(key(0), value(0));
+    store.insert_binary(key(0), &o0);
+    store.insert_binary(key(1), &o2);
+    store.insert_binary(key(1), &o2); // queued once
+    assert_eq!(store.save().unwrap(), SaveOutcome::Written);
+    let blobs: Vec<_> = fs::read_dir(binaries::binaries_dir(&path))
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(blobs.len(), 2, "one file per key, no tmp left: {blobs:?}");
+
+    let reloaded = FitnessStore::load(&path);
+    assert_eq!(reloaded.binary(&key(0)), Some(o0.clone()));
+    assert_eq!(reloaded.binary(&key(1)), Some(o2));
+    assert_eq!(reloaded.binary(&key(2)), None);
+
+    // Blobs alone create the directory, and an in-memory store keeps
+    // none.
+    let fresh = scratch("blob_only");
+    let mut only = FitnessStore::load(&fresh);
+    only.insert_binary(key(0), &o0);
+    assert_eq!(only.save().unwrap(), SaveOutcome::Written);
+    assert_eq!(FitnessStore::load(&fresh).binary(&key(0)), Some(o0.clone()));
+    let mut memory = FitnessStore::in_memory();
+    memory.insert_binary(key(0), &o0);
+    assert_eq!(memory.save().unwrap(), SaveOutcome::Written);
+    assert_eq!(memory.binary(&key(0)), None);
+    cleanup(&path);
+    cleanup(&fresh);
+}
+
+#[test]
+fn a_damaged_or_misfiled_blob_reads_as_absent_until_the_next_save() {
+    let path = scratch("blob_damage");
+    let (o0, o2) = two_binaries();
+    let mut store = FitnessStore::load(&path);
+    store.insert_binary(key(0), &o0);
+    store.insert_binary(key(1), &o2);
+    store.save().unwrap();
+    let file = blob_path(&path, &key(0));
+    let good = fs::read(&file).unwrap();
+    let other = fs::read(blob_path(&path, &key(1))).unwrap();
+    // A foreign magic under a checksum that matches it: only the magic
+    // check can refuse it.
+    let mut foreign = good.clone();
+    foreign[..4].copy_from_slice(b"BTAS");
+    let n = foreign.len();
+    let ck = checksum(&foreign[..n - 4]);
+    foreign[n - 4..].copy_from_slice(&ck.to_le_bytes());
+    let mut flipped = good.clone();
+    flipped[good.len() / 2] ^= 0x40;
+    let damaged: [(&str, Option<Vec<u8>>); 5] = [
+        ("flipped payload byte", Some(flipped)),
+        ("truncated", Some(good[..good.len() - 9].to_vec())),
+        ("foreign magic", Some(foreign)),
+        ("another key's blob", Some(other)),
+        ("missing", None),
+    ];
+    for (what, bytes) in damaged {
+        match bytes {
+            Some(b) => fs::write(&file, b).unwrap(),
+            None => fs::remove_file(&file).unwrap(),
+        }
+        let mut store = FitnessStore::load(&path);
+        assert_eq!(store.binary(&key(0)), None, "{what}");
+        store.insert_binary(key(0), &o0);
+        store.save().unwrap();
+        assert_eq!(fs::read(&file).unwrap(), good, "{what}: not replaced");
+        assert_eq!(store.binary(&key(0)), Some(o0.clone()), "{what}");
+    }
+    cleanup(&path);
+}
+
+#[test]
+fn prune_removes_the_oldest_blobs_first() {
+    let path = scratch("blob_prune");
+    let (o0, _) = two_binaries();
+    let mut store = FitnessStore::load(&path);
+    for i in 0..5 {
+        store.insert_binary(key(i), &o0);
+    }
+    store.save().unwrap();
+    // Modification times 1000 s apart, oldest first in reverse key
+    // order, so the age order is neither the write nor the name order.
+    for i in 0..5u64 {
+        let f = fs::File::options()
+            .write(true)
+            .open(blob_path(&path, &key(i)))
+            .unwrap();
+        f.set_modified(std::time::UNIX_EPOCH + std::time::Duration::from_secs(10_000 - 1_000 * i))
+            .unwrap();
+    }
+    let blob_len = fs::metadata(blob_path(&path, &key(0))).unwrap().len();
+    binaries::prune(&binaries::binaries_dir(&path), 2 * blob_len + 1).unwrap();
+    let store = FitnessStore::load(&path);
+    let kept: Vec<bool> = (0..5).map(|i| store.binary(&key(i)).is_some()).collect();
+    assert_eq!(kept, [true, true, false, false, false]);
+    // Within the bound, nothing goes.
+    binaries::prune(&binaries::binaries_dir(&path), 2 * blob_len).unwrap();
+    assert!(store.binary(&key(1)).is_some());
+    cleanup(&path);
+}
+
+#[test]
+fn a_pruned_blob_is_compiled_again_bit_identically() {
+    let path = scratch("blob_pruned_recompiles");
+    let module = &corpus::by_name("429.mcf").unwrap().module;
+    let config = crate::TunerConfig {
+        cache_path: Some(path.clone()),
+        termination: genetic::Termination {
+            max_evaluations: 30,
+            min_evaluations: 15,
+            plateau_window: 10,
+            ..Default::default()
+        },
+        ga: genetic::GaParams {
+            population: 10,
+            ..Default::default()
+        },
+        workers: 1,
+        ..Default::default()
+    };
+    let cold = crate::Tuner::new(config.clone()).tune(module).unwrap();
+    let persist = cold.persistence.as_ref().unwrap();
+    assert!(!persist.baseline_from_store && !persist.best_from_store);
+    binaries::prune(&binaries::binaries_dir(&path), 0).unwrap();
+    assert_eq!(
+        fs::read_dir(binaries::binaries_dir(&path)).unwrap().count(),
+        0
+    );
+
+    let again = crate::Tuner::new(config.clone()).tune(module).unwrap();
+    let persist = again.persistence.as_ref().unwrap();
+    assert!(!persist.baseline_from_store && !persist.best_from_store);
+    assert_eq!(again.engine_stats.compiles, 0, "fitness stays warm");
+    assert_eq!(again.baseline, cold.baseline);
+    assert_eq!(again.best_binary, cold.best_binary);
+
+    let warm = crate::Tuner::new(config).tune(module).unwrap();
+    let persist = warm.persistence.as_ref().unwrap();
+    assert!(persist.baseline_from_store && persist.best_from_store);
+    assert_eq!(warm.baseline, cold.baseline);
+    assert_eq!(warm.best_binary, cold.best_binary);
+    cleanup(&path);
+}

@@ -9,7 +9,7 @@ use crate::priors::{mine_prior, PriorConfig, PriorMode};
 use crate::service::{
     fold_artifacts, ServiceConfig, ServiceExecutor, ServiceHandle, ServiceSummary,
 };
-use crate::store::{ArtifactStore, FitnessStore, SaveOutcome};
+use crate::store::{ArtifactStore, FitnessStore, SaveOutcome, StoreKey};
 use binrep::{Arch, Binary};
 use genetic::{Ga, GaParams, GaRun, StopReason, Termination};
 use lzc::NcdBaseline;
@@ -245,6 +245,12 @@ pub struct PersistSummary {
     /// run's results are intact, only the warm start for future runs was
     /// deferred. See [`crate::store::SaveOutcome::SkippedLocked`].
     pub lock_skipped: bool,
+    /// The `-O0` baseline came from the store's binary blobs
+    /// ([`FitnessStore::binary`]), so the run did not compile it.
+    pub baseline_from_store: bool,
+    /// The winner's binary came from the store's binary blobs, so the
+    /// run did not recompile it.
+    pub best_from_store: bool,
 }
 
 /// What a mined prior contributed to one run (present iff
@@ -288,7 +294,8 @@ pub struct TuneResult {
     pub stopped_by: StopReason,
     /// Modelled compilation wall-clock total, in hours (Table 1 scale).
     pub simulated_hours: f64,
-    /// The tuned binary (recompiled from `best_flags`).
+    /// The tuned binary: `best_flags` compiled, or the same bytes read
+    /// back from the store ([`PersistSummary::best_from_store`]).
     pub best_binary: Binary,
     /// The `-O0` baseline binary.
     pub baseline: Binary,
@@ -343,7 +350,7 @@ impl Tuner {
     /// Run iterative compilation on `module` through the batch fitness
     /// engine: generations are compiled + NCD-scored in parallel across
     /// the configured worker pool, duplicate genomes are served from the
-    /// memoization cache, and the `-O0` baseline is compiled exactly once.
+    /// memoization cache, and the `-O0` baseline is compiled at most once.
     ///
     /// The fitness of a flag vector is `NCD(code(flags), code(-O0))`
     /// (§4.2); constraint violations are repaired before compilation, and
@@ -357,7 +364,9 @@ impl Tuner {
     /// fitness as the cold run that filled the store — persistent hits
     /// return bit-identical fitness and charge the same modelled cost,
     /// so the GA follows the same trajectory while skipping the real
-    /// compiles.
+    /// compiles. A warm run also takes the baseline and the winner's
+    /// binary from the store's binary blobs when it holds them, so a
+    /// run served wholly from the store compiles nothing.
     ///
     /// # Errors
     ///
@@ -558,8 +567,13 @@ impl Tuner {
             }
         };
         let baseline = engine.baseline_binary().clone();
+        let baseline_from_store = engine.baseline_from_store();
+        let best_key = engine.binary_key(&run.best_genes);
         let mut stats = engine.stats();
-        let (store_after, artifacts_after) = engine.into_stores();
+        let (mut store_after, artifacts_after) = engine.into_stores();
+        // Before the save, so a compiled winner is queued into it. An
+        // error waits until the stores are saved.
+        let best = self.best_binary(module, &run.best_genes, store_after.as_mut().zip(best_key));
         // The engine recorded every result itself, wherever it was
         // computed (the single writer: clients never touch the file).
         // Stage artifacts are another matter: farm workers compile in
@@ -589,6 +603,8 @@ impl Tuner {
                 degraded: save_error.is_some(),
                 save_error,
                 lock_skipped,
+                baseline_from_store,
+                best_from_store: matches!(best, Ok((_, true))),
             }
         });
         // The artifact save runs after the fitness save on purpose: the
@@ -649,9 +665,10 @@ impl Tuner {
             }
             None => (None, Vec::new()),
         };
-        self.finish(
-            module,
+        let (best_binary, _) = best?;
+        Ok(self.finish(
             run,
+            best_binary,
             baseline,
             stats,
             persistence,
@@ -659,7 +676,7 @@ impl Tuner {
             service_summary,
             registry,
             spans,
-        )
+        ))
     }
 
     /// Reference path: evaluate one individual at a time through the
@@ -678,10 +695,11 @@ impl Tuner {
             .map_err(TuneError::Baseline)?;
         let ncd = NcdBaseline::new(binrep::encode_binary(&baseline));
         let profile = self.compiler.profile();
+        let module_size = module.size();
         let mut ga = Ga::new(profile.n_flags(), self.config.ga.clone(), self.config.seed);
         let run: GaRun = ga.run(
             |flags| {
-                let cost = self.compiler.simulated_compile_seconds(module, flags);
+                let cost = self.compiler.simulated_compile_seconds(module_size, flags);
                 match self.compiler.compile(module, flags, self.config.arch) {
                     Ok(bin) => (ncd.score(&binrep::encode_binary(&bin)), cost),
                     Err(_) => (FAILED_COMPILE_PENALTY, cost),
@@ -690,9 +708,10 @@ impl Tuner {
             |flags, seed| profile.constraints().repair(flags, seed),
             &self.config.termination,
         );
-        self.finish(
-            module,
+        let (best_binary, _) = self.best_binary(module, &run.best_genes, None)?;
+        Ok(self.finish(
             run,
+            best_binary,
             baseline,
             EngineStats::default(),
             None,
@@ -700,16 +719,40 @@ impl Tuner {
             None,
             None,
             Vec::new(),
-        )
+        ))
     }
 
-    /// Shared post-processing: fill the iteration database, recompile the
-    /// winner, assemble the result.
+    /// The winner's binary, and whether it came from `store`: the blob
+    /// filed under the key when the store holds an intact one, else
+    /// `genes` compiled (and queued into the store under the key). The
+    /// key is `None` for a vector that violates the profile's
+    /// constraints, which fails to compile as before.
+    fn best_binary(
+        &self,
+        module: &Module,
+        genes: &[bool],
+        mut store: Option<(&mut FitnessStore, StoreKey)>,
+    ) -> Result<(Binary, bool), TuneError> {
+        if let Some(bin) = store.as_ref().and_then(|(s, key)| s.binary(key)) {
+            return Ok((bin, true));
+        }
+        let bin = self
+            .compiler
+            .compile(module, genes, self.config.arch)
+            .map_err(TuneError::BestRecompile)?;
+        if let Some((store, key)) = &mut store {
+            store.insert_binary(*key, &bin);
+        }
+        Ok((bin, false))
+    }
+
+    /// Shared post-processing: fill the iteration database and assemble
+    /// the result.
     #[allow(clippy::too_many_arguments)] // internal assembly seam
     fn finish(
         &self,
-        module: &Module,
         run: GaRun,
+        best_binary: Binary,
         baseline: Binary,
         engine_stats: EngineStats,
         persistence: Option<PersistSummary>,
@@ -717,7 +760,7 @@ impl Tuner {
         service: Option<ServiceSummary>,
         registry: Option<std::sync::Arc<btel::Registry>>,
         spans: Vec<btel::SpanRecord>,
-    ) -> Result<TuneResult, TuneError> {
+    ) -> TuneResult {
         let mut db = Database::new();
         for rec in &run.history {
             db.push(IterationRow {
@@ -735,11 +778,7 @@ impl Tuner {
                 ast_produce_seconds: rec.ast_produce_seconds,
             });
         }
-        let best_binary = self
-            .compiler
-            .compile(module, &run.best_genes, self.config.arch)
-            .map_err(TuneError::BestRecompile)?;
-        Ok(TuneResult {
+        TuneResult {
             best_flags: run.best_genes,
             best_ncd: run.best_fitness,
             iterations: run.evaluations,
@@ -755,7 +794,7 @@ impl Tuner {
             service,
             registry,
             spans,
-        })
+        }
     }
 }
 

@@ -65,6 +65,53 @@ fn warm_run_matches_cold_run_with_fewer_compiles() {
 }
 
 #[test]
+fn a_warm_replay_compiles_nothing_and_writes_nothing() {
+    let store = ScratchStore::new("warm_replay_zero");
+    let bench = corpus::by_name("456.hmmer").unwrap();
+    let cold = Tuner::new(config(Some(&store)))
+        .tune(&bench.module)
+        .unwrap();
+    let persist = cold.persistence.as_ref().unwrap();
+    assert!(!persist.baseline_from_store && !persist.best_from_store);
+    let files = testutil::store_files(store.path());
+    assert_eq!(
+        files.iter().filter(|f| f.starts_with("binaries/")).count(),
+        2,
+        "the cold job files its baseline and its winner: {files:?}"
+    );
+
+    let before = testutil::store_snapshot(store.path());
+    let warm = Tuner::new(config(Some(&store)))
+        .tune(&bench.module)
+        .unwrap();
+    assert_eq!(warm.engine_stats.compiles, 0);
+    let persist = warm.persistence.as_ref().unwrap();
+    assert!(persist.baseline_from_store, "baseline compiled");
+    assert!(persist.best_from_store, "winner recompiled");
+    assert_eq!(persist.new_entries, 0);
+    assert_eq!(
+        testutil::store_snapshot(store.path()),
+        before,
+        "the replay wrote"
+    );
+
+    // The binaries it returns are the ones a compile produces.
+    assert_eq!(warm.best_flags, cold.best_flags);
+    assert_eq!(warm.best_ncd.to_bits(), cold.best_ncd.to_bits());
+    let cc = minicc::Compiler::new(minicc::CompilerKind::Gcc);
+    let arch = binrep::Arch::X86;
+    assert_eq!(
+        warm.best_binary,
+        cc.compile(&bench.module, &warm.best_flags, arch).unwrap()
+    );
+    assert_eq!(
+        warm.baseline,
+        cc.compile_preset(&bench.module, minicc::OptLevel::O0, arch)
+            .unwrap()
+    );
+}
+
+#[test]
 fn corrupt_store_degrades_to_cold_run() {
     let store = ScratchStore::new("corrupt_degrades");
     fs::write(store.path(), b"\x00\x01garbage that is certainly not BTFS").unwrap();

@@ -19,17 +19,24 @@
 //!    replays a bit-identical tuning trajectory in-process and behind
 //!    the service backend.
 //! 5. **Arbitrary bytes under valid checksums** — a shard record, a
-//!    manifest or an artifact-log record that passes its checksum but
-//!    carries arbitrary content loads typed: it decodes, or the file
-//!    keeps its clean prefix. Never a panic. An AST record that decodes
-//!    but does not validate is a miss, recomputed bit-identically.
+//!    manifest, an artifact-log record or a binary blob that passes its
+//!    checksum but carries arbitrary content loads typed: it decodes, or
+//!    the file keeps its clean prefix (a blob: reads as absent). Never a
+//!    panic. An AST record that decodes but does not validate is a
+//!    miss, recomputed bit-identically.
+//! 6. **Binary blobs are a cache** — a torn, flipped, foreign, misfiled
+//!    or missing blob of a job's baseline or winner makes the job
+//!    compile it, with a result bit-identical to a cold run, and the
+//!    job's save replaces the file. A blob never vouches for a module
+//!    that fails validation.
 
+use binrep::Arch;
 use bintuner::{
     ArtifactStore, Backend, FitnessStore, SaveOutcome, ServiceConfig, StoreKey, StoredFitness,
-    TuneResult, Tuner,
+    TuneError, TuneResult, Tuner,
 };
 use minicc::ast::{Expr, Stmt};
-use minicc::{fnv1a32, Compiler, CompilerKind, EffectConfig, StageKeys};
+use minicc::{fnv1a32, CompileError, Compiler, CompilerKind, EffectConfig, OptLevel, StageKeys};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::fs;
@@ -606,6 +613,162 @@ fn an_ast_record_that_fails_validation_is_recomputed_bit_identically() {
     }
 }
 
+/// The store key a job on `module` files `flags`' binary under.
+fn binary_key(module: &minicc::ast::Module, flags: &[bool]) -> StoreKey {
+    let cc = Compiler::new(CompilerKind::Gcc);
+    StoreKey::new(
+        module.content_hash(),
+        CompilerKind::Gcc,
+        Arch::X86,
+        EffectConfig::from_flags(cc.profile(), flags).stable_digest(),
+    )
+}
+
+/// `binaries/<key hex>`: where a store files `key`'s blob.
+fn blob_file(key: &StoreKey) -> String {
+    format!(
+        "binaries/{:016x}{:02x}{:02x}{:032x}",
+        key.module_hash, key.compiler, key.arch, key.effect_digest
+    )
+}
+
+#[test]
+fn a_bad_or_missing_blob_is_compiled_again_bit_identically_and_replaced() {
+    let module = tiny_loop_module("torture_blobs", 6);
+    let reference = Tuner::new(cached_tuner(60, None)).tune(&module).unwrap();
+    let filled = ScratchStore::new("torture_blobs_fill");
+    let cold = Tuner::new(cached_tuner(60, Some(&filled)))
+        .tune(&module)
+        .unwrap();
+    assert_eq!(cold.baseline, reference.baseline);
+    assert_eq!(cold.best_binary, reference.best_binary);
+    let o0 = Compiler::new(CompilerKind::Gcc)
+        .profile()
+        .preset(OptLevel::O0);
+    let keys = [
+        binary_key(&module, &o0),
+        binary_key(&module, &cold.best_flags),
+    ];
+    let [base, best] = keys.map(|k| blob_file(&k));
+    assert_ne!(base, best, "the winner must not be the -O0 config");
+
+    // Crash sweeps reach the blobs: a blob torn at any byte reads as
+    // absent, and the intact one is served.
+    let fs_view = CrashFs::new(filled.path());
+    let blobs: Vec<String> = fs_view
+        .files()
+        .into_iter()
+        .filter(|f| f.starts_with("binaries/"))
+        .collect();
+    assert_eq!(blobs, {
+        let mut both = vec![base.clone(), best.clone()];
+        both.sort();
+        both
+    });
+    for (key, file) in keys.iter().zip([&base, &best]) {
+        assert!(FitnessStore::load(filled.path()).binary(key).is_some());
+        for cut in (0..fs_view.len_of(file)).step_by(37) {
+            let torn = fs_view.torn_at("torture_blob_cut", file, cut);
+            assert_eq!(
+                FitnessStore::load(torn.path()).binary(key),
+                None,
+                "{file} at {cut}"
+            );
+        }
+    }
+
+    // The replay every damaged store must reproduce: the same job on an
+    // intact copy, served wholly from the store.
+    let intact_store = ScratchStore::snapshot_of("torture_blob_intact", filled.path());
+    let intact = Tuner::new(cached_tuner(60, Some(&intact_store)))
+        .tune(&module)
+        .unwrap();
+    let persist = intact.persistence.as_ref().unwrap();
+    assert!(persist.baseline_from_store && persist.best_from_store);
+    assert_eq!(intact.engine_stats.compiles, 0);
+    assert_eq!(intact.baseline, reference.baseline);
+    assert_eq!(intact.best_binary, reference.best_binary);
+
+    let read = |f: &str| fs::read(filled.path().join(f)).unwrap();
+    let flip = |f: &str| {
+        let mut b = read(f);
+        let mid = b.len() / 2;
+        b[mid] ^= 0x10;
+        Some(b)
+    };
+    let foreign = |f: &str| {
+        let mut b = read(f);
+        b[..4].copy_from_slice(b"BTFS");
+        Some(b)
+    };
+    let torn = |f: &str| Some(read(f)[..30].to_vec());
+    for (what, base_bytes, best_bytes) in [
+        ("flipped", flip(&base), flip(&best)),
+        ("torn", torn(&base), torn(&best)),
+        ("foreign magic", foreign(&base), foreign(&best)),
+        ("swapped keys", Some(read(&best)), Some(read(&base))),
+        ("missing", None, None),
+    ] {
+        let store = ScratchStore::snapshot_of("torture_blob_damage", filled.path());
+        for (file, bytes) in [(&base, base_bytes), (&best, best_bytes)] {
+            match bytes {
+                Some(b) => fs::write(store.path().join(file), b).unwrap(),
+                None => fs::remove_file(store.path().join(file)).unwrap(),
+            }
+        }
+        let warm = Tuner::new(cached_tuner(60, Some(&store)))
+            .tune(&module)
+            .unwrap();
+        let persist = warm.persistence.as_ref().unwrap();
+        assert!(
+            !persist.baseline_from_store && !persist.best_from_store,
+            "{what}: a bad blob was served"
+        );
+        assert_same_run(&warm, &intact, what);
+        assert_eq!(warm.baseline, reference.baseline, "{what}: baseline");
+        assert_eq!(warm.best_binary, reference.best_binary, "{what}: winner");
+        // The job's save replaced both files with intact blobs.
+        for file in [&base, &best] {
+            assert_eq!(
+                fs::read(store.path().join(file)).unwrap(),
+                read(file),
+                "{what}: {file} not replaced"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_planted_blob_never_vouches_for_an_invalid_module() {
+    let mut bad = tiny_loop_module("torture_blob_invalid", 2);
+    bad.funcs[0].body = vec![Stmt::Return(Expr::Var("ghost".into()))];
+    let want = bad.validate().unwrap_err();
+    let o0 = Compiler::new(CompilerKind::Gcc)
+        .profile()
+        .preset(OptLevel::O0);
+    let key = binary_key(&bad, &o0);
+    let planted = Compiler::new(CompilerKind::Gcc)
+        .compile_preset(
+            &tiny_loop_module("torture_blob_valid", 2),
+            OptLevel::O0,
+            Arch::X86,
+        )
+        .unwrap();
+    let scratch = ScratchStore::new("torture_blob_invalid");
+    let mut store = FitnessStore::load(scratch.path());
+    store.insert_binary(key, &planted);
+    store.save().unwrap();
+    assert_eq!(
+        FitnessStore::load(scratch.path()).binary(&key),
+        Some(planted),
+        "the plant is served"
+    );
+    let err = Tuner::new(cached_tuner(20, Some(&scratch)))
+        .tune(&bad)
+        .unwrap_err();
+    assert_eq!(err, TuneError::Baseline(CompileError::BadModule(want)));
+}
+
 /// `payload` framed as the artifact log frames a record: length prefix,
 /// payload, FNV-1a checksum.
 fn artifact_record(payload: &[u8]) -> Vec<u8> {
@@ -713,6 +876,60 @@ proptest! {
         } else {
             prop_assert_eq!(len, 0);
             prop_assert!(report.version_mismatch && report.dropped_bytes > 0);
+        }
+    }
+
+    #[test]
+    fn arbitrary_blob_payloads_under_valid_checksums_decode_or_read_as_absent(
+        raw in vec(any::<u8>(), 0..96),
+        flips in vec((any::<u16>(), any::<u8>()), 0..4),
+        keep in 0usize..600,
+        mutate in any::<bool>(),
+    ) {
+        // A real blob's header (magic, version, echoed key) and a valid
+        // checksum around a payload of arbitrary bytes, or of the real
+        // codec bytes with a few bytes changed and the tail cut at
+        // `keep`. The store serves a binary that validates for the key's
+        // arch, or nothing: never a panic, and the untouched payload is
+        // served as it was filed.
+        let scratch = ScratchStore::new("torture_prop_blob");
+        let module = tiny_loop_module("torture_prop_blob", 3);
+        let cc = Compiler::new(CompilerKind::Gcc);
+        let o0 = cc.profile().preset(OptLevel::O0);
+        let bin = cc.compile(&module, &o0, Arch::X86).unwrap();
+        let key = binary_key(&module, &o0);
+        let mut store = FitnessStore::load(scratch.path());
+        store.insert_binary(key, &bin);
+        store.save().unwrap();
+        let file = scratch.path().join(blob_file(&key));
+        let filed = fs::read(&file).unwrap();
+        let (head, rest) = filed.split_at(4 + 4 + 26);
+        let real = &rest[..rest.len() - 4];
+        let payload = if mutate {
+            let mut p = real.to_vec();
+            for (at, b) in &flips {
+                let i = usize::from(*at) % p.len();
+                p[i] = *b;
+            }
+            p.truncate(keep);
+            p
+        } else {
+            raw
+        };
+        let mut bytes = head.to_vec();
+        bytes.extend_from_slice(&payload);
+        bytes.extend_from_slice(&fnv1a32(&bytes).to_le_bytes());
+        fs::write(&file, &bytes).unwrap();
+
+        match FitnessStore::load(scratch.path()).binary(&key) {
+            Some(got) => {
+                prop_assert!(got.validate().is_ok());
+                prop_assert_eq!(got.arch, Arch::X86);
+                if payload == real {
+                    prop_assert_eq!(got, bin);
+                }
+            }
+            None => prop_assert!(payload != real, "the filed payload must be served"),
         }
     }
 

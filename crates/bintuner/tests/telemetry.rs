@@ -10,7 +10,7 @@ use bintuner::daemon::{Daemon, DaemonClient, DaemonConfig};
 use bintuner::{
     Backend, ProcessFarm, ServiceConfig, TransportKind, TuneResult, Tuner, TunerConfig, WorkerMode,
 };
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use testutil::{cached_tuner, small_tuner, tiny_loop_module, ScratchStore};
 
 /// The worker binary process-farm tests re-exec.
@@ -164,20 +164,6 @@ fn telemetry_on_is_bit_identical_to_off_on_every_backend() {
     }
 }
 
-/// Every file in a store directory with its bytes, sorted by name.
-fn store_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
-    let mut files: Vec<_> = std::fs::read_dir(dir)
-        .unwrap()
-        .map(|e| {
-            let e = e.unwrap();
-            let name = e.file_name().to_string_lossy().into_owned();
-            (name, std::fs::read(e.path()).unwrap())
-        })
-        .collect();
-    files.sort();
-    files
-}
-
 #[test]
 fn artifact_log_is_indexed_at_most_once_and_only_by_tunes_with_misses() {
     let store = ScratchStore::new("telemetry_artifact_load");
@@ -197,11 +183,15 @@ fn artifact_log_is_indexed_at_most_once_and_only_by_tunes_with_misses() {
 
     // A replay served wholly from the fitness store never opens the
     // artifact log, and writes nothing anywhere in the store.
-    let before = store_files(store.path());
+    let before = testutil::store_snapshot(store.path());
     let warm = Tuner::new(config()).tune(&module).unwrap();
     assert_eq!(warm.engine_stats.compiles, 0, "the replay is zero-compile");
     assert_eq!(index_builds(&warm), 0, "zero-compile warm tune");
-    assert_eq!(store_files(store.path()), before, "store bytes changed");
+    assert_eq!(
+        testutil::store_snapshot(store.path()),
+        before,
+        "the store was written"
+    );
 
     // A renamed module misses every fitness key: the log is indexed
     // once, before the first miss, and serves artifact hits.

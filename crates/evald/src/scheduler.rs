@@ -90,14 +90,23 @@ impl CostModel {
         self.observations += 1;
     }
 
+    /// Drop `client`'s estimate: the server calls this when it drops
+    /// the client, so a lost or evicted client no longer widens the
+    /// deadlines of the clients that remain. The observation count is
+    /// telemetry and keeps counting every dispatch ever timed.
+    pub fn forget(&mut self, client: u32) {
+        self.per_client.remove(&client);
+    }
+
     /// Shard observations folded in so far (telemetry).
     pub fn observations(&self) -> u64 {
         self.observations
     }
 
-    /// The converged estimate: mean of the per-client EWMAs, or `None`
-    /// while fewer than [`MIN_COST_OBSERVATIONS`] shards have been
-    /// observed.
+    /// The converged estimate: mean of the per-client EWMAs of the
+    /// clients not yet forgotten, or `None` while fewer than
+    /// [`MIN_COST_OBSERVATIONS`] shards have been observed or no client
+    /// has an estimate.
     pub fn observed_secs_per_genome(&self) -> Option<f64> {
         if self.observations < MIN_COST_OBSERVATIONS || self.per_client.is_empty() {
             return None;
@@ -295,6 +304,29 @@ mod tests {
             );
         }
         assert_eq!(model.observations(), samples.len() as u64);
+    }
+
+    #[test]
+    fn a_forgotten_client_leaves_the_estimate() {
+        let mut m = CostModel::default();
+        for _ in 0..MIN_COST_OBSERVATIONS {
+            m.observe(0, 2, 0.2); // slow: 0.1 s per genome
+            m.observe(1, 2, 0.002); // fast: 1 ms per genome
+        }
+        let both = m.observed_secs_per_genome().unwrap();
+        assert!((both - 0.0505).abs() < 1e-12, "mean of both: {both}");
+        m.forget(0);
+        let fast = m.per_client[&1].value().unwrap();
+        assert_eq!(m.observed_secs_per_genome(), Some(fast));
+        assert_eq!(
+            m.observations(),
+            2 * MIN_COST_OBSERVATIONS,
+            "forgetting keeps the dispatch count"
+        );
+        m.forget(7); // never observed: a no-op
+        assert_eq!(m.observed_secs_per_genome(), Some(fast));
+        m.forget(1);
+        assert_eq!(m.observed_secs_per_genome(), None, "no live estimate");
     }
 
     #[test]

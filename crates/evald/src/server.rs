@@ -413,6 +413,7 @@ impl EvalServer {
         self.idle.remove(&client);
         self.unanswered_pings.remove(&client);
         self.outstanding.remove(&client);
+        self.cost.forget(client);
     }
 
     /// Drop `client` mid-batch: re-queue its shards and re-poke the idle
@@ -1154,13 +1155,14 @@ mod tests {
         }
     }
 
-    /// Sleeps 20 ms before answering every shard and reports no time
-    /// at all: only the server's own clock can see the delay.
-    struct Sleepy(Popcount);
+    /// Sleeps this many milliseconds before answering every shard and
+    /// reports no time at all: only the server's own clock can see the
+    /// delay.
+    struct Sleepy(Popcount, u64);
 
     impl ShardWorker for Sleepy {
         fn evaluate(&mut self, genomes: &[Vec<bool>], span: u64) -> Vec<WireEval> {
-            std::thread::sleep(Duration::from_millis(20));
+            std::thread::sleep(Duration::from_millis(self.1));
             self.0.evaluate(genomes, span)
         }
     }
@@ -1170,7 +1172,7 @@ mod tests {
         // One client, so a 16-genome batch ships as four 4-genome
         // shards: at least 20 ms each, at least 5 ms per genome, on the
         // server's clock from Work sent to Result received.
-        let workers: Vec<Box<dyn ShardWorker + Send>> = vec![Box::new(Sleepy(Popcount::new()))];
+        let workers: Vec<Box<dyn ShardWorker + Send>> = vec![Box::new(Sleepy(Popcount::new(), 20))];
         let (mut server, handles) = launch_workers(workers, None, FaultKind::Crash);
         server.set_liveness(LivenessConfig {
             min_dispatch_deadline_ms: 1,
@@ -1182,6 +1184,36 @@ mod tests {
         assert!(secs >= 0.005, "observed {secs} s/genome");
         let budget = server.dispatch_budget(16).expect("dispatch deadlines on");
         assert!(budget >= Duration::from_millis(80), "budget {budget:?}");
+        server.shutdown();
+        for h in handles {
+            h.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn a_lost_client_no_longer_widens_the_dispatch_deadlines() {
+        // Client 0 answers one two-genome shard in 100 ms, then drops
+        // its connection; client 1 answers at channel speed. Once the
+        // server has lost client 0, its estimate must be client 1's
+        // alone: averaging in the lost client's 50 ms per genome would
+        // put it at 25 ms or more for the rest of the farm's life.
+        let workers: Vec<Box<dyn ShardWorker + Send>> = vec![
+            Box::new(Sleepy(Popcount::new(), 100)),
+            Box::new(Popcount::new()),
+        ];
+        let (mut server, handles) = launch_workers(workers, Some((0, 1)), FaultKind::Crash);
+        for round in 0.. {
+            assert_eq!(server.evaluate(&batch(16)).unwrap().len(), 16);
+            if server.stats().clients_lost == 1 {
+                break;
+            }
+            assert!(round < 8, "client 0 was never lost");
+        }
+        let secs = server.cost.observed_secs_per_genome().expect("observed");
+        assert!(
+            secs < 0.0125,
+            "{secs} s/genome: the lost client still counts"
+        );
         server.shutdown();
         for h in handles {
             h.join().unwrap();

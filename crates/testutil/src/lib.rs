@@ -42,22 +42,55 @@ pub fn remove_store(path: &Path) {
     let _ = fs::remove_file(StoreLock::lock_path(path));
 }
 
-/// Copy the store directory at `src` to `dst`: manifest, shard logs,
-/// artifact log — every regular file inside. Lock files are skipped: a
-/// snapshot must never inherit a live lock.
+/// Every regular file under the store directory `dir` — manifest, shard
+/// logs, artifact log, and the binary blobs under `binaries/` — as
+/// paths relative to `dir`, sorted. Lock files are skipped: a snapshot
+/// must never inherit a live lock, and a crash has nothing to tear in
+/// one.
+pub fn store_files(dir: &Path) -> Vec<String> {
+    fn walk(dir: &Path, rel: &Path, out: &mut Vec<String>) {
+        for entry in fs::read_dir(dir.join(rel)).expect("read store dir") {
+            let rel = rel.join(entry.expect("store dir entry").file_name());
+            let name = rel.to_string_lossy().into_owned();
+            if dir.join(&rel).is_dir() {
+                walk(dir, &rel, out);
+            } else if !name.ends_with(".lock") {
+                out.push(name);
+            }
+        }
+    }
+    let mut files = Vec::new();
+    walk(dir, Path::new(""), &mut files);
+    files.sort();
+    files
+}
+
+/// Every store file ([`store_files`]) with its bytes, inode and
+/// modification time (seconds, nanoseconds): two equal snapshots mean
+/// nothing under the store was written in between, not even an
+/// identical rewrite.
+pub fn store_snapshot(dir: &Path) -> Vec<(String, Vec<u8>, u64, i64, i64)> {
+    use std::os::unix::fs::MetadataExt;
+    store_files(dir)
+        .into_iter()
+        .map(|f| {
+            let meta = fs::metadata(dir.join(&f)).expect("stat store file");
+            let bytes = fs::read(dir.join(&f)).expect("read store file");
+            (f, bytes, meta.ino(), meta.mtime(), meta.mtime_nsec())
+        })
+        .collect()
+}
+
+/// Copy the store directory at `src` to `dst`: every file
+/// [`store_files`] lists.
 pub fn copy_store(src: &Path, dst: &Path) {
     remove_store(dst);
     assert!(src.is_dir(), "no store directory at {}", src.display());
     fs::create_dir_all(dst).expect("create snapshot dir");
-    for entry in fs::read_dir(src).expect("read store dir") {
-        let entry = entry.expect("store dir entry");
-        let name = entry.file_name();
-        if name.to_string_lossy().ends_with(".lock") {
-            continue;
-        }
-        if entry.path().is_file() {
-            fs::copy(entry.path(), dst.join(&name)).expect("copy shard file");
-        }
+    for file in store_files(src) {
+        let to = dst.join(&file);
+        fs::create_dir_all(to.parent().expect("inside the snapshot")).expect("create snapshot dir");
+        fs::copy(src.join(&file), to).expect("copy store file");
     }
 }
 
@@ -123,16 +156,11 @@ impl CrashFs {
         }
     }
 
-    /// Names of the regular files inside the store directory, sorted —
-    /// the tear points a crash could hit. Lock files excluded.
+    /// The store's files ([`store_files`]: relative paths, blobs under
+    /// `binaries/` included, lock files excluded) — the tear points a
+    /// crash could hit.
     pub fn files(&self) -> Vec<String> {
-        let mut names: Vec<String> = fs::read_dir(&self.src)
-            .expect("read store dir")
-            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
-            .filter(|n| !n.ends_with(".lock"))
-            .collect();
-        names.sort();
-        names
+        store_files(&self.src)
     }
 
     /// Size in bytes of `file` inside the store.
@@ -369,9 +397,23 @@ mod tests {
         fs::write(dir.path().join("manifest"), b"m").unwrap();
         fs::write(dir.path().join("shard-00.log"), b"s0").unwrap();
         fs::write(dir.path().join("shard-00.log.lock"), b"9").unwrap();
+        fs::create_dir_all(dir.path().join("binaries")).unwrap();
+        fs::write(dir.path().join("binaries").join("00ab"), b"blob").unwrap();
         let snap = ScratchStore::snapshot_of("copy_dst", dir.path());
         assert_eq!(fs::read(snap.path().join("shard-00.log")).unwrap(), b"s0");
         assert!(!snap.path().join("shard-00.log.lock").exists());
+        assert_eq!(
+            fs::read(snap.path().join("binaries").join("00ab")).unwrap(),
+            b"blob"
+        );
+        assert_eq!(
+            store_files(snap.path()),
+            vec![
+                "binaries/00ab".to_string(),
+                "manifest".into(),
+                "shard-00.log".into()
+            ]
+        );
     }
 
     #[test]
@@ -382,6 +424,12 @@ mod tests {
         let cfs = CrashFs::new(dir.path());
         assert_eq!(cfs.files(), vec!["shard-00.log".to_string()]);
         assert_eq!(cfs.len_of("shard-00.log"), 6);
+        fs::create_dir_all(dir.path().join("binaries")).unwrap();
+        fs::write(dir.path().join("binaries").join("00ab"), b"blob").unwrap();
+        assert_eq!(cfs.files(), vec!["binaries/00ab", "shard-00.log"]);
+        let torn = cfs.torn_at("crash_torn_blob", "binaries/00ab", 2);
+        assert_eq!(fs::read(torn.path().join("binaries/00ab")).unwrap(), b"bl");
+        fs::remove_dir_all(dir.path().join("binaries")).unwrap();
 
         let torn = cfs.torn_at("crash_torn", "shard-00.log", 3);
         assert_eq!(fs::read(torn.path().join("shard-00.log")).unwrap(), b"abc");
