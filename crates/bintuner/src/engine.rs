@@ -10,8 +10,9 @@
 //! * **Batching** — it implements [`genetic::Evaluator`], so the GA hands
 //!   it whole generations at once instead of one individual at a time.
 //! * **Parallelism** — unique genomes in a batch are compiled and scored
-//!   across a configurable pool of scoped threads ([`std::thread::scope`];
-//!   no runtime dependency).
+//!   across a configurable pool of scoped threads (no runtime
+//!   dependency): one strided helper runs both of a batch's pool
+//!   phases, stage-1 production and then every miss.
 //! * **Caching** — results are memoized at three tiers: behind the exact
 //!   repaired flag vector, behind the vector's resolved
 //!   [`minicc::EffectConfig`], and — when the engine is built with
@@ -227,27 +228,6 @@ pub struct EngineStats {
     /// in-process pool; filled in from the service telemetry by the
     /// tuner when `TunerConfig::backend` is a service.
     pub duplicate_results: usize,
-}
-
-impl EngineStats {
-    /// Fraction of evaluations served from the in-run cache.
-    pub fn cache_hit_rate(&self) -> f64 {
-        btel::ratio(self.cache_hits as f64, self.evaluations as f64)
-    }
-
-    /// Fraction of evaluations served from the persistent store.
-    pub fn persistent_hit_rate(&self) -> f64 {
-        btel::ratio(self.persistent_hits as f64, self.evaluations as f64)
-    }
-
-    /// Fraction of real compiles that reused at least one stage
-    /// artifact (ran less than the full pipeline).
-    pub fn stage_reuse_rate(&self) -> f64 {
-        btel::ratio(
-            (self.ast_reuse + self.lower_reuse) as f64,
-            self.compiles as f64,
-        )
-    }
 }
 
 /// Telemetry handles for one [`FitnessEngine`], resolved once from a
@@ -818,63 +798,49 @@ impl<'a> FitnessEngine<'a> {
         )
     }
 
-    /// Run one stage of a miss, observing its wall clock into the
-    /// installed telemetry's `hist` (Off mode: a plain `run()`, no clock
-    /// read). `stage_parent != 0` additionally records a `name` span
-    /// under that parent.
+    /// Run one stage of a miss (or a whole miss) and read its wall
+    /// clock: returns the output with its elapsed seconds. With
+    /// telemetry installed the seconds also go to `hist`, and
+    /// `parent != 0` records a `name` span under that parent.
+    fn measured<T>(
+        &self,
+        hist: impl FnOnce(&EngineTelemetry) -> &btel::Histogram,
+        name: &str,
+        parent: u64,
+        run: impl FnOnce() -> T,
+    ) -> (T, f64) {
+        let t = Instant::now();
+        let out = run();
+        let secs = t.elapsed().as_secs_f64();
+        if let Some(tel) = &self.tel {
+            hist(tel).observe_seconds(secs);
+            if parent != 0 {
+                tel.tracer.record(name, parent, t);
+            }
+        }
+        (out, secs)
+    }
+
+    /// [`Self::measured`] for a stage whose wall only telemetry reads:
+    /// Off mode is a plain `run()`, no clock read.
     fn timed<T>(
         &self,
         hist: impl FnOnce(&EngineTelemetry) -> &btel::Histogram,
         name: &str,
-        stage_parent: u64,
+        parent: u64,
         run: impl FnOnce() -> T,
     ) -> T {
-        let Some(tel) = &self.tel else {
+        if self.tel.is_none() {
             return run();
-        };
-        let t = Instant::now();
-        let out = run();
-        hist(tel).observe_seconds(t.elapsed().as_secs_f64());
-        if stage_parent != 0 {
-            tel.tracer.record(name, stage_parent, t);
         }
-        out
-    }
-
-    /// The machine-level stage, [`Self::timed`].
-    fn mir_timed(&self, lowered: Binary, eff: &EffectConfig, stage_parent: u64) -> Binary {
-        self.timed(
-            |t| &t.stage_mir,
-            "mir",
-            stage_parent,
-            || self.compiler.stage_mir(lowered, eff),
-        )
-    }
-
-    /// The scoring tail of a miss: encode the binary, then its NCD
-    /// against the baseline, each [`Self::timed`].
-    fn score_timed(&self, ncd: &NcdBaseline, bin: &Binary, stage_parent: u64) -> CacheEntry {
-        let bytes = self.timed(
-            |t| &t.stage_encode,
-            "encode",
-            stage_parent,
-            || binrep::encode_binary(bin),
-        );
-        let fitness = self.timed(
-            |t| &t.stage_score,
-            "score",
-            stage_parent,
-            || ncd.score(&bytes),
-        );
-        CacheEntry {
-            fitness,
-            failed: false,
-        }
+        self.measured(hist, name, parent, run).0
     }
 
     /// Compile + score one miss according to its plan (run on workers).
     /// Misses are constraint-valid by partition and the module was
     /// validated at construction, so the staged pipeline cannot fail.
+    /// With the artifact cache off every plan is [`StageReuse::Full`]:
+    /// the miss runs stage 1 itself, and shares and retains nothing.
     fn evaluate_miss(
         &self,
         ncd: &NcdBaseline,
@@ -898,24 +864,38 @@ impl<'a> FitnessEngine<'a> {
         if cached.is_none() && plan.store_lower {
             cached = self.store_lower(plan);
         }
+        let mir = |lowered| {
+            self.timed(
+                |t| &t.stage_mir,
+                "mir",
+                stage_parent,
+                || self.compiler.stage_mir(lowered, eff),
+            )
+        };
         let bin = match cached {
             // The artifact must outlive this miss: mir runs on a clone.
-            Some(b) => self.mir_timed((*b).clone(), eff, stage_parent),
+            Some(b) => mir((*b).clone()),
             None => {
-                // The production phase ran every fresh AST for this
-                // batch, so this is a cache fetch; the compute fallback
-                // inside artifact_ast is only reachable as a
-                // recompute-over-block safety valve.
-                let ast = self.artifact_ast(plan.ast_digest, eff);
-                let t = Instant::now();
-                let lowered = self.compiler.stage_lower(&ast, eff, self.arch);
-                let lower_secs = t.elapsed().as_secs_f64();
-                if let Some(tel) = &self.tel {
-                    tel.stage_lower.observe_seconds(lower_secs);
-                    if stage_parent != 0 {
-                        tel.tracer.record("lower", stage_parent, t);
-                    }
-                }
+                // With the cache on, the production phase ran every fresh
+                // AST for this batch, so this is a cache fetch; the
+                // compute fallback inside artifact_ast is only reachable
+                // as a recompute-over-block safety valve.
+                let ast = if self.config.artifact_cache {
+                    self.artifact_ast(plan.ast_digest, eff)
+                } else {
+                    Arc::new(self.timed(
+                        |t| &t.stage_ast,
+                        "ast",
+                        stage_parent,
+                        || self.compiler.stage_ast(self.module, eff),
+                    ))
+                };
+                let (lowered, lower_secs) = self.measured(
+                    |t| &t.stage_lower,
+                    "lower",
+                    stage_parent,
+                    || self.compiler.stage_lower(&ast, eff, self.arch),
+                );
                 if plan.retain_lower {
                     let mut values = self.artifact_values.lock().unwrap();
                     let b = values
@@ -928,39 +908,30 @@ impl<'a> FitnessEngine<'a> {
                     // drain.
                     values.lower_cost.entry(lower_key).or_insert(lower_secs);
                     drop(values);
-                    self.mir_timed((*b).clone(), eff, stage_parent)
+                    mir((*b).clone())
                 } else {
                     // Single-use lowered binary: the mir stage consumes
                     // it in place, no clone, nothing retained.
-                    self.mir_timed(lowered, eff, stage_parent)
+                    mir(lowered)
                 }
             }
         };
-        self.score_timed(ncd, &bin, stage_parent)
-    }
-
-    /// Compile + score one miss with the artifact cache disabled: the
-    /// full staged pipeline, nothing shared, nothing retained.
-    fn evaluate_full(
-        &self,
-        ncd: &NcdBaseline,
-        eff: &EffectConfig,
-        stage_parent: u64,
-    ) -> CacheEntry {
-        let optimized = self.timed(
-            |t| &t.stage_ast,
-            "ast",
+        let bytes = self.timed(
+            |t| &t.stage_encode,
+            "encode",
             stage_parent,
-            || self.compiler.stage_ast(self.module, eff),
+            || binrep::encode_binary(&bin),
         );
-        let lowered = self.timed(
-            |t| &t.stage_lower,
-            "lower",
+        let fitness = self.timed(
+            |t| &t.stage_score,
+            "score",
             stage_parent,
-            || self.compiler.stage_lower(&optimized, eff, self.arch),
+            || ncd.score(&bytes),
         );
-        let bin = self.mir_timed(lowered, eff, stage_parent);
-        self.score_timed(ncd, &bin, stage_parent)
+        CacheEntry {
+            fitness,
+            failed: false,
+        }
     }
 }
 
@@ -983,6 +954,30 @@ enum Source {
     Ready { entry: CacheEntry, hit: Hit },
     /// To be computed: index into the batch's miss list.
     Slot(usize),
+}
+
+/// Run `f` on every index in `0..n` across `workers` scoped threads,
+/// worker `w` taking `w, w + workers, …`, and return the results in
+/// index order. Runs on the calling thread when `workers.min(n) <= 1`.
+fn strided<T: Send>(workers: usize, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let workers = workers.min(n);
+    if workers <= 1 {
+        return (0..n).map(f).collect();
+    }
+    let f = &f;
+    let parts: Vec<Vec<T>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| scope.spawn(move || (w..n).step_by(workers).map(f).collect()))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("engine worker panicked"))
+            .collect()
+    });
+    let mut parts: Vec<_> = parts.into_iter().map(Vec::into_iter).collect();
+    (0..n)
+        .map(|i| parts[i % workers].next().expect("worker ran its index"))
+        .collect()
 }
 
 impl Evaluator for FitnessEngine<'_> {
@@ -1009,23 +1004,16 @@ impl Evaluator for FitnessEngine<'_> {
         // with a valid vector resolving to the same effects. This is the
         // one constraint check a genome pays — the staged miss path never
         // re-checks.
-        let check_start = self.tel.as_ref().map(|_| Instant::now());
-        let effects: Vec<Option<EffectConfig>> = genomes
-            .iter()
-            .map(|g| {
-                profile
-                    .constraints()
-                    .check(g)
-                    .is_empty()
-                    .then(|| EffectConfig::from_flags(profile, g))
-            })
-            .collect();
-        if let (Some(tel), Some(t)) = (&self.tel, check_start) {
-            tel.stage_check.observe_seconds(t.elapsed().as_secs_f64());
-            if stage_parent != 0 {
-                tel.tracer.record("check", stage_parent, t);
-            }
-        }
+        let resolve = |g: &Vec<bool>| {
+            let valid = profile.constraints().check(g).is_empty();
+            valid.then(|| EffectConfig::from_flags(profile, g))
+        };
+        let effects: Vec<Option<EffectConfig>> = self.timed(
+            |t| &t.stage_check,
+            "check",
+            stage_parent,
+            || genomes.iter().map(resolve).collect(),
+        );
 
         // Partition against the cache tiers: exact flag vector first,
         // then effect config, then the persistent cross-run store. The
@@ -1195,18 +1183,6 @@ impl Evaluator for FitnessEngine<'_> {
             sources
         };
 
-        // Compile + score the misses: on the installed executor (the
-        // evaluation service's client farm) when present, else on the
-        // local worker pool in two phases. Phase 1 produces each fresh
-        // stage-1 artifact exactly once, in parallel across distinct
-        // AST digests; phase 2 then strides *all* misses across the
-        // workers (the pre-staging scheduling), each fetching its
-        // artifacts from the cache. Without the production phase, the
-        // common all-late-stage generation — one AST digest shared by
-        // every miss — would collapse onto a single worker; with it,
-        // the serial section is only the one stage-1 pass, and the
-        // dominant lower+mir work stays fully parallel.
-        let mut computed: Vec<Option<(CacheEntry, f64)>> = vec![None; misses.len()];
         // Fresh stage-1 artifacts this batch produced locally, with
         // their measured wall time — the persistent store's retention
         // currency, recorded at commit. Stays empty with an executor:
@@ -1220,7 +1196,18 @@ impl Evaluator for FitnessEngine<'_> {
         // work). All zeros with an executor — producer wall is then
         // inside the clients' own measured walls.
         let mut ast_wall = vec![0.0f64; misses.len()];
-        if let Some(executor) = self.executor {
+        // Compile + score the misses: on the installed executor (the
+        // evaluation service's client farm) when present, else on the
+        // local worker pool in two phases. Phase 1 produces each fresh
+        // stage-1 artifact exactly once, in parallel across distinct
+        // AST digests; phase 2 then strides *all* misses across the
+        // workers (the pre-staging scheduling), each fetching its
+        // artifacts from the cache. Without the production phase, the
+        // common all-late-stage generation — one AST digest shared by
+        // every miss — would collapse onto a single worker; with it,
+        // the serial section is only the one stage-1 pass, and the
+        // dominant lower+mir work stays fully parallel.
+        let computed: Vec<(CacheEntry, f64)> = if let Some(executor) = self.executor {
             let flags: Vec<Vec<bool>> = misses.iter().map(|(f, _)| (*f).clone()).collect();
             // An abort here is safe to propagate mid-batch: the misses
             // were planned and their artifact keys reserved, but no
@@ -1234,134 +1221,59 @@ impl Evaluator for FitnessEngine<'_> {
                 misses.len(),
                 "executor must return one result per miss"
             );
-            for (slot, r) in results.into_iter().enumerate() {
-                computed[slot] = Some((
-                    CacheEntry {
+            results
+                .into_iter()
+                .map(|r| {
+                    let entry = CacheEntry {
                         fitness: r.fitness,
                         failed: r.failed,
-                    },
-                    r.wall_seconds,
-                ));
-            }
-        } else if !misses.is_empty() {
+                    };
+                    (entry, r.wall_seconds)
+                })
+                .collect()
+        } else if misses.is_empty() {
+            Vec::new()
+        } else {
             // The first local miss builds the baseline's pre-compression,
             // here on the calling thread, before any worker scores.
             let ncd = self
                 .baseline
                 .get_or_init(|| NcdBaseline::new(binrep::encode_binary(&self.baseline_bin)));
+            let workers = self.config.resolved_workers();
             // Phase 1: one producer task per AST digest this batch
             // introduces (the representative is its first Full-classified
             // miss, which reports the artifact's wall time as its
-            // `ast_produce_seconds`).
-            if self.config.artifact_cache {
-                let mut fresh_ast: Vec<(u128, usize)> = Vec::new();
-                let mut seen: HashSet<u128> = HashSet::new();
-                for (slot, plan) in plans.iter().enumerate() {
-                    if plan.reuse == StageReuse::Full && seen.insert(plan.ast_digest) {
-                        fresh_ast.push((plan.ast_digest, slot));
-                    }
+            // `ast_produce_seconds`). A cache-off miss runs stage 1
+            // itself, in phase 2.
+            let mut fresh_ast: Vec<(u128, usize)> = Vec::new();
+            let mut seen: HashSet<u128> = HashSet::new();
+            for (slot, plan) in plans.iter().enumerate() {
+                let stage1 = self.config.artifact_cache && plan.reuse == StageReuse::Full;
+                if stage1 && seen.insert(plan.ast_digest) {
+                    fresh_ast.push((plan.ast_digest, slot));
                 }
-                let producers = self.config.resolved_workers().min(fresh_ast.len().max(1));
-                if producers <= 1 {
-                    for &(digest, slot) in &fresh_ast {
-                        let t = Instant::now();
-                        let _ = self.artifact_ast(digest, misses[slot].1);
-                        ast_wall[slot] = t.elapsed().as_secs_f64();
-                        if let Some(tel) = &self.tel {
-                            tel.stage_ast.observe_seconds(ast_wall[slot]);
-                            if stage_parent != 0 {
-                                tel.tracer.record("ast", stage_parent, t);
-                            }
-                        }
-                    }
-                } else {
-                    let fresh_ref = &fresh_ast;
-                    let misses_ref = &misses;
-                    let walls: Vec<(usize, f64)> = std::thread::scope(|scope| {
-                        let handles: Vec<_> = (0..producers)
-                            .map(|w| {
-                                scope.spawn(move || {
-                                    let mut part = Vec::new();
-                                    let mut i = w;
-                                    while i < fresh_ref.len() {
-                                        let (digest, slot) = fresh_ref[i];
-                                        let t = Instant::now();
-                                        let _ = self.artifact_ast(digest, misses_ref[slot].1);
-                                        let wall = t.elapsed().as_secs_f64();
-                                        if let Some(tel) = &self.tel {
-                                            tel.stage_ast.observe_seconds(wall);
-                                            if stage_parent != 0 {
-                                                tel.tracer.record("ast", stage_parent, t);
-                                            }
-                                        }
-                                        part.push((slot, wall));
-                                        i += producers;
-                                    }
-                                    part
-                                })
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .flat_map(|h| h.join().expect("ast producer panicked"))
-                            .collect()
-                    });
-                    for (slot, wall) in walls {
-                        ast_wall[slot] = wall;
-                    }
-                }
-                persist_ast.extend(fresh_ast.iter().map(|&(d, slot)| (d, ast_wall[slot])));
+            }
+            let walls = strided(workers, fresh_ast.len(), |i| {
+                let (digest, slot) = fresh_ast[i];
+                let produce = || self.artifact_ast(digest, misses[slot].1);
+                let (_, wall) = self.measured(|t| &t.stage_ast, "ast", stage_parent, produce);
+                wall
+            });
+            for (&(digest, slot), wall) in fresh_ast.iter().zip(walls) {
+                ast_wall[slot] = wall;
+                persist_ast.push((digest, wall));
             }
             // Phase 2: every miss, strided. A miss that reaches a
             // retained-but-not-yet-filled lower artifact (its producer
             // running concurrently on another worker) recomputes the
             // lowering — wasted work at worst, never a different value,
-            // and the partition-time telemetry is unaffected.
-            let workers = self.config.resolved_workers().min(misses.len().max(1));
-            let run_miss = |i: usize| -> (CacheEntry, f64) {
-                let t = Instant::now();
-                let eff = misses[i].1;
-                let entry = if self.config.artifact_cache {
-                    self.evaluate_miss(ncd, eff, &plans[i], stage_parent)
-                } else {
-                    self.evaluate_full(ncd, eff, stage_parent)
-                };
-                let wall = t.elapsed().as_secs_f64();
-                if let Some(tel) = &self.tel {
-                    tel.miss_seconds.observe_seconds(wall);
-                }
-                (entry, wall)
-            };
-            if workers <= 1 {
-                for (i, out) in computed.iter_mut().enumerate() {
-                    *out = Some(run_miss(i));
-                }
-            } else {
-                let run_miss_ref = &run_miss;
-                let n_misses = misses.len();
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..workers)
-                        .map(|w| {
-                            scope.spawn(move || {
-                                let mut part = Vec::new();
-                                let mut i = w;
-                                while i < n_misses {
-                                    let (entry, wall) = run_miss_ref(i);
-                                    part.push((i, entry, wall));
-                                    i += workers;
-                                }
-                                part
-                            })
-                        })
-                        .collect();
-                    for h in handles {
-                        for (i, entry, wall) in h.join().expect("engine worker panicked") {
-                            computed[i] = Some((entry, wall));
-                        }
-                    }
-                });
-            }
-        }
+            // and the partition-time telemetry is unaffected. The miss
+            // wall records no span: its stages are the trace.
+            strided(workers, misses.len(), |i| {
+                let run = || self.evaluate_miss(ncd, misses[i].1, &plans[i], stage_parent);
+                self.measured(|t| &t.miss_seconds, "miss", 0, run)
+            })
+        };
 
         // Memoize the fresh results at both in-run levels (including the
         // within-batch duplicate vectors that mapped to the same slot),
@@ -1372,8 +1284,7 @@ impl Evaluator for FitnessEngine<'_> {
         {
             if let Some(store) = &self.store {
                 let mut store = store.lock().unwrap();
-                for ((flags, eff), result) in misses.iter().zip(&computed) {
-                    let (entry, _) = result.expect("every miss slot computed");
+                for ((flags, eff), (entry, _)) in misses.iter().zip(&computed) {
                     store.insert(
                         self.store_key(eff),
                         StoredFitness {
@@ -1389,8 +1300,7 @@ impl Evaluator for FitnessEngine<'_> {
                 }
             }
             let mut cache = self.cache.lock().unwrap();
-            for ((flags, eff), result) in misses.iter().zip(&computed) {
-                let (entry, _) = result.expect("every miss slot computed");
+            for ((flags, eff), &(entry, _)) in misses.iter().zip(&computed) {
                 cache.by_effect.insert((*eff).clone(), entry);
                 cache.by_flags.insert((*flags).clone(), entry);
             }
@@ -1399,8 +1309,7 @@ impl Evaluator for FitnessEngine<'_> {
                     // Representatives were inserted above; only clone the
                     // key for duplicate vectors not yet memoized.
                     if !cache.by_flags.contains_key(g) {
-                        let (entry, _) = computed[*slot].expect("miss computed");
-                        cache.by_flags.insert(g.clone(), entry);
+                        cache.by_flags.insert(g.clone(), computed[*slot].0);
                     }
                 }
             }
@@ -1482,7 +1391,7 @@ impl Evaluator for FitnessEngine<'_> {
                         (entry, 0.0, 0.0, hit, None)
                     }
                     Source::Slot(slot) => {
-                        let (entry, wall) = computed[slot].expect("miss computed");
+                        let (entry, wall) = computed[slot];
                         if first_use[slot] {
                             first_use[slot] = false;
                             cold_failures += entry.failed as usize;
@@ -1573,6 +1482,23 @@ mod tests {
                     wall_seconds: 0.0,
                 })
                 .collect())
+        }
+    }
+
+    #[test]
+    fn strided_returns_results_in_index_order() {
+        let caller = std::thread::current().id();
+        for n in [0usize, 1, 2, 7] {
+            for workers in [1usize, 2, 3, 8] {
+                let out = strided(workers, n, |i| (i * 10, std::thread::current().id()));
+                let order: Vec<usize> = out.iter().map(|&(v, _)| v).collect();
+                let want: Vec<usize> = (0..n).map(|i| i * 10).collect();
+                assert_eq!(order, want, "n {n}, workers {workers}");
+                let serial = workers.min(n) <= 1;
+                for (_, id) in out {
+                    assert_eq!(id == caller, serial, "n {n}, workers {workers}: thread");
+                }
+            }
         }
     }
 

@@ -27,7 +27,8 @@ use std::process::{Child, Command, Stdio};
 /// Parsed `--evald-worker` command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkerArgs {
-    /// Client id to announce in the Hello handshake and result frames.
+    /// Zero-based client id: it offsets the worker's span-id range and
+    /// names the worker in its error messages.
     pub client_id: u32,
     /// Which compiler profile to build.
     pub kind: CompilerKind,
@@ -285,15 +286,13 @@ fn run_worker(args: &WorkerArgs) -> Result<(), EvaldError> {
     let mut duplex = args.endpoint.connect()?;
     let n_flags = CompilerProfile::new(args.kind).n_flags() as u16;
     let opts = ClientOptions {
-        client_id: args.client_id,
         n_flags,
         fail_after_shards: args.fail_after,
         fault_kind: args.fault_kind,
     };
-    duplex.tx.send_frame(&encode_frame(&Frame::Hello {
-        client: args.client_id,
-        n_flags,
-    }))?;
+    duplex
+        .tx
+        .send_frame(&encode_frame(&Frame::Hello { n_flags }))?;
     // The engine needs the module, which arrives as the job description.
     // Nothing but a Job (or an early Shutdown) is legal before the first
     // Work frame.

@@ -526,7 +526,6 @@ impl ServiceHandle {
                     let (server_end, client_end) = channel_duplex();
                     let fault = fault_for(i);
                     let opts = ClientOptions {
-                        client_id: i as u32,
                         n_flags,
                         fail_after_shards: fault.map(|(after, _)| after),
                         fault_kind: fault.map(|(_, kind)| kind).unwrap_or_default(),
@@ -541,7 +540,7 @@ impl ServiceHandle {
                             arch,
                             artifact_cache,
                             trace,
-                            opts.client_id,
+                            i as u32,
                             serve,
                         );
                     }));

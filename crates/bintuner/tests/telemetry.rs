@@ -164,6 +164,70 @@ fn telemetry_on_is_bit_identical_to_off_on_every_backend() {
     }
 }
 
+/// Every stage sample and span the in-process engine records matches
+/// its logical counters, on the serial and the threaded pool and with
+/// the artifact cache on and off.
+#[test]
+fn stage_samples_reconcile_with_engine_counters() {
+    let bench = corpus::by_name("456.hmmer").unwrap();
+    for workers in [1, 2] {
+        for artifact_cache in [true, false] {
+            let what = format!("{workers} workers, artifact cache {artifact_cache}");
+            let run = Tuner::new(TunerConfig {
+                workers,
+                artifact_cache,
+                ..with_telemetry(small_tuner(120))
+            })
+            .tune(&bench.module)
+            .unwrap();
+            let registry = run.registry.as_ref().expect("telemetry registry");
+            let stats = run.engine_stats;
+            assert!(stats.compiles > 0, "{what}: compiles");
+            if artifact_cache {
+                // Every reuse class occurs, so each stage is reconciled
+                // on every path through a miss.
+                assert!(
+                    stats.ast_reuse > 0 && stats.lower_reuse > 0,
+                    "{what}: reuse"
+                );
+            } else {
+                assert_eq!(stats.full_compiles, stats.compiles, "{what}: all full");
+            }
+            let samples = |stage| {
+                registry
+                    .histogram_with("bintuner_engine_stage_seconds", "", "stage", stage)
+                    .count() as usize
+            };
+            let spans = |name| run.spans.iter().filter(|s| s.name == name).count();
+            let batches = registry
+                .histogram("bintuner_engine_batch_seconds", "")
+                .count() as usize;
+            assert!(batches > 0, "{what}: batches");
+            assert_eq!(samples("check"), batches, "{what}: check samples");
+            assert_eq!(spans("batch"), batches, "{what}: batch spans");
+            assert_eq!(samples("ast"), stats.full_compiles, "{what}: ast samples");
+            let lowered = stats.full_compiles + stats.ast_reuse;
+            if workers == 1 {
+                assert_eq!(samples("lower"), lowered, "{what}: lower samples");
+            } else {
+                // A same-batch lowered artifact still being built on
+                // another worker is recomputed, and timed again.
+                assert!(samples("lower") >= lowered, "{what}: lower samples");
+            }
+            for stage in ["mir", "encode", "score"] {
+                assert_eq!(samples(stage), stats.compiles, "{what}: {stage} samples");
+            }
+            let misses = registry
+                .histogram("bintuner_engine_miss_seconds", "")
+                .count() as usize;
+            assert_eq!(misses, stats.compiles, "{what}: miss samples");
+            for stage in ["check", "ast", "lower", "mir", "encode", "score"] {
+                assert_eq!(spans(stage), samples(stage), "{what}: {stage} spans");
+            }
+        }
+    }
+}
+
 #[test]
 fn artifact_log_is_indexed_at_most_once_and_only_by_tunes_with_misses() {
     let store = ScratchStore::new("telemetry_artifact_load");

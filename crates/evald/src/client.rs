@@ -3,11 +3,11 @@
 //! A client is a [`ShardWorker`] (supplied by the embedder — in the
 //! BinTuner reproduction, a full fitness engine with its own compiler,
 //! `-O0` baseline and local caches) driven by [`run_client`]: announce
-//! yourself ([`crate::wire::Frame::Hello`]), then serve `Work` frames
-//! until the server says `Shutdown`. Each shard's `Result` frame carries
-//! its evaluations, its trace spans and the stage artifacts it freshly
-//! produced — the client never writes any store itself; the server is
-//! the single writer.
+//! the chromosome width ([`crate::wire::Frame::Hello`]), then serve
+//! `Work` frames until the server says `Shutdown`. Each shard's `Result`
+//! frame carries its evaluations, its trace spans and the stage
+//! artifacts it freshly produced — the client never writes any store
+//! itself; the server is the single writer.
 
 use crate::transport::Duplex;
 use crate::wire::{
@@ -45,8 +45,6 @@ pub trait ShardWorker {
 /// Per-client launch options.
 #[derive(Debug, Clone, Copy)]
 pub struct ClientOptions {
-    /// Zero-based client id (announced in the client's `Hello`).
-    pub client_id: u32,
     /// Chromosome width this worker evaluates (handshake-checked).
     pub n_flags: u16,
     /// Chaos hook: trigger `fault_kind` after completing this many
@@ -71,7 +69,6 @@ pub fn run_client(
     opts: &ClientOptions,
 ) -> Result<(), EvaldError> {
     duplex.tx.send_frame(&encode_frame(&Frame::Hello {
-        client: opts.client_id,
         n_flags: opts.n_flags,
     }))?;
     serve(worker, &mut duplex, opts)
@@ -197,7 +194,6 @@ mod tests {
                 &mut w,
                 client,
                 &ClientOptions {
-                    client_id: 5,
                     n_flags: 3,
                     fail_after_shards: None,
                     fault_kind: FaultKind::Crash,
@@ -206,13 +202,7 @@ mod tests {
         });
         // Hello arrives first.
         let (hello, _) = decode_frame(&server.rx.recv_frame().unwrap()).unwrap();
-        assert_eq!(
-            hello,
-            Frame::Hello {
-                client: 5,
-                n_flags: 3
-            }
-        );
+        assert_eq!(hello, Frame::Hello { n_flags: 3 });
         server
             .tx
             .send_frame(&encode_frame(&Frame::Work {
@@ -253,7 +243,6 @@ mod tests {
                 &mut w,
                 client,
                 &ClientOptions {
-                    client_id: 0,
                     n_flags: 1,
                     fail_after_shards: Some(1),
                     fault_kind: FaultKind::Crash,

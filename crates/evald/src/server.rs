@@ -546,7 +546,7 @@ impl EvalServer {
             // (thread clients Hello before their first recv; process
             // farms gate admission behind their own accept deadline).
             match self.events.recv() {
-                Ok(Event::Frame(c, Frame::Hello { n_flags, .. })) => {
+                Ok(Event::Frame(c, Frame::Hello { n_flags })) => {
                     if self.pending_hello.contains(&c) {
                         // An injected client racing the launch
                         // handshake; admit it on the side.
@@ -751,7 +751,7 @@ impl EvalServer {
                     }
                     self.dispatch_next(&mut sched, c);
                 }
-                Event::Frame(c, Frame::Hello { n_flags, .. }) => {
+                Event::Frame(c, Frame::Hello { n_flags }) => {
                     if self.admit_joined(c, n_flags) {
                         // A reconnecting worker joins the running batch:
                         // the straggler/steal machinery absorbs it.
@@ -930,7 +930,6 @@ mod tests {
             let (s, c) = channel_duplex();
             server_side.push(s);
             let opts = ClientOptions {
-                client_id: i as u32,
                 n_flags: 4,
                 fail_after_shards: fail.and_then(|(who, after)| (who == i).then_some(after)),
                 fault_kind,
@@ -1279,7 +1278,6 @@ mod tests {
                 &mut w,
                 duplex,
                 &ClientOptions {
-                    client_id: 0,
                     n_flags: 9,
                     fail_after_shards: None,
                     fault_kind: FaultKind::Crash,
@@ -1309,7 +1307,6 @@ mod tests {
                 &mut w,
                 duplex,
                 &ClientOptions {
-                    client_id: 0,
                     n_flags: 4,
                     fail_after_shards: None,
                     fault_kind: FaultKind::Crash,
@@ -1334,7 +1331,6 @@ mod tests {
                 &mut w,
                 c,
                 &ClientOptions {
-                    client_id: 99,
                     n_flags: 4,
                     fail_after_shards: None,
                     fault_kind: FaultKind::Crash,
@@ -1376,7 +1372,6 @@ mod tests {
                 &mut w,
                 c,
                 &ClientOptions {
-                    client_id: 0,
                     n_flags: 9, // farm speaks 4
                     fail_after_shards: None,
                     fault_kind: FaultKind::Crash,
@@ -1406,7 +1401,6 @@ mod tests {
                 &mut w,
                 c,
                 &ClientOptions {
-                    client_id: 0,
                     n_flags: 9, // server expects 4
                     fail_after_shards: None,
                     fault_kind: FaultKind::Crash,

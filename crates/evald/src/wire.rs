@@ -51,8 +51,10 @@ pub const WIRE_MAGIC: [u8; 4] = *b"EVLD";
 /// `EndBatch`/`Merge` round trip (tags 3 and 4) is gone: every result
 /// crosses the wire once. v8: [`Frame::Result`] drops its `client` id
 /// and its `ShardStats` block — the server keys clients by connection
-/// and times each dispatch itself — and carries only results.)
-pub const WIRE_VERSION: u32 = 8;
+/// and times each dispatch itself — and carries only results. v9:
+/// [`Frame::Hello`] drops its `client` id too, which the server never
+/// read.)
+pub const WIRE_VERSION: u32 = 9;
 
 /// Hard cap on one frame's declared length (a corrupted length prefix
 /// must not trigger a multi-gigabyte allocation).
@@ -164,12 +166,11 @@ pub struct WireSpan {
 /// The protocol's frames.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
-    /// Client → server, once per connection: identity and chromosome
-    /// width (the server rejects clients built against a different
-    /// profile width). The wire version itself is in every frame header.
+    /// Client → server, once per connection: the chromosome width (the
+    /// server rejects clients built against a different profile width,
+    /// and keys clients by connection). The wire version itself is in
+    /// every frame header.
     Hello {
-        /// Zero-based client id (assigned at launch).
-        client: u32,
         /// Chromosome width the client evaluates.
         n_flags: u16,
     },
@@ -268,9 +269,8 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     body.put_slice(&WIRE_MAGIC);
     body.put_u32_le(WIRE_VERSION);
     match frame {
-        Frame::Hello { client, n_flags } => {
+        Frame::Hello { n_flags } => {
             body.put_u8(TAG_HELLO);
-            body.put_u32_le(*client);
             body.put_u16_le(*n_flags);
         }
         Frame::Work {
@@ -445,10 +445,7 @@ pub fn open_frame(
 pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), EvaldError> {
     let (tag, mut r, total) = open_frame(buf, WIRE_MAGIC, WIRE_VERSION)?;
     let frame = match tag {
-        TAG_HELLO => Frame::Hello {
-            client: r.u32()?,
-            n_flags: r.u16()?,
-        },
+        TAG_HELLO => Frame::Hello { n_flags: r.u16()? },
         TAG_WORK => Frame::Work {
             shard: r.u64()?,
             span: r.u64()?,
@@ -511,10 +508,7 @@ mod tests {
 
     fn sample_frames() -> Vec<Frame> {
         vec![
-            Frame::Hello {
-                client: 3,
-                n_flags: 137,
-            },
+            Frame::Hello { n_flags: 137 },
             Frame::Work {
                 shard: 42,
                 span: 9001,
@@ -606,10 +600,10 @@ mod tests {
         let golden = [
             0x15, 0x00, 0x00, 0x00, // length of the rest
             0x45, 0x56, 0x4c, 0x44, // "EVLD"
-            0x08, 0x00, 0x00, 0x00, // WIRE_VERSION
+            0x09, 0x00, 0x00, 0x00, // WIRE_VERSION
             0x07, // TAG_PING
             0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // nonce
-            0xd8, 0xbd, 0xfd, 0xb1, // FNV-1a over magic..payload
+            0xdb, 0x13, 0xc9, 0xd6, // FNV-1a over magic..payload
         ];
         let frame = Frame::Ping { nonce: 7 };
         assert_eq!(encode_frame(&frame), golden);
