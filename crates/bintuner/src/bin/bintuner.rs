@@ -28,7 +28,7 @@ fn usage() -> ! {
          \x20                [--clients N] [--process-workers [--farm-transport unix|tcp]]\n\
          \x20                [--queue N] [--runners N] [--max-evals N]\n  \
          bintuner metrics (--unix <path> | --tcp <addr>) [--trace]\n  \
-         bintuner --evald-worker <args>   (spawned by ServiceHandle::launch)"
+         bintuner --evald-worker <args>   (spawned by ServiceHandle::launch_with)"
     );
     std::process::exit(2);
 }

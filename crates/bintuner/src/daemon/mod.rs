@@ -36,7 +36,7 @@ pub mod wire;
 use crate::service::{
     check_topology, FarmTelemetry, ServiceExecutor, ServiceHandle, SharedEvaldError,
 };
-use crate::tuner::{Backend, TuneError, TuneResult, Tuner, TunerConfig};
+use crate::tuner::{TuneError, TuneResult, Tuner, TunerConfig};
 use crate::{MissExecutor, MissResult};
 use evald::{
     Duplex, EvaldError, FaultPlan, Listener, ServiceConfig, TransportKind, WireAstArtifact,
@@ -80,8 +80,7 @@ pub struct DaemonConfig {
     pub unix_path: Option<PathBuf>,
     /// Template tuner configuration for every job. Per-job fields
     /// (seed, evaluation budget, dedup) come from the Submit frame;
-    /// `backend` and `cache_path` are owned by the daemon and
-    /// overridden.
+    /// `cache_path` is owned by the daemon and overridden.
     pub base: TunerConfig,
     /// The shared persistent store directory (fitness + artifacts)
     /// every job loads before and saves after its run — the
@@ -379,7 +378,7 @@ impl JobControl {
 }
 
 /// One job's view of the shared farm: a [`MissExecutor`] the tuner
-/// drives exactly as it would a private [`ServiceHandle`].
+/// drives exactly as it would a [`ServiceHandle`] of its own.
 struct FarmExecutor {
     farm: Arc<SharedFarm>,
     job: u64,
@@ -483,9 +482,6 @@ fn run_job(
         },
         dedup: spec.dedup,
         cache_path: shared.config.store_path.clone(),
-        // The farm is injected as an executor below; the job's own
-        // backend stays in-process so the tuner launches nothing.
-        backend: Backend::InProcess,
         ..shared.config.base.clone()
     };
     let executor = FarmExecutor {

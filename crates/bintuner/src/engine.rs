@@ -192,8 +192,8 @@ pub struct EngineStats {
     /// warm-starting saved.
     pub persistent_hits: usize,
     /// Real compiles this engine performed (misses of every cache tier).
-    /// Always `full_compiles + ast_reuse + lower_reuse`. Logical: on a
-    /// service backend these compiles physically ran on the client farm.
+    /// Always `full_compiles + ast_reuse + lower_reuse`. Logical: with an
+    /// executor installed, these compiles physically ran on its farm.
     pub compiles: usize,
     /// Misses that ran the entire pipeline — no stage artifact could be
     /// reused. This is the number the tier-0 cache exists to shrink: a
@@ -222,11 +222,12 @@ pub struct EngineStats {
     /// persistent store, so a warm run reports the same count as the
     /// cold run it replays.
     pub failed_compiles: usize,
-    /// Results discarded by the evaluation service's straggler
-    /// re-dispatch (a shard answered by more than one client; first
-    /// result wins and duplicates are bit-identical). Always 0 for the
-    /// in-process pool; filled in from the service telemetry by the
-    /// tuner when `TunerConfig::backend` is a service.
+    /// Results a farm's straggler re-dispatch discarded (a shard
+    /// answered by more than one client; first result wins and
+    /// duplicates are bit-identical). The engine never fills it: a farm
+    /// counts them in [`crate::ServiceSummary::duplicate_results`], and
+    /// the field stays only for callers that fill and compare their own
+    /// copy.
     pub duplicate_results: usize,
 }
 

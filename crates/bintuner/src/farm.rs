@@ -1,32 +1,39 @@
-//! The pre-forked worker-process farm (paper §5 "Implementation").
+//! The farm's workers (paper §5 "Implementation").
 //!
-//! [`crate::service::ServiceHandle`] can realize its clients as OS
-//! *processes* instead of threads ([`evald::WorkerMode::Processes`]):
-//! the launcher re-execs the current binary with a hidden
-//! `--evald-worker` entry point, and each worker process connects back
-//! over the configured stream transport (Unix socket or TCP loopback),
-//! sends its [`evald::wire::Frame::Hello`], receives the module under
-//! test as a [`evald::wire::Frame::Job`] (encoded with
-//! [`minicc::codec`]), builds its own [`crate::FitnessEngine`], and
-//! serves shards exactly like a thread client would.
+//! Every client of a [`crate::service::ServiceHandle`] farm, a thread
+//! beside the server or a worker *process*, runs `run_worker`: it sends
+//! its [`evald::wire::Frame::Hello`], receives the module under test as a
+//! [`evald::wire::Frame::Job`] (encoded with [`minicc::codec`]), builds
+//! its own [`crate::FitnessEngine`], and serves shards until shutdown. A
+//! [`Worker`] describes one such client.
 //!
-//! This module holds both halves of that protocol: [`worker_main`] (the
-//! child side, invoked from the `bintuner` binary) and the crate-private
-//! `WorkerSpec` (the parent side: binary resolution and process
-//! spawning, used by the service launcher).
+//! A worker process is the current binary re-execed with the hidden
+//! `--evald-worker` entry point ([`worker_main`]), connecting back over
+//! the configured stream transport (Unix socket or TCP loopback). The
+//! crate-private `WorkerSpec` is the parent side: binary resolution and
+//! process spawning with retry backoff (`spawn_with_retry`), used by the
+//! service launcher.
 
-use crate::service::serve_client_engine;
+use crate::engine::{EngineConfig, EngineTelemetry, FAILED_COMPILE_PENALTY};
+use crate::store::ArtifactStore;
+use crate::FitnessEngine;
 use binrep::Arch;
 use evald::wire::{decode_frame, encode_frame, Frame};
-use evald::{ClientOptions, Endpoint, EvaldError, FaultKind};
-use minicc::{CompilerKind, CompilerProfile};
+use evald::{
+    ClientOptions, Duplex, Endpoint, EvaldError, FaultKind, ShardWorker, WireAstArtifact, WireEval,
+    WireLowerArtifact, WireSpan,
+};
+use minicc::{Compiler, CompilerKind, CompilerProfile};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::Arc;
+use std::time::Duration;
 
-/// Parsed `--evald-worker` command line.
+/// One farm worker, thread or process: everything it needs besides its
+/// connection and the module, which arrives on the `Job` frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkerArgs {
+pub struct Worker {
     /// Zero-based client id: it offsets the worker's span-id range and
     /// names the worker in its error messages.
     pub client_id: u32,
@@ -36,8 +43,6 @@ pub struct WorkerArgs {
     pub arch: Arch,
     /// Whether the worker's engine keeps its staged artifact cache.
     pub artifact_cache: bool,
-    /// Server endpoint to connect back to.
-    pub endpoint: Endpoint,
     /// Whether the worker records trace spans (stage timings parented
     /// to the server's dispatch spans, shipped back on Result frames).
     pub trace: bool,
@@ -46,6 +51,15 @@ pub struct WorkerArgs {
     /// What the chaos hook does when it triggers (crash, hang, slow
     /// frames, dropped frame). Inert while `fail_after` is `None`.
     pub fault_kind: FaultKind,
+}
+
+/// Parsed `--evald-worker` command line.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WorkerArgs {
+    /// The worker to run.
+    pub worker: Worker,
+    /// Server endpoint to connect back to.
+    pub endpoint: Endpoint,
 }
 
 /// Parse a `--fault-kind` value: `crash`, `hang`, `drop`, `slow:<ms>`.
@@ -152,116 +166,23 @@ impl WorkerArgs {
             }
         }
         Ok(WorkerArgs {
-            client_id: client_id.ok_or("--client-id is required")?,
-            kind: kind.ok_or("--compiler-tag is required")?,
-            arch: arch.ok_or("--arch-tag is required")?,
-            artifact_cache: artifact_cache.ok_or("--artifact-cache is required")?,
+            worker: Worker {
+                client_id: client_id.ok_or("--client-id is required")?,
+                kind: kind.ok_or("--compiler-tag is required")?,
+                arch: arch.ok_or("--arch-tag is required")?,
+                artifact_cache: artifact_cache.ok_or("--artifact-cache is required")?,
+                trace,
+                fail_after,
+                fault_kind,
+            },
             endpoint: endpoint.ok_or("--tcp or --unix is required")?,
-            trace,
-            fail_after,
-            fault_kind,
         })
     }
 }
 
-/// A deterministic, jitter-free exponential backoff schedule: attempt
-/// `k` waits `base_ms × factor^k`, capped at `max_ms`. Determinism is a
-/// feature here — the chaos differentials replay supervision decisions
-/// exactly, so respawn timing must be a pure function of the attempt
-/// number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BackoffSchedule {
-    /// Delay before the first retry, milliseconds.
-    pub base_ms: u64,
-    /// Multiplier applied per subsequent attempt.
-    pub factor: u64,
-    /// Ceiling on any single delay, milliseconds.
-    pub max_ms: u64,
-}
-
-impl Default for BackoffSchedule {
-    fn default() -> BackoffSchedule {
-        BackoffSchedule {
-            base_ms: 50,
-            factor: 2,
-            max_ms: 2_000,
-        }
-    }
-}
-
-impl BackoffSchedule {
-    /// The delay before retry number `attempt` (zero-based).
-    pub fn delay_ms(&self, attempt: u32) -> u64 {
-        let mut delay = self.base_ms;
-        for _ in 0..attempt {
-            delay = delay.saturating_mul(self.factor);
-            if delay >= self.max_ms {
-                return self.max_ms;
-            }
-        }
-        delay.min(self.max_ms)
-    }
-}
-
-/// What the supervisor says after a failure: try again after the
-/// scheduled backoff, or stop burning the farm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SupervisorVerdict {
-    /// Respawn after this many milliseconds.
-    Retry {
-        /// Backoff delay from the deterministic schedule.
-        delay_ms: u64,
-    },
-    /// The crash-loop budget is spent: `strikes` consecutive failures.
-    /// The caller surfaces the last failure instead of trying again.
-    GiveUp,
-}
-
-/// Spawn-retry supervisor: consecutive-failure accounting over a
-/// [`BackoffSchedule`]. Each failure is answered with a retry after the
-/// schedule's next delay until `strikes` consecutive failures turn into
-/// [`SupervisorVerdict::GiveUp`]. A fresh supervisor paces one worker
-/// slot's spawn attempts at launch, so a bad fork retries while a bad
-/// binary fails the launch with its last spawn error. (The daemon's
-/// poison-job quarantine keeps its own per-module strike map.)
-/// Deliberately clock-free (a failure *count*, not a failure *rate*):
-/// the schedule already spaces attempts out, and clock-free decisions
-/// replay deterministically in the chaos suite.
-#[derive(Debug, Clone)]
-pub struct Supervisor {
-    schedule: BackoffSchedule,
-    strikes: u32,
-    consecutive_failures: u32,
-}
-
-impl Supervisor {
-    /// A supervisor that gives up after `strikes` consecutive failures
-    /// (minimum 1).
-    pub fn new(schedule: BackoffSchedule, strikes: u32) -> Supervisor {
-        Supervisor {
-            schedule,
-            strikes: strikes.max(1),
-            consecutive_failures: 0,
-        }
-    }
-
-    /// Record a spawn failure / dead-on-arrival worker and rule on what
-    /// happens next.
-    pub fn on_failure(&mut self) -> SupervisorVerdict {
-        self.consecutive_failures += 1;
-        if self.consecutive_failures >= self.strikes {
-            SupervisorVerdict::GiveUp
-        } else {
-            SupervisorVerdict::Retry {
-                delay_ms: self.schedule.delay_ms(self.consecutive_failures - 1),
-            }
-        }
-    }
-}
-
 /// The `--evald-worker` entry point: parse `args` (everything after the
-/// `--evald-worker` sentinel), run the worker, and return the process
-/// exit code. The `bintuner` binary calls this from `main`.
+/// `--evald-worker` sentinel), connect, run the worker, and return the
+/// process exit code. The `bintuner` binary calls this from `main`.
 pub fn worker_main(args: &[String]) -> i32 {
     let parsed = match WorkerArgs::parse(args) {
         Ok(p) => p,
@@ -270,26 +191,24 @@ pub fn worker_main(args: &[String]) -> i32 {
             return 2;
         }
     };
-    match run_worker(&parsed) {
+    let duplex = parsed.endpoint.connect();
+    match duplex.and_then(|d| run_worker(d, &parsed.worker)) {
         // A server that simply goes away is a normal end of service.
         Ok(()) | Err(EvaldError::Disconnected) => 0,
         Err(e) => {
-            eprintln!("evald worker {}: {e}", parsed.client_id);
+            eprintln!("evald worker {}: {e}", parsed.worker.client_id);
             1
         }
     }
 }
 
-/// Connect, handshake, build the engine from the job description, and
-/// serve shards until shutdown.
-fn run_worker(args: &WorkerArgs) -> Result<(), EvaldError> {
-    let mut duplex = args.endpoint.connect()?;
-    let n_flags = CompilerProfile::new(args.kind).n_flags() as u16;
-    let opts = ClientOptions {
-        n_flags,
-        fail_after_shards: args.fail_after,
-        fault_kind: args.fault_kind,
-    };
+/// Serve the farm on `duplex` as `worker`: greet, build the engine from
+/// the job description, and serve shards until shutdown. Thread workers
+/// and worker processes both start here. The engine has one worker, its
+/// own [`Compiler`] and no store of its own: its results go home on
+/// `Result` frames.
+pub(crate) fn run_worker(mut duplex: Duplex, worker: &Worker) -> Result<(), EvaldError> {
+    let n_flags = CompilerProfile::new(worker.kind).n_flags() as u16;
     duplex
         .tx
         .send_frame(&encode_frame(&Frame::Hello { n_flags }))?;
@@ -320,68 +239,205 @@ fn run_worker(args: &WorkerArgs) -> Result<(), EvaldError> {
     };
     let module = minicc::codec::decode_module(&payload)
         .map_err(|_| EvaldError::Corrupt("job payload is not an encoded module"))?;
-    let serve = |w: &mut dyn evald::ShardWorker| evald::serve(w, &mut duplex, &opts);
-    let failed = EvaldError::Protocol("worker engine failed its baseline compile");
-    serve_client_engine(
-        args.kind,
-        &module,
-        args.arch,
-        args.artifact_cache,
-        args.trace,
-        args.client_id,
-        serve,
-    )
-    .ok_or(failed)?
+    let compiler = Compiler::new(worker.kind);
+    let config = EngineConfig {
+        workers: 1,
+        artifact_cache: worker.artifact_cache,
+        ..EngineConfig::default()
+    };
+    let mut engine = FitnessEngine::new(&compiler, &module, worker.arch, config)
+        .map_err(|_| EvaldError::Protocol("worker engine failed its baseline compile"))?;
+    if worker.artifact_cache {
+        // An in-memory artifact store is a pure *producer* seam: it is
+        // never saved, so it never answers membership queries — the
+        // engine's compile classification (and thus the differential
+        // bit-identity guarantee) is untouched. Its only job is to
+        // capture freshly built stage artifacts for the shard's Result
+        // frame; the server folds them into the persistent store.
+        engine.set_artifact_store(ArtifactStore::in_memory());
+    }
+    if worker.trace {
+        // A private registry (only spans travel back over the wire; the
+        // handles hold their metrics alive without it) and a per-client
+        // span-id range, so stitched traces never collide with the
+        // server's — or each other's — ids.
+        let registry = btel::Registry::new();
+        let tracer = btel::Tracer::with_id_base(4096, (u64::from(worker.client_id) + 1) << 48);
+        engine.set_telemetry(EngineTelemetry::from_registry(&registry, tracer));
+    }
+    let opts = ClientOptions {
+        n_flags,
+        fail_after_shards: worker.fail_after,
+        fault_kind: worker.fault_kind,
+    };
+    evald::serve(&mut EngineWorker { engine: &engine }, &mut duplex, &opts)
 }
 
-/// Everything the parent needs to (re)spawn one worker process.
+/// [`ShardWorker`] over a farm worker's [`FitnessEngine`] (see
+/// [`run_worker`]).
+struct EngineWorker<'e, 'a> {
+    engine: &'e FitnessEngine<'a>,
+}
+
+impl ShardWorker for EngineWorker<'_, '_> {
+    fn evaluate(&mut self, genomes: &[Vec<bool>], span: u64) -> Vec<WireEval> {
+        use genetic::Evaluator;
+        // Re-parent this shard's stage spans to the server's dispatch
+        // span (`0` = tracing off upstream; a disabled local tracer
+        // ignores the parent anyway).
+        if let Some(tel) = self.engine.telemetry() {
+            tel.set_trace_parent(span);
+        }
+        // A worker-local engine has no executor installed, and an
+        // executor-less engine is infallible by construction (the
+        // `Evaluator` contract: compile failures are scored, not
+        // errors) — so this expect can never fire.
+        self.engine
+            .evaluate_batch(genomes)
+            .expect("executor-less worker engine cannot abort")
+            .into_iter()
+            .map(|e| WireEval {
+                fitness_bits: e.fitness.to_bits(),
+                // NCD is non-negative, so the penalty value is unambiguous.
+                failed: e.fitness.to_bits() == FAILED_COMPILE_PENALTY.to_bits(),
+                // The frame carries one wall figure per eval, so the
+                // worker's shared stage-1 production folds back in here:
+                // the server charges the farm's physical time, not the
+                // local attribution split.
+                wall_seconds_bits: (e.wall_seconds + e.ast_produce_seconds).to_bits(),
+            })
+            .collect()
+    }
+
+    fn drain_spans(&mut self) -> Vec<WireSpan> {
+        self.engine.telemetry().map_or_else(Vec::new, |tel| {
+            tel.tracer
+                .drain()
+                .into_iter()
+                .map(|s| WireSpan {
+                    id: s.id,
+                    parent: s.parent,
+                    name: s.name,
+                    start_us: s.start_us,
+                    dur_us: s.dur_us,
+                })
+                .collect()
+        })
+    }
+
+    fn drain_artifacts(&mut self) -> (Vec<WireAstArtifact>, Vec<WireLowerArtifact>) {
+        let pending = self.engine.drain_pending_artifacts();
+        (
+            pending
+                .ast
+                .into_iter()
+                .map(|(k, cost, blob)| WireAstArtifact {
+                    body_hash: k.body_hash,
+                    compiler: k.compiler,
+                    ast_digest: k.ast_digest,
+                    cost_bits: cost.to_bits(),
+                    blob,
+                })
+                .collect(),
+            pending
+                .lower
+                .into_iter()
+                .map(|(k, cost, blob)| WireLowerArtifact {
+                    body_hash: k.body_hash,
+                    compiler: k.compiler,
+                    arch: k.arch,
+                    ast_digest: k.ast_digest,
+                    lower_digest: k.lower_digest,
+                    cost_bits: cost.to_bits(),
+                    blob,
+                })
+                .collect(),
+        )
+    }
+}
+
+/// Where the parent spawns worker processes from, and the endpoint they
+/// connect back to.
 #[derive(Debug, Clone)]
 pub(crate) struct WorkerSpec {
     pub binary: PathBuf,
-    pub kind: CompilerKind,
-    pub arch: Arch,
-    pub artifact_cache: bool,
     pub endpoint: Endpoint,
-    /// Spawn workers with `--trace` (the launch carried a
-    /// [`crate::service::FarmTelemetry`] with an enabled tracer).
-    pub trace: bool,
 }
 
 impl WorkerSpec {
-    /// Spawn one worker process. Stdin is null; stderr is inherited so a
-    /// worker's own diagnostics surface in the parent's stream. `fault`
-    /// is the chaos hook: trigger the given [`FaultKind`] after that
-    /// many shards.
-    pub fn spawn(
-        &self,
-        client_id: u32,
-        fault: Option<(usize, FaultKind)>,
-    ) -> std::io::Result<Child> {
+    /// Spawn a process running `worker`. Stdin is null; stderr is
+    /// inherited so a worker's own diagnostics surface in the parent's
+    /// stream.
+    pub fn spawn(&self, worker: &Worker) -> std::io::Result<Child> {
         let mut cmd = Command::new(&self.binary);
         cmd.arg("--evald-worker")
             .arg("--client-id")
-            .arg(client_id.to_string())
+            .arg(worker.client_id.to_string())
             .arg("--compiler-tag")
-            .arg(self.kind.stable_id().to_string())
+            .arg(worker.kind.stable_id().to_string())
             .arg("--arch-tag")
-            .arg(self.arch.tag().to_string())
+            .arg(worker.arch.tag().to_string())
             .arg("--artifact-cache")
-            .arg(if self.artifact_cache { "1" } else { "0" });
+            .arg(if worker.artifact_cache { "1" } else { "0" });
         match &self.endpoint {
             Endpoint::Tcp(addr) => cmd.arg("--tcp").arg(addr.to_string()),
             Endpoint::Unix(path) => cmd.arg("--unix").arg(path),
         };
-        if self.trace {
+        if worker.trace {
             cmd.arg("--trace");
         }
-        if let Some((k, kind)) = fault {
+        if let Some(k) = worker.fail_after {
             cmd.arg("--fail-after").arg(k.to_string());
-            cmd.arg("--fault-kind").arg(fault_kind_to_arg(kind));
+            cmd.arg("--fault-kind")
+                .arg(fault_kind_to_arg(worker.fault_kind));
         }
         cmd.stdin(Stdio::null())
             .stdout(Stdio::null())
             .stderr(Stdio::inherit());
         cmd.spawn()
+    }
+}
+
+/// Respawn-plane metric handles (`bintuner_farm_{respawns,backoff_ms}`),
+/// held by the service so respawns *after* launch still count.
+#[derive(Clone)]
+pub(crate) struct SupervisionCounters {
+    pub respawns: Arc<btel::Counter>,
+    pub backoff_ms: Arc<btel::Counter>,
+}
+
+/// The pause before retry `k` (zero-based) of a failed worker spawn:
+/// 50 ms, doubling per retry, capped at 2 s. Jitter-free, so respawn
+/// timing is a pure function of the attempt number.
+fn retry_delay_ms(k: u32) -> u64 {
+    (50u64 << k.min(6)).min(2_000)
+}
+
+/// Spawn one worker process, retrying with [`retry_delay_ms`] backoff:
+/// one bad fork (transient EAGAIN, racing resource limits) must not fail
+/// the whole launch, while a bad binary fails it with its last spawn
+/// error after `attempts` consecutive failures (at least one attempt).
+pub(crate) fn spawn_with_retry(
+    spec: &WorkerSpec,
+    worker: &Worker,
+    attempts: u32,
+    supervision: Option<&SupervisionCounters>,
+) -> std::io::Result<Child> {
+    let mut k = 0;
+    loop {
+        match spec.spawn(worker) {
+            Ok(child) => return Ok(child),
+            Err(e) if k + 1 >= attempts.max(1) => return Err(e),
+            Err(_) => {
+                let delay_ms = retry_delay_ms(k);
+                if let Some(c) = supervision {
+                    c.respawns.inc();
+                    c.backoff_ms.add(delay_ms);
+                }
+                std::thread::sleep(Duration::from_millis(delay_ms));
+                k += 1;
+            }
+        }
     }
 }
 
@@ -448,22 +504,27 @@ mod tests {
         assert_eq!(
             args,
             WorkerArgs {
-                client_id: 7,
-                kind: CompilerKind::Llvm,
-                arch: Arch::Arm,
-                artifact_cache: true,
+                worker: Worker {
+                    client_id: 7,
+                    kind: CompilerKind::Llvm,
+                    arch: Arch::Arm,
+                    artifact_cache: true,
+                    trace: false,
+                    fail_after: None,
+                    fault_kind: FaultKind::Crash,
+                },
                 endpoint: Endpoint::Tcp("127.0.0.1:4455".parse().unwrap()),
-                trace: false,
-                fail_after: None,
-                fault_kind: FaultKind::Crash,
             }
         );
         let mut with_fault = base_args();
         with_fault.extend(["--fail-after".to_string(), "3".to_string()]);
-        assert_eq!(WorkerArgs::parse(&with_fault).unwrap().fail_after, Some(3));
+        assert_eq!(
+            WorkerArgs::parse(&with_fault).unwrap().worker.fail_after,
+            Some(3)
+        );
         let mut with_trace = base_args();
         with_trace.push("--trace".to_string());
-        assert!(WorkerArgs::parse(&with_trace).unwrap().trace);
+        assert!(WorkerArgs::parse(&with_trace).unwrap().worker.trace);
         let unix: Vec<String> = base_args()
             .into_iter()
             .map(|a| if a == "--tcp" { "--unix".into() } else { a })
@@ -522,7 +583,7 @@ mod tests {
                 "--fault-kind".to_string(),
                 arg,
             ]);
-            let parsed = WorkerArgs::parse(&args).unwrap();
+            let parsed = WorkerArgs::parse(&args).unwrap().worker;
             assert_eq!(parsed.fault_kind, kind);
             assert_eq!(parsed.fail_after, Some(2));
         }
@@ -533,36 +594,46 @@ mod tests {
 
     #[test]
     fn backoff_schedule_is_deterministic_and_capped() {
-        let schedule = BackoffSchedule {
-            base_ms: 50,
-            factor: 2,
-            max_ms: 500,
-        };
-        let delays: Vec<u64> = (0..6).map(|k| schedule.delay_ms(k)).collect();
-        assert_eq!(delays, vec![50, 100, 200, 400, 500, 500]);
-        // Jitter-free: the same attempt always gets the same delay.
-        assert_eq!(schedule.delay_ms(3), schedule.delay_ms(3));
+        let delays: Vec<u64> = (0..8).map(retry_delay_ms).collect();
+        assert_eq!(delays, [50, 100, 200, 400, 800, 1600, 2000, 2000]);
         // Overflow-safe far past the cap.
-        assert_eq!(schedule.delay_ms(u32::MAX), 500);
+        assert_eq!(retry_delay_ms(u32::MAX), 2000);
     }
 
     #[test]
     fn supervisor_gives_up_after_k_consecutive_failures() {
-        let mut sup = Supervisor::new(BackoffSchedule::default(), 3);
-        assert_eq!(
-            sup.on_failure(),
-            SupervisorVerdict::Retry { delay_ms: 50 },
-            "first failure retries at the base delay"
-        );
-        assert_eq!(
-            sup.on_failure(),
-            SupervisorVerdict::Retry { delay_ms: 100 },
-            "second failure backs off exponentially"
-        );
-        assert_eq!(sup.on_failure(), SupervisorVerdict::GiveUp, "third strike");
-
-        // strikes=1: no retries at all.
-        let mut sup = Supervisor::new(BackoffSchedule::default(), 1);
-        assert_eq!(sup.on_failure(), SupervisorVerdict::GiveUp);
+        let spec = WorkerSpec {
+            binary: std::env::temp_dir()
+                .join("bintuner-no-such-dir")
+                .join("bintuner"),
+            endpoint: Endpoint::Tcp("127.0.0.1:9".parse().unwrap()),
+        };
+        let worker = Worker {
+            client_id: 0,
+            kind: CompilerKind::Gcc,
+            arch: Arch::X86,
+            artifact_cache: true,
+            trace: false,
+            fail_after: None,
+            fault_kind: FaultKind::default(),
+        };
+        // At least one attempt; each retry is counted with its delay, and
+        // the last spawn error is what the caller sees.
+        for (attempts, respawns, backoff_ms) in [(0, 0, 0), (1, 0, 0), (3, 2, 150)] {
+            let tel = crate::service::FarmTelemetry {
+                registry: Arc::new(btel::Registry::new()),
+                tracer: btel::Tracer::disabled(),
+            };
+            let counters = tel.supervision_counters();
+            let err = spawn_with_retry(&spec, &worker, attempts, Some(&counters)).unwrap_err();
+            assert_eq!(
+                err.kind(),
+                std::io::ErrorKind::NotFound,
+                "{attempts} attempts"
+            );
+            let count = |name| tel.registry.counter_value(name, None);
+            assert_eq!(count("bintuner_farm_respawns_total"), Some(respawns));
+            assert_eq!(count("bintuner_farm_backoff_ms_total"), Some(backoff_ms));
+        }
     }
 }

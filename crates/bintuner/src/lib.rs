@@ -58,7 +58,6 @@ pub use engine::{
     EngineConfig, EngineStats, EngineTelemetry, FitnessEngine, MissExecutor, MissResult,
     FAILED_COMPILE_PENALTY,
 };
-pub use farm::{BackoffSchedule, Supervisor, SupervisorVerdict};
 pub use obfuscator::{obfuscate, ObfuscatorConfig};
 pub use potency::{
     flag_potency, marginal_potency, marginal_potency_weighted, pearson, FlagMarginal, FlagPotency,
@@ -73,4 +72,4 @@ pub use store::{
     FlagBits, LoadReport, LowerArtifactKey, PendingArtifacts, SaveOutcome, StoreKey, StoreLock,
     StoreTelemetry, StoredFitness, DEFAULT_SHARD_COUNT,
 };
-pub use tuner::{Backend, PersistSummary, PriorSummary, TuneError, TuneResult, Tuner, TunerConfig};
+pub use tuner::{PersistSummary, PriorSummary, TuneError, TuneResult, Tuner, TunerConfig};

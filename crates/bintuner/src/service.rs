@@ -5,18 +5,21 @@
 //! deployment shape (§5 "Implementation": the GA on a server, compile +
 //! diff on a farm of clients), runnable entirely offline:
 //!
-//! * [`ServiceHandle::launch`] spawns N client threads fed over
+//! * [`ServiceHandle::launch_with`] spawns N client threads fed over
 //!   in-process channels, or N worker processes
-//!   ([`WorkerMode::Processes`], see [`crate::farm`]) that connect back
-//!   over a Unix or TCP socket. **Each client is a full
-//!   [`FitnessEngine`]** with its own [`Compiler`] instance, its own
-//!   `-O0` baseline and its own in-run caches.
+//!   ([`WorkerMode::Processes`]) that connect back over a Unix or TCP
+//!   socket. Every client runs `farm::run_worker`, so **each client is
+//!   a full [`crate::FitnessEngine`]** with its own [`minicc::Compiler`]
+//!   instance, its own `-O0` baseline and its own in-run caches, built
+//!   from the module the server ships on its `Job` frame.
 //! * The server side is the tuner's own engine: partition, the three
 //!   cache tiers, the single writable store and the stats all stay where
 //!   they were, and only the deduplicated miss list travels — the handle
 //!   implements [`MissExecutor`] by pushing each miss batch through
 //!   [`evald::EvalServer::evaluate`] (work-stealing shards, straggler
-//!   re-dispatch, first result wins).
+//!   re-dispatch, first result wins). Whoever launches the farm hands it
+//!   to [`crate::Tuner::tune_with_executor`] and reads its
+//!   [`ServiceSummary`] from [`ServiceHandle::finish`].
 //! * The server engine records every result it receives into the one
 //!   writable [`crate::FitnessStore`] itself, so each fitness crosses
 //!   the wire once, on its shard's `Result` frame. The stage artifacts
@@ -32,22 +35,19 @@
 //! (thread clients) and `tests/farm.rs` (worker processes) pin
 //! bit-identity against the in-process engine.
 
-use crate::engine::{
-    EngineConfig, EngineTelemetry, MissExecutor, MissResult, FAILED_COMPILE_PENALTY,
-};
+use crate::engine::{MissExecutor, MissResult};
 use crate::farm::{
-    resolve_worker_binary, BackoffSchedule, Supervisor, SupervisorVerdict, WorkerSpec,
+    resolve_worker_binary, run_worker, spawn_with_retry, SupervisionCounters, Worker, WorkerSpec,
 };
 use crate::store::{ArtifactStore, AstArtifactKey, LowerArtifactKey};
-use crate::FitnessEngine;
 use binrep::Arch;
 use evald::{
-    channel_duplex, run_client, ClientOptions, Duplex, EvalServer, EvaldError, Listener,
-    ServerTelemetry, ShardWorker, WireAstArtifact, WireEval, WireLowerArtifact, WireSpan,
+    channel_duplex, Duplex, EvalServer, EvaldError, Listener, ServerTelemetry, WireAstArtifact,
+    WireLowerArtifact,
 };
 use genetic::EvalAbort;
 use minicc::ast::Module;
-use minicc::{Compiler, CompilerKind, CompilerProfile};
+use minicc::{CompilerKind, CompilerProfile};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -106,7 +106,7 @@ impl FarmTelemetry {
     }
 
     /// Resolve the respawn-plane metric handles.
-    fn supervision_counters(&self) -> SupervisionCounters {
+    pub(crate) fn supervision_counters(&self) -> SupervisionCounters {
         SupervisionCounters {
             respawns: self.registry.counter(
                 "bintuner_farm_respawns_total",
@@ -120,17 +120,8 @@ impl FarmTelemetry {
     }
 }
 
-/// Respawn-plane metric handles (`bintuner_farm_{respawns,backoff_ms}`),
-/// held by the service so respawns *after* launch still count.
-#[derive(Clone)]
-struct SupervisionCounters {
-    respawns: Arc<btel::Counter>,
-    backoff_ms: Arc<btel::Counter>,
-}
-
-/// What the evaluation service did over one run (on
-/// [`crate::TuneResult::service`] when `TunerConfig::backend` is a
-/// service).
+/// What the evaluation service did over its life, from
+/// [`ServiceHandle::finish`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceSummary {
     /// Transport the run used: [`TransportKind::Channel`] for thread
@@ -146,8 +137,7 @@ pub struct ServiceSummary {
     /// Shard copies re-issued to idle clients (straggler re-dispatch).
     pub redispatched_shards: usize,
     /// Evaluations discarded because another client answered first
-    /// (bit-identical duplicates; also mirrored into
-    /// [`crate::EngineStats::duplicate_results`]).
+    /// (bit-identical duplicates).
     pub duplicate_results: usize,
     /// Client-produced stage artifacts received on `Result` frames, for
     /// the server-side artifact store.
@@ -189,7 +179,7 @@ pub(crate) fn check_topology(cfg: &ServiceConfig) -> Result<(), EvaldError> {
 
 /// A launched evaluation service: the dispatch server plus its client
 /// threads. Implements [`MissExecutor`], so the tuner installs it
-/// beneath its fitness engine with [`FitnessEngine::set_executor`].
+/// beneath its fitness engine with [`crate::FitnessEngine::set_executor`].
 ///
 /// Tear it down with [`ServiceHandle::finish`]; a handle dropped on an
 /// error path (e.g. the engine's baseline compile failing after launch)
@@ -207,8 +197,10 @@ pub struct ServiceHandle {
     /// Process-mode workers (`None` slots are workers already reaped,
     /// e.g. by [`ServiceHandle::kill_worker`]).
     children: Mutex<Vec<Option<std::process::Child>>>,
-    /// Everything needed to respawn a worker ([`ServiceHandle::spawn_worker`]).
-    spec: Option<WorkerSpec>,
+    /// Everything needed to respawn a worker process
+    /// ([`ServiceHandle::spawn_worker`]): where to spawn it from, and the
+    /// fault-free worker each respawn runs under a fresh client id.
+    spec: Option<(WorkerSpec, Worker)>,
     /// Client ids continue past the initial farm (matches the server's
     /// injector numbering).
     next_worker_id: AtomicU32,
@@ -238,166 +230,6 @@ impl std::fmt::Debug for ServiceHandle {
             .field("transport", &self.transport)
             .field("clients", &self.launched)
             .finish_non_exhaustive()
-    }
-}
-
-/// Build a farm client's engine and hand it to `serve` as its
-/// [`ShardWorker`]; `None` when the engine cannot compile the baseline.
-/// Thread clients (`run_client`) and worker processes (`evald::serve`,
-/// from [`crate::farm`]) build it the same way: one worker, its own
-/// [`Compiler`], no store of its own — its results go home on `Result`
-/// frames.
-pub(crate) fn serve_client_engine<R>(
-    kind: CompilerKind,
-    module: &Module,
-    arch: Arch,
-    artifact_cache: bool,
-    trace: bool,
-    client_id: u32,
-    serve: impl FnOnce(&mut dyn ShardWorker) -> R,
-) -> Option<R> {
-    let compiler = Compiler::new(kind);
-    let mut engine = FitnessEngine::new(
-        &compiler,
-        module,
-        arch,
-        EngineConfig {
-            workers: 1,
-            artifact_cache,
-            ..EngineConfig::default()
-        },
-    )
-    .ok()?;
-    if artifact_cache {
-        // An in-memory artifact store is a pure *producer* seam: it is
-        // never saved, so it never answers membership queries — the
-        // engine's compile classification (and thus the differential
-        // bit-identity guarantee) is untouched. Its only job is to
-        // capture freshly built stage artifacts for the shard's Result
-        // frame; the server folds them into the persistent store.
-        engine.set_artifact_store(ArtifactStore::in_memory());
-    }
-    if trace {
-        // A private registry (only spans travel back over the wire; the
-        // handles hold their metrics alive without it) and a per-client
-        // span-id range, so stitched traces never collide with the
-        // server's — or each other's — ids.
-        let registry = btel::Registry::new();
-        let tracer = btel::Tracer::with_id_base(4096, (u64::from(client_id) + 1) << 48);
-        engine.set_telemetry(EngineTelemetry::from_registry(&registry, tracer));
-    }
-    Some(serve(&mut EngineWorker { engine: &engine }))
-}
-
-/// [`ShardWorker`] over a farm client's [`FitnessEngine`] (see
-/// [`serve_client_engine`]).
-struct EngineWorker<'e, 'a> {
-    engine: &'e FitnessEngine<'a>,
-}
-
-impl ShardWorker for EngineWorker<'_, '_> {
-    fn evaluate(&mut self, genomes: &[Vec<bool>], span: u64) -> Vec<WireEval> {
-        use genetic::Evaluator;
-        // Re-parent this shard's stage spans to the server's dispatch
-        // span (`0` = tracing off upstream; a disabled local tracer
-        // ignores the parent anyway).
-        if let Some(tel) = self.engine.telemetry() {
-            tel.set_trace_parent(span);
-        }
-        // A worker-local engine has no executor installed, and an
-        // executor-less engine is infallible by construction (the
-        // `Evaluator` contract: compile failures are scored, not
-        // errors) — so this expect can never fire.
-        self.engine
-            .evaluate_batch(genomes)
-            .expect("executor-less worker engine cannot abort")
-            .into_iter()
-            .map(|e| WireEval {
-                fitness_bits: e.fitness.to_bits(),
-                // NCD is non-negative, so the penalty value is unambiguous.
-                failed: e.fitness.to_bits() == FAILED_COMPILE_PENALTY.to_bits(),
-                // The frame carries one wall figure per eval, so the
-                // worker's shared stage-1 production folds back in here:
-                // the server charges the farm's physical time, not the
-                // local attribution split.
-                wall_seconds_bits: (e.wall_seconds + e.ast_produce_seconds).to_bits(),
-            })
-            .collect()
-    }
-
-    fn drain_spans(&mut self) -> Vec<WireSpan> {
-        self.engine.telemetry().map_or_else(Vec::new, |tel| {
-            tel.tracer
-                .drain()
-                .into_iter()
-                .map(|s| WireSpan {
-                    id: s.id,
-                    parent: s.parent,
-                    name: s.name,
-                    start_us: s.start_us,
-                    dur_us: s.dur_us,
-                })
-                .collect()
-        })
-    }
-
-    fn drain_artifacts(&mut self) -> (Vec<WireAstArtifact>, Vec<WireLowerArtifact>) {
-        let pending = self.engine.drain_pending_artifacts();
-        (
-            pending
-                .ast
-                .into_iter()
-                .map(|(k, cost, blob)| WireAstArtifact {
-                    body_hash: k.body_hash,
-                    compiler: k.compiler,
-                    ast_digest: k.ast_digest,
-                    cost_bits: cost.to_bits(),
-                    blob,
-                })
-                .collect(),
-            pending
-                .lower
-                .into_iter()
-                .map(|(k, cost, blob)| WireLowerArtifact {
-                    body_hash: k.body_hash,
-                    compiler: k.compiler,
-                    arch: k.arch,
-                    ast_digest: k.ast_digest,
-                    lower_digest: k.lower_digest,
-                    cost_bits: cost.to_bits(),
-                    blob,
-                })
-                .collect(),
-        )
-    }
-}
-
-/// Spawn one worker process, retrying through the deterministic backoff
-/// schedule: one bad fork (transient EAGAIN, racing resource limits)
-/// must not fail the whole launch. Gives up — returning the *last*
-/// spawn error — after `attempts` consecutive failures.
-fn spawn_with_retry(
-    spec: &WorkerSpec,
-    client_id: u32,
-    fault: Option<(usize, FaultKind)>,
-    attempts: u32,
-    supervision: Option<&SupervisionCounters>,
-) -> std::io::Result<std::process::Child> {
-    let mut supervisor = Supervisor::new(BackoffSchedule::default(), attempts.max(1));
-    loop {
-        match spec.spawn(client_id, fault) {
-            Ok(child) => return Ok(child),
-            Err(e) => match supervisor.on_failure() {
-                SupervisorVerdict::Retry { delay_ms } => {
-                    if let Some(c) = supervision {
-                        c.respawns.inc();
-                        c.backoff_ms.add(delay_ms);
-                    }
-                    std::thread::sleep(Duration::from_millis(delay_ms));
-                }
-                SupervisorVerdict::GiveUp => return Err(e),
-            },
-        }
     }
 }
 
@@ -445,9 +277,14 @@ fn accept_workers(
 }
 
 impl ServiceHandle {
-    /// Launch the service for one tuning run: spawn the client farm,
-    /// connect it over the configured transport, and complete the
-    /// handshake.
+    /// Launch the service for one module: spawn the client farm,
+    /// connect it over the configured transport, complete the
+    /// handshake, and ship every client the module as its job. With
+    /// `tel`, the server's dispatch metrics and stitched spans land in
+    /// its registry and tracer, and — when the tracer is enabled — every
+    /// client traces its compile stages back over the wire. `None` is
+    /// the Off-mode purity contract: bit-identical to a pre-telemetry
+    /// launch.
     ///
     /// # Errors
     ///
@@ -455,25 +292,6 @@ impl ServiceHandle {
     /// not pair (thread workers use the channel; worker processes use a
     /// socket), transport setup failures, or [`EvaldError::NoClients`]
     /// when no client survives the handshake.
-    pub fn launch(
-        cfg: &ServiceConfig,
-        kind: CompilerKind,
-        module: &Module,
-        arch: Arch,
-        artifact_cache: bool,
-    ) -> Result<ServiceHandle, EvaldError> {
-        ServiceHandle::launch_with(cfg, kind, module, arch, artifact_cache, None)
-    }
-
-    /// [`ServiceHandle::launch`] with telemetry wiring: the server's
-    /// dispatch metrics and stitched spans land in `tel`'s registry and
-    /// tracer, and — when the tracer is enabled — every client traces
-    /// its compile stages back over the wire. `None` is the Off-mode
-    /// purity contract: bit-identical to a pre-telemetry launch.
-    ///
-    /// # Errors
-    ///
-    /// See [`ServiceHandle::launch`].
     pub fn launch_with(
         cfg: &ServiceConfig,
         kind: CompilerKind,
@@ -485,10 +303,25 @@ impl ServiceHandle {
         check_topology(cfg)?;
         let n_clients = cfg.clients.max(1);
         let n_flags = CompilerProfile::new(kind).n_flags() as u16;
-        let trace = tel.as_ref().is_some_and(|t| t.tracer.is_enabled());
-        let fault_for = |i: usize| {
-            cfg.fault
-                .and_then(|f| (f.client == i).then_some((f.after_shards, f.kind)))
+        let base = Worker {
+            client_id: 0,
+            kind,
+            arch,
+            artifact_cache,
+            trace: tel.as_ref().is_some_and(|t| t.tracer.is_enabled()),
+            fail_after: None,
+            fault_kind: FaultKind::default(),
+        };
+        // Client `i` of the initial farm, carrying the chaos hook when
+        // the fault plan names it.
+        let worker = |i: usize| {
+            let fault = cfg.fault.filter(|f| f.client == i);
+            Worker {
+                client_id: i as u32,
+                fail_after: fault.map(|f| f.after_shards),
+                fault_kind: fault.map(|f| f.kind).unwrap_or_default(),
+                ..base.clone()
+            }
         };
         let process_farm = match &cfg.workers {
             WorkerMode::Threads => None,
@@ -516,33 +349,18 @@ impl ServiceHandle {
         };
 
         let (server_side, acceptor) = match process_farm {
-            // One client thread per channel serves shards from an engine
-            // of its own until the server shuts it down. A client whose
-            // engine cannot compile the baseline exits at once; the
-            // server sees the disconnect and carries on with the rest.
+            // One client thread per channel serves shards until the
+            // server shuts it down. A client whose engine cannot compile
+            // the baseline exits after its greeting; the server sees the
+            // disconnect and carries on with the rest.
             None => {
                 let mut server_side = Vec::with_capacity(n_clients);
                 for i in 0..n_clients {
                     let (server_end, client_end) = channel_duplex();
-                    let fault = fault_for(i);
-                    let opts = ClientOptions {
-                        n_flags,
-                        fail_after_shards: fault.map(|(after, _)| after),
-                        fault_kind: fault.map(|(_, kind)| kind).unwrap_or_default(),
-                    };
-                    let module = module.clone();
+                    let worker = worker(i);
                     handle.clients.push(std::thread::spawn(move || {
-                        let serve = |w: &mut dyn ShardWorker| run_client(w, client_end, &opts);
                         // A disconnect is the server going away — normal end of service.
-                        let _ = serve_client_engine(
-                            kind,
-                            &module,
-                            arch,
-                            artifact_cache,
-                            trace,
-                            i as u32,
-                            serve,
-                        );
+                        let _ = run_worker(client_end, &worker);
                     }));
                     server_side.push(server_end);
                 }
@@ -557,14 +375,10 @@ impl ServiceHandle {
                 // The accept deadline loop and the acceptor's stop flag
                 // both need accept to return instead of parking.
                 listener.set_nonblocking()?;
-                let spec = handle.spec.insert(WorkerSpec {
-                    binary,
-                    kind,
-                    arch,
-                    artifact_cache,
-                    endpoint: listener.endpoint().clone(),
-                    trace,
-                });
+                let endpoint = listener.endpoint().clone();
+                let (spec, _) = handle
+                    .spec
+                    .insert((WorkerSpec { binary, endpoint }, base.clone()));
                 let children = handle
                     .children
                     .get_mut()
@@ -572,8 +386,7 @@ impl ServiceHandle {
                 for i in 0..n_clients {
                     children.push(Some(spawn_with_retry(
                         spec,
-                        i as u32,
-                        fault_for(i),
+                        &worker(i),
                         farm.spawn_attempts,
                         handle.supervision.as_ref(),
                     )?));
@@ -589,10 +402,10 @@ impl ServiceHandle {
         if let Some(t) = &tel {
             server.set_telemetry(t.server_telemetry());
         }
+        // Every worker builds its engine from the job description; ship
+        // it before any Work frame can be dispatched.
+        server.set_job(minicc::codec::encode_module(module));
         if let Some((listener, farm)) = acceptor {
-            // Workers build their engines from the job description; ship
-            // it before any Work frame can be dispatched.
-            server.set_job(minicc::codec::encode_module(module));
             // The reconnect path: a worker that dies is absorbed on
             // return (or replacement via spawn_worker) by injecting the
             // accepted connection into the running server.
@@ -644,14 +457,17 @@ impl ServiceHandle {
     /// Unsupported in thread mode; otherwise whatever the OS reports
     /// for the spawn.
     pub fn spawn_worker(&self) -> std::io::Result<u32> {
-        let spec = self.spec.as_ref().ok_or_else(|| {
+        let (spec, base) = self.spec.as_ref().ok_or_else(|| {
             std::io::Error::new(
                 std::io::ErrorKind::Unsupported,
                 "spawn_worker requires process-mode workers",
             )
         })?;
         let id = self.next_worker_id.fetch_add(1, Ordering::Relaxed);
-        let child = spec.spawn(id, None)?;
+        let child = spec.spawn(&Worker {
+            client_id: id,
+            ..base.clone()
+        })?;
         if let Some(c) = &self.supervision {
             c.respawns.inc();
         }

@@ -6,9 +6,7 @@
 use crate::db::{Database, IterationRow};
 use crate::engine::{EngineConfig, EngineStats, FitnessEngine, FAILED_COMPILE_PENALTY};
 use crate::priors::{mine_prior, PriorConfig, PriorMode};
-use crate::service::{
-    fold_artifacts, ServiceConfig, ServiceExecutor, ServiceHandle, ServiceSummary,
-};
+use crate::service::{fold_artifacts, ServiceExecutor};
 use crate::store::{ArtifactStore, FitnessStore, SaveOutcome, StoreKey};
 use binrep::{Arch, Binary};
 use genetic::{Ga, GaParams, GaRun, StopReason, Termination};
@@ -16,22 +14,7 @@ use lzc::NcdBaseline;
 use minicc::ast::Module;
 use minicc::{CompileError, Compiler, CompilerKind, EffectConfig, OptLevel};
 use std::path::PathBuf;
-
-/// Where fitness evaluation runs.
-#[derive(Debug, Clone, Default)]
-pub enum Backend {
-    /// The in-process worker pool ([`FitnessEngine`]'s own threads) —
-    /// the default, and the reference semantics.
-    #[default]
-    InProcess,
-    /// The sharded client–server evaluation service (`evald`): the
-    /// engine's deduplicated miss lists are dispatched to a farm of
-    /// worker clients with work stealing and straggler re-dispatch,
-    /// while this process keeps the GA, every cache tier, and the single
-    /// writable store. Bit-identical results to [`Backend::InProcess`]
-    /// on the same seed — only the deployment shape changes.
-    Service(ServiceConfig),
-}
+use std::sync::Arc;
 
 /// Tuner configuration.
 #[derive(Debug, Clone)]
@@ -79,34 +62,24 @@ pub struct TunerConfig {
     /// decay) applied whenever [`TunerConfig::priors`] is on. The
     /// default preserves the differential guarantees above.
     pub prior_config: PriorConfig,
-    /// Evaluation backend: the in-process pool (default) or the sharded
-    /// client–server service (see [`Backend`]). The tuned result is
-    /// identical either way; only wall-clock and deployment shape
-    /// change.
-    pub backend: Backend,
-    /// Tier-0 stage-artifact cache in the fitness engine (and, on a
-    /// service backend, in every client engine): misses that differ
-    /// from an earlier compile only in late-pipeline flags reuse the
-    /// cached optimized-AST / lowered-binary artifacts and rerun only
-    /// the cheap tail. `true` (the default) is bit-identical to `false`
-    /// in everything but wall-clock and the stage-reuse telemetry
-    /// (differentially tested on both backends).
+    /// Tier-0 stage-artifact cache in the fitness engine: misses that
+    /// differ from an earlier compile only in late-pipeline flags reuse
+    /// the cached optimized-AST / lowered-binary artifacts and rerun
+    /// only the cheap tail. `true` (the default) is bit-identical to
+    /// `false` in everything but wall-clock and the stage-reuse
+    /// telemetry (differentially tested in process and on a farm, whose
+    /// client engines take the same switch at launch).
     pub artifact_cache: bool,
     /// The telemetry plane ([`btel::TelemetryMode::Off`] by default).
     /// `On` builds a [`btel::Registry`] and a bounded [`btel::Tracer`],
-    /// installs them in the fitness engine (and, on a service backend,
-    /// in the eval server and every worker client, whose spans stitch
-    /// back over the wire), and returns them in
-    /// [`TuneResult::registry`] / [`TuneResult::spans`]. `Off` is a
-    /// hard purity contract — no extra clock reads, no telemetry state,
-    /// a run bit-identical to a pre-telemetry tuner (differentially
-    /// tested on every backend).
+    /// installs them in the fitness engine and the stores, and returns
+    /// them in [`TuneResult::registry`] / [`TuneResult::spans`]. A farm
+    /// keeps its own, handed to it at launch
+    /// ([`crate::FarmTelemetry`]). `Off` is a hard purity contract — no
+    /// extra clock reads, no telemetry state, a run bit-identical to a
+    /// pre-telemetry tuner (differentially tested in process and on
+    /// every farm topology).
     pub telemetry: btel::TelemetryMode,
-    /// Where to write the run's trace spans as JSONL (one object per
-    /// line), if anywhere. Only written when [`TunerConfig::telemetry`]
-    /// is `On`; a failed write is ignored — telemetry must never fail a
-    /// run.
-    pub trace_path: Option<PathBuf>,
 }
 
 impl Default for TunerConfig {
@@ -128,10 +101,8 @@ impl Default for TunerConfig {
             dedup: false,
             priors: PriorMode::Off,
             prior_config: PriorConfig::default(),
-            backend: Backend::InProcess,
             artifact_cache: true,
             telemetry: btel::TelemetryMode::Off,
-            trace_path: None,
         }
     }
 }
@@ -141,8 +112,8 @@ impl Default for TunerConfig {
 /// Candidate flag vectors that fail to compile are *not* errors: the
 /// engine scores them with [`FAILED_COMPILE_PENALTY`] and the GA selects
 /// against them (BinTuner's constraint-violation handling). Only the
-/// compiles the run cannot proceed without — and a service backend that
-/// cannot even start — surface here.
+/// compiles the run cannot proceed without — and an executor whose farm
+/// is gone — surface here.
 ///
 /// Implements [`std::error::Error`] with full source chaining (e.g.
 /// `Service → evald::EvaldError → std::io::Error`), so callers can `?`
@@ -155,7 +126,7 @@ pub enum TuneError {
     /// The winning flag vector failed to recompile at the end of the run
     /// (would indicate a constraint-repair bug; recorded, not panicked).
     BestRecompile(CompileError),
-    /// The evaluation service failed: it could not be launched
+    /// The evaluation service failed: the farm could not be launched
     /// (transport setup, no client survived the handshake), or every
     /// client was lost mid-batch with work outstanding (the batch
     /// aborted through [`genetic::EvalAbort`] — the run stops but the
@@ -314,16 +285,14 @@ pub struct TuneResult {
     /// What the mined prior contributed ([`TunerConfig::priors`];
     /// `None` when priors are off or no store is configured).
     pub prior: Option<PriorSummary>,
-    /// Evaluation-service telemetry ([`TunerConfig::backend`]; `None`
-    /// for the in-process backend).
-    pub service: Option<ServiceSummary>,
-    /// The metric registry behind this run, for exposition via
-    /// [`btel::Registry::render_text`]. `None` when
+    /// The metric registry behind this run's engine and stores, for
+    /// exposition via [`btel::Registry::render_text`]. `None` when
     /// [`TunerConfig::telemetry`] was `Off`.
-    pub registry: Option<std::sync::Arc<btel::Registry>>,
-    /// The run's trace spans — engine batches, per-stage compile
-    /// timings, farm dispatches, with worker-side spans stitched in
-    /// over the wire. Empty when telemetry was off.
+    pub registry: Option<Arc<btel::Registry>>,
+    /// The run's trace spans — engine batches and per-stage compile
+    /// timings. A farm's dispatch spans, with its workers' spans
+    /// stitched in, stay in the farm's own tracer. Empty when telemetry
+    /// was off.
     pub spans: Vec<btel::SpanRecord>,
 }
 
@@ -377,15 +346,46 @@ impl Tuner {
     }
 
     /// Like [`Tuner::tune`], but dispatching the deduplicated miss
-    /// lists to a caller-supplied executor instead of launching (or
-    /// embedding) an evaluation backend of its own —
-    /// [`TunerConfig::backend`] is ignored. This is how the tuning
-    /// daemon multiplexes many jobs onto one shared farm: each job runs
-    /// the full, unchanged pipeline (store warm start, prior mining,
-    /// GA, persistence), while compilation is brokered by the shared
-    /// proxy. The determinism contract is the executor's to keep: an
-    /// executor that returns the same bit-exact results as the
+    /// lists to `executor`, a farm the caller owns. The tuner launches
+    /// no farm of its own: whoever launches one hands it in here and
+    /// reads what it did from [`ServiceHandle::finish`]. This is also
+    /// how the tuning daemon multiplexes many jobs onto one shared farm:
+    /// each job runs the full, unchanged pipeline (store warm start,
+    /// prior mining, GA, persistence), while compilation is brokered by
+    /// the shared proxy. The determinism contract is the executor's to
+    /// keep: an executor that returns the same bit-exact results as the
     /// in-process pool yields a bit-identical [`TuneResult`].
+    ///
+    /// ```no_run
+    /// use bintuner::service::ServiceHandle;
+    /// use bintuner::{ProcessFarm, ServiceConfig, TransportKind, Tuner, TunerConfig, WorkerMode};
+    ///
+    /// let bench = corpus::by_name("462.libquantum").unwrap();
+    /// let config = TunerConfig::default();
+    /// let farm = ServiceHandle::launch_with(
+    ///     &ServiceConfig {
+    ///         clients: 4,
+    ///         // Worker processes need a stream transport: Tcp or Unix.
+    ///         transport: TransportKind::Tcp,
+    ///         workers: WorkerMode::Processes(ProcessFarm::default()),
+    ///         ..ServiceConfig::default()
+    ///     },
+    ///     config.compiler,
+    ///     &bench.module,
+    ///     config.arch,
+    ///     config.artifact_cache,
+    ///     None, // no FarmTelemetry: the farm records no metrics or spans
+    /// )?;
+    /// let result = Tuner::new(config).tune_with_executor(&bench.module, &farm)?;
+    /// let (s, _) = farm.finish();
+    /// println!(
+    ///     "NCD {:.3} via {} clients over {}: {} shards ({} re-dispatched, {} duplicate results), \
+    ///      {} cost observations",
+    ///     result.best_ncd, s.clients, s.transport, s.shards,
+    ///     s.redispatched_shards, s.duplicate_results, s.cost_observations,
+    /// );
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
     ///
     /// # Errors
     ///
@@ -394,6 +394,8 @@ impl Tuner {
     /// [`ServiceExecutor::take_failure`]. After a successful run the
     /// executor's stage artifacts ([`ServiceExecutor::take_artifacts`])
     /// are folded into the run's artifact store before it saves.
+    ///
+    /// [`ServiceHandle::finish`]: crate::service::ServiceHandle::finish
     pub fn tune_with_executor(
         &self,
         module: &Module,
@@ -405,7 +407,7 @@ impl Tuner {
     fn tune_impl(
         &self,
         module: &Module,
-        external: Option<&dyn ServiceExecutor>,
+        executor: Option<&dyn ServiceExecutor>,
     ) -> Result<TuneResult, TuneError> {
         let engine_config = EngineConfig {
             workers: self.config.workers,
@@ -431,39 +433,16 @@ impl Tuner {
             )),
             _ => None,
         };
-        // Telemetry (when on) is built before the farm so the launch
-        // can thread it through: one registry and one span ring shared
-        // by the engine, the eval server, and — via the wire — every
-        // worker client.
-        let telemetry = if self.config.telemetry.is_on() {
-            Some(crate::service::FarmTelemetry {
-                registry: std::sync::Arc::new(btel::Registry::new()),
-                tracer: btel::Tracer::enabled(4096),
-            })
-        } else {
-            None
-        };
-        if let (Some(store), Some(t)) = (&mut store, &telemetry) {
-            store.set_telemetry(crate::store::StoreTelemetry::from_registry(&t.registry));
+        // Telemetry (when on): one registry and one span ring shared by
+        // the engine and the stores.
+        let telemetry = self
+            .config
+            .telemetry
+            .is_on()
+            .then(|| (Arc::new(btel::Registry::new()), btel::Tracer::enabled(4096)));
+        if let (Some(store), Some((registry, _))) = (&mut store, &telemetry) {
+            store.set_telemetry(crate::store::StoreTelemetry::from_registry(registry));
         }
-        // Service backend: launch the client farm before the engine so
-        // the executor reference outlives the engine borrowing it. An
-        // external executor (the daemon's shared-farm proxy) overrides
-        // the configured backend — the substrate already exists.
-        let service = match (&self.config.backend, external) {
-            (_, Some(_)) | (Backend::InProcess, None) => None,
-            (Backend::Service(cfg), None) => Some(
-                ServiceHandle::launch_with(
-                    cfg,
-                    self.config.compiler,
-                    module,
-                    self.config.arch,
-                    self.config.artifact_cache,
-                    telemetry.clone(),
-                )
-                .map_err(|e| TuneError::Service(std::sync::Arc::new(e)))?,
-            ),
-        };
         let mut engine = match store {
             Some(store) => FitnessEngine::with_store(
                 &self.compiler,
@@ -474,16 +453,14 @@ impl Tuner {
             )?,
             None => FitnessEngine::new(&self.compiler, module, self.config.arch, engine_config)?,
         };
-        if let Some(t) = &telemetry {
+        if let Some((registry, tracer)) = &telemetry {
             engine.set_telemetry(crate::engine::EngineTelemetry::from_registry(
-                &t.registry,
-                t.tracer.clone(),
+                registry,
+                tracer.clone(),
             ));
         }
-        if let Some(service) = &service {
-            engine.set_executor(service);
-        } else if let Some(external) = external {
-            engine.set_executor(external);
+        if let Some(executor) = executor {
+            engine.set_executor(executor);
         }
         // The artifact store lives inside the (v4) store directory.
         // Loading against a path with no store directory yet is a clean
@@ -494,13 +471,13 @@ impl Tuner {
         if self.config.artifact_cache {
             if let Some(path) = &self.config.cache_path {
                 let mut artifacts = ArtifactStore::load(path);
-                if let Some(t) = &telemetry {
+                if let Some((registry, _)) = &telemetry {
                     artifacts.set_telemetry(
-                        t.registry.histogram(
+                        registry.histogram(
                             "bintuner_store_artifact_save_seconds",
                             "Wall time of each artifact-log save (append or rewrite).",
                         ),
-                        t.registry.histogram(
+                        registry.histogram(
                             "bintuner_store_artifact_load_seconds",
                             "Wall time of each artifact-log read and index build (at most one per run).",
                         ),
@@ -546,20 +523,15 @@ impl Tuner {
         let run: GaRun = match run_result {
             Ok(run) => run,
             Err(_abort) => {
-                // The evaluation substrate died mid-run — on the
-                // in-process backend this cannot happen (the engine is
-                // infallible without an executor), so the abort is the
-                // service's. The handle recorded the typed failure when
-                // it aborted the batch; surface that (full source
-                // chain), and let the handles' Drop impls tear the farm
-                // down. The caller — CLI or daemon — stays alive.
-                drop(engine);
-                let cause = service
-                    .as_ref()
-                    .and_then(ServiceHandle::take_failure)
-                    .or_else(|| external.and_then(ServiceExecutor::take_failure))
+                // The evaluation substrate died mid-run. The engine is
+                // infallible without an executor, so the abort is the
+                // executor's, which recorded the typed failure when it
+                // aborted the batch: surface that (full source chain).
+                // Whoever owns the farm tears it down and lives on.
+                let cause = executor
+                    .and_then(ServiceExecutor::take_failure)
                     .unwrap_or_else(|| {
-                        std::sync::Arc::new(evald::EvaldError::Protocol(
+                        Arc::new(evald::EvaldError::Protocol(
                             "evaluation aborted without a recorded service failure",
                         ))
                     });
@@ -569,7 +541,7 @@ impl Tuner {
         let baseline = engine.baseline_binary().clone();
         let baseline_from_store = engine.baseline_from_store();
         let best_key = engine.binary_key(&run.best_genes);
-        let mut stats = engine.stats();
+        let stats = engine.stats();
         let (mut store_after, artifacts_after) = engine.into_stores();
         // Before the save, so a compiled winner is queued into it. An
         // error waits until the stores are saved.
@@ -580,15 +552,9 @@ impl Tuner {
         // their own address spaces, so their artifacts exist nowhere
         // else — without the fold below a process-worker run would
         // persist no artifacts and the next warm start would silently
-        // rerun full pipelines. They come from whichever executor ran
-        // the misses: this run's own farm, or an external one (the
-        // daemon's shared farm).
-        let service_artifacts = service
-            .as_ref()
-            .map(|s| s as &dyn ServiceExecutor)
-            .or(external)
-            .map(ServiceExecutor::take_artifacts);
-        let service_summary = service.map(|s| s.finish().0);
+        // rerun full pipelines. They come from the executor that ran
+        // the misses.
+        let farm_artifacts = executor.map(ServiceExecutor::take_artifacts);
         let persistence = store_after.map(|mut store| {
             let new_entries = store.pending_len();
             let (save_error, lock_skipped) = match store.save() {
@@ -612,7 +578,7 @@ impl Tuner {
         // appends into. A skip (directory still missing, lock
         // contended) only costs future warm-starts, never correctness.
         if let Some(mut artifacts) = artifacts_after {
-            if let Some(wire) = service_artifacts {
+            if let Some(wire) = farm_artifacts {
                 // Client-produced stage artifacts, folded through the
                 // same single writer into the store this run already
                 // indexed (insert dedups against live and pending
@@ -622,9 +588,6 @@ impl Tuner {
                 fold_artifacts(&mut artifacts, wire);
             }
             let _ = artifacts.save();
-        }
-        if let Some(summary) = &service_summary {
-            stats.duplicate_results = summary.duplicate_results;
         }
         let prior_summary = prior.map(|p| {
             let seed_best_ncd = run
@@ -651,18 +614,8 @@ impl Tuner {
                 },
             }
         });
-        // Drain spans only after the service teardown above: worker-side
-        // spans are imported into this shared tracer as their Result
-        // frames fold in, so the ring is complete once the farm is down.
         let (registry, spans) = match telemetry {
-            Some(t) => {
-                let spans = t.tracer.drain();
-                if let Some(path) = &self.config.trace_path {
-                    // Best-effort: telemetry must never fail a run.
-                    let _ = std::fs::write(path, btel::spans_to_jsonl(&spans));
-                }
-                (Some(t.registry), spans)
-            }
+            Some((registry, tracer)) => (Some(registry), tracer.drain()),
             None => (None, Vec::new()),
         };
         let (best_binary, _) = best?;
@@ -673,7 +626,6 @@ impl Tuner {
             stats,
             persistence,
             prior_summary,
-            service_summary,
             registry,
             spans,
         ))
@@ -717,7 +669,6 @@ impl Tuner {
             None,
             None,
             None,
-            None,
             Vec::new(),
         ))
     }
@@ -757,8 +708,7 @@ impl Tuner {
         engine_stats: EngineStats,
         persistence: Option<PersistSummary>,
         prior: Option<PriorSummary>,
-        service: Option<ServiceSummary>,
-        registry: Option<std::sync::Arc<btel::Registry>>,
+        registry: Option<Arc<btel::Registry>>,
         spans: Vec<btel::SpanRecord>,
     ) -> TuneResult {
         let mut db = Database::new();
@@ -791,7 +741,6 @@ impl Tuner {
             skipped_duplicates: run.skipped_duplicates,
             persistence,
             prior,
-            service,
             registry,
             spans,
         }

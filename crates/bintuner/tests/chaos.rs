@@ -17,13 +17,12 @@
 use bintuner::daemon::wire::{JobState, RejectCode};
 use bintuner::daemon::{Daemon, DaemonClient, DaemonConfig};
 use bintuner::{
-    Backend, LivenessConfig, ProcessFarm, ServiceConfig, TransportKind, TuneResult, Tuner,
-    TunerConfig, WorkerMode,
+    LivenessConfig, ProcessFarm, ServiceConfig, TransportKind, TuneResult, TunerConfig, WorkerMode,
 };
 use minicc::ast::Module;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
-use testutil::{small_tuner, tiny_loop_module, ChaosPlan, ScratchStore};
+use testutil::{small_tuner, tiny_loop_module, tune_on_farm, ChaosPlan, ScratchStore};
 
 /// The worker binary the process-farm scenarios re-exec.
 fn worker_binary() -> PathBuf {
@@ -110,13 +109,11 @@ fn hung_worker_is_evicted_end_to_end_on_the_tcp_process_farm() {
         ..service_config(fault)
     };
     let run = |cfg: ServiceConfig, telemetry| {
-        Tuner::new(TunerConfig {
-            backend: Backend::Service(cfg),
+        let config = TunerConfig {
             telemetry,
             ..small_tuner(50)
-        })
-        .tune(&module)
-        .expect("a hung worker must never fail the run")
+        };
+        tune_on_farm(config, &cfg, &module).expect("a hung worker must never fail the run")
     };
 
     let clean = run(farm(None), btel::TelemetryMode::Off);
@@ -124,14 +121,14 @@ fn hung_worker_is_evicted_end_to_end_on_the_tcp_process_farm() {
         farm(Some(ChaosPlan::hang_at(1, 1))),
         btel::TelemetryMode::On,
     );
-    assert_identical_runs(&clean, &chaos, "hung worker vs clean");
+    assert_identical_runs(&clean.result, &chaos.result, "hung worker vs clean");
 
-    let summary = chaos.service.as_ref().expect("farm-backed run");
+    let summary = &chaos.summary;
     assert!(
         summary.evicted_clients >= 1,
         "the wedged worker must fall to the liveness plane, not luck"
     );
-    let registry = chaos.registry.as_ref().expect("telemetry registry");
+    let registry = chaos.registry.as_ref().expect("farm registry");
     assert!(
         registry
             .counter_value("bintuner_farm_evictions_total", None)
@@ -153,12 +150,9 @@ fn hung_worker_is_evicted_end_to_end_on_the_tcp_process_farm() {
 fn every_chaos_scenario_matches_the_clean_trajectory_bit_for_bit() {
     let module = tiny_loop_module("chaos_diff_mod", 6);
     let run = |fault: Option<ChaosPlan>| {
-        Tuner::new(TunerConfig {
-            backend: Backend::Service(service_config(fault)),
-            ..small_tuner(60)
-        })
-        .tune(&module)
-        .expect("an absorbable fault must never fail the run")
+        tune_on_farm(small_tuner(60), &service_config(fault), &module)
+            .expect("an absorbable fault must never fail the run")
+            .result
     };
     let clean = run(None);
     for plan in [

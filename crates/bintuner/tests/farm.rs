@@ -9,13 +9,13 @@
 
 use bintuner::service::ServiceHandle;
 use bintuner::{
-    Backend, Daemon, DaemonConfig, FaultPlan, MissExecutor, ProcessFarm, ServiceConfig,
-    TransportKind, TuneResult, Tuner, TunerConfig, WorkerMode,
+    Daemon, DaemonConfig, FaultPlan, MissExecutor, ProcessFarm, ServiceConfig, TransportKind,
+    TuneResult, Tuner, TunerConfig, WorkerMode,
 };
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
-use testutil::{cached_tuner, small_tuner, tiny_loop_module, ScratchStore};
+use testutil::{cached_tuner, small_tuner, tiny_loop_module, tune_on_farm, ScratchStore};
 
 /// The worker binary every farm in this suite re-execs.
 fn worker_binary() -> PathBuf {
@@ -27,13 +27,6 @@ fn process_farm() -> WorkerMode {
         worker_binary: Some(worker_binary()),
         ..ProcessFarm::default()
     })
-}
-
-fn process_config(max_evals: usize, cfg: ServiceConfig) -> TunerConfig {
-    TunerConfig {
-        backend: Backend::Service(cfg),
-        ..small_tuner(max_evals)
-    }
 }
 
 /// The determinism contract, trajectory included (`wall_seconds` is the
@@ -70,20 +63,24 @@ fn process_farm_is_bit_identical_on_both_stream_transports() {
     let local = Tuner::new(small_tuner(60)).tune(&bench.module).unwrap();
 
     for (transport, clients) in [(TransportKind::Tcp, 2), (TransportKind::Unix, 2)] {
-        let run = Tuner::new(process_config(
-            60,
-            ServiceConfig {
+        let run = tune_on_farm(
+            small_tuner(60),
+            &ServiceConfig {
                 clients,
                 transport,
                 workers: process_farm(),
                 fault: None,
                 liveness: Default::default(),
             },
-        ))
-        .tune(&bench.module)
+            &bench.module,
+        )
         .unwrap();
-        assert_identical_runs(&local, &run, &format!("process workers over {transport}"));
-        let summary = run.service.as_ref().expect("service telemetry");
+        assert_identical_runs(
+            &local,
+            &run.result,
+            &format!("process workers over {transport}"),
+        );
+        let summary = &run.summary;
         assert_eq!(summary.transport, transport);
         assert_eq!(summary.clients, clients);
         assert_eq!(summary.clients_lost, 0, "no worker died");
@@ -98,20 +95,20 @@ fn process_farm_is_bit_identical_on_both_stream_transports() {
 fn killing_a_worker_process_mid_run_changes_nothing() {
     let bench = corpus::by_name("473.astar").unwrap();
     let local = Tuner::new(small_tuner(50)).tune(&bench.module).unwrap();
-    let killed = Tuner::new(process_config(
-        50,
-        ServiceConfig {
+    let killed = tune_on_farm(
+        small_tuner(50),
+        &ServiceConfig {
             clients: 2,
             transport: TransportKind::Tcp,
             workers: process_farm(),
             fault: Some(FaultPlan::crash(1, 1)),
             liveness: Default::default(),
         },
-    ))
-    .tune(&bench.module)
+        &bench.module,
+    )
     .unwrap();
-    assert_identical_runs(&local, &killed, "kill-one-worker-process");
-    let summary = killed.service.as_ref().expect("service telemetry");
+    assert_identical_runs(&local, &killed.result, "kill-one-worker-process");
+    let summary = &killed.summary;
     assert_eq!(summary.transport, TransportKind::Tcp);
     assert_eq!(summary.clients_lost, 1, "exactly the planned death");
 }
@@ -131,22 +128,21 @@ fn process_farm_persists_stage_artifacts_for_warm_starts() {
     let farm_store = ScratchStore::new("farm_artifacts_farm");
     let first = tiny_loop_module("farm_artifacts_a", 6);
     let renamed = tiny_loop_module("farm_artifacts_b", 6);
-    let with_farm = |store: &ScratchStore| TunerConfig {
-        backend: Backend::Service(ServiceConfig {
-            clients: 2,
-            transport: TransportKind::Unix,
-            workers: process_farm(),
-            fault: None,
-            liveness: Default::default(),
-        }),
-        ..cached_tuner(90, Some(store))
+    let farm = ServiceConfig {
+        clients: 2,
+        transport: TransportKind::Unix,
+        workers: process_farm(),
+        fault: None,
+        liveness: Default::default(),
     };
+    let with_farm = |module| tune_on_farm(cached_tuner(90, Some(&farm_store)), &farm, module);
 
-    let cold_farm = Tuner::new(with_farm(&farm_store)).tune(&first).unwrap();
+    let cold = with_farm(&first).unwrap();
+    let cold_farm = &cold.result;
     Tuner::new(cached_tuner(90, Some(&local_store)))
         .tune(&first)
         .unwrap();
-    let summary = cold_farm.service.as_ref().expect("service telemetry");
+    let summary = &cold.summary;
     assert_eq!(summary.transport, TransportKind::Unix);
     assert!(
         summary.merged_artifacts > 0,
@@ -156,7 +152,7 @@ fn process_farm_persists_stage_artifacts_for_warm_starts() {
     let warm_local = Tuner::new(cached_tuner(90, Some(&local_store)))
         .tune(&renamed)
         .unwrap();
-    let warm_farm = Tuner::new(with_farm(&farm_store)).tune(&renamed).unwrap();
+    let warm_farm = with_farm(&renamed).unwrap().result;
     assert_identical_runs(&warm_local, &warm_farm, "warm renamed module");
     // All fitness keys miss: the store hits are pure artifact traffic.
     assert_eq!(warm_farm.engine_stats.persistent_hits, 0);
@@ -209,7 +205,8 @@ fn sigkill_and_respawn_are_absorbed_without_changing_results() {
 
     // Reference results from a healthy farm.
     let reference: Vec<Vec<u64>> = {
-        let handle = ServiceHandle::launch(&cfg, kind, &bench.module, arch, true).unwrap();
+        let handle =
+            ServiceHandle::launch_with(&cfg, kind, &bench.module, arch, true, None).unwrap();
         let out = (0..3)
             .map(|salt| {
                 handle
@@ -227,7 +224,7 @@ fn sigkill_and_respawn_are_absorbed_without_changing_results() {
 
     // Chaos run: kill worker 0 after the first batch, respawn a
     // replacement, and keep evaluating the same batches.
-    let handle = ServiceHandle::launch(&cfg, kind, &bench.module, arch, true).unwrap();
+    let handle = ServiceHandle::launch_with(&cfg, kind, &bench.module, arch, true, None).unwrap();
     let first: Vec<u64> = handle
         .execute(&batch(n_flags, 10, 0))
         .unwrap()
@@ -288,7 +285,8 @@ fn killing_every_worker_fails_the_batch_not_the_process() {
         fault: None,
         liveness: Default::default(),
     };
-    let handle = ServiceHandle::launch(&cfg, kind, &module, binrep::Arch::X86, true).unwrap();
+    let handle =
+        ServiceHandle::launch_with(&cfg, kind, &module, binrep::Arch::X86, true, None).unwrap();
     // A healthy batch first, proving the farm really was up.
     assert_eq!(handle.execute(&batch(n_flags, 8, 0)).unwrap().len(), 8);
     assert!(handle.kill_worker(0), "worker 0 was alive to kill");
@@ -340,17 +338,17 @@ fn invalid_module_fails_promptly_and_tears_the_service_down() {
         vec![Stmt::Return(Expr::Const(2))],
     ));
     for _ in 0..3 {
-        let err = Tuner::new(process_config(
-            40,
-            ServiceConfig {
+        let err = tune_on_farm(
+            small_tuner(40),
+            &ServiceConfig {
                 clients: 2,
                 transport: TransportKind::Unix,
                 workers: process_farm(),
                 fault: None,
                 liveness: Default::default(),
             },
-        ))
-        .tune(&bad)
+            &bad,
+        )
         .unwrap_err();
         // Either shape is a prompt, clean failure: Baseline when the
         // server engine fails first (the farm launched), Service when
@@ -393,12 +391,13 @@ fn process_workers_refuse_the_channel_transport() {
             fault: None,
             liveness: Default::default(),
         };
-        let err = ServiceHandle::launch(
+        let err = ServiceHandle::launch_with(
             &cfg,
             minicc::CompilerKind::Gcc,
             &bench.module,
             binrep::Arch::X86,
             true,
+            None,
         )
         .unwrap_err();
         assert!(

@@ -1,5 +1,5 @@
-//! Differential harness for the evaluation-service backend: the sharded
-//! client–server deployment (`TunerConfig::backend = Service`) of thread
+//! Differential harness for the evaluation service: a tune handed a
+//! sharded client–server farm (`Tuner::tune_with_executor`) of thread
 //! clients over channels must be **bit-identical** to the in-process
 //! engine — same best genome, same fitness bits, same full trajectory —
 //! at every client count, with cache telemetry preserved, with the
@@ -12,17 +12,12 @@
 //! distributed shape is a pure wall-clock/scale decision, never a
 //! semantics decision.
 
+use bintuner::service::ServiceHandle;
 use bintuner::{
-    Backend, FaultPlan, FitnessStore, ServiceConfig, TransportKind, TuneResult, Tuner, TunerConfig,
+    FaultPlan, FitnessStore, MissExecutor, ServiceConfig, TransportKind, TuneResult, Tuner,
+    TunerConfig,
 };
-use testutil::{small_tuner, ScratchStore};
-
-fn service_config(max_evals: usize, cfg: ServiceConfig) -> TunerConfig {
-    TunerConfig {
-        backend: Backend::Service(cfg),
-        ..small_tuner(max_evals)
-    }
-}
+use testutil::{small_tuner, tune_on_farm, ScratchStore};
 
 /// Record-for-record equality of two tuning runs — the strongest form of
 /// "the backend changed nothing". Measured `wall_seconds` is telemetry
@@ -116,30 +111,29 @@ fn assert_same_store(a: &std::path::Path, b: &std::path::Path) {
 fn service_backend_is_bit_identical_at_every_client_count() {
     let bench = corpus::by_name("462.libquantum").unwrap();
     let local = Tuner::new(small_tuner(70)).tune(&bench.module).unwrap();
-    assert!(local.service.is_none());
 
     let channel = [1, 3, 4].map(|clients| {
-        let run = Tuner::new(service_config(
-            70,
-            ServiceConfig {
+        let run = tune_on_farm(
+            small_tuner(70),
+            &ServiceConfig {
                 clients,
                 transport: TransportKind::Channel,
                 ..ServiceConfig::default()
             },
-        ))
-        .tune(&bench.module)
+            &bench.module,
+        )
         .unwrap();
         assert_identical_runs(
             &local,
-            &run,
+            &run.result,
             &format!("channel transport, {clients} clients"),
         );
         (run, clients)
     });
 
     // The service actually ran: shards were dispatched to a live farm.
-    for (result, clients) in &channel {
-        let summary = result.service.as_ref().expect("service telemetry");
+    for (run, clients) in &channel {
+        let summary = &run.summary;
         assert_eq!(summary.transport, TransportKind::Channel);
         assert_eq!(summary.clients, *clients);
         assert_eq!(summary.clients_lost, 0);
@@ -153,26 +147,22 @@ fn service_backend_is_bit_identical_at_every_client_count() {
 fn killing_one_client_mid_run_changes_nothing() {
     let bench = corpus::by_name("473.astar").unwrap();
     let local = Tuner::new(small_tuner(60)).tune(&bench.module).unwrap();
-    let killed = Tuner::new(service_config(
-        60,
-        ServiceConfig {
+    let killed = tune_on_farm(
+        small_tuner(60),
+        &ServiceConfig {
             clients: 3,
             transport: TransportKind::Channel,
             fault: Some(FaultPlan::crash(1, 2)),
             ..ServiceConfig::default()
         },
-    ))
-    .tune(&bench.module)
+        &bench.module,
+    )
     .unwrap();
-    assert_identical_runs(&local, &killed, "kill-one-client");
-    let summary = killed.service.as_ref().expect("service telemetry");
-    assert_eq!(summary.clients_lost, 1, "exactly the planned death");
-    // Duplicate accounting flows into the engine stats (the in-process
-    // engine can never have any).
-    assert_eq!(
-        killed.engine_stats.duplicate_results,
-        summary.duplicate_results
-    );
+    assert_identical_runs(&local, &killed.result, "kill-one-client");
+    assert_eq!(killed.summary.clients_lost, 1, "exactly the planned death");
+    // Duplicate accounting stays with the farm: the engine never counts
+    // any, on a farm or in process.
+    assert_eq!(killed.result.engine_stats.duplicate_results, 0);
     assert_eq!(local.engine_stats.duplicate_results, 0);
 }
 
@@ -181,28 +171,26 @@ fn service_and_local_build_equivalent_stores_and_warm_starts() {
     let bench = corpus::by_name("429.mcf").unwrap();
     let local_store = ScratchStore::new("svc_local");
     let service_store = ScratchStore::new("svc_remote");
-    let with_cache = |base: TunerConfig, path| TunerConfig {
+    let with_cache = |path| TunerConfig {
         cache_path: Some(path),
-        ..base
+        ..small_tuner(60)
     };
-    let svc = || {
-        service_config(
-            60,
-            ServiceConfig {
-                clients: 2,
-                transport: TransportKind::Channel,
-                ..ServiceConfig::default()
-            },
-        )
+    let svc = |path| {
+        let farm = ServiceConfig {
+            clients: 2,
+            transport: TransportKind::Channel,
+            ..ServiceConfig::default()
+        };
+        tune_on_farm(with_cache(path), &farm, &bench.module)
+            .unwrap()
+            .result
     };
 
     // Cold runs on each backend fill their own store.
-    let cold_local = Tuner::new(with_cache(small_tuner(60), local_store.path_buf()))
+    let cold_local = Tuner::new(with_cache(local_store.path_buf()))
         .tune(&bench.module)
         .unwrap();
-    let cold_svc = Tuner::new(with_cache(svc(), service_store.path_buf()))
-        .tune(&bench.module)
-        .unwrap();
+    let cold_svc = svc(service_store.path_buf());
     assert_identical_runs(&cold_local, &cold_svc, "cold with store");
     let persist = cold_svc.persistence.as_ref().expect("persistence summary");
     assert_eq!(persist.save_error, None);
@@ -219,12 +207,10 @@ fn service_and_local_build_equivalent_stores_and_warm_starts() {
 
     // Warm runs: the service replays the identical trajectory from
     // persistent hits, same as the in-process engine.
-    let warm_local = Tuner::new(with_cache(small_tuner(60), local_store.path_buf()))
+    let warm_local = Tuner::new(with_cache(local_store.path_buf()))
         .tune(&bench.module)
         .unwrap();
-    let warm_svc = Tuner::new(with_cache(svc(), service_store.path_buf()))
-        .tune(&bench.module)
-        .unwrap();
+    let warm_svc = svc(service_store.path_buf());
     assert_identical_runs(&warm_local, &warm_svc, "warm with store");
     // Across warmth the hit telemetry legitimately differs (that is the
     // point of the store); the search itself must not.
@@ -253,4 +239,44 @@ fn service_launch_failure_is_a_chained_tune_error() {
     }
     assert!(boxed(err.clone()).is_err());
     assert_eq!(err.clone(), err);
+}
+
+/// Thread workers boot like worker processes: they greet, then build
+/// their engine from the module on the `Job` frame. So a thread farm for
+/// a module no engine can compile still launches, and its first batch
+/// aborts with a client-loss error once every worker has failed its
+/// baseline (`farm.rs` pins the same shape on a process farm).
+#[test]
+fn thread_workers_build_their_engine_from_the_job_frame() {
+    use minicc::ast::{Expr, FuncDef, Module, Stmt};
+    let mut bad = Module::new("two_mains");
+    for ret in [1, 2] {
+        bad.funcs.push(FuncDef::new(
+            "main",
+            vec![],
+            vec![Stmt::Return(Expr::Const(ret))],
+        ));
+    }
+    let kind = minicc::CompilerKind::Gcc;
+    let cfg = ServiceConfig {
+        clients: 2,
+        transport: TransportKind::Channel,
+        ..ServiceConfig::default()
+    };
+    let handle = ServiceHandle::launch_with(&cfg, kind, &bad, binrep::Arch::X86, true, None)
+        .expect("thread workers greet before they build an engine");
+    let n_flags = minicc::CompilerProfile::new(kind).n_flags();
+    handle
+        .execute(&[vec![false; n_flags]])
+        .expect_err("no worker can build an engine for this module");
+    let cause = handle
+        .take_failure()
+        .expect("the failure is recorded for take_failure");
+    assert!(
+        matches!(
+            *cause,
+            evald::EvaldError::NoClients | evald::EvaldError::Disconnected
+        ),
+        "every worker gone surfaces as a client-loss error, got {cause}"
+    );
 }

@@ -9,12 +9,11 @@
 //! compiles, with reuse), plus the eviction bound.
 
 use bintuner::{
-    Backend, EngineConfig, FitnessEngine, ServiceConfig, TransportKind, TuneResult, Tuner,
-    TunerConfig,
+    EngineConfig, FitnessEngine, ServiceConfig, TransportKind, TuneResult, Tuner, TunerConfig,
 };
 use genetic::Evaluator;
 use minicc::{Compiler, CompilerKind, OptLevel};
-use testutil::small_tuner;
+use testutil::{small_tuner, tune_on_farm};
 
 /// Everything except measured wall time and the stage-reuse telemetry
 /// (which the cache setting is *supposed* to change) must be
@@ -82,25 +81,27 @@ fn artifact_cache_on_off_is_bit_identical_in_process() {
 
 #[test]
 fn artifact_cache_on_off_is_bit_identical_on_service_backend() {
+    let bench = corpus::by_name("462.libquantum").unwrap();
+    let farm = ServiceConfig {
+        clients: 2,
+        transport: TransportKind::Channel,
+        ..ServiceConfig::default()
+    };
     let service = |artifact_cache| {
         let config = TunerConfig {
-            backend: Backend::Service(ServiceConfig {
-                clients: 2,
-                transport: TransportKind::Channel,
-                ..ServiceConfig::default()
-            }),
+            artifact_cache,
             ..small_tuner(90)
         };
-        tuned(config, artifact_cache)
+        tune_on_farm(config, &farm, &bench.module).unwrap()
     };
-    let on = service(true);
-    let off = service(false);
-    assert_same_trajectory(&on, &off, "service on-vs-off");
+    let (on_farm, off_farm) = (service(true), service(false));
+    let (on, off) = (&on_farm.result, &off_farm.result);
+    assert_same_trajectory(on, off, "service on-vs-off");
     // And both match the in-process runs bit-for-bit (the backend is
     // orthogonal to the artifact cache).
     let local = tuned(small_tuner(90), true);
-    assert_same_trajectory(&on, &local, "service-vs-local on");
-    assert_same_trajectory(&off, &tuned(small_tuner(90), false), "service-vs-local off");
+    assert_same_trajectory(on, &local, "service-vs-local on");
+    assert_same_trajectory(off, &tuned(small_tuner(90), false), "service-vs-local off");
     // Stage classification is partition-side, so the *logical* counters
     // agree with in-process exactly.
     assert_eq!(
@@ -112,9 +113,9 @@ fn artifact_cache_on_off_is_bit_identical_on_service_backend() {
     // Client engines carry the same tier-0 cache: with it on, the farm
     // ships the stage artifacts it produced back on its Result frames;
     // with it off, it produces none.
-    let summary = on.service.expect("service summary");
+    let summary = &on_farm.summary;
     assert!(summary.merged_artifacts > 0, "{summary:?}");
-    let off_summary = off.service.expect("service summary");
+    let off_summary = &off_farm.summary;
     assert_eq!(off_summary.merged_artifacts, 0, "{off_summary:?}");
 }
 

@@ -17,7 +17,7 @@
 //!    lost seed record or a phantom record.
 //! 4. **Backend independence** — a warm start from one v4 directory
 //!    replays a bit-identical tuning trajectory in-process and behind
-//!    the service backend.
+//!    a farm.
 //! 5. **Arbitrary bytes under valid checksums** — a shard record, a
 //!    manifest, an artifact-log record or a binary blob that passes its
 //!    checksum but carries arbitrary content loads typed: it decodes, or
@@ -32,8 +32,8 @@
 
 use binrep::Arch;
 use bintuner::{
-    ArtifactStore, Backend, FitnessStore, SaveOutcome, ServiceConfig, StoreKey, StoredFitness,
-    TuneError, TuneResult, Tuner,
+    ArtifactStore, FitnessStore, SaveOutcome, ServiceConfig, StoreKey, StoredFitness, TuneError,
+    TuneResult, Tuner,
 };
 use minicc::ast::{Expr, Stmt};
 use minicc::{fnv1a32, CompileError, Compiler, CompilerKind, EffectConfig, OptLevel, StageKeys};
@@ -42,7 +42,7 @@ use proptest::prelude::*;
 use std::fs;
 use std::path::Path;
 use std::thread;
-use testutil::{cached_tuner, tiny_loop_module, CrashFs, ScratchStore};
+use testutil::{cached_tuner, tiny_loop_module, tune_on_farm, CrashFs, ScratchStore};
 
 /// v4 shard-file geometry (pinned by the store's own unit tests).
 const SHARD_HEADER_LEN: u64 = 12;
@@ -442,13 +442,14 @@ fn warm_tune_is_bit_identical_from_v4_dir_and_service_backend() {
     assert!(from_v4.engine_stats.persistent_hits > 0);
 
     // The deployment shape changes nothing: the same sharded store
-    // behind the service backend replays the same run.
-    let service = Tuner::new(bintuner::TunerConfig {
-        backend: Backend::Service(ServiceConfig::default()),
-        ..cached_tuner(60, Some(&v4_b))
-    })
-    .tune(&module)
-    .unwrap();
+    // behind a farm replays the same run.
+    let service = tune_on_farm(
+        cached_tuner(60, Some(&v4_b)),
+        &ServiceConfig::default(),
+        &module,
+    )
+    .unwrap()
+    .result;
     assert_same_run(&from_v4, &service, "in-process vs service");
 }
 

@@ -8,10 +8,10 @@
 
 use bintuner::daemon::{Daemon, DaemonClient, DaemonConfig};
 use bintuner::{
-    Backend, ProcessFarm, ServiceConfig, TransportKind, TuneResult, Tuner, TunerConfig, WorkerMode,
+    ProcessFarm, ServiceConfig, TransportKind, TuneResult, Tuner, TunerConfig, WorkerMode,
 };
 use std::path::PathBuf;
-use testutil::{cached_tuner, small_tuner, tiny_loop_module, ScratchStore};
+use testutil::{cached_tuner, small_tuner, tiny_loop_module, tune_on_farm, ScratchStore};
 
 /// The worker binary process-farm tests re-exec.
 fn worker_binary() -> PathBuf {
@@ -22,13 +22,6 @@ fn with_telemetry(base: TunerConfig) -> TunerConfig {
     TunerConfig {
         telemetry: btel::TelemetryMode::On,
         ..base
-    }
-}
-
-fn service(max_evals: usize, cfg: ServiceConfig) -> TunerConfig {
-    TunerConfig {
-        backend: Backend::Service(cfg),
-        ..small_tuner(max_evals)
     }
 }
 
@@ -91,22 +84,23 @@ fn telemetry_on_is_bit_identical_to_off_on_every_backend() {
     assert_identical_runs(&off, &local, "in-process, telemetry on");
 
     // Thread-client farm over channels.
-    let threads = Tuner::new(with_telemetry(service(
-        60,
-        ServiceConfig {
+    let threads = tune_on_farm(
+        with_telemetry(small_tuner(60)),
+        &ServiceConfig {
             clients: 2,
             transport: TransportKind::Channel,
             ..ServiceConfig::default()
         },
-    )))
-    .tune(&bench.module)
-    .unwrap();
+        &bench.module,
+    )
+    .unwrap()
+    .result;
     assert_identical_runs(&off, &threads, "thread service, telemetry on");
 
     // Process farm over TCP: real address spaces, spans over the wire.
-    let tcp = Tuner::new(with_telemetry(service(
-        60,
-        ServiceConfig {
+    let tcp = tune_on_farm(
+        with_telemetry(small_tuner(60)),
+        &ServiceConfig {
             clients: 2,
             transport: TransportKind::Tcp,
             workers: WorkerMode::Processes(ProcessFarm {
@@ -115,9 +109,10 @@ fn telemetry_on_is_bit_identical_to_off_on_every_backend() {
             }),
             ..ServiceConfig::default()
         },
-    )))
-    .tune(&bench.module)
-    .unwrap();
+        &bench.module,
+    )
+    .unwrap()
+    .result;
     assert_identical_runs(&off, &tcp, "tcp process farm, telemetry on");
 
     // The registry saw the run it watched: per-tier cache counters agree
@@ -268,30 +263,23 @@ fn artifact_log_is_indexed_at_most_once_and_only_by_tunes_with_misses() {
 #[test]
 fn process_farm_trace_stitches_worker_spans_into_server_dispatch() {
     let bench = corpus::by_name("473.astar").unwrap();
-    let trace_path = std::env::temp_dir().join(format!(
-        "bintuner_trace_{}_stitch.jsonl",
-        std::process::id()
-    ));
-    let run = Tuner::new(TunerConfig {
-        trace_path: Some(trace_path.clone()),
-        ..with_telemetry(service(
-            50,
-            ServiceConfig {
-                clients: 2,
-                transport: TransportKind::Tcp,
-                workers: WorkerMode::Processes(ProcessFarm {
-                    worker_binary: Some(worker_binary()),
-                    ..ProcessFarm::default()
-                }),
-                ..ServiceConfig::default()
-            },
-        ))
-    })
-    .tune(&bench.module)
+    let farm = tune_on_farm(
+        with_telemetry(small_tuner(50)),
+        &ServiceConfig {
+            clients: 2,
+            transport: TransportKind::Tcp,
+            workers: WorkerMode::Processes(ProcessFarm {
+                worker_binary: Some(worker_binary()),
+                ..ProcessFarm::default()
+            }),
+            ..ServiceConfig::default()
+        },
+        &bench.module,
+    )
     .unwrap();
 
-    // Server-side dispatch spans are roots recorded by the local tracer.
-    let dispatch: std::collections::HashSet<u64> = run
+    // Server-side dispatch spans are roots recorded by the farm's tracer.
+    let dispatch: std::collections::HashSet<u64> = farm
         .spans
         .iter()
         .filter(|s| s.name == "dispatch")
@@ -305,7 +293,7 @@ fn process_farm_trace_stitches_worker_spans_into_server_dispatch() {
 
     // Worker-side stage spans crossed the TCP wire: ids carved from the
     // per-client base, parents pointing straight at a dispatch span.
-    let worker_stages: Vec<_> = run
+    let worker_stages: Vec<_> = farm
         .spans
         .iter()
         .filter(|s| s.id >= 1 << 48 && matches!(s.name.as_str(), "ast" | "lower" | "mir"))
@@ -324,14 +312,13 @@ fn process_farm_trace_stitches_worker_spans_into_server_dispatch() {
         );
     }
 
-    // The JSONL sink mirrors the stitched trace line for line.
-    let jsonl = std::fs::read_to_string(&trace_path).expect("trace sink written");
-    assert_eq!(jsonl.lines().count(), run.spans.len());
+    // The JSONL rendering mirrors the stitched trace line for line.
+    let jsonl = btel::spans_to_jsonl(&farm.spans);
+    assert_eq!(jsonl.lines().count(), farm.spans.len());
     assert!(jsonl
         .lines()
         .all(|l| l.starts_with('{') && l.ends_with('}')));
     assert!(jsonl.contains("\"name\":\"dispatch\""));
-    let _ = std::fs::remove_file(&trace_path);
 }
 
 #[test]

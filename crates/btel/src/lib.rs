@@ -639,7 +639,8 @@ impl Tracer {
 }
 
 /// Serialize spans as JSON Lines (one object per line) for offline
-/// profiling — the `TunerConfig::trace_path` sink format. Names are
+/// profiling — the format of a daemon's `TraceDump` and of any trace
+/// file a caller writes from a run's or a farm's spans. Names are
 /// stage/operation identifiers from this codebase (no escaping needed
 /// beyond quotes and backslashes, which are escaped anyway).
 pub fn spans_to_jsonl(spans: &[SpanRecord]) -> String {

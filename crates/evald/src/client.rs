@@ -75,10 +75,9 @@ pub fn run_client(
 }
 
 /// The post-handshake serve loop: answer `Work` frames until the server
-/// says `Shutdown`. Split out of [`run_client`] for worker *processes*,
-/// which send their own [`Frame::Hello`] and consume the
-/// [`Frame::Job`] description (to build their engine) before entering
-/// the loop.
+/// says `Shutdown`. Split out of [`run_client`] for workers that send
+/// their own [`Frame::Hello`] and consume the [`Frame::Job`]
+/// description (to build their engine) before entering the loop.
 ///
 /// # Errors
 ///
@@ -141,9 +140,8 @@ pub fn serve(
             }
             Frame::Shutdown => return Ok(()),
             // Server-bound frames are never addressed to a client, and
-            // the job description was consumed before this loop (worker
-            // processes) or never needed (thread workers, which get the
-            // module at spawn time): ignore rather than die.
+            // a worker that needs the job description consumed it
+            // before this loop: ignore rather than die.
             Frame::Job { .. } | Frame::Hello { .. } | Frame::Result { .. } | Frame::Pong { .. } => {
             }
         }

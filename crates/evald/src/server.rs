@@ -316,8 +316,8 @@ impl EvalServer {
 
     /// Install the embedder's job description and broadcast it to every
     /// live client. Late joiners receive it again right after their
-    /// handshake, so a worker process can always build its engine before
-    /// its first `Work` frame.
+    /// handshake, so a worker can always build its engine before its
+    /// first `Work` frame.
     pub fn set_job(&mut self, payload: Vec<u8>) {
         for c in self.ready_ids() {
             self.send_to(

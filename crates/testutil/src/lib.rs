@@ -3,7 +3,8 @@
 //! The integration suites (root `tests/*.rs`, `crates/bintuner/tests/*`)
 //! all need the same few fixtures: a unique scratch path for a persistent
 //! store, a deterministically small [`TunerConfig`], a tiny hand-built
-//! module, and an "run it on the emulator and collect output" helper.
+//! module, a tune on a farm launched for it ([`tune_on_farm`]), and an
+//! "run it on the emulator and collect output" helper.
 //! Before this crate each suite carried its own copy; they drifted (and
 //! will drift again) unless the scaffolding lives in one place.
 //!
@@ -14,11 +15,16 @@
 
 #![warn(missing_docs)]
 
-use bintuner::{FaultKind, FaultPlan, StoreLock, TunerConfig};
+use bintuner::service::ServiceHandle;
+use bintuner::{
+    FarmTelemetry, FaultKind, FaultPlan, ServiceConfig, ServiceSummary, StoreLock, TuneError,
+    TuneResult, Tuner, TunerConfig,
+};
 use genetic::{GaParams, Termination};
 use minicc::ast::{BinOp, Expr, FuncDef, LValue, Module, Stmt};
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// A unique scratch path for a persistent-store test, removed on drop
 /// (and pre-removed at creation, so a crashed previous run cannot leak
@@ -321,6 +327,57 @@ pub fn pipeline_tuner(max_evals: usize) -> TunerConfig {
         },
         ..Default::default()
     }
+}
+
+/// One tune on a farm launched for it ([`tune_on_farm`]).
+#[derive(Debug)]
+pub struct FarmTune {
+    /// The tune's result.
+    pub result: TuneResult,
+    /// What the farm did, from [`ServiceHandle::finish`].
+    pub summary: ServiceSummary,
+    /// The farm's registry (`bintuner_farm_*`); `None` when the tuner
+    /// config's telemetry was off.
+    pub registry: Option<Arc<btel::Registry>>,
+    /// The farm's spans: its dispatches, with the worker spans stitched
+    /// in over the wire. Empty when telemetry was off.
+    pub spans: Vec<btel::SpanRecord>,
+}
+
+/// Tune `module` on a farm of shape `farm`: launch it for the module
+/// (with a [`FarmTelemetry`] when `config.telemetry` is on), tune through
+/// [`Tuner::tune_with_executor`], and finish the farm.
+///
+/// # Errors
+///
+/// A farm that fails to launch is [`TuneError::Service`]; otherwise
+/// whatever the tune returns (the farm is torn down either way).
+pub fn tune_on_farm(
+    config: TunerConfig,
+    farm: &ServiceConfig,
+    module: &Module,
+) -> Result<FarmTune, TuneError> {
+    let tel = config.telemetry.is_on().then(|| FarmTelemetry {
+        registry: Arc::new(btel::Registry::new()),
+        tracer: btel::Tracer::enabled(4096),
+    });
+    let handle = ServiceHandle::launch_with(
+        farm,
+        config.compiler,
+        module,
+        config.arch,
+        config.artifact_cache,
+        tel.clone(),
+    )
+    .map_err(|e| TuneError::Service(Arc::new(e)))?;
+    let result = Tuner::new(config).tune_with_executor(module, &handle)?;
+    let (summary, _) = handle.finish();
+    Ok(FarmTune {
+        result,
+        summary,
+        registry: tel.as_ref().map(|t| Arc::clone(&t.registry)),
+        spans: tel.map_or_else(Vec::new, |t| t.tracer.drain()),
+    })
 }
 
 /// Run a binary on the emulator and collect its output (panicking with
