@@ -89,7 +89,7 @@ impl DaemonTelemetry {
             ),
             farm_launches: counter(
                 "bintuner_daemon_farm_launches_total",
-                "Shared-farm launches (first job, module switches, relaunches after a loss).",
+                "Shared-farm launches (the first batch, relaunches after a loss or a lost worker).",
             ),
             farm_failures: counter(
                 "bintuner_daemon_farm_failures_total",

@@ -17,9 +17,11 @@
 //! A farm loss (every worker dead mid-batch) aborts *the job*, never the
 //! daemon: the abort travels [`genetic::EvalAbort`] →
 //! [`TuneError::Service`] → a Failed job with the transport error in its
-//! result frame, the dead farm is torn down, and the next job relaunches
+//! result frame, the dead farm is torn down, and the next batch launches
 //! a fresh one. The pre-daemon code panicked on this path — a single
-//! lost batch would have taken every tenant down with it.
+//! lost batch would have taken every tenant down with it. A farm that
+//! lost only some of its workers finishes the batch on the rest, and is
+//! relaunched at full strength before the next batch.
 //!
 //! ## Scheduling
 //!
@@ -29,6 +31,11 @@
 //! runner threads; their evaluation batches interleave on the farm in
 //! round-robin rotation order (fair share at batch granularity — one
 //! giant job cannot starve a small one for longer than a single batch).
+//!
+//! The farm lives as long as the daemon and serves any module: each
+//! batch switches it to its job's module, and each worker rebuilds its
+//! engine on its first shard of a module it was not serving. No job pays
+//! a farm launch or teardown of its own.
 
 pub mod metrics;
 pub mod wire;
@@ -139,18 +146,13 @@ pub use evald::Endpoint as DaemonAddr;
 
 // ---------------------------------------------------------------- farm
 
-struct FarmSlot {
-    module_hash: u64,
-    handle: ServiceHandle,
-}
-
 #[derive(Default)]
 struct FarmState {
     /// Round-robin rotation of attached job ids; the front owns the
     /// next batch.
     rotation: VecDeque<u64>,
-    /// The live farm, keyed by the module it was launched for.
-    slot: Option<FarmSlot>,
+    /// The live farm, serving whichever module the last batch named.
+    farm: Option<ServiceHandle>,
 }
 
 /// The one farm every job's batches multiplex onto.
@@ -200,9 +202,9 @@ impl SharedFarm {
     }
 
     /// Tear the live farm down.
-    fn teardown_slot(&self, state: &mut FarmState) {
-        if let Some(slot) = state.slot.take() {
-            let _ = slot.handle.finish();
+    fn teardown(&self, state: &mut FarmState) {
+        if let Some(farm) = state.farm.take() {
+            let _ = farm.finish();
         }
     }
 
@@ -216,23 +218,26 @@ impl SharedFarm {
     }
 
     /// Run one batch of `exec`'s misses on the shared farm, waiting for
-    /// the job's rotation turn, (re)launching the farm for its module if
-    /// needed. A healthy batch's stage artifacts go to `exec` (for
+    /// the job's rotation turn. The farm is launched when there is none
+    /// (the first batch, or the first after a failure) and relaunched
+    /// when it has fewer live workers than configured (one was lost and
+    /// its batch finished on the rest — not a strike, since no module is
+    /// at fault); then it is switched to the job's module. A healthy
+    /// batch's stage artifacts go to `exec` (for
     /// [`ServiceExecutor::take_artifacts`]). On a farm loss the recorded
     /// cause lands in `exec`'s failure slot (for
     /// [`ServiceExecutor::take_failure`]) and the dead farm is torn down
-    /// so the next batch — this job's or another's — relaunches fresh. A
+    /// so the next batch — this job's or another's — launches fresh. A
     /// module whose launches/batches have failed `quarantine_strikes`
     /// consecutive times is refused up front (poison-job quarantine):
     /// its abort is typed via the job's control, it never waits for a
-    /// rotation turn, and the live farm — some other tenant's — is
-    /// untouched.
+    /// rotation turn, and the live farm is untouched.
     fn execute(
         &self,
-        exec: &FarmExecutor,
+        exec: &FarmExecutor<'_>,
         misses: &[Vec<bool>],
     ) -> Result<Vec<MissResult>, EvalAbort> {
-        let module_hash = exec.module.content_hash();
+        let module_hash = exec.module_hash;
         if self.quarantine_strikes > 0 {
             let strikes = self
                 .strikes
@@ -253,11 +258,13 @@ impl SharedFarm {
             state = self.turn.wait(state).unwrap();
         }
         if state
-            .slot
+            .farm
             .as_ref()
-            .is_none_or(|s| s.module_hash != module_hash)
+            .is_some_and(|farm| farm.live_clients() < self.cfg.clients.max(1))
         {
-            self.teardown_slot(&mut state);
+            self.teardown(&mut state);
+        }
+        if state.farm.is_none() {
             let mut cfg = self.cfg.clone();
             {
                 let mut fault = self.fault.lock().unwrap();
@@ -271,17 +278,14 @@ impl SharedFarm {
             match ServiceHandle::launch_with(
                 &cfg,
                 self.base.compiler,
-                &exec.module,
+                exec.module,
                 self.base.arch,
                 self.base.artifact_cache,
                 Some(self.tel.clone()),
             ) {
-                Ok(handle) => {
+                Ok(farm) => {
                     self.launches.inc();
-                    state.slot = Some(FarmSlot {
-                        module_hash,
-                        handle,
-                    });
+                    state.farm = Some(farm);
                 }
                 Err(e) => {
                     self.failures.inc();
@@ -296,15 +300,16 @@ impl SharedFarm {
                 }
             }
         }
-        let handle = &state.slot.as_ref().expect("slot just ensured").handle;
-        let result = handle.execute(misses);
+        let farm = state.farm.as_ref().expect("farm just ensured");
+        farm.set_job(exec.payload.clone());
+        let result = farm.execute(misses);
         match &result {
             Ok(_) => {
                 // A healthy batch clears the module's strike streak —
                 // only *consecutive* failures spell poison — and hands
                 // its artifacts to the job that ran it.
                 self.strikes.lock().unwrap().remove(&module_hash);
-                let (ast, lower) = handle.take_artifacts();
+                let (ast, lower) = farm.take_artifacts();
                 let mut artifacts = exec.artifacts.lock().unwrap();
                 artifacts.0.extend(ast);
                 artifacts.1.extend(lower);
@@ -314,8 +319,8 @@ impl SharedFarm {
                 // the transport-level cause for the job's TuneError, bury
                 // the corpse, and let the rotation move on — the daemon
                 // itself never dies here.
-                *exec.failure.lock().unwrap() = handle.take_failure();
-                self.teardown_slot(&mut state);
+                *exec.failure.lock().unwrap() = farm.take_failure();
+                self.teardown(&mut state);
                 self.failures.inc();
                 self.note_strike(module_hash);
             }
@@ -326,7 +331,7 @@ impl SharedFarm {
 
     /// Tear the live farm down.
     fn shutdown(&self) {
-        self.teardown_slot(&mut self.state.lock().unwrap());
+        self.teardown(&mut self.state.lock().unwrap());
     }
 }
 
@@ -379,10 +384,15 @@ impl JobControl {
 
 /// One job's view of the shared farm: a [`MissExecutor`] the tuner
 /// drives exactly as it would a [`ServiceHandle`] of its own.
-struct FarmExecutor {
+struct FarmExecutor<'m> {
     farm: Arc<SharedFarm>,
     job: u64,
-    module: Module,
+    module: &'m Module,
+    /// The module's canonical encoding, the farm's job description, and
+    /// its content hash, the key of its quarantine record: both made
+    /// once per job, not once per batch.
+    payload: Vec<u8>,
+    module_hash: u64,
     failure: Mutex<Option<Arc<EvaldError>>>,
     control: Arc<JobControl>,
     /// Stage artifacts of the job's healthy batches, for the tuner's
@@ -390,7 +400,7 @@ struct FarmExecutor {
     artifacts: Mutex<(Vec<WireAstArtifact>, Vec<WireLowerArtifact>)>,
 }
 
-impl MissExecutor for FarmExecutor {
+impl MissExecutor for FarmExecutor<'_> {
     fn execute(&self, misses: &[Vec<bool>]) -> Result<Vec<MissResult>, EvalAbort> {
         // Batch checkpoint: cancellation and the deadline are observed
         // here, *between* generations — never mid-batch.
@@ -406,7 +416,7 @@ impl MissExecutor for FarmExecutor {
     }
 }
 
-impl ServiceExecutor for FarmExecutor {
+impl ServiceExecutor for FarmExecutor<'_> {
     fn take_failure(&self) -> Option<Arc<EvaldError>> {
         self.failure.lock().unwrap().take()
     }
@@ -487,7 +497,9 @@ fn run_job(
     let executor = FarmExecutor {
         farm: shared.farm.clone(),
         job,
-        module: spec.module.clone(),
+        module: &spec.module,
+        payload: minicc::codec::encode_module(&spec.module),
+        module_hash: spec.module.content_hash(),
         failure: Mutex::new(None),
         control: control.clone(),
         artifacts: Mutex::default(),

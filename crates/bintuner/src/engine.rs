@@ -222,12 +222,11 @@ pub struct EngineStats {
     /// persistent store, so a warm run reports the same count as the
     /// cold run it replays.
     pub failed_compiles: usize,
-    /// Results a farm's straggler re-dispatch discarded (a shard
-    /// answered by more than one client; first result wins and
-    /// duplicates are bit-identical). The engine never fills it: a farm
-    /// counts them in [`crate::ServiceSummary::duplicate_results`], and
-    /// the field stays only for callers that fill and compare their own
-    /// copy.
+    /// Results a farm discarded because their shard already had one (a
+    /// shard has one holder, so a healthy farm reports `0`). The engine
+    /// never fills it: a farm counts them in
+    /// [`crate::ServiceSummary::duplicate_results`], and the field stays
+    /// only for callers that fill and compare their own copy.
     pub duplicate_results: usize,
 }
 

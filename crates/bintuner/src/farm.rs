@@ -4,7 +4,8 @@
 //! beside the server or a worker *process*, runs `run_worker`: it sends
 //! its [`evald::wire::Frame::Hello`], receives the module under test as a
 //! [`evald::wire::Frame::Job`] (encoded with [`minicc::codec`]), builds
-//! its own [`crate::FitnessEngine`], and serves shards until shutdown. A
+//! its own [`crate::FitnessEngine`], and serves shards — rebuilding the
+//! engine whenever the next job's module arrives — until shutdown. A
 //! [`Worker`] describes one such client.
 //!
 //! A worker process is the current binary re-execed with the hidden
@@ -18,10 +19,10 @@ use crate::engine::{EngineConfig, EngineTelemetry, FAILED_COMPILE_PENALTY};
 use crate::store::ArtifactStore;
 use crate::FitnessEngine;
 use binrep::Arch;
-use evald::wire::{decode_frame, encode_frame, Frame};
+use evald::wire::{encode_frame, Frame};
 use evald::{
-    ClientOptions, Duplex, Endpoint, EvaldError, FaultKind, ShardWorker, WireAstArtifact, WireEval,
-    WireLowerArtifact, WireSpan,
+    Client, ClientOptions, Duplex, Endpoint, EvaldError, FaultKind, ShardWorker, WireAstArtifact,
+    WireEval, WireLowerArtifact, WireSpan,
 };
 use minicc::{Compiler, CompilerKind, CompilerProfile};
 use std::net::SocketAddr;
@@ -202,75 +203,60 @@ pub fn worker_main(args: &[String]) -> i32 {
     }
 }
 
-/// Serve the farm on `duplex` as `worker`: greet, build the engine from
-/// the job description, and serve shards until shutdown. Thread workers
-/// and worker processes both start here. The engine has one worker, its
-/// own [`Compiler`] and no store of its own: its results go home on
-/// `Result` frames.
+/// Serve the farm on `duplex` as `worker`: greet, then for each job
+/// build an engine from the job's module and serve its shards, until
+/// shutdown. Thread workers and worker processes both start here. The
+/// worker holds one engine at a time, with its own [`Compiler`] and no
+/// store of its own: its results go home on `Result` frames.
 pub(crate) fn run_worker(mut duplex: Duplex, worker: &Worker) -> Result<(), EvaldError> {
     let n_flags = CompilerProfile::new(worker.kind).n_flags() as u16;
     duplex
         .tx
         .send_frame(&encode_frame(&Frame::Hello { n_flags }))?;
-    // The engine needs the module, which arrives as the job description.
-    // Nothing but a Job (or an early Shutdown) is legal before the first
-    // Work frame.
-    let payload = loop {
-        let bytes = duplex.rx.recv_frame()?;
-        let (frame, _) = decode_frame(&bytes)?;
-        match frame {
-            Frame::Job { payload } => break payload,
-            Frame::Shutdown => return Ok(()),
-            Frame::Work { .. } => {
-                // Work before the job description: we cannot evaluate.
-                // Exiting severs the connection; the server re-queues the
-                // shard on a healthy client.
-                return Err(EvaldError::Protocol("Work frame before Job"));
-            }
-            Frame::Ping { nonce } => {
-                // Answer heartbeats even before the job arrives — a
-                // worker waiting on its Job is alive, not hung.
-                duplex
-                    .tx
-                    .send_frame(&encode_frame(&Frame::Pong { nonce }))?;
-            }
-            Frame::Hello { .. } | Frame::Result { .. } | Frame::Pong { .. } => {}
-        }
-    };
-    let module = minicc::codec::decode_module(&payload)
-        .map_err(|_| EvaldError::Corrupt("job payload is not an encoded module"))?;
     let compiler = Compiler::new(worker.kind);
     let config = EngineConfig {
         workers: 1,
         artifact_cache: worker.artifact_cache,
         ..EngineConfig::default()
     };
-    let mut engine = FitnessEngine::new(&compiler, &module, worker.arch, config)
-        .map_err(|_| EvaldError::Protocol("worker engine failed its baseline compile"))?;
-    if worker.artifact_cache {
-        // An in-memory artifact store is a pure *producer* seam: it is
-        // never saved, so it never answers membership queries — the
-        // engine's compile classification (and thus the differential
-        // bit-identity guarantee) is untouched. Its only job is to
-        // capture freshly built stage artifacts for the shard's Result
-        // frame; the server folds them into the persistent store.
-        engine.set_artifact_store(ArtifactStore::in_memory());
-    }
-    if worker.trace {
-        // A private registry (only spans travel back over the wire; the
-        // handles hold their metrics alive without it) and a per-client
-        // span-id range, so stitched traces never collide with the
-        // server's — or each other's — ids.
-        let registry = btel::Registry::new();
-        let tracer = btel::Tracer::with_id_base(4096, (u64::from(worker.client_id) + 1) << 48);
-        engine.set_telemetry(EngineTelemetry::from_registry(&registry, tracer));
-    }
-    let opts = ClientOptions {
+    // A private registry (only spans travel back over the wire; the
+    // handles hold their metrics alive without it) and a per-client
+    // span-id range, so stitched traces never collide with the server's
+    // — or each other's — ids. One tracer for the worker's life: spans
+    // of successive jobs never share ids either.
+    let tracing = worker.trace.then(|| {
+        (
+            btel::Registry::new(),
+            btel::Tracer::with_id_base(4096, (u64::from(worker.client_id) + 1) << 48),
+        )
+    });
+    let mut client = Client::new(ClientOptions {
         n_flags,
         fail_after_shards: worker.fail_after,
         fault_kind: worker.fault_kind,
-    };
-    evald::serve(&mut EngineWorker { engine: &engine }, &mut duplex, &opts)
+    });
+    let mut next = client.serve(&mut duplex, None)?;
+    while let Some(payload) = next {
+        let module = minicc::codec::decode_module(&payload)
+            .map_err(|_| EvaldError::Corrupt("job payload is not an encoded module"))?;
+        let mut engine = FitnessEngine::new(&compiler, &module, worker.arch, config.clone())
+            .map_err(|_| EvaldError::Protocol("worker engine failed its baseline compile"))?;
+        if worker.artifact_cache {
+            // An in-memory artifact store is a pure *producer* seam: it
+            // is never saved, so it never answers membership queries —
+            // the engine's compile classification (and thus the
+            // differential bit-identity guarantee) is untouched. Its only
+            // job is to capture freshly built stage artifacts for the
+            // shard's Result frame; the server folds them into the
+            // persistent store.
+            engine.set_artifact_store(ArtifactStore::in_memory());
+        }
+        if let Some((registry, tracer)) = &tracing {
+            engine.set_telemetry(EngineTelemetry::from_registry(registry, tracer.clone()));
+        }
+        next = client.serve(&mut duplex, Some(&mut EngineWorker { engine: &engine }))?;
+    }
+    Ok(())
 }
 
 /// [`ShardWorker`] over a farm worker's [`FitnessEngine`] (see

@@ -16,10 +16,12 @@
 //!   cache tiers, the single writable store and the stats all stay where
 //!   they were, and only the deduplicated miss list travels — the handle
 //!   implements [`MissExecutor`] by pushing each miss batch through
-//!   [`evald::EvalServer::evaluate`] (work-stealing shards, straggler
-//!   re-dispatch, first result wins). Whoever launches the farm hands it
-//!   to [`crate::Tuner::tune_with_executor`] and reads its
-//!   [`ServiceSummary`] from [`ServiceHandle::finish`].
+//!   [`evald::EvalServer::evaluate`] (shards pulled from one queue, one
+//!   holder per shard, a lost client's shard re-dispatched). Whoever
+//!   launches the farm hands it to [`crate::Tuner::tune_with_executor`]
+//!   and reads its [`ServiceSummary`] from [`ServiceHandle::finish`].
+//!   The daemon keeps one farm for its whole life and switches the
+//!   module it serves between batches.
 //! * The server engine records every result it receives into the one
 //!   writable [`crate::FitnessStore`] itself, so each fitness crosses
 //!   the wire once, on its shard's `Result` frame. The stage artifacts
@@ -85,7 +87,7 @@ impl FarmTelemetry {
             ),
             redispatched: self.registry.counter(
                 "bintuner_farm_redispatched_total",
-                "shard copies re-issued to idle clients (straggler steals)",
+                "shards handed out again after their client was lost or evicted",
             ),
             clients_joined: self.registry.counter(
                 "bintuner_farm_clients_joined_total",
@@ -134,10 +136,10 @@ pub struct ServiceSummary {
     pub clients_lost: usize,
     /// Shards dispatched across all batches.
     pub shards: usize,
-    /// Shard copies re-issued to idle clients (straggler re-dispatch).
+    /// Shards handed out again after their client was lost or evicted.
     pub redispatched_shards: usize,
-    /// Evaluations discarded because another client answered first
-    /// (bit-identical duplicates).
+    /// Evaluations discarded because their shard already had a result
+    /// (a shard has one holder, so a healthy farm reports `0`).
     pub duplicate_results: usize,
     /// Client-produced stage artifacts received on `Result` frames, for
     /// the server-side artifact store.
@@ -279,7 +281,8 @@ fn accept_workers(
 impl ServiceHandle {
     /// Launch the service for one module: spawn the client farm,
     /// connect it over the configured transport, complete the
-    /// handshake, and ship every client the module as its job. With
+    /// handshake, and install the module as the farm's job (each client
+    /// receives it right before its first shard). With
     /// `tel`, the server's dispatch metrics and stitched spans land in
     /// its registry and tracer, and — when the tracer is enabled — every
     /// client traces its compile stages back over the wire. `None` is
@@ -402,8 +405,8 @@ impl ServiceHandle {
         if let Some(t) = &tel {
             server.set_telemetry(t.server_telemetry());
         }
-        // Every worker builds its engine from the job description; ship
-        // it before any Work frame can be dispatched.
+        // Every worker builds its engine from the job description, which
+        // the server sends each client ahead of its first Work frame.
         server.set_job(minicc::codec::encode_module(module));
         if let Some((listener, farm)) = acceptor {
             // The reconnect path: a worker that dies is absorbed on
@@ -418,7 +421,8 @@ impl ServiceHandle {
                         Ok(duplex) => {
                             injector.inject(duplex);
                         }
-                        Err(_) => std::thread::sleep(Duration::from_millis(15)),
+                        // Teardown unparks this wait, so a stop is prompt.
+                        Err(_) => std::thread::park_timeout(Duration::from_millis(15)),
                     }
                 }
                 // `listener` drops here: socket closed, Unix file removed.
@@ -433,7 +437,7 @@ impl ServiceHandle {
     /// Chaos hook: SIGKILL worker process `idx` (zero-based launch
     /// order). Returns `false` when there is no live worker at that
     /// index (thread mode, out of range, or already killed). The
-    /// running batch recovers via straggler re-dispatch.
+    /// running batch recovers by re-dispatching the worker's shard.
     pub fn kill_worker(&self, idx: usize) -> bool {
         let mut children = self.children.lock().unwrap();
         let Some(slot) = children.get_mut(idx) else {
@@ -482,6 +486,26 @@ impl ServiceHandle {
         self.server.lock().unwrap().as_ref().map(EvalServer::stats)
     }
 
+    /// Serve the module encoded in `payload` from the next batch on
+    /// (see [`EvalServer::set_job`]: the module the farm already serves
+    /// is a no-op, and each worker rebuilds its engine on its first
+    /// shard of a new one).
+    pub(crate) fn set_job(&self, payload: Vec<u8>) {
+        if let Some(server) = self.server.lock().unwrap().as_mut() {
+            server.set_job(payload);
+        }
+    }
+
+    /// Clients connected and past their handshake (see
+    /// [`EvalServer::live_clients`]); `0` once finished.
+    pub(crate) fn live_clients(&self) -> usize {
+        self.server
+            .lock()
+            .unwrap()
+            .as_ref()
+            .map_or(0, EvalServer::live_clients)
+    }
+
     /// Take the service failure behind the most recent batch abort, if
     /// one was recorded ([`MissExecutor::execute`] returning `Err`).
     /// The tuner maps it into [`crate::TuneError::Service`] so the
@@ -515,6 +539,7 @@ impl ServiceHandle {
     fn teardown(&mut self) -> Option<ServiceStats> {
         if let Some(acceptor) = self.acceptor.take() {
             acceptor.stop.store(true, Ordering::Relaxed);
+            acceptor.thread.thread().unpark();
             let _ = acceptor.thread.join();
         }
         let stats = self.server.lock().unwrap().take().map(EvalServer::shutdown);
@@ -552,7 +577,7 @@ impl ServiceHandle {
                 }
                 break;
             }
-            std::thread::sleep(Duration::from_millis(10));
+            std::thread::sleep(Duration::from_millis(1));
         }
         // Reap every child so no zombies outlive the service.
         for child in children.iter_mut().flatten() {

@@ -174,7 +174,10 @@ fn concurrent_distinct_jobs_each_match_their_solo_runs() {
 
     let snapshot = daemon.metrics_snapshot();
     assert_eq!(snapshot.completed, 2);
-    assert!(snapshot.farm_launches >= 2, "the farm swapped modules");
+    assert_eq!(
+        snapshot.farm_launches, 1,
+        "one farm served both modules, batch by batch"
+    );
     daemon.shutdown();
 }
 
@@ -220,6 +223,42 @@ fn process_farm_artifacts_reach_the_store_and_warm_a_renamed_module() {
         "persisted farm artifacts must serve stage-1 hits"
     );
     assert_outcome_matches_solo(&warm, &reference, "renamed daemon job vs solo");
+    assert_eq!(
+        daemon.metrics_snapshot().farm_launches,
+        1,
+        "one process farm served both modules"
+    );
+    daemon.shutdown();
+}
+
+/// Losing one worker of two is not a farm loss: the batch finishes on
+/// the survivor, and the daemon relaunches the farm at full strength
+/// before a later batch — a launch, not a failure, and no strike.
+#[test]
+fn a_farm_that_loses_one_worker_is_relaunched_at_full_strength() {
+    let store = ScratchStore::new("daemon_lost_worker");
+    let module_a = tiny_loop_module("daemon_lost_worker_a", 5);
+    let module_b = tiny_loop_module("daemon_lost_worker_b", 6);
+    let daemon = Daemon::launch(DaemonConfig {
+        // Client 0 of the first farm drops its connection after its
+        // first shard; the relaunched farm is healthy.
+        farm_fault_once: Some(FaultPlan::crash(0, 1)),
+        ..daemon_config(TransportKind::Unix, &store)
+    })
+    .unwrap();
+    let mut client = DaemonClient::connect(daemon.addr()).unwrap();
+    for (tenant, module, seed) in [("alice", &module_a, 0x1057_u64), ("bob", &module_b, 0xB0B2)] {
+        let outcome = submit_and_fetch(&mut client, tenant, module, seed)
+            .expect("a lost worker fails no job");
+        assert_outcome_matches_solo(&outcome, &solo(module, seed), tenant);
+    }
+    let snapshot = daemon.metrics_snapshot();
+    assert_eq!(snapshot.completed, 2);
+    assert_eq!(snapshot.farm_failures, 0, "one lost worker is no farm loss");
+    assert_eq!(
+        snapshot.farm_launches, 2,
+        "the farm was relaunched once, at full strength"
+    );
     daemon.shutdown();
 }
 
@@ -228,7 +267,10 @@ fn process_farm_artifacts_reach_the_store_and_warm_a_renamed_module() {
 /// daemon keeps serving, the store stays sound, and the *next* job on
 /// the same daemon relaunches a fresh farm and succeeds bit-identically.
 fn farm_loss_fails_the_job_not_the_daemon(transport: TransportKind) {
-    let store = ScratchStore::new("daemon_farm_loss");
+    // One store per transport: both variants run in one test process at
+    // once, and a store the other variant's retry filled would serve
+    // this job's first batch without the farm.
+    let store = ScratchStore::new(&format!("daemon_farm_loss_{transport}"));
     let module = tiny_loop_module("daemon_loss_mod", 6);
     let reference = solo(&module, 0x10E);
 

@@ -31,20 +31,23 @@
 //!   socket, and TCP loopback (`TCP_NODELAY` on both ends). Both socket
 //!   kinds bind through one [`Listener`] and connect through one
 //!   [`Endpoint`].
-//! * [`scheduler`] — the work-stealing shard queue: a batch's genomes
-//!   are chunked into about four shards per client, idle clients steal
-//!   outstanding shards from stragglers, and the first result for a
-//!   shard wins (duplicates are counted, not errors). The server times
-//!   each dispatch itself; a per-client EWMA of those times
+//! * [`scheduler`] — the shard queue: a batch's genomes are chunked
+//!   into about four shards per client, clients pull the next pending
+//!   shard as they finish one, and a shard has one holder at a time (a
+//!   lost client's shard goes back to the queue). The server times each
+//!   dispatch itself; a per-client EWMA of those times
 //!   ([`scheduler::CostModel`]) scales its dispatch deadlines.
 //! * [`server`] / [`client`] — the dispatch loop ([`EvalServer`]) and
-//!   the worker loop ([`run_client`]).
+//!   the worker loop ([`Client`]). One farm serves job after job: jobs
+//!   are numbered on the wire, and each client receives a job's
+//!   description right before its first shard of it.
 //!
-//! Determinism: results are assembled by shard offset, and duplicate
-//! results of a re-dispatched shard are bit-identical (evaluation is a
-//! pure function of the genome), so the *batch result* is independent of
-//! scheduling, client count, transport, and even mid-batch client death
-//! — the property the embedder's differential tests pin.
+//! Determinism: results are assembled by shard offset, and a shard
+//! re-dispatched after its client was lost comes back bit-identical
+//! (evaluation is a pure function of the genome), so the *batch result*
+//! is independent of scheduling, client count, transport, and even
+//! mid-batch client death — the property the embedder's differential
+//! tests pin.
 
 #![warn(missing_docs)]
 
@@ -54,7 +57,7 @@ pub mod server;
 pub mod transport;
 pub mod wire;
 
-pub use client::{run_client, serve, ClientOptions, ShardWorker};
+pub use client::{Client, ClientOptions, ShardWorker};
 pub use scheduler::Scheduler;
 pub use server::{ClientInjector, EvalServer, ServerTelemetry, ServiceStats};
 pub use transport::{channel_duplex, Duplex, Endpoint, FrameReceiver, FrameSender, Listener};
@@ -137,8 +140,8 @@ impl Default for ProcessFarm {
 
 /// What a deliberately faulted client does when its trigger shard count
 /// is reached (see [`FaultPlan`]). Every kind must leave the batch
-/// either bit-identical to the clean run (the server re-dispatches and
-/// first-result-wins) or failed with a typed error — never hung.
+/// either bit-identical to the clean run (the server re-dispatches a
+/// lost client's shard) or failed with a typed error — never hung.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FaultKind {
     /// Drop the connection (the original `fail_after_shards` behavior):
@@ -152,7 +155,7 @@ pub enum FaultKind {
     /// server severs it or sends Shutdown, so teardown never hangs.
     Hang,
     /// Delay each subsequent Result frame by this many milliseconds: a
-    /// straggler that is slow but alive.
+    /// client that is slow but alive. The server waits for it.
     SlowFrame(u64),
     /// Silently drop the next Result frame after the trigger, then
     /// behave normally: a lost message. The server's dispatch deadline
@@ -162,8 +165,9 @@ pub enum FaultKind {
 
 /// A deliberate mid-run client failure, for resilience tests (chaos
 /// engineering): the chosen client misbehaves per [`FaultKind`] after
-/// completing a number of shards, and the service must finish the batch
-/// via re-dispatch with an identical result (or a typed error).
+/// completing a number of shards over its life, and the service must
+/// finish the batch via re-dispatch with an identical result (or a
+/// typed error).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Zero-based index of the client that dies.

@@ -1,19 +1,17 @@
-//! Work-stealing shard dispatch.
+//! Shard dispatch from one queue.
 //!
 //! A batch of genomes is split into *shards* — contiguous chunks of
 //! [`shard_size`] genomes, about four per client — and fed to clients
-//! from one queue. The replacement for static striding
-//! (the ROADMAP's "adaptive batch scheduling" item) is twofold:
+//! from one queue: clients pull the next pending shard whenever they
+//! finish one, so a slow client simply contributes fewer shards instead
+//! of stalling the batch behind a fixed stripe.
 //!
-//! * **Work stealing** — clients pull the next pending shard whenever
-//!   they finish one, so a slow client simply contributes fewer shards
-//!   instead of stalling the batch behind its fixed stripe.
-//! * **Straggler re-dispatch** — once the pending queue is drained, an
-//!   idle client is handed a *copy* of an outstanding shard (the one
-//!   with the fewest active assignees). The first result wins;
-//!   late duplicates are counted in telemetry, not errors. Because
-//!   evaluation is a pure function of the genome, duplicate results are
-//!   bit-identical and the batch outcome is scheduling-independent.
+//! A shard has at most one holder. An idle client is never handed a
+//! copy of a shard another client holds: the server ends a batch only
+//! once every shard has a result *and* no client holds a dispatch, so a
+//! copy could never end a batch sooner — it would only double a shard's
+//! work and stretch the batch tail. A shard goes back to the queue only
+//! when its holder is lost or evicted ([`Scheduler::client_dead`]).
 //!
 //! The scheduler is plain data behind the server's event loop — no locks
 //! of its own, no threads, fully unit-testable.
@@ -31,18 +29,9 @@ const COST_EWMA_ALPHA: f64 = 0.3;
 /// deadlines (one shard is noise; a handful is signal).
 pub const MIN_COST_OBSERVATIONS: u64 = 3;
 
-/// Shards per client in one batch — enough granularity that stealing
-/// can rebalance a 2–3x speed skew.
+/// Shards per client in one batch — enough granularity that pulling
+/// from one queue rebalances a 2–3x speed skew.
 const SHARDS_PER_CLIENT: usize = 4;
-
-/// Maximum concurrent copies of one shard (the original assignment plus
-/// one straggler re-dispatch). The bound is what keeps an idle farm from
-/// re-evaluating the whole batch tail: redundant work is capped at one
-/// extra copy per shard, while a genuinely dead or stuck client still
-/// cannot stall a shard (its slot is freed on
-/// [`Scheduler::client_dead`], and a sole-assignee death re-queues the
-/// shard outright).
-const MAX_SHARD_COPIES: usize = 2;
 
 /// Shard size for a batch of `genomes` across `clients`: about four
 /// shards per client, at least one genome each.
@@ -124,8 +113,8 @@ struct ShardState {
     /// Offset of the shard's first genome in the batch.
     start: usize,
     genomes: Vec<Vec<bool>>,
-    /// Clients currently holding a copy of this shard.
-    assigned: Vec<u32>,
+    /// The one client holding this shard, if any.
+    assigned: Option<u32>,
     done: bool,
 }
 
@@ -135,8 +124,8 @@ pub struct Scheduler {
     shards: Vec<ShardState>,
     pending: VecDeque<usize>,
     completed: usize,
-    /// Shard copies handed out beyond the first assignment (straggler
-    /// re-dispatch).
+    /// Shards re-queued, to be handed out again, after their holder was
+    /// lost or evicted.
     pub redispatched: usize,
 }
 
@@ -152,7 +141,7 @@ impl Scheduler {
             .map(|(i, chunk)| ShardState {
                 start: i * size,
                 genomes: chunk.to_vec(),
-                assigned: Vec::new(),
+                assigned: None,
                 done: false,
             })
             .collect();
@@ -176,42 +165,25 @@ impl Scheduler {
         self.completed == self.shards.len()
     }
 
-    /// Hand `client` its next shard: a fresh pending one if any, else a
-    /// copy of the outstanding shard with the fewest active assignees
-    /// that this client is not already working on and that is below the
-    /// copy cap (straggler re-dispatch, bounded by
-    /// `MAX_SHARD_COPIES = 2` concurrent copies so an idle farm does not
-    /// re-evaluate the entire batch tail). `None` when there is nothing
-    /// useful left for this client.
+    /// Hand `client` the next pending shard, making it the shard's one
+    /// holder. `None` when no shard is pending, even if shards are still
+    /// outstanding on other clients.
     pub fn next_for(&mut self, client: u32) -> Option<(u64, Vec<Vec<bool>>)> {
-        while let Some(i) = self.pending.pop_front() {
+        loop {
+            let i = self.pending.pop_front()?;
             let s = &mut self.shards[i];
             if s.done {
-                continue; // completed while re-queued (racing client finished it)
+                continue; // answered while re-queued
             }
-            s.assigned.push(client);
+            s.assigned = Some(client);
             return Some((self.base_id + i as u64, s.genomes.clone()));
         }
-        let steal = self
-            .shards
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| {
-                !s.done && s.assigned.len() < MAX_SHARD_COPIES && !s.assigned.contains(&client)
-            })
-            .min_by_key(|(i, s)| (s.assigned.len(), *i))
-            .map(|(i, _)| i)?;
-        self.redispatched += 1;
-        let s = &mut self.shards[steal];
-        s.assigned.push(client);
-        Some((self.base_id + steal as u64, s.genomes.clone()))
     }
 
     /// Record a shard result. Returns `Some(start_offset)` for the
     /// *first* result of a live shard (the caller commits the
     /// evaluations at that batch offset); `None` for duplicates and for
-    /// ids outside this batch (stale results of an earlier batch's
-    /// straggler copies).
+    /// ids outside this batch.
     pub fn complete(&mut self, shard: u64) -> Option<usize> {
         let i = usize::try_from(shard.checked_sub(self.base_id)?).ok()?;
         let s = self.shards.get_mut(i)?;
@@ -219,6 +191,7 @@ impl Scheduler {
             return None;
         }
         s.done = true;
+        s.assigned = None;
         self.completed += 1;
         Some(s.start)
     }
@@ -230,17 +203,14 @@ impl Scheduler {
         self.shards.get(i).map(|s| s.genomes.len())
     }
 
-    /// Forget a dead client: shards it was the only active assignee of
-    /// go back to the pending queue for someone else to pick up.
+    /// Forget a dead client: the shards it held go back to the pending
+    /// queue for someone else to pick up.
     pub fn client_dead(&mut self, client: u32) {
         for (i, s) in self.shards.iter_mut().enumerate() {
-            if s.done {
-                continue;
-            }
-            let held = s.assigned.contains(&client);
-            s.assigned.retain(|&c| c != client);
-            if held && s.assigned.is_empty() && !self.pending.contains(&i) {
+            if !s.done && s.assigned == Some(client) {
+                s.assigned = None;
                 self.pending.push_back(i);
+                self.redispatched += 1;
             }
         }
     }
@@ -368,31 +338,30 @@ mod tests {
     }
 
     #[test]
-    fn idle_clients_steal_outstanding_shards_first_result_wins() {
+    fn an_idle_client_is_never_handed_an_outstanding_shard() {
         let g = genomes(4);
         let mut sched = Scheduler::new(0, &g, 2); // 2 shards
         let (a, _) = sched.next_for(0).unwrap();
         let (b, _) = sched.next_for(1).unwrap();
         assert_ne!(a, b);
-        // Client 2 has nothing fresh: it steals (lowest-assignee shard).
-        let (stolen, shard) = sched.next_for(2).expect("steals a copy");
-        assert!(stolen == a || stolen == b);
-        assert_eq!(shard.len(), 2);
-        assert_eq!(sched.redispatched, 1);
-        // A client never steals a shard it already holds; with both
-        // shards held, client 0 can only steal the one client 1 has.
-        let (other, _) = sched.next_for(0).expect("steals the other shard");
-        assert_eq!(other, b);
-        // Both shards now hold two copies — the cap: a fourth client gets
-        // nothing rather than a third redundant copy.
-        assert!(sched.next_for(3).is_none());
-        assert_eq!(sched.redispatched, 2);
-        // First result wins; the duplicate is reported as such.
-        assert!(sched.complete(stolen).is_some());
-        assert!(sched.complete(stolen).is_none());
-        // Foreign ids (earlier batches) are duplicates too, not panics.
+        // Nothing is pending: an idle client gets nothing, not a copy
+        // of a shard another client holds.
+        assert!(sched.next_for(2).is_none());
+        assert!(sched.next_for(0).is_none());
+        assert_eq!(sched.redispatched, 0);
+        // The holder's result completes the shard; a second result for
+        // it is a duplicate, and foreign ids (earlier batches) are not
+        // panics.
+        assert!(sched.complete(a).is_some());
+        assert!(sched.complete(a).is_none());
         assert!(sched.complete(u64::MAX).is_none());
         assert!(sched.shard_len(u64::MAX).is_none());
+        // A completed shard is never re-queued by its holder's death.
+        sched.client_dead(0);
+        assert!(sched.next_for(2).is_none());
+        assert!(!sched.all_done());
+        assert!(sched.complete(b).is_some());
+        assert!(sched.all_done());
     }
 
     #[test]
@@ -403,33 +372,18 @@ mod tests {
         let (_b, _) = sched.next_for(1).unwrap();
         let (_c, _) = sched.next_for(2).unwrap();
         // Client 0 dies holding shard `a`: it must come back as pending
-        // and be handed to the next asking client as a *fresh* dispatch.
-        sched.client_dead(0);
+        // and be handed to the next asking client.
         let before = sched.redispatched;
+        sched.client_dead(0);
         let (re, _) = sched.next_for(1).expect("requeued shard");
         assert_eq!(re, a);
-        assert_eq!(sched.redispatched, before, "requeue is not a steal");
+        assert_eq!(
+            sched.redispatched,
+            before + 1,
+            "a shard handed out again after its holder died is a re-dispatch"
+        );
         // Death of a client holding nothing is a no-op.
         sched.client_dead(7);
-    }
-
-    #[test]
-    fn steal_prefers_the_least_covered_shard() {
-        let g = genomes(6);
-        let mut sched = Scheduler::new(0, &g, 2); // shards 0,1,2
-        let (s0, _) = sched.next_for(0).unwrap();
-        let (s1, _) = sched.next_for(1).unwrap();
-        let (s2, _) = sched.next_for(2).unwrap();
-        assert_eq!((s0, s1, s2), (0, 1, 2));
-        // Client 3 steals shard 0 (lowest index among 1-assignee shards);
-        // client 4 then steals shard 1, not shard 0 again.
-        assert_eq!(sched.next_for(3).unwrap().0, 0);
-        assert_eq!(sched.next_for(4).unwrap().0, 1);
-        // Complete 0 and 1: the only steal target left for client 0 is 2.
-        sched.complete(0);
-        sched.complete(1);
-        assert_eq!(sched.next_for(0).unwrap().0, 2);
-        // Client 2 already holds shard 2 — nothing useful remains for it.
-        assert!(sched.next_for(2).is_none());
+        assert!(sched.next_for(7).is_none());
     }
 }

@@ -6,20 +6,26 @@
 //!
 //! 1. the batch is chunked into shards ([`crate::Scheduler`]),
 //! 2. every live client is primed with a shard and re-fed as results
-//!    arrive (work stealing + straggler re-dispatch),
-//! 3. results are committed at their shard's batch offset — first result
-//!    wins, duplicates are counted — and the stage artifacts each
-//!    `Result` frame carries accumulate in the server (the *single
-//!    writer* of the embedder's persistent store: clients only ever
-//!    send),
-//! 4. the batch ends once every shard has a result *and* no client
-//!    still holds a dispatch, so straggler copies are awaited (or their
-//!    clients evicted) and counted inside the batch that issued them.
+//!    arrive; a shard has one holder at a time,
+//! 3. results are committed at their shard's batch offset, and the stage
+//!    artifacts each `Result` frame carries accumulate in the server
+//!    (the *single writer* of the embedder's persistent store: clients
+//!    only ever send),
+//! 4. the batch ends once every shard has a result *and* no client still
+//!    holds a dispatch, so nothing a batch dispatched can land in a
+//!    later batch — or, on a farm that serves job after job, in another
+//!    job.
+//!
+//! Each client builds its evaluation engine from the embedder's job
+//! description ([`EvalServer::set_job`]). Jobs are numbered, and the
+//! server sends a client the current job right before that client's
+//! first `Work` of it, so one farm serves any number of jobs in turn.
 //!
 //! A dead client (closed connection, failed send, undecodable frame,
 //! protocol violation such as a result of the wrong length) is dropped
-//! from the rotation and its outstanding shards are re-queued; the batch
-//! completes as long as one client survives.
+//! from the rotation, its outstanding shard is re-queued, and any frame
+//! it still had in flight is ignored; the batch completes as long as one
+//! client survives.
 //!
 //! A *hung* client — one that neither answers nor disconnects — is
 //! handled by the liveness plane ([`crate::LivenessConfig`]): the event
@@ -59,11 +65,12 @@ pub struct ServiceStats {
     pub batches: usize,
     /// Shards dispatched (first assignments).
     pub shards: usize,
-    /// Shard copies handed to idle clients beyond the first assignment
-    /// (straggler re-dispatch).
+    /// Shards handed out again after the client holding them was lost
+    /// or evicted.
     pub redispatched_shards: usize,
-    /// Individual evaluations discarded because another client answered
-    /// the shard first (first result wins; duplicates are bit-identical).
+    /// Individual evaluations discarded because their shard already had
+    /// a result. A shard has one holder, so only a client answering a
+    /// shard it was not handed produces these.
     pub duplicate_results: usize,
     /// Client-produced stage artifacts received on `Result` frames.
     pub merged_artifacts: usize,
@@ -73,7 +80,7 @@ pub struct ServiceStats {
     /// worker processes absorbed mid-run via [`ClientInjector`]).
     pub clients_joined: usize,
     /// Dispatch times (`Work` sent → `Result` received) the server
-    /// folded into its cost model.
+    /// folded into its cost model, over every job.
     pub cost_observations: u64,
     /// Heartbeat probes that were still unanswered when the next probe
     /// came due (the liveness plane's early-warning signal).
@@ -94,7 +101,7 @@ pub struct ServerTelemetry {
     pub tracer: btel::Tracer,
     /// Dispatch latency: `Work` sent → first `Result` received.
     pub dispatch_seconds: Arc<btel::Histogram>,
-    /// Shard copies handed out beyond the first assignment.
+    /// Shards handed out again after their client was lost or evicted.
     pub redispatched: Arc<btel::Counter>,
     /// Clients admitted after launch (reconnects).
     pub clients_joined: Arc<btel::Counter>,
@@ -147,9 +154,10 @@ fn spawn_reader(
 /// [`EvalServer`] — the reconnect path of the process farm: an acceptor
 /// thread keeps `accept()`ing on the farm's listener and injects every
 /// late connection here. The server handshakes the newcomer (Hello,
-/// width check), re-sends the current job description, and folds it into
-/// the dispatch rotation; a client that died earlier simply comes back
-/// under a fresh id.
+/// width check) and folds it into the dispatch rotation; like every
+/// client, it receives the current job description before its first
+/// `Work`. A client that died earlier simply comes back under a fresh
+/// id.
 ///
 /// Cloneable and `Send`: the acceptor owns a clone while the server
 /// keeps running.
@@ -206,8 +214,10 @@ pub struct EvalServer {
     cost: CostModel,
     /// Chromosome width every client must announce.
     expect_n_flags: u16,
-    /// The embedder's job description, re-sent to every late joiner.
-    job: Option<Vec<u8>>,
+    /// The embedder's current job: its number (from 1) and description.
+    job: Option<(u64, Vec<u8>)>,
+    /// The last job number sent to each client.
+    job_sent: HashMap<u32, u64>,
     /// Injected clients that have not completed their Hello yet — not
     /// eligible for work until they do.
     pending_hello: HashSet<u32>,
@@ -235,8 +245,7 @@ pub struct EvalServer {
     /// Each client's outstanding dispatch. Blowing its deadline is an
     /// eviction; its send time times the dispatch for the cost model
     /// when the `Result` arrives, and with its span closes the dispatch
-    /// span, so each straggler copy of a re-dispatched shard closes its
-    /// *own* span (the one its worker parented stage spans under).
+    /// span (the one its worker parented stage spans under).
     outstanding: HashMap<u32, Dispatch>,
     /// When the last round of heartbeat probes went out.
     last_ping: Option<Instant>,
@@ -272,6 +281,7 @@ impl EvalServer {
             cost: CostModel::default(),
             expect_n_flags,
             job: None,
+            job_sent: HashMap::new(),
             pending_hello: HashSet::new(),
             next_shard_id: 0,
             stats: ServiceStats::default(),
@@ -314,20 +324,31 @@ impl EvalServer {
         }
     }
 
-    /// Install the embedder's job description and broadcast it to every
-    /// live client. Late joiners receive it again right after their
-    /// handshake, so a worker can always build its engine before its
-    /// first `Work` frame.
+    /// Install the embedder's job description. A payload byte-equal to
+    /// the current one changes nothing; any other becomes the next job,
+    /// under the next job number, and starts the cost model afresh (one
+    /// job's per-genome cost says nothing about another's). No frame
+    /// goes out here: each client receives the current job right before
+    /// its first `Work` of it, so a worker always builds its engine
+    /// first — a client injected mid-farm included.
     pub fn set_job(&mut self, payload: Vec<u8>) {
-        for c in self.ready_ids() {
-            self.send_to(
-                c,
-                &Frame::Job {
-                    payload: payload.clone(),
-                },
-            );
+        if self
+            .job
+            .as_ref()
+            .is_some_and(|(_, current)| *current == payload)
+        {
+            return;
         }
-        self.job = Some(payload);
+        let number = self.job.as_ref().map_or(1, |(n, _)| n + 1);
+        self.job = Some((number, payload));
+        self.cost = CostModel::default();
+    }
+
+    /// Clients connected and past their handshake. A connection that
+    /// closed since the last batch still counts until the next batch
+    /// drains its loss.
+    pub fn live_clients(&self) -> usize {
+        self.ready_ids().len()
     }
 
     fn alive(&self) -> usize {
@@ -372,11 +393,11 @@ impl EvalServer {
         self.pending_hello.insert(client);
     }
 
-    /// Handle a Hello from an injected client: width-check it, replay
-    /// the job description, and admit it to the rotation. Returns
-    /// `false` when the Hello was *not* a valid admission (repeated
-    /// Hello from an established client, or width mismatch) — the
-    /// caller treats that as a protocol violation / lost client.
+    /// Handle a Hello from an injected client: width-check it and admit
+    /// it to the rotation. Returns `false` when the Hello was *not* a
+    /// valid admission (repeated Hello from an established client, or
+    /// width mismatch) — the caller treats that as a protocol violation
+    /// / lost client.
     fn admit_joined(&mut self, client: u32, n_flags: u16) -> bool {
         if !self.pending_hello.remove(&client) {
             return false;
@@ -388,11 +409,6 @@ impl EvalServer {
         self.stats.clients_joined += 1;
         if let Some(t) = &self.tel {
             t.clients_joined.inc();
-        }
-        if let Some(job) = self.job.clone() {
-            if !self.send_to(client, &Frame::Job { payload: job }) {
-                return false;
-            }
         }
         true
     }
@@ -413,6 +429,7 @@ impl EvalServer {
         self.idle.remove(&client);
         self.unanswered_pings.remove(&client);
         self.outstanding.remove(&client);
+        self.job_sent.remove(&client);
         self.cost.forget(client);
     }
 
@@ -581,9 +598,31 @@ impl EvalServer {
     /// Time one answered dispatch — `Work` sent at `sent`, `Result`
     /// received now — and fold it into the cost model.
     fn observe_cost(&mut self, client: u32, genomes: usize, sent: Instant) {
+        let before = self.cost.observations();
         self.cost
             .observe(client, genomes, sent.elapsed().as_secs_f64());
-        self.stats.cost_observations = self.cost.observations();
+        self.stats.cost_observations += self.cost.observations() - before;
+    }
+
+    /// Send `client` the current job unless it already has it. Returns
+    /// `false` when the send failed and the client was dropped.
+    fn send_job(&mut self, client: u32) -> bool {
+        let Some((job, payload)) = &self.job else {
+            return true;
+        };
+        if self.job_sent.get(&client) == Some(job) {
+            return true;
+        }
+        let job = *job;
+        let frame = Frame::Job {
+            job,
+            payload: payload.clone(),
+        };
+        if !self.send_to(client, &frame) {
+            return false;
+        }
+        self.job_sent.insert(client, job);
+        true
     }
 
     /// Give `client` its next shard if the scheduler has one; otherwise
@@ -601,15 +640,21 @@ impl EvalServer {
             _ => 0,
         };
         let budget = self.dispatch_budget(genomes.len());
+        let job = self.job.as_ref().map_or(0, |(n, _)| *n);
         let sent = Instant::now();
-        if self.send_to(
-            client,
-            &Frame::Work {
-                shard,
-                span,
-                genomes,
-            },
-        ) {
+        // The worker builds its engine from the job description, so the
+        // Job frame goes first whenever the client lacks the current one.
+        if self.send_job(client)
+            && self.send_to(
+                client,
+                &Frame::Work {
+                    shard,
+                    span,
+                    job,
+                    genomes,
+                },
+            )
+        {
             self.idle.remove(&client);
             // The dispatch deadline takes over liveness duty from the
             // heartbeat until the shard's Result comes back.
@@ -625,13 +670,13 @@ impl EvalServer {
             );
         } else {
             // Send failed: the client was dropped mid-dispatch. Release
-            // its shards; the reader's Gone event (a closed connection
+            // its shard; the reader's Gone event (a closed connection
             // always produces one) re-pokes idle clients.
             sched.client_dead(client);
         }
     }
 
-    /// Close out the dispatch span of the copy that produced a result
+    /// Close out the dispatch span of the dispatch that produced a result
     /// and stitch the worker's spans into the trace (no-op without
     /// telemetry; `dispatch` is `None` for a result that answers no
     /// outstanding dispatch, and its span is `0` when the Work frame
@@ -663,10 +708,11 @@ impl EvalServer {
 
     /// Evaluate one batch of genomes across the client farm, returning
     /// one [`WireEval`] per genome in input order. Returns once every
-    /// shard has a result and no client holds a dispatch: straggler
-    /// copies still running are awaited (or evicted by their dispatch
-    /// deadline), so each batch's duplicates and artifacts are counted
-    /// before it returns.
+    /// shard has a result and no client holds a dispatch: each shard's
+    /// one holder is awaited, or evicted by its dispatch deadline and
+    /// the shard handed out again, so each batch's results and
+    /// artifacts are counted before it returns and none spill into a
+    /// later batch.
     ///
     /// # Errors
     ///
@@ -709,6 +755,11 @@ impl EvalServer {
                 Err(mpsc::RecvTimeoutError::Disconnected) => return Err(EvaldError::NoClients),
             };
             if let Event::Frame(c, _) = &event {
+                if !self.connected(*c) {
+                    // A dropped client's frame still in flight: its shard
+                    // was re-queued when it was dropped.
+                    continue;
+                }
                 // Any frame is proof of life.
                 self.unanswered_pings.insert(*c, 0);
             }
@@ -753,8 +804,8 @@ impl EvalServer {
                 }
                 Event::Frame(c, Frame::Hello { n_flags }) => {
                     if self.admit_joined(c, n_flags) {
-                        // A reconnecting worker joins the running batch:
-                        // the straggler/steal machinery absorbs it.
+                        // A reconnecting worker joins the running batch
+                        // and pulls from the same queue.
                         self.dispatch_next(&mut sched, c);
                     } else {
                         // Repeated Hello from an established client:
@@ -853,7 +904,8 @@ impl Drop for EvalServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::{run_client, ClientOptions, ShardWorker};
+    use crate::client::tests::run_client;
+    use crate::client::{Client, ClientOptions, ShardWorker};
     use crate::scheduler::MIN_COST_OBSERVATIONS;
     use crate::transport::{channel_duplex, Listener};
     use crate::{FaultKind, TransportKind};
@@ -960,9 +1012,11 @@ mod tests {
         let stats = server.stats();
         assert_eq!(stats.batches, 1);
         assert!(stats.shards >= 3);
-        // Every shard copy's Result frame carried its artifact.
+        // One holder per shard: each shard's one Result frame carried
+        // its artifact, and nothing came back twice.
         let (ast, lower) = server.take_merged_artifacts();
-        assert_eq!(ast.len(), stats.shards + stats.redispatched_shards);
+        assert_eq!(ast.len(), stats.shards);
+        assert_eq!(stats.duplicate_results, 0);
         assert_eq!(stats.merged_artifacts, ast.len());
         assert!(lower.is_empty());
         let final_stats = server.shutdown();
@@ -1106,13 +1160,13 @@ mod tests {
     }
 
     /// Opens the straggler's gate once it has evaluated all of
-    /// `batch(16)` itself, which takes stealing the straggler's shard.
+    /// `batch(16)` but the straggler's one two-genome shard.
     struct Finisher(Popcount, mpsc::Sender<()>);
 
     impl ShardWorker for Finisher {
         fn evaluate(&mut self, genomes: &[Vec<bool>], span: u64) -> Vec<WireEval> {
             let out = self.0.evaluate(genomes, span);
-            if self.0.seen.len() == 16 {
+            if self.0.seen.len() == 14 {
                 let _ = self.1.send(());
             }
             out
@@ -1124,34 +1178,261 @@ mod tests {
     }
 
     #[test]
-    fn a_batch_ends_only_after_its_straggler_copies_answer() {
-        // The finisher serves every other shard, then steals the
-        // straggler's; only then does the straggler answer its own copy.
-        // The batch must wait for that copy, so its duplicate and its
-        // artifact are counted before `evaluate` returns.
+    fn a_slow_clients_batch_ends_when_it_answers_with_no_duplicate() {
+        // Two clients, eight two-genome shards. The finisher serves
+        // seven of them and then sits idle while the straggler holds
+        // the eighth: it is never handed a copy, and the batch ends when
+        // the straggler answers, with one result and one artifact per
+        // shard.
         let (gate, wait) = mpsc::channel();
         let workers: Vec<Box<dyn ShardWorker + Send>> = vec![
             Box::new(Straggler(Popcount::new(), wait)),
             Box::new(Finisher(Popcount::new(), gate)),
         ];
         let (mut server, handles) = launch_workers(workers, None, FaultKind::Crash);
-        let evals = server.evaluate(&batch(16)).unwrap();
-        assert_eq!(evals.len(), 16);
+        let genomes = batch(16);
+        let evals = server.evaluate(&genomes).unwrap();
+        for (g, e) in genomes.iter().zip(&evals) {
+            assert_eq!(e.fitness(), g.iter().filter(|&&b| b).count() as f64);
+        }
         let stats = server.stats();
-        assert!(
-            stats.redispatched_shards >= 1,
-            "the straggler's shard was stolen"
-        );
-        assert!(stats.duplicate_results > 0, "its own copy was awaited");
+        assert_eq!(stats.shards, 8);
+        assert_eq!(stats.redispatched_shards, 0, "no shard was copied");
+        assert_eq!(stats.duplicate_results, 0);
         assert_eq!(
             server.take_merged_artifacts().0.len(),
-            stats.shards + stats.redispatched_shards,
-            "every copy's artifact arrived inside the batch"
+            stats.shards,
+            "one artifact per shard, all inside the batch"
         );
         server.shutdown();
         for h in handles {
             h.join().unwrap();
         }
+    }
+
+    #[test]
+    fn an_evicted_clients_late_result_stays_out_of_later_batches() {
+        // Client 0 holds its first shard until the gate opens and is
+        // evicted at its dispatch deadline meanwhile; client 1 finishes
+        // the batch. The Result client 0 sends once the gate opens must
+        // reach no later batch: on a farm that serves job after job,
+        // that batch may be another job's.
+        let (gate, wait) = mpsc::channel();
+        let workers: Vec<Box<dyn ShardWorker + Send>> = vec![
+            Box::new(Straggler(Popcount::new(), wait)),
+            Box::new(Popcount::new()),
+        ];
+        let (mut server, mut handles) = launch_workers(workers, None, FaultKind::Crash);
+        server.set_liveness(LivenessConfig {
+            heartbeat_interval_ms: 50,
+            max_missed_heartbeats: 4,
+            deadline_multiplier: 1.0,
+            min_dispatch_deadline_ms: 100,
+        });
+        assert_eq!(server.evaluate(&batch(16)).unwrap().len(), 16);
+        assert_eq!(server.stats().evicted_clients, 1);
+        gate.send(()).unwrap();
+        // The evicted client answers, finds its connection severed and
+        // exits: its Result is on its way to the server.
+        handles.remove(0).join().unwrap();
+        for _ in 0..3 {
+            assert_eq!(server.evaluate(&batch(16)).unwrap().len(), 16);
+        }
+        let stats = server.stats();
+        assert_eq!(
+            stats.redispatched_shards, 1,
+            "its shard was handed out again"
+        );
+        assert_eq!(stats.duplicate_results, 0, "its late Result was ignored");
+        assert_eq!(server.take_merged_artifacts().0.len(), stats.shards);
+        server.shutdown();
+        for h in handles {
+            h.join().unwrap();
+        }
+    }
+
+    /// What a logging client saw, in order. Each test job's payload is
+    /// one byte, which names the job here.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Seen {
+        /// A `Job` frame with this payload.
+        Job(u8),
+        /// A shard evaluated while serving this job.
+        Work(u8),
+    }
+
+    /// Popcount, logging each shard under the job being served.
+    struct Logger {
+        job: u8,
+        log: Arc<std::sync::Mutex<Vec<Seen>>>,
+        inner: Popcount,
+    }
+
+    impl ShardWorker for Logger {
+        fn evaluate(&mut self, genomes: &[Vec<bool>], span: u64) -> Vec<WireEval> {
+            self.log.lock().unwrap().push(Seen::Work(self.job));
+            self.inner.evaluate(genomes, span)
+        }
+    }
+
+    /// A channel client that logs every job it receives and every shard
+    /// it evaluates. It serves with a worker from the start, so a `Work`
+    /// frame before the first `Job` would end it with a protocol error.
+    fn logging_client(mut duplex: Duplex) -> (Arc<std::sync::Mutex<Vec<Seen>>>, JoinHandle<()>) {
+        let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let mut worker = Logger {
+            job: 0,
+            log: Arc::clone(&log),
+            inner: Popcount::new(),
+        };
+        let handle = std::thread::spawn(move || {
+            duplex
+                .tx
+                .send_frame(&encode_frame(&Frame::Hello { n_flags: 4 }))
+                .unwrap();
+            let mut client = Client::new(ClientOptions {
+                n_flags: 4,
+                fail_after_shards: None,
+                fault_kind: FaultKind::Crash,
+            });
+            while let Some(payload) = client.serve(&mut duplex, Some(&mut worker)).unwrap() {
+                worker.job = payload[0];
+                worker.log.lock().unwrap().push(Seen::Job(payload[0]));
+            }
+        });
+        (log, handle)
+    }
+
+    /// The jobs a client received, checking that every shard it
+    /// evaluated came after its own job's description.
+    fn jobs_received(log: &[Seen]) -> Vec<u8> {
+        let mut received = Vec::new();
+        for seen in log {
+            match *seen {
+                Seen::Job(j) => received.push(j),
+                Seen::Work(j) => assert_eq!(received.last(), Some(&j), "{log:?}"),
+            }
+        }
+        received
+    }
+
+    #[test]
+    fn each_client_gets_each_job_once_before_its_first_work_of_it() {
+        let (mut server_side, mut logs, mut handles) = (Vec::new(), Vec::new(), Vec::new());
+        for _ in 0..2 {
+            let (s, c) = channel_duplex();
+            let (log, h) = logging_client(c);
+            server_side.push(s);
+            logs.push(log);
+            handles.push(h);
+        }
+        let mut server = EvalServer::new(server_side, 4).unwrap();
+        server.set_job(vec![1]);
+        for _ in 0..2 {
+            server.evaluate(&batch(16)).unwrap();
+        }
+        // A byte-equal description is the same job: no new number, no
+        // second Job frame.
+        server.set_job(vec![1]);
+        server.evaluate(&batch(16)).unwrap();
+        server.set_job(vec![2]);
+        server.evaluate(&batch(16)).unwrap();
+        // A client injected mid-farm gets the current job before any
+        // Work.
+        let (s, c) = channel_duplex();
+        let (late, h) = logging_client(c);
+        handles.push(h);
+        server.injector().inject(s);
+        let mut rounds = 0;
+        while !late.lock().unwrap().contains(&Seen::Work(2)) {
+            rounds += 1;
+            assert!(rounds < 100, "the joiner never got work");
+            server.evaluate(&batch(16)).unwrap();
+        }
+        assert_eq!(server.stats().clients_lost, 0);
+        server.shutdown();
+        for h in handles {
+            h.join().unwrap();
+        }
+        for log in &logs {
+            assert_eq!(jobs_received(&log.lock().unwrap()), [1, 2]);
+        }
+        assert_eq!(jobs_received(&late.lock().unwrap()), [2]);
+    }
+
+    #[test]
+    fn work_for_another_job_ends_its_worker_and_the_shard_completes_elsewhere() {
+        // Client 1 sits behind a relay that renumbers the job of every
+        // Work frame it forwards: its first shard names a job it was
+        // never sent. The worker must refuse it, and the server must
+        // hand the shard to client 0.
+        let (s0, c0) = channel_duplex();
+        let (s1, relay_up) = channel_duplex();
+        let (relay_down, c1) = channel_duplex();
+        let opts = ClientOptions {
+            n_flags: 4,
+            fail_after_shards: None,
+            fault_kind: FaultKind::Crash,
+        };
+        let healthy = std::thread::spawn(move || run_client(&mut Popcount::new(), c0, &opts));
+        let misled = std::thread::spawn(move || run_client(&mut Popcount::new(), c1, &opts));
+        let Duplex {
+            tx: mut up_tx,
+            rx: mut up_rx,
+        } = relay_up;
+        let Duplex {
+            tx: mut down_tx,
+            rx: mut down_rx,
+        } = relay_down;
+        let downstream = std::thread::spawn(move || {
+            while let Ok(bytes) = up_rx.recv_frame() {
+                let frame = match decode_frame(&bytes).unwrap().0 {
+                    Frame::Work {
+                        shard,
+                        span,
+                        job,
+                        genomes,
+                    } => Frame::Work {
+                        shard,
+                        span,
+                        job: job + 1,
+                        genomes,
+                    },
+                    other => other,
+                };
+                if down_tx.send_frame(&encode_frame(&frame)).is_err() {
+                    return;
+                }
+            }
+        });
+        let upstream = std::thread::spawn(move || {
+            while let Ok(bytes) = down_rx.recv_frame() {
+                if up_tx.send_frame(&bytes).is_err() {
+                    return;
+                }
+            }
+        });
+        let mut server = EvalServer::new(vec![s0, s1], 4).unwrap();
+        server.set_job(vec![7]);
+        let genomes = batch(16);
+        let evals = server.evaluate(&genomes).unwrap();
+        for (g, e) in genomes.iter().zip(&evals) {
+            assert_eq!(e.fitness(), g.iter().filter(|&&b| b).count() as f64);
+        }
+        let stats = server.shutdown();
+        assert!(matches!(
+            misled.join().unwrap(),
+            Err(EvaldError::Protocol("Work frame for another job"))
+        ));
+        healthy.join().unwrap().unwrap();
+        downstream.join().unwrap();
+        upstream.join().unwrap();
+        assert_eq!(stats.clients_lost, 1, "only the misled client fell");
+        assert_eq!(
+            stats.redispatched_shards, 1,
+            "its shard was handed out again"
+        );
+        assert_eq!(stats.duplicate_results, 0);
     }
 
     /// Sleeps this many milliseconds before answering every shard and

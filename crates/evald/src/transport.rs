@@ -434,6 +434,7 @@ mod tests {
         let frame = Frame::Work {
             shard: 9,
             span: 0,
+            job: 1,
             genomes: vec![vec![true; 21], vec![false; 4]],
         };
         server.tx.send_frame(&encode_frame(&frame)).unwrap();
@@ -493,6 +494,7 @@ mod tests {
         let frame = Frame::Work {
             shard: 5,
             span: 0,
+            job: 1,
             genomes: vec![vec![true, false, true], vec![false; 9]],
         };
         server.tx.send_frame(&encode_frame(&frame)).unwrap();

@@ -53,8 +53,10 @@ pub const WIRE_MAGIC: [u8; 4] = *b"EVLD";
 /// and its `ShardStats` block — the server keys clients by connection
 /// and times each dispatch itself — and carries only results. v9:
 /// [`Frame::Hello`] drops its `client` id too, which the server never
-/// read.)
-pub const WIRE_VERSION: u32 = 9;
+/// read. v10: [`Frame::Job`] carries a farm-local job number, and
+/// [`Frame::Work`] names the job it belongs to, so one farm serves job
+/// after job and a worker can tell which engine a shard is for.)
+pub const WIRE_VERSION: u32 = 10;
 
 /// Hard cap on one frame's declared length (a corrupted length prefix
 /// must not trigger a multi-gigabyte allocation).
@@ -182,6 +184,10 @@ pub enum Frame {
         /// tracing is off — which doubles as the client's signal not to
         /// record spans of its own.
         span: u64,
+        /// The job this shard belongs to (v10): the number of the last
+        /// [`Frame::Job`] the client received, or `0` on a server that
+        /// never set a job.
+        job: u64,
         /// The genomes, in shard order.
         genomes: Vec<Vec<bool>>,
     },
@@ -204,13 +210,18 @@ pub enum Frame {
     },
     /// Server → client: exit cleanly.
     Shutdown,
-    /// Server → client, once after a successful handshake: the
-    /// embedder's job description — opaque bytes this crate never
-    /// interprets (the BinTuner embedder ships the canonically encoded
-    /// module to tune). Pre-forked worker *processes* need it to build
-    /// their local evaluation engine; thread clients, which receive the
-    /// job at spawn time, never see this frame.
+    /// Server → client, right before the client's first
+    /// [`Frame::Work`] of a job: the embedder's job description — opaque
+    /// bytes this crate never interprets (the BinTuner embedder ships
+    /// the canonically encoded module to tune), from which the worker
+    /// builds its evaluation engine. A farm that outlives one job sends
+    /// each client the next job's description the same way.
     Job {
+        /// Farm-local job number (v10), assigned by the server and never
+        /// reused within one farm. Numbers, not content hashes: a hash
+        /// collision between two tenants' jobs must never route one
+        /// tenant's genomes to the other tenant's engine.
+        job: u64,
         /// The embedder-defined job description.
         payload: Vec<u8>,
     },
@@ -276,11 +287,13 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
         Frame::Work {
             shard,
             span,
+            job,
             genomes,
         } => {
             body.put_u8(TAG_WORK);
             body.put_u64_le(*shard);
             body.put_u64_le(*span);
+            body.put_u64_le(*job);
             body.put_u32_le(genomes.len() as u32);
             for g in genomes {
                 put_genome(&mut body, g);
@@ -330,8 +343,9 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             }
         }
         Frame::Shutdown => body.put_u8(TAG_SHUTDOWN),
-        Frame::Job { payload } => {
+        Frame::Job { job, payload } => {
             body.put_u8(TAG_JOB);
+            body.put_u64_le(*job);
             body.put_u32_le(payload.len() as u32);
             body.put_slice(payload);
         }
@@ -449,6 +463,7 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), EvaldError> {
         TAG_WORK => Frame::Work {
             shard: r.u64()?,
             span: r.u64()?,
+            job: r.u64()?,
             genomes: r.seq(read_genome)?,
         },
         TAG_RESULT => {
@@ -492,6 +507,7 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), EvaldError> {
         }
         TAG_SHUTDOWN => Frame::Shutdown,
         TAG_JOB => Frame::Job {
+            job: r.u64()?,
             payload: r.bytes()?.to_vec(),
         },
         TAG_PING => Frame::Ping { nonce: r.u64()? },
@@ -512,6 +528,7 @@ mod tests {
             Frame::Work {
                 shard: 42,
                 span: 9001,
+                job: 3,
                 genomes: vec![
                     vec![true, false, true],
                     vec![],
@@ -576,6 +593,7 @@ mod tests {
             },
             Frame::Shutdown,
             Frame::Job {
+                job: u64::MAX,
                 payload: vec![0xAB; 33],
             },
             Frame::Ping { nonce: 0xFEED },
@@ -600,10 +618,10 @@ mod tests {
         let golden = [
             0x15, 0x00, 0x00, 0x00, // length of the rest
             0x45, 0x56, 0x4c, 0x44, // "EVLD"
-            0x09, 0x00, 0x00, 0x00, // WIRE_VERSION
+            0x0a, 0x00, 0x00, 0x00, // WIRE_VERSION
             0x07, // TAG_PING
             0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // nonce
-            0xdb, 0x13, 0xc9, 0xd6, // FNV-1a over magic..payload
+            0xe2, 0x03, 0x7d, 0x3e, // FNV-1a over magic..payload
         ];
         let frame = Frame::Ping { nonce: 7 };
         assert_eq!(encode_frame(&frame), golden);
@@ -681,6 +699,7 @@ mod tests {
     fn job_payload_is_opaque_bytes() {
         for payload in [vec![], vec![0u8], (0..=255u8).collect::<Vec<u8>>()] {
             let frame = Frame::Job {
+                job: 7,
                 payload: payload.clone(),
             };
             let bytes = encode_frame(&frame);
@@ -691,10 +710,12 @@ mod tests {
         // A declared payload length past the frame end is corrupt, not a
         // panic — even with a valid checksum over the lying bytes.
         let mut bytes = encode_frame(&Frame::Job {
+            job: 1,
             payload: vec![7; 4],
         });
-        // Payload length field sits after len(4)+magic(4)+version(4)+tag(1).
-        bytes[13..17].copy_from_slice(&u32::MAX.to_le_bytes());
+        // Payload length field sits after len(4)+magic(4)+version(4)+tag(1)
+        // and the job number(8).
+        bytes[21..25].copy_from_slice(&u32::MAX.to_le_bytes());
         let ck_at = bytes.len() - 4;
         let ck = checksum(&bytes[4..ck_at]);
         bytes[ck_at..].copy_from_slice(&ck.to_le_bytes());
@@ -771,6 +792,7 @@ mod tests {
             let frame = Frame::Work {
                 shard: 1,
                 span: 0,
+                job: 0,
                 genomes: vec![genome.clone()],
             };
             let (decoded, _) = decode_frame(&encode_frame(&frame)).unwrap();

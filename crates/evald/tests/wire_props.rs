@@ -88,8 +88,9 @@ proptest! {
     #[test]
     fn work_frames_round_trip(shard in any::<u64>(),
                               span in any::<u64>(),
+                              job in any::<u64>(),
                               genomes in vec(genome_strategy(), 0..24)) {
-        let frame = Frame::Work { shard, span, genomes };
+        let frame = Frame::Work { shard, span, job, genomes };
         let bytes = encode_frame(&frame);
         let (decoded, used) = decode_frame(&bytes).expect("valid frame decodes");
         prop_assert_eq!(decoded, frame);
@@ -168,8 +169,9 @@ proptest! {
 
     #[test]
     fn truncated_frames_are_rejected(genomes in vec(genome_strategy(), 1..8),
+                                     job in any::<u64>(),
                                      cut_fraction in 0usize..100) {
-        let bytes = encode_frame(&Frame::Work { shard: 7, span: 0, genomes });
+        let bytes = encode_frame(&Frame::Work { shard: 7, span: 0, job, genomes });
         let cut = cut_fraction * bytes.len() / 100; // strictly < len
         match decode_frame(&bytes[..cut]) {
             Err(EvaldError::Truncated { needed, got }) => {
@@ -185,7 +187,7 @@ proptest! {
         // Any version other than ours — older (a v2 peer) or newer —
         // must be rejected up front, before payload interpretation.
         let version = if version == WIRE_VERSION { version ^ 1 } else { version };
-        let mut bytes = encode_frame(&Frame::Work { shard: 1, span: 0, genomes });
+        let mut bytes = encode_frame(&Frame::Work { shard: 1, span: 0, job: 1, genomes });
         bytes[8..12].copy_from_slice(&version.to_le_bytes());
         prop_assert!(matches!(
             decode_frame(&bytes),
@@ -194,12 +196,42 @@ proptest! {
     }
 
     #[test]
-    fn job_frames_round_trip(payload in vec(any::<u8>(), 0..4096)) {
-        let frame = Frame::Job { payload };
+    fn job_frames_round_trip(job in any::<u64>(), payload in vec(any::<u8>(), 0..4096)) {
+        let frame = Frame::Job { job, payload };
         let bytes = encode_frame(&frame);
         let (decoded, used) = decode_frame(&bytes).expect("valid frame decodes");
         prop_assert_eq!(decoded, frame);
         prop_assert_eq!(used, bytes.len());
+    }
+
+    #[test]
+    fn job_numbers_reject_every_truncation_and_any_flipped_byte(job in any::<u64>(),
+                                                                payload in vec(any::<u8>(), 0..64),
+                                                                genomes in vec(genome_strategy(), 0..4),
+                                                                bit in 0u32..64) {
+        // The v10 job number sits right behind the tag of a Job frame and
+        // behind the shard and span ids of a Work frame. A cut anywhere
+        // is Truncated; a flipped bit in it fails the checksum — a
+        // corrupted number must never route a shard to another job.
+        for (frame, at) in [
+            (Frame::Job { job, payload }, 13),
+            (Frame::Work { shard: 2, span: 3, job, genomes }, 13 + 16),
+        ] {
+            let bytes = encode_frame(&frame);
+            for cut in 0..bytes.len() {
+                prop_assert!(matches!(
+                    decode_frame(&bytes[..cut]),
+                    Err(EvaldError::Truncated { .. })
+                ), "cut at {} not rejected", cut);
+            }
+            prop_assert_eq!(&bytes[at..at + 8], &job.to_le_bytes()[..]);
+            let mut flipped = bytes.clone();
+            flipped[at + (bit / 8) as usize] ^= 1 << (bit % 8);
+            prop_assert!(matches!(
+                decode_frame(&flipped),
+                Err(EvaldError::Corrupt("checksum mismatch"))
+            ));
+        }
     }
 
     #[test]
